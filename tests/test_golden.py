@@ -1,0 +1,128 @@
+"""Golden outputs: CLI documents and seeded weights must not drift.
+
+Every shipped config is rendered through ``describe`` (text, json) and
+``count`` (text, json, markdown), with and without the frontend; every
+experimental kind through ``describe``; the paper fixture through
+``verify --format json``. Weights are pinned by a sha256 over each
+``state_dict`` (entry names, order, dtypes, shapes and bytes), for seeded
+and uninitialized models of every config and for one block of every kind.
+
+The recorded values live in ``golden/outputs.json``. Regenerate them only
+for an intended change of output, and say why in the change log:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+import contextlib
+import difflib
+import glob
+import hashlib
+import io
+import json
+import os
+import sys
+
+import numpy as np
+
+import tempconv as tc
+from tempconv.blocks import BLOCK_KINDS, EXPERIMENTAL_KINDS, make_block
+from tempconv.cli import main
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "outputs.json")
+CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
+FIXTURE = os.path.join(ROOT, "fixtures", "paper_tables.json")
+NO_FRONTEND = ["--set", "model.frontend=false"]
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of one in-process CLI call, as one text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def state_hash(module):
+    h = hashlib.sha256()
+    for name, arr in module.state_dict().items():
+        h.update(f"{name}|{arr.dtype}|{arr.shape}\n".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def documents():
+    docs = {}
+    for path in CONFIGS:
+        name = os.path.basename(path)
+        for tag, extra in (("frontend", []), ("nofrontend", NO_FRONTEND)):
+            base = ["--config", path] + extra
+            for fmt in ("text", "json"):
+                docs[f"describe {name} {tag} {fmt}"] = run_cli(["describe"] + base + ["--format", fmt])
+            for fmt in ("text", "json", "markdown"):
+                docs[f"count {name} {tag} {fmt}"] = run_cli(["count"] + base + ["--format", fmt])
+    for kind in EXPERIMENTAL_KINDS:
+        for fmt in ("text", "json"):
+            docs[f"describe {kind} experimental {fmt}"] = run_cli(
+                ["describe", "--config", os.path.join(ROOT, "configs", "starv.cfg"),
+                 "--set", "model.experimental=true", "--set", f"tcn.block_kind={kind}",
+                 "--format", fmt])
+    docs["verify json"] = run_cli(["verify", "--fixture", FIXTURE, "--format", "json"])
+    return docs
+
+
+def model_hashes():
+    hashes = {}
+    for path in CONFIGS:
+        config = tc.load_config_file(path)
+        name = os.path.basename(path)
+        hashes[f"{name} seed=3"] = state_hash(tc.build_model(config, seed=3))
+        hashes[f"{name} init=False"] = state_hash(tc.build_model(config, init=False))
+    return hashes
+
+
+def block_hashes():
+    hashes = {}
+    for kind in BLOCK_KINDS:
+        hashes[f"{kind} raw"] = state_hash(make_block(kind, 16, 2, experimental=True))
+        seeded = make_block(kind, 16, 2, experimental=True)
+        seeded.init_parameters(np.random.default_rng(3))
+        hashes[f"{kind} seed=3"] = state_hash(seeded)
+    return hashes
+
+
+def _load():
+    with open(GOLDEN, "r", encoding="utf-8") as f:
+        return json.load(f)
+
+
+def _compare(want, got):
+    assert sorted(got) == sorted(want), "golden keys changed"
+    bad = [k for k in want if got[k] != want[k]]
+    report = []
+    for k in bad[:3]:
+        report.append(f"== {k}")
+        report.extend(difflib.unified_diff(str(want[k]).splitlines(), str(got[k]).splitlines(),
+                                           "golden", "now", lineterm="", n=1))
+    assert not bad, f"{len(bad)} golden output(s) differ:\n" + "\n".join(report)
+
+
+def test_cli_documents_unchanged():
+    _compare(_load()["documents"], documents())
+
+
+def test_model_state_hashes_unchanged():
+    _compare(_load()["models"], model_hashes())
+
+
+def test_block_state_hashes_unchanged():
+    _compare(_load()["blocks"], block_hashes())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w", encoding="utf-8") as f:
+        json.dump({"documents": documents(), "models": model_hashes(),
+                   "blocks": block_hashes()}, f, indent=1, sort_keys=True)
+        f.write("\n")
