@@ -4,12 +4,7 @@
 import numpy as np
 
 from tempconv import Tensor
-from tempconv.blocks import (
-    BLOCK_KINDS,
-    DEFAULT_EXPANSION,
-    block_param_form,
-    make_block,
-)
+from tempconv.blocks import BLOCK_KINDS, DEFAULT_EXPANSION, make_block
 
 WIDTH = 512
 
@@ -20,7 +15,7 @@ for kind in BLOCK_KINDS:
     e = DEFAULT_EXPANSION.get(kind)
     taps = blk.rf_taps()
     print(f"{kind:<18} {str(e) if e else '-':>9} "
-          f"{block_param_form(kind, WIDTH):>12,}  "
+          f"{blk.param_count():>12,}  "
           f"{len(taps)} x k{taps[0][0]}")
 
 # Every block preserves shape and never lets the future leak backwards.

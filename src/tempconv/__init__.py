@@ -10,7 +10,7 @@ from .gradcheck import grad_check, GradCheckResult, block_suite
 from .layers import (Module, Conv, Conv1d, Conv2d, Conv3d, BatchNorm, ReLU,
                      ReLU6, Dropout, Linear, Identity, Sequential)
 from .blocks import (BLOCK_KINDS, EXPERIMENTAL_KINDS, DEFAULT_EXPANSION,
-                     make_block, block_param_form, canonical_kind)
+                     make_block, canonical_kind)
 from .frontend import (StemSpec, Stem, ExtractorSpec, ReferenceExtractor,
                        ClassifierHead)
 from .config import (ModelConfig, TCNConfig, ClassifierConfig, TrainConfig,
@@ -18,7 +18,7 @@ from .config import (ModelConfig, TCNConfig, ClassifierConfig, TrainConfig,
                      parse_toy_spec, load_config_file, config_hash,
                      config_to_dict)
 from .model import (Model, TCN, build_model, receptive_field, describe,
-                    predict_param_count, BUILD_VERSION, PARAM_BUDGET_CAP)
+                    BUILD_VERSION, PARAM_BUDGET_CAP)
 from .complexity import (ComplexityReport, ComplexityRow, audit, count_params,
                          count_macs, verify_fixture, verify_report,
                          emit_report, emit_verify, load_fixture)
@@ -37,12 +37,12 @@ __all__ = [
     "GradCheckResult", "block_suite", "Module", "Conv", "Conv1d", "Conv2d",
     "Conv3d", "BatchNorm", "ReLU", "ReLU6", "Dropout", "Linear", "Identity",
     "Sequential", "BLOCK_KINDS", "EXPERIMENTAL_KINDS", "DEFAULT_EXPANSION",
-    "make_block", "block_param_form", "canonical_kind", "StemSpec", "Stem",
+    "make_block", "canonical_kind", "StemSpec", "Stem",
     "ExtractorSpec", "ReferenceExtractor", "ClassifierHead", "ModelConfig",
     "TCNConfig", "ClassifierConfig", "TrainConfig", "ToyDatasetSpec",
     "parse_config", "parse_train_config", "parse_toy_spec", "load_config_file",
     "config_hash", "config_to_dict", "Model", "TCN", "build_model",
-    "receptive_field", "describe", "predict_param_count", "BUILD_VERSION",
+    "receptive_field", "describe", "BUILD_VERSION",
     "PARAM_BUDGET_CAP", "ComplexityReport", "ComplexityRow", "audit",
     "count_params", "count_macs", "verify_fixture", "verify_report",
     "emit_report", "emit_verify", "load_fixture", "cosine_lr", "lr_schedule",

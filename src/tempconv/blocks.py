@@ -3,19 +3,19 @@
 Every block is residual (input added to the body output) and ends in
 dropout. All temporal convolutions are causal with the block's dilation,
 so a block never reads future frames. Convolutions directly followed by a
-norm carry no bias; the plain two-conv block keeps its biases so that its
-closed-form parameter count 2*(k*C^2 + C) + 4*C holds exactly.
+norm carry no bias; the plain two-conv block keeps its biases, giving it
+2*(k*C^2 + C) + 4*C parameters.
 
-Closed-form parameter counts (k = conv kernel, K = depthwise kernel of the
-star family, E = expanded width, M = internal width of the compact
-bottleneck) are exported in ``PARAM_FORMS`` and unit-tested against the
-generic registry counter.
+The built module tree is the only description of a block: parameter
+counts, MACs and receptive-field taps are read from it. Plain stacks come
+from the ``_BODIES`` table; the star family is one class whose kinds
+differ only in name, except "stariii", which adds a pointwise stage.
 """
 from __future__ import annotations
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm, Conv1d, Dropout, Module, ReLU, Sequential
+from .layers import BatchNorm, Conv, Conv1d, Dropout, Module, ReLU, Sequential
 
 BLOCK_KINDS = (
     "baseline", "linear", "fusedmb", "invertedresidual", "cib", "uib",
@@ -32,15 +32,8 @@ _ALIASES = {
 }
 
 DEFAULT_EXPANSION = {
-    "fusedmb": 3.5,
-    "invertedresidual": 2.0,
-    "cib": 2.0,
-    "uib": 4.0,
-    "starv": 4.0,
-    "stari": 4.0,
-    "starii": 4.0,
-    "stariii": 4.0,
-    "stariv": 4.0,
+    "fusedmb": 3.5, "invertedresidual": 2.0, "cib": 2.0, "uib": 4.0,
+    **dict.fromkeys(("starv",) + EXPERIMENTAL_KINDS, 4.0),
 }
 
 STAR_DW_KERNEL = 7
@@ -62,12 +55,11 @@ def expanded_width(channels, expansion):
 
 
 class TemporalBlock(Module):
-    """Residual + dropout wrapper; subclasses provide the body."""
+    """Residual + dropout wrapper around a body; subclasses provide the body."""
 
-    kind = None
-
-    def __init__(self, channels, dilation, dropout=0.2):
+    def __init__(self, kind, channels, dilation, dropout=0.2):
         super().__init__()
+        self.kind = kind
         self.channels = channels
         self.dilation = dilation
         self.drop = Dropout(dropout)
@@ -83,153 +75,82 @@ class TemporalBlock(Module):
     def _body(self, x):
         raise NotImplementedError
 
+    def _convs(self):
+        return [m for m in self.modules() if isinstance(m, Conv)]
+
     def output_shape(self, in_shape):
         if in_shape[0] != self.channels:
             raise ShapeError(f"block expects {self.channels} channels, got shape {in_shape}")
         return in_shape
 
+    def macs(self, in_shape):
+        # every conv in a block is causal with stride 1, so all keep length T
+        t = self.output_shape(in_shape)[1:]
+        return sum(m.macs((m.spec.in_channels,) + t) for m in self._convs())
+
     def rf_taps(self):
         """(kernel, dilation) of every temporal conv, for receptive-field sums."""
-        raise NotImplementedError
+        return [(m.spec.kernel[0], m.spec.dilation[0])
+                for m in self._convs() if m.spec.kernel[0] > 1]
 
 
-class _SequentialBlock(TemporalBlock):
-    """Body is a plain layer stack."""
+def _full(a, b, k, d, bias=False):
+    return Conv1d(a, b, k, dilation=d, causal=True, bias=bias)
 
-    def __init__(self, channels, dilation, dropout=0.2):
-        super().__init__(channels, dilation, dropout)
-        self.body = Sequential(*self._build())
 
-    def _build(self):
-        raise NotImplementedError
+def _dw(c, k, d, bias=False):
+    return Conv1d(c, c, k, dilation=d, groups=c, causal=True, bias=bias)
+
+
+def _pw(a, b, bias=False):
+    return Conv1d(a, b, 1, causal=True, bias=bias)
+
+
+# body layer list per plain kind: (channels, expanded width, kernel, dilation)
+_BODIES = {
+    # two full causal convolutions, each followed by norm and relu
+    "baseline": lambda c, e, k, d: [
+        _full(c, c, k, d, bias=True), BatchNorm(c), ReLU(),
+        _full(c, c, k, d, bias=True), BatchNorm(c), ReLU(),
+    ],
+    # depthwise, pointwise, depthwise; norms only, no activation
+    "linear": lambda c, e, k, d: [
+        _dw(c, k, d), BatchNorm(c), _pw(c, c), BatchNorm(c), _dw(c, k, d), BatchNorm(c),
+    ],
+    # full conv expands the width, pointwise projects back
+    "fusedmb": lambda c, e, k, d: [
+        _full(c, e, k, d), BatchNorm(e), ReLU(), _pw(e, c), BatchNorm(c),
+    ],
+    # pointwise expand, depthwise, pointwise project
+    "invertedresidual": lambda c, e, k, d: [
+        _pw(c, e), BatchNorm(e), ReLU(), _dw(e, k, d), BatchNorm(e), ReLU(),
+        _pw(e, c), BatchNorm(c),
+    ],
+    # compact inverted bottleneck: dw / pw-expand / dw / pw-project / dw
+    "cib": lambda c, e, k, d: [
+        _dw(c, k, d), BatchNorm(c), _pw(c, e), BatchNorm(e), _dw(e, k, d), BatchNorm(e),
+        _pw(e, c), BatchNorm(c), _dw(c, k, d), BatchNorm(c),
+    ],
+    # extra-depthwise universal bottleneck: dw / pw-expand / dw / pw-project
+    "uib": lambda c, e, k, d: [
+        _dw(c, k, d), BatchNorm(c), _pw(c, e), BatchNorm(e), ReLU(), _dw(e, k, d),
+        BatchNorm(e), _pw(e, c), BatchNorm(c),
+    ],
+}
+
+
+class SequentialBlock(TemporalBlock):
+    """Body is the plain layer stack ``_BODIES[kind]`` builds."""
+
+    def __init__(self, kind, channels, dilation, expansion=None, kernel=3, dropout=0.2):
+        super().__init__(kind, channels, dilation, dropout)
+        self.kernel = kernel
+        self.expansion = expansion
+        self.width = None if expansion is None else expanded_width(channels, expansion)
+        self.body = Sequential(*_BODIES[kind](channels, self.width, kernel, dilation))
 
     def _body(self, x):
         return self.body(x)
-
-    def macs(self, in_shape):
-        self.output_shape(in_shape)
-        return self.body.macs(in_shape)
-
-    def rf_taps(self):
-        return [(m.spec.kernel[0], m.spec.dilation[0])
-                for m in self.body if hasattr(m, "spec") and m.spec.kernel[0] > 1]
-
-
-class BaselineBlock(_SequentialBlock):
-    """Two full causal convolutions, each followed by norm and relu."""
-
-    kind = "baseline"
-
-    def __init__(self, channels, dilation, kernel=3, dropout=0.2):
-        self.kernel = kernel
-        super().__init__(channels, dilation, dropout)
-
-    def _build(self):
-        c, d, k = self.channels, self.dilation, self.kernel
-        return [
-            Conv1d(c, c, k, dilation=d, causal=True, bias=True), BatchNorm(c), ReLU(),
-            Conv1d(c, c, k, dilation=d, causal=True, bias=True), BatchNorm(c), ReLU(),
-        ]
-
-
-class LinearBlock(_SequentialBlock):
-    """Depthwise, pointwise, depthwise; norms only, no activation."""
-
-    kind = "linear"
-
-    def __init__(self, channels, dilation, kernel=3, dropout=0.2):
-        self.kernel = kernel
-        super().__init__(channels, dilation, dropout)
-
-    def _build(self):
-        c, d, k = self.channels, self.dilation, self.kernel
-        return [
-            Conv1d(c, c, k, dilation=d, groups=c, causal=True, bias=False), BatchNorm(c),
-            Conv1d(c, c, 1, causal=True, bias=False), BatchNorm(c),
-            Conv1d(c, c, k, dilation=d, groups=c, causal=True, bias=False), BatchNorm(c),
-        ]
-
-
-class FusedMBBlock(_SequentialBlock):
-    """Full conv expands the width, pointwise projects back."""
-
-    kind = "fusedmb"
-
-    def __init__(self, channels, dilation, expansion=3.5, kernel=3, dropout=0.2):
-        self.kernel = kernel
-        self.expansion = expansion
-        self.width = expanded_width(channels, expansion)
-        super().__init__(channels, dilation, dropout)
-
-    def _build(self):
-        c, d, k, e = self.channels, self.dilation, self.kernel, self.width
-        return [
-            Conv1d(c, e, k, dilation=d, causal=True, bias=False), BatchNorm(e), ReLU(),
-            Conv1d(e, c, 1, causal=True, bias=False), BatchNorm(c),
-        ]
-
-
-class InvertedResidualBlock(_SequentialBlock):
-    """Pointwise expand, depthwise, pointwise project."""
-
-    kind = "invertedresidual"
-
-    def __init__(self, channels, dilation, expansion=2.0, kernel=3, dropout=0.2):
-        self.kernel = kernel
-        self.expansion = expansion
-        self.width = expanded_width(channels, expansion)
-        super().__init__(channels, dilation, dropout)
-
-    def _build(self):
-        c, d, k, e = self.channels, self.dilation, self.kernel, self.width
-        return [
-            Conv1d(c, e, 1, causal=True, bias=False), BatchNorm(e), ReLU(),
-            Conv1d(e, e, k, dilation=d, groups=e, causal=True, bias=False), BatchNorm(e), ReLU(),
-            Conv1d(e, c, 1, causal=True, bias=False), BatchNorm(c),
-        ]
-
-
-class CIBBlock(_SequentialBlock):
-    """Compact inverted bottleneck: dw / pw-expand / dw / pw-project / dw."""
-
-    kind = "cib"
-
-    def __init__(self, channels, dilation, expansion=2.0, kernel=3, dropout=0.2):
-        self.kernel = kernel
-        self.expansion = expansion
-        self.width = expanded_width(channels, expansion)
-        super().__init__(channels, dilation, dropout)
-
-    def _build(self):
-        c, d, k, m = self.channels, self.dilation, self.kernel, self.width
-        return [
-            Conv1d(c, c, k, dilation=d, groups=c, causal=True, bias=False), BatchNorm(c),
-            Conv1d(c, m, 1, causal=True, bias=False), BatchNorm(m),
-            Conv1d(m, m, k, dilation=d, groups=m, causal=True, bias=False), BatchNorm(m),
-            Conv1d(m, c, 1, causal=True, bias=False), BatchNorm(c),
-            Conv1d(c, c, k, dilation=d, groups=c, causal=True, bias=False), BatchNorm(c),
-        ]
-
-
-class UIBBlock(_SequentialBlock):
-    """Extra-depthwise universal bottleneck: dw / pw-expand / dw / pw-project."""
-
-    kind = "uib"
-
-    def __init__(self, channels, dilation, expansion=4.0, kernel=3, dropout=0.2):
-        self.kernel = kernel
-        self.expansion = expansion
-        self.width = expanded_width(channels, expansion)
-        super().__init__(channels, dilation, dropout)
-
-    def _build(self):
-        c, d, k, e = self.channels, self.dilation, self.kernel, self.width
-        return [
-            Conv1d(c, c, k, dilation=d, groups=c, causal=True, bias=False), BatchNorm(c),
-            Conv1d(c, e, 1, causal=True, bias=False), BatchNorm(e), ReLU(),
-            Conv1d(e, e, k, dilation=d, groups=e, causal=True, bias=False), BatchNorm(e),
-            Conv1d(e, c, 1, causal=True, bias=False), BatchNorm(c),
-        ]
 
 
 class StarBlock(TemporalBlock):
@@ -241,26 +162,24 @@ class StarBlock(TemporalBlock):
     other experimental tags share this exact structure.
     """
 
-    kind = "starv"
-
-    def __init__(self, channels, dilation, expansion=4.0, dw_kernel=STAR_DW_KERNEL,
-                 dropout=0.2, extra_pw=False):
-        super().__init__(channels, dilation, dropout)
+    def __init__(self, kind, channels, dilation, expansion=4.0, dw_kernel=STAR_DW_KERNEL,
+                 dropout=0.2):
+        super().__init__(kind, channels, dilation, dropout)
         self.expansion = expansion
         self.dw_kernel = dw_kernel
         self.width = expanded_width(channels, expansion)
         c, d, kk, e = channels, dilation, dw_kernel, self.width
-        self.dw_in = Conv1d(c, c, kk, dilation=d, groups=c, causal=True, bias=False)
+        self.dw_in = _dw(c, kk, d)
         self.bn_in = BatchNorm(c)
-        self.branch1 = Conv1d(c, e, 1, causal=True, bias=True)
-        self.branch2 = Conv1d(c, e, 1, causal=True, bias=True)
+        self.branch1 = _pw(c, e, bias=True)
+        self.branch2 = _pw(c, e, bias=True)
         self.mid = None
-        if extra_pw:
-            self.mid = Conv1d(e, e, 1, causal=True, bias=False)
+        if kind == "stariii":
+            self.mid = _pw(e, e)
             self.bn_mid = BatchNorm(e)
-        self.project = Conv1d(e, c, 1, causal=True, bias=False)
+        self.project = _pw(e, c)
         self.bn_out = BatchNorm(c)
-        self.dw_out = Conv1d(c, c, kk, dilation=d, groups=c, causal=True, bias=True)
+        self.dw_out = _dw(c, kk, d, bias=True)
 
     def _body(self, x):
         h = self.bn_in(self.dw_in(x))
@@ -268,55 +187,6 @@ class StarBlock(TemporalBlock):
         if self.mid is not None:
             mixed = self.bn_mid(self.mid(mixed))
         return self.dw_out(self.bn_out(self.project(mixed)))
-
-    def macs(self, in_shape):
-        self.output_shape(in_shape)
-        e_shape = (self.width,) + in_shape[1:]
-        total = self.dw_in.macs(in_shape)
-        total += self.branch1.macs(in_shape) + self.branch2.macs(in_shape)
-        if self.mid is not None:
-            total += self.mid.macs(e_shape)
-        total += self.project.macs(e_shape) + self.dw_out.macs(in_shape)
-        return total
-
-    def rf_taps(self):
-        return [(self.dw_kernel, self.dilation), (self.dw_kernel, self.dilation)]
-
-
-class StarIBlock(StarBlock):
-    kind = "stari"
-
-
-class StarIIBlock(StarBlock):
-    kind = "starii"
-
-
-class StarIIIBlock(StarBlock):
-    kind = "stariii"
-
-    def __init__(self, channels, dilation, expansion=4.0, dw_kernel=STAR_DW_KERNEL, dropout=0.2):
-        super().__init__(channels, dilation, expansion, dw_kernel, dropout, extra_pw=True)
-
-
-class StarIVBlock(StarBlock):
-    kind = "stariv"
-
-
-_CLASSES = {
-    "baseline": BaselineBlock,
-    "linear": LinearBlock,
-    "fusedmb": FusedMBBlock,
-    "invertedresidual": InvertedResidualBlock,
-    "cib": CIBBlock,
-    "uib": UIBBlock,
-    "starv": StarBlock,
-    "stari": StarIBlock,
-    "starii": StarIIBlock,
-    "stariii": StarIIIBlock,
-    "stariv": StarIVBlock,
-}
-
-_STAR_FAMILY = ("starv",) + EXPERIMENTAL_KINDS
 
 
 def make_block(kind, channels, dilation, expansion=None, kernel=3,
@@ -328,41 +198,9 @@ def make_block(kind, channels, dilation, expansion=None, kernel=3,
             f"block kind '{kind}' is experimental; pass experimental=True "
             "(CLI/config: experimental = true) to use it"
         )
-    cls = _CLASSES[kind]
-    if kind == "baseline":
-        return cls(channels, dilation, kernel=kernel, dropout=dropout)
-    if kind == "linear":
-        return cls(channels, dilation, kernel=kernel, dropout=dropout)
-    e = DEFAULT_EXPANSION[kind] if expansion is None else expansion
-    if kind in _STAR_FAMILY:
-        return cls(channels, dilation, expansion=e, dw_kernel=dw_kernel, dropout=dropout)
-    return cls(channels, dilation, expansion=e, kernel=kernel, dropout=dropout)
-
-
-# Closed-form parameter counts, one per kind. E/M widths are rounded the
-# same way the constructors round them.
-def _e(c, e):
-    return int(round(e * c))
-
-
-PARAM_FORMS = {
-    "baseline": lambda c, e=None, k=3, K=None: 2 * (k * c * c + c) + 4 * c,
-    "linear": lambda c, e=None, k=3, K=None: c * c + (2 * k + 6) * c,
-    "fusedmb": lambda c, e=3.5, k=3, K=None: (k + 1) * c * _e(c, e) + 2 * _e(c, e) + 2 * c,
-    "invertedresidual": lambda c, e=2.0, k=3, K=None: 2 * c * _e(c, e) + (k + 4) * _e(c, e) + 2 * c,
-    "cib": lambda c, e=2.0, k=3, K=None: 2 * c * _e(c, e) + (k + 4) * _e(c, e) + (2 * k + 6) * c,
-    "uib": lambda c, e=4.0, k=3, K=None: 2 * c * _e(c, e) + (k + 4) * _e(c, e) + (k + 4) * c,
-    "starv": lambda c, e=4.0, k=3, K=7: 3 * c * _e(c, e) + 2 * _e(c, e) + (2 * K + 5) * c,
-    "stariii": lambda c, e=4.0, k=3, K=7: (
-        3 * c * _e(c, e) + 2 * _e(c, e) + (2 * K + 5) * c + _e(c, e) ** 2 + 2 * _e(c, e)
-    ),
-}
-PARAM_FORMS["stari"] = PARAM_FORMS["starv"]
-PARAM_FORMS["starii"] = PARAM_FORMS["starv"]
-PARAM_FORMS["stariv"] = PARAM_FORMS["starv"]
-
-
-def block_param_form(kind, channels, expansion=None, kernel=3, dw_kernel=STAR_DW_KERNEL):
-    kind = canonical_kind(kind)
-    e = DEFAULT_EXPANSION.get(kind) if expansion is None else expansion
-    return PARAM_FORMS[kind](channels, e, kernel, dw_kernel)
+    e = None  # baseline and linear have no expanded width
+    if kind in DEFAULT_EXPANSION:
+        e = DEFAULT_EXPANSION[kind] if expansion is None else expansion
+    if kind in _BODIES:
+        return SequentialBlock(kind, channels, dilation, e, kernel, dropout)
+    return StarBlock(kind, channels, dilation, e, dw_kernel, dropout)

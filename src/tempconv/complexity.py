@@ -17,6 +17,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from .blocks import TemporalBlock
 from .errors import ConfigError, FormatError, ShapeError
 from .model import Model
 
@@ -102,7 +103,7 @@ def audit(model, input_shape=None):
             )
     stage = 0
     for layer in model.tcn.body:
-        if hasattr(layer, "kind"):
+        if isinstance(layer, TemporalBlock):
             name = f"tcn[{stage}] {layer.kind} d={layer.dilation}"
             stage += 1
         else:

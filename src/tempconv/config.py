@@ -23,9 +23,8 @@ _KNOWN_KEYS = {
     "extractor": {"widths", "blocks_per_stage", "expansion"},
     "tcn": {"block_kind", "stages", "channels", "kernel", "dropout", "expansion", "dw_kernel"},
     "classifier": {"num_classes"},
-    "train": {"epochs", "base_lr", "weight_decay", "batch_size", "dropout",
-              "mixup_alpha", "crop", "flip", "variable_length", "crop_size",
-              "decoupled_decay", "seed"},
+    "train": {"epochs", "base_lr", "weight_decay", "batch_size", "mixup_alpha",
+              "crop", "flip", "variable_length", "crop_size", "decoupled_decay", "seed"},
     "toy": {"num_classes", "seq_len", "frame_size", "noise", "train_size",
             "val_size", "test_size", "seed"},
 }
@@ -67,7 +66,6 @@ class TrainConfig:
     base_lr: float = 0.02
     weight_decay: float = 0.01
     batch_size: int = 32
-    dropout: float = 0.2
     mixup_alpha: float = 0.4
     crop: bool = True
     flip: bool = True
@@ -229,7 +227,6 @@ def parse_train_config(text, overrides=()):
         base_lr=_get(sections, "train", "base_lr", 0.02, float),
         weight_decay=_get(sections, "train", "weight_decay", 0.01, float),
         batch_size=_get(sections, "train", "batch_size", 32, int),
-        dropout=_get(sections, "train", "dropout", 0.2, float),
         mixup_alpha=_get(sections, "train", "mixup_alpha", 0.4, float),
         crop=_get(sections, "train", "crop", True, _bool),
         flip=_get(sections, "train", "flip", True, _bool),

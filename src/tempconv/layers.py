@@ -6,6 +6,11 @@ initialization, checkpoints, and optimizer updates. Every layer also knows
 its output shape and multiply-accumulate cost for a single unbatched input,
 so analytic audits never have to run data through the network.
 
+Layers declare their parameters by shape only: a declared parameter is a
+read-only broadcast of its fill value and takes no memory until
+``init_parameters`` or ``allocate`` gives it storage, so a module tree can
+be counted (and refused) before any weight exists.
+
 MAC convention: one unit per multiply-accumulate inside convolutions and
 affine maps. Bias adds, normalization, activations, and other elementwise
 work are excluded.
@@ -112,8 +117,16 @@ class Module:
 
     def init_parameters(self, rng):
         """Deterministically (re)initialize every layer in definition order."""
+        self.allocate()
         for m in self.modules():
             m.reset_parameters(rng)
+        return self
+
+    def allocate(self):
+        """Give every declared parameter its own writeable storage."""
+        for p in self.parameters():
+            if not p.data.flags.writeable:
+                p.data = p.data.copy()
         return self
 
     def reset_parameters(self, rng):
@@ -162,6 +175,13 @@ class Module:
         raise NotImplementedError
 
 
+def _declare(shape, fill=0.0):
+    """A float32 parameter known by shape; it holds ``fill`` until allocated."""
+    p = Tensor(np.float32(fill), requires_grad=True)
+    p.data = np.broadcast_to(p.data, shape)
+    return p
+
+
 def _uniform_fill(rng, tensor, bound):
     tensor.data[...] = rng.uniform(-bound, bound, size=tensor.shape).astype(tensor.dtype)
 
@@ -173,8 +193,8 @@ class Conv(Module):
         super().__init__()
         self.spec = spec
         wshape = (spec.out_channels, spec.in_channels // spec.groups) + spec.kernel
-        self.weight = Tensor(np.zeros(wshape, dtype=np.float32), requires_grad=True)
-        self.bias = Tensor(np.zeros(spec.out_channels, dtype=np.float32), requires_grad=True) if bias else None
+        self.weight = _declare(wshape)
+        self.bias = _declare((spec.out_channels,)) if bias else None
 
     def reset_parameters(self, rng):
         fan_in = (self.spec.in_channels // self.spec.groups) * math.prod(self.spec.kernel)
@@ -222,7 +242,17 @@ def _pair(v, rank):
     return (v,) * rank if isinstance(v, int) else tuple(v)
 
 
-class BatchNorm(Module):
+class _ShapeKeeping(Module):
+    """A layer whose output has its input's shape and costs no MACs."""
+
+    def output_shape(self, in_shape):
+        return in_shape
+
+    def macs(self, in_shape):
+        return 0
+
+
+class BatchNorm(_ShapeKeeping):
     """Batch normalization over channel axis 1 of a batched input."""
 
     def __init__(self, channels, eps=1e-5, momentum=0.1):
@@ -230,8 +260,8 @@ class BatchNorm(Module):
         self.channels = channels
         self.eps = eps
         self.momentum = momentum
-        self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
+        self.gamma = _declare((channels,), fill=1.0)
+        self.beta = _declare((channels,))
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
         self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
 
@@ -246,36 +276,18 @@ class BatchNorm(Module):
                               self.running_var, eps=self.eps,
                               momentum=self.momentum, training=self.training)
 
-    def output_shape(self, in_shape):
-        return in_shape
 
-    def macs(self, in_shape):
-        return 0
-
-
-class ReLU(Module):
+class ReLU(_ShapeKeeping):
     def forward(self, x):
         return ops.relu(x)
 
-    def output_shape(self, in_shape):
-        return in_shape
 
-    def macs(self, in_shape):
-        return 0
-
-
-class ReLU6(Module):
+class ReLU6(_ShapeKeeping):
     def forward(self, x):
         return ops.relu6(x)
 
-    def output_shape(self, in_shape):
-        return in_shape
 
-    def macs(self, in_shape):
-        return 0
-
-
-class Dropout(Module):
+class Dropout(_ShapeKeeping):
     """Inverted dropout with a private, reseedable generator."""
 
     def __init__(self, p):
@@ -295,21 +307,14 @@ class Dropout(Module):
     def forward(self, x):
         return ops.dropout(x, self.p, self._rng, self.training)
 
-    def output_shape(self, in_shape):
-        return in_shape
-
-    def macs(self, in_shape):
-        return 0
-
 
 class Linear(Module):
     def __init__(self, in_features, out_features, bias=True):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Tensor(np.zeros((out_features, in_features), dtype=np.float32),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features, dtype=np.float32), requires_grad=True) if bias else None
+        self.weight = _declare((out_features, in_features))
+        self.bias = _declare((out_features,)) if bias else None
 
     def reset_parameters(self, rng):
         bound = 1.0 / math.sqrt(self.in_features)
@@ -330,15 +335,9 @@ class Linear(Module):
         return lead * self.in_features * self.out_features
 
 
-class Identity(Module):
+class Identity(_ShapeKeeping):
     def forward(self, x):
         return x
-
-    def output_shape(self, in_shape):
-        return in_shape
-
-    def macs(self, in_shape):
-        return 0
 
 
 class Sequential(Module):

@@ -8,12 +8,10 @@ for the column that excludes the frontend.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import ops
-from .blocks import DEFAULT_EXPANSION, canonical_kind, make_block, block_param_form
+from .blocks import TemporalBlock, make_block
 from .config import ModelConfig, config_hash, config_to_dict
 from .errors import ConfigError, ShapeError
 from .frontend import ClassifierHead, ReferenceExtractor, Stem
@@ -23,14 +21,6 @@ BUILD_VERSION = "0.1.0"
 
 # refuse configs whose parameter total would not fit in desk-scale memory
 PARAM_BUDGET_CAP = 1_000_000_000
-
-# temporal taps per block body: how many convs with kernel > 1 each kind has
-_TAPS_PER_BLOCK = {
-    "baseline": 2, "linear": 2, "fusedmb": 1, "invertedresidual": 1,
-    "cib": 3, "uib": 2,
-    "starv": 2, "stari": 2, "starii": 2, "stariii": 2, "stariv": 2,
-}
-_STAR_FAMILY = ("starv", "stari", "starii", "stariii", "stariv")
 
 
 class TCN(Module):
@@ -73,12 +63,11 @@ class TCN(Module):
     def macs(self, in_shape):
         return self.body.macs(in_shape)
 
+    def blocks(self):
+        return [layer for layer in self.body if isinstance(layer, TemporalBlock)]
+
     def rf_taps(self):
-        taps = []
-        for layer in self.body:
-            if hasattr(layer, "rf_taps"):
-                taps.extend(layer.rf_taps())
-        return taps
+        return [tap for block in self.blocks() for tap in block.rf_taps()]
 
 
 class Model(Module):
@@ -139,69 +128,33 @@ class Model(Module):
         return (self.tcn.in_channels, frames)
 
 
-def predict_param_count(config):
-    """Closed-form parameter total for a config, without building it."""
-    tcn = config.tcn
-    total = 0
-    prev = tcn.channels[0]
-    for width in tcn.channels:
-        total += block_param_form(tcn.block_kind, width, tcn.expansion,
-                                  tcn.kernel, tcn.dw_kernel)
-        if width != prev:
-            total += prev * width + width
-        prev = width
-    if config.extractor is not None:
-        stem = config.stem
-        total += config.in_channels * stem.out_channels * math.prod(stem.kernel)
-        total += stem.out_channels + 2 * stem.out_channels
-        cin = config.extractor.in_channels
-        e_ratio = config.extractor.expansion
-        for width in config.extractor.stage_widths:
-            chain = [(cin, width)] + [(width, width)] * (config.extractor.blocks_per_stage - 1)
-            for a, b in chain:
-                e = int(round(a * e_ratio))
-                total += a * e + 2 * e + 9 * e + 2 * e + e * b + 2 * b
-            cin = width
-        d = config.extractor.stage_widths[-1]
-        if d != tcn.channels[0]:
-            total += d * tcn.channels[0] + tcn.channels[0]
-    total += tcn.channels[-1] * config.classifier.num_classes + config.classifier.num_classes
-    return total
-
-
 def build_model(config, seed=0, init=True):
     """Construct the network; parameters are a pure function of the seed."""
     if not isinstance(config, ModelConfig):
         raise ConfigError("build_model expects a parsed ModelConfig")
-    predicted = predict_param_count(config)
-    if predicted > PARAM_BUDGET_CAP:
+    model = Model(config)  # parameters are declared by shape, not yet allocated
+    total = model.param_count()
+    if total > PARAM_BUDGET_CAP:
         raise ConfigError(
-            f"config implies {predicted:,} parameters, over the "
+            f"config implies {total:,} parameters, over the "
             f"{PARAM_BUDGET_CAP:,} budget cap"
         )
-    model = Model(config)
     if init:
-        model.init_parameters(np.random.default_rng(seed))
-    actual = model.param_count()
-    assert actual == predicted, f"closed-form {predicted} vs built {actual}"
-    return model
+        return model.init_parameters(np.random.default_rng(seed))
+    return model.allocate()
 
 
 def receptive_field(config):
     """Frames of input influencing one output frame.
 
     1 + sum over blocks of (kernel - 1) * dilation per temporal conv;
-    the stem widens it by 2 more when the frontend is present.
+    the stem's temporal kernel widens it further when the frontend is present.
     """
-    tcn = config.tcn
-    kind = canonical_kind(tcn.block_kind)
-    taps = _TAPS_PER_BLOCK[kind]
-    k = tcn.dw_kernel if kind in _STAR_FAMILY else tcn.kernel
-    rf = 1
-    for i in range(tcn.stages):
-        rf += taps * (k - 1) * (2 ** i)
+    # a structural query: the experimental gate applies to building models
+    taps = TCN(config.tcn, experimental=True).rf_taps()
+    rf = 1 + sum((k - 1) * d for k, d in taps)
     if config.extractor is not None:
-        rf += 2
+        rf += config.stem.kernel[0] - 1
     return rf
 
 
@@ -243,7 +196,7 @@ def describe(model):
             )
     stage = 0
     for layer in model.tcn.body:
-        if hasattr(layer, "kind"):
+        if isinstance(layer, TemporalBlock):
             lines.append(
                 f"  tcn[{stage}]      {layer.kind} C={layer.channels} d={layer.dilation}  "
                 f"params {_fmt(layer.param_count())}"
@@ -259,7 +212,7 @@ def describe(model):
         f"params {_fmt(model.head.param_count())}"
     )
     lines.append("")
-    lines.append(f"dilations: {[2 ** i for i in range(tcn.stages)]}")
+    lines.append(f"dilations: {[block.dilation for block in model.tcn.blocks()]}")
     lines.append(f"receptive field: {receptive_field(config)} frame(s)")
     lines.append(f"total parameters: {_fmt(model.param_count())}")
     return "\n".join(lines)

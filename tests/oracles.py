@@ -121,3 +121,68 @@ def template_predict(dataset, split, index):
     flat_f = frames.reshape(frames.shape[0], -1).astype(np.float64)
     scores = flat_f @ flat_m.T  # (T, classes)
     return int(np.argmax(scores.max(axis=0)))
+
+
+# -- closed-form parameter counts ------------------------------------------
+# One formula per block kind (c = width, e = expansion ratio, k = conv
+# kernel, K = depthwise kernel of the star family), written from the block
+# descriptions rather than from the built modules. Expanded widths are
+# rounded the way the constructors round them.
+
+def _e(c, e):
+    return int(round(e * c))
+
+
+PARAM_FORMS = {
+    "baseline": lambda c, e=None, k=3, K=None: 2 * (k * c * c + c) + 4 * c,
+    "linear": lambda c, e=None, k=3, K=None: c * c + (2 * k + 6) * c,
+    "fusedmb": lambda c, e=3.5, k=3, K=None: (k + 1) * c * _e(c, e) + 2 * _e(c, e) + 2 * c,
+    "invertedresidual": lambda c, e=2.0, k=3, K=None: 2 * c * _e(c, e) + (k + 4) * _e(c, e) + 2 * c,
+    "cib": lambda c, e=2.0, k=3, K=None: 2 * c * _e(c, e) + (k + 4) * _e(c, e) + (2 * k + 6) * c,
+    "uib": lambda c, e=4.0, k=3, K=None: 2 * c * _e(c, e) + (k + 4) * _e(c, e) + (k + 4) * c,
+    "starv": lambda c, e=4.0, k=3, K=7: 3 * c * _e(c, e) + 2 * _e(c, e) + (2 * K + 5) * c,
+    "stariii": lambda c, e=4.0, k=3, K=7: (
+        3 * c * _e(c, e) + 2 * _e(c, e) + (2 * K + 5) * c + _e(c, e) ** 2 + 2 * _e(c, e)
+    ),
+}
+PARAM_FORMS["stari"] = PARAM_FORMS["starv"]
+PARAM_FORMS["starii"] = PARAM_FORMS["starv"]
+PARAM_FORMS["stariv"] = PARAM_FORMS["starv"]
+
+
+def block_param_form(kind, channels, expansion=None, kernel=3, dw_kernel=7):
+    """Closed-form parameters of one block; ``expansion=None`` is the kind's default."""
+    form = PARAM_FORMS[kind]
+    if expansion is None:
+        return form(channels, k=kernel, K=dw_kernel)
+    return form(channels, expansion, kernel, dw_kernel)
+
+
+def predict_param_count(config):
+    """Closed-form parameter total for a parsed config, without building it."""
+    tcn = config.tcn
+    total = 0
+    prev = tcn.channels[0]
+    for width in tcn.channels:
+        total += block_param_form(tcn.block_kind, width, tcn.expansion,
+                                  tcn.kernel, tcn.dw_kernel)
+        if width != prev:
+            total += prev * width + width
+        prev = width
+    if config.extractor is not None:
+        stem = config.stem
+        total += config.in_channels * stem.out_channels * math.prod(stem.kernel)
+        total += stem.out_channels + 2 * stem.out_channels
+        cin = config.extractor.in_channels
+        e_ratio = config.extractor.expansion
+        for width in config.extractor.stage_widths:
+            chain = [(cin, width)] + [(width, width)] * (config.extractor.blocks_per_stage - 1)
+            for a, b in chain:
+                e = int(round(a * e_ratio))
+                total += a * e + 2 * e + 9 * e + 2 * e + e * b + 2 * b
+            cin = width
+        d = config.extractor.stage_widths[-1]
+        if d != tcn.channels[0]:
+            total += d * tcn.channels[0] + tcn.channels[0]
+    total += tcn.channels[-1] * config.classifier.num_classes + config.classifier.num_classes
+    return total

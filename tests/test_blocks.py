@@ -7,15 +7,15 @@ from tempconv.blocks import (
     BLOCK_KINDS,
     DEFAULT_EXPANSION,
     EXPERIMENTAL_KINDS,
-    PARAM_FORMS,
     STAR_DW_KERNEL,
-    block_param_form,
     canonical_kind,
     expanded_width,
     make_block,
 )
 from tempconv.complexity import count_params
 from tempconv.errors import ConfigError
+
+from oracles import PARAM_FORMS, block_param_form
 
 ALL_KINDS = tuple(BLOCK_KINDS)  # experimental kinds included
 

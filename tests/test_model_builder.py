@@ -1,5 +1,7 @@
 """Model assembly: config validation, parameter prediction, receptive field,
 deterministic construction, and serialization round-trips."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ import tempconv as tc
 from tempconv import Tensor
 from tempconv.complexity import audit, count_params
 from tempconv.errors import ConfigError, ShapeError
-from tempconv.model import PARAM_BUDGET_CAP, predict_param_count, receptive_field
+from tempconv.model import PARAM_BUDGET_CAP, receptive_field
+
+from oracles import predict_param_count
 
 
 def cfg(text, overrides=()):
@@ -45,6 +49,8 @@ class TestConfigValidation:
             cfg("[optimizer]\nlr = 1\n")
         with pytest.raises(ConfigError):
             cfg("[tcn]\nwidth = 64\n")
+        with pytest.raises(ConfigError):
+            cfg("[train]\ndropout = 0.1\n")
 
     def test_frontendless_rejects_stem_section(self):
         with pytest.raises(ConfigError):
@@ -85,10 +91,18 @@ class TestParamPrediction:
         assert predict_param_count(mixed) == count_params(m_mixed)
 
     def test_budget_cap_enforced(self):
+        """Over-budget configs fail on declared shapes, before any weight is
+        allocated (eager allocation of this one would need about 48 GiB)."""
         c = cfg(TCN_ONLY + "[tcn]\nchannels = 16384\nstages = 8\n")
         assert predict_param_count(c) > PARAM_BUDGET_CAP
-        with pytest.raises(ConfigError, match="budget"):
-            tc.build_model(c, init=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="budget"):
+                tc.build_model(c, init=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestReceptiveField:

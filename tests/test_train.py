@@ -246,8 +246,7 @@ class TestLoop:
         model = tc.build_model(cfg, seed=0)
         spec = ToyDatasetSpec(num_classes=4, seq_len=8, frame_size=8,
                               train_size=16, val_size=8, test_size=8)
-        tcfg = TrainConfig(epochs=2, batch_size=8, crop=False, crop_size=8,
-                           dropout=0.0, seed=0)
+        tcfg = TrainConfig(epochs=2, batch_size=8, crop=False, crop_size=8, seed=0)
         return model, ToyDataset(spec), tcfg
 
     def test_history_schema_and_log_stream(self):
