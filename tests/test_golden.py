@@ -3,7 +3,8 @@
 Every shipped config is rendered through ``describe`` (text, json) and
 ``count`` (text, json, markdown), with and without the frontend; every
 experimental kind through ``describe``; the paper fixture through
-``verify --format json``. Weights are pinned by a sha256 over each
+``verify --format json``; ``infer --format text`` on a seeded clip through
+the toy config and on a seeded sequence through a frontend-less model. Weights are pinned by a sha256 over each
 ``state_dict`` (entry names, order, dtypes, shapes and bytes), for seeded
 and uninitialized models of every config and for one block of every kind.
 
@@ -20,18 +21,24 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 import tempconv as tc
 from tempconv.blocks import BLOCK_KINDS, EXPERIMENTAL_KINDS, make_block
 from tempconv.cli import main
+from tempconv.lwt import save_tensor
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "outputs.json")
 CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
 FIXTURE = os.path.join(ROOT, "fixtures", "paper_tables.json")
 NO_FRONTEND = ["--set", "model.frontend=false"]
+# frontend-less starv stack with a width transition, on (8, 12) sequences
+SEQ_MODEL = ["--set", "model.frontend=false", "--set", "tcn.block_kind=starv",
+             "--set", "tcn.stages=2", "--set", "tcn.channels=8,16",
+             "--set", "classifier.num_classes=10"]
 
 
 def run_cli(argv):
@@ -67,6 +74,25 @@ def documents():
                  "--set", "model.experimental=true", "--set", f"tcn.block_kind={kind}",
                  "--format", fmt])
     docs["verify json"] = run_cli(["verify", "--fixture", FIXTURE, "--format", "json"])
+    docs.update(infer_documents())
+    return docs
+
+
+def infer_documents():
+    rng = np.random.default_rng(7)
+    cases = {
+        "infer toy.cfg clip text": (["--config", os.path.join(ROOT, "configs", "toy.cfg"),
+                                     "--crop-size", "8"],
+                                    rng.standard_normal((1, 12, 8, 8))),
+        "infer starv nofrontend seq text": (SEQ_MODEL, rng.standard_normal((8, 12))),
+    }
+    docs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (key, (model, x)) in enumerate(cases.items()):
+            path = os.path.join(tmp, f"input{i}.lwt")
+            save_tensor(path, x.astype(np.float32))
+            docs[key] = run_cli(["infer"] + model + ["--input", path, "--seed", "3",
+                                                     "--format", "text"])
     return docs
 
 
