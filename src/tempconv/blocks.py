@@ -1,4 +1,4 @@
-"""Temporal block zoo: interchangeable [C, T] -> [C, T] causal units.
+"""Temporal block zoo: interchangeable (N, C, T) -> (N, C, T) causal units.
 
 Every block is residual (input added to the body output) and ends in
 dropout. All temporal convolutions are causal with the block's dilation,
@@ -65,12 +65,7 @@ class TemporalBlock(Module):
         self.drop = Dropout(dropout)
 
     def forward(self, x):
-        if x.ndim == 2:
-            h = ops.reshape(x, (1,) + tuple(x.shape))
-            y = self.drop(ops.add(self._body(h), h))
-            return ops.reshape(y, tuple(x.shape))
-        y = self._body(x)
-        return self.drop(ops.add(y, x))
+        return self.drop(ops.add(self._body(x), x))
 
     def _body(self, x):
         raise NotImplementedError

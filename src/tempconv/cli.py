@@ -20,7 +20,7 @@ from .config import (load_config_file, parse_config, parse_toy_spec,
 from .errors import ConfigError, FormatError, NumericError, ShapeError, TapeError
 from .model import build_model, describe, receptive_field
 from .tensor import Tensor
-from .train import cosine_lr, evaluate, lr_schedule, train_loop
+from .train import evaluate, lr_schedule, train_loop
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,9 +148,7 @@ def _cmd_describe(args):
 def _cmd_count(args):
     config = _load_model_config(args)
     model = build_model(config, init=False)
-    shape = ((config.in_channels, args.frames, args.size, args.size)
-             if model.has_frontend else (model.tcn.in_channels, args.frames))
-    report = complexity.audit(model, shape)
+    report = complexity.audit(model, model.input_shape(args.frames, args.size))
     _emit(args, complexity.emit_report(report, args.format))
     return EXIT_OK
 

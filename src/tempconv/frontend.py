@@ -4,7 +4,7 @@ The stem mixes a short temporal window (kernel 3, stride 1) while halving
 both spatial axes; no pooling follows it. The extractor then processes
 each frame independently (it never mixes time): frames are folded into the
 batch axis, run through 2-D stages, spatially pooled, and unfolded back to
-a [D, T] feature sequence. Any module with the same mapping and an
+an (N, D, T) feature sequence. Any module with the same mapping and an
 ``out_dim`` attribute can replace the reference extractor.
 """
 from __future__ import annotations
@@ -29,7 +29,7 @@ class StemSpec:
 
 
 class Stem(Module):
-    """conv3d -> norm -> relu over (C, T, H, W); keeps T, halves H and W."""
+    """conv3d -> norm -> relu over (N, C, T, H, W); keeps T, halves H and W."""
 
     def __init__(self, spec=None, in_channels=1):
         super().__init__()
@@ -50,11 +50,10 @@ class Stem(Module):
             raise ShapeError(f"spatial size must be even, got {h}x{w}")
 
     def forward(self, x):
-        squeeze = x.ndim == 4
-        self._check(tuple(x.shape[-4:]))
-        h = ops.reshape(x, (1,) + tuple(x.shape)) if squeeze else x
-        y = self.act(self.bn(self.conv(h)))
-        return ops.reshape(y, tuple(y.shape[1:])) if squeeze else y
+        if x.ndim != 5:
+            raise ShapeError(f"stem expects (N, C, T, H, W) input of rank 5, got rank {x.ndim}")
+        self._check(tuple(x.shape[1:]))
+        return self.act(self.bn(self.conv(x)))
 
     def output_shape(self, in_shape):
         self._check(in_shape)
@@ -140,16 +139,13 @@ class ReferenceExtractor(Module):
                 )
 
     def forward(self, x):
-        squeeze = x.ndim == 4
-        if squeeze:
-            x = ops.reshape(x, (1,) + tuple(x.shape))
+        if x.ndim != 5:
+            raise ShapeError(f"extractor expects (N, C, T, H, W) input of rank 5, got rank {x.ndim}")
         n, c, t, h, w = x.shape
         self._check_spatial(h, w)
         frames = ops.reshape(ops.moveaxis(x, 2, 1), (n * t, c, h, w))
-        feats = self.stages(frames)
-        pooled = ops.global_average_pool(feats, axes=(2, 3))
-        seq = ops.moveaxis(ops.reshape(pooled, (n, t, self.out_dim)), 1, 2)
-        return ops.reshape(seq, (self.out_dim, t)) if squeeze else seq
+        pooled = ops.global_average_pool(self.stages(frames), axes=(2, 3))
+        return ops.moveaxis(ops.reshape(pooled, (n, t, self.out_dim)), 1, 2)
 
     def output_shape(self, in_shape):
         c, t, h, w = in_shape
@@ -172,17 +168,13 @@ class ClassifierHead(Module):
         self.fc = Linear(in_dim, num_classes, bias=True)
 
     def forward(self, x, valid_len=None):
-        """x: (C, T) or (N, C, T); returns logits (num_classes,) or (N, num_classes)."""
-        squeeze = x.ndim == 2
-        h = ops.reshape(x, (1,) + tuple(x.shape)) if squeeze else x
+        """x: (N, C, T); returns logits (N, num_classes)."""
+        if x.ndim != 3:
+            raise ShapeError(f"classifier head expects (N, C, T) input of rank 3, got rank {x.ndim}")
         pooled = ops.global_average_pool(
-            h, axes=(2,), valid_len=valid_len if valid_len is not None else h.shape[2]
+            x, axes=(2,), valid_len=valid_len if valid_len is not None else x.shape[2]
         )
-        logits = self.fc(pooled)
-        return ops.reshape(logits, (self.num_classes,)) if squeeze else logits
-
-    def predict_proba(self, x, valid_len=None):
-        return ops.softmax(self.forward(x, valid_len), axis=-1)
+        return self.fc(pooled)
 
     def output_shape(self, in_shape):
         return (self.num_classes,)

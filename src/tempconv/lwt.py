@@ -39,7 +39,22 @@ _KIND_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _MAX_RANK = 8
 
 
+def _bytes_left(f):
+    """Bytes between the position and the end of a seekable stream, else None."""
+    if not f.seekable():
+        return None
+    pos = f.tell()
+    end = f.seek(0, io.SEEK_END)
+    f.seek(pos)
+    return end - pos
+
+
 def _read_exact(f, n, what):
+    # a read allocates the size it asks for, so a large declared size is
+    # checked against the stream first and a forged header allocates nothing
+    left = _bytes_left(f) if n > io.DEFAULT_BUFFER_SIZE else None
+    if left is not None and n > left:
+        raise FormatError(f"truncated stream while reading {what}: {n} bytes declared, {left} remain")
     buf = f.read(n)
     if len(buf) != n:
         raise FormatError(f"truncated stream while reading {what} ({len(buf)}/{n} bytes)")
@@ -130,7 +145,10 @@ def load_checkpoint(path):
         records = OrderedDict()
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            name = _read_exact(f, name_len, "name").decode("utf-8")
+            try:
+                name = _read_exact(f, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"record name is not UTF-8: {exc}") from exc
             if name in records:
                 raise FormatError(f"duplicate record name '{name}'")
             records[name] = read_tensor(f)

@@ -99,24 +99,22 @@ class Model(Module):
         return self.extractor is not None
 
     def features(self, x):
-        """Everything before the classifier; returns a [*, C, T] sequence."""
+        """Everything before the classifier; returns an (N, C, T) sequence."""
         if self.has_frontend:
             x = self.extractor(self.stem(x))
             if self.projection is not None:
-                if x.ndim == 2:
-                    x = ops.reshape(self.projection(ops.reshape(x, (1,) + tuple(x.shape))),
-                                    (self.tcn.in_channels, x.shape[-1]))
-                else:
-                    x = self.projection(x)
+                x = self.projection(x)
         return self.tcn(x)
 
     def forward(self, x, valid_len=None):
+        """Logits (N, K); the one module that also takes a single sample, giving (K,)."""
         expect = 4 if self.has_frontend else 2
-        if x.ndim not in (expect, expect + 1):
-            raise ShapeError(
-                f"model expects rank {expect} (single) or {expect + 1} (batched) input, "
-                f"got rank {x.ndim}"
-            )
+        if x.ndim == expect:  # a batch of one; valid_len passes through unchanged
+            logits = self.forward(ops.reshape(x, (1,) + tuple(x.shape)), valid_len)
+            return ops.reshape(logits, tuple(logits.shape[1:]))
+        if x.ndim != expect + 1:
+            raise ShapeError(f"model expects rank {expect} (single) or {expect + 1} (batched) "
+                             f"input, got rank {x.ndim}")
         return self.head(self.features(x), valid_len=valid_len)
 
     def predict_proba(self, x, valid_len=None):

@@ -6,12 +6,12 @@ Convolution is one generic implementation covering 1-D/2-D/3-D by kernel
 rank, with stride, dilation, groups, and either symmetric zero padding or
 causal left padding (1-D only, output length equals input length).
 
-Layout convention: channels-first, with an optional leading batch axis.
-An input of rank ``len(kernel) + 1`` is treated as a single unbatched sample.
+Layout convention: batched and channels-first, (N, C, *S). Only
+:class:`~tempconv.model.Model` also accepts a single sample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -142,34 +142,28 @@ def _conv_input_grad(gout, w, spec, padded_shape):
 def conv(x, weight, bias=None, spec=None):
     """Grouped, strided, dilated convolution of rank 1..3.
 
-    ``x``: (C_in, *S) or (N, C_in, *S); ``weight``: (C_out, C_in/groups, *k);
+    ``x``: (N, C_in, *S); ``weight``: (C_out, C_in/groups, *k);
     ``bias``: (C_out,) or None. Causal mode preserves the temporal length
     exactly and uses only past context.
     """
     if spec is None:
         raise ShapeError("conv requires a ConvSpec")
     rank = spec.rank
-    if x.ndim == rank + 1:
-        batched = False
-        xb = x.data[None]
-    elif x.ndim == rank + 2:
-        batched = True
-        xb = x.data
-    else:
-        raise ShapeError(f"conv rank {rank} expects input of rank {rank + 1} or {rank + 2}, got {x.ndim}")
-    if xb.shape[1] != spec.in_channels:
-        raise ShapeError(f"input has {xb.shape[1]} channels, spec expects {spec.in_channels}")
+    if x.ndim != rank + 2:
+        raise ShapeError(f"conv rank {rank} expects (N, C, *S) input of rank {rank + 2}, got {x.ndim}")
+    if x.shape[1] != spec.in_channels:
+        raise ShapeError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
     wshape = (spec.out_channels, spec.in_channels // spec.groups) + spec.kernel
     if weight.shape != wshape:
         raise ShapeError(f"weight shape {tuple(weight.shape)} does not match {wshape}")
     if bias is not None and bias.shape != (spec.out_channels,):
         raise ShapeError(f"bias shape {tuple(bias.shape)} does not match ({spec.out_channels},)")
 
-    out_sizes = spec.out_sizes(xb.shape[2:])
+    out_sizes = spec.out_sizes(x.shape[2:])
     pad = ((0, 0), (0, 0)) + spec.pad_pairs()
-    xp = np.pad(xb, pad) if any(p != (0, 0) for p in spec.pad_pairs()) else xb
+    xp = np.pad(x.data, pad) if any(p != (0, 0) for p in spec.pad_pairs()) else x.data
 
-    n = xb.shape[0]
+    n = x.shape[0]
     groups = spec.groups
     og = spec.out_channels // groups
     cg = spec.in_channels // groups
@@ -184,7 +178,6 @@ def conv(x, weight, bias=None, spec=None):
     ).reshape(n, spec.out_channels, *out_sizes)
     if bias is not None:
         y = y + bias.data.reshape((1, -1) + (1,) * rank)
-    out_data = y if batched else y[0]
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
@@ -193,31 +186,28 @@ def conv(x, weight, bias=None, spec=None):
         pad_pairs = spec.pad_pairs()
 
         def bwd(up):
-            upb = up if batched else up[None]
             gx = gw = gb = None
             if x.requires_grad:
-                gxp = _conv_input_grad(upb, weight.data, spec, padded_shape)
+                gxp = _conv_input_grad(up, weight.data, spec, padded_shape)
                 index = (slice(None), slice(None)) + tuple(
                     slice(pl, gxp.shape[2 + i] - pr) for i, (pl, pr) in enumerate(pad_pairs)
                 )
                 gx = gxp[index]
-                if not batched:
-                    gx = gx[0]
             if weight.requires_grad:
-                up_g = upb.reshape(n, groups, og, *out_sizes)
+                up_g = up.reshape(n, groups, og, *out_sizes)
                 gw = np.einsum(
                     f"ngc{sub_out}{sub_k},ngo{sub_out}->goc{sub_k}",
                     patches_g, up_g, optimize=True,
                 ).reshape(wshape)
             if bias is not None and bias.requires_grad:
-                gb = upb.sum(axis=(0,) + tuple(range(2, 2 + rank)))
+                gb = up.sum(axis=(0,) + tuple(range(2, 2 + rank)))
             if bias is None:
                 return gx, gw
             return gx, gw, gb
 
         return bwd
 
-    return apply_op("conv", inputs, out_data, make_backward)
+    return apply_op("conv", inputs, y, make_backward)
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
@@ -301,14 +291,6 @@ def relu6(x):
         return bwd
 
     return apply_op("relu6", (x,), np.clip(x.data, 0, 6), make_backward)
-
-
-def activation(x, kind):
-    if kind == "relu":
-        return relu(x)
-    if kind == "relu6":
-        return relu6(x)
-    raise ShapeError(f"unknown activation kind '{kind}'")
 
 
 def hadamard(a, b):
@@ -397,7 +379,8 @@ def chunk(x, parts, axis):
 
 def global_average_pool(x, axes, valid_len=None):
     """Mean over ``axes``; with ``valid_len``, only the leading valid positions
-    of the single reduced axis contribute (per sample when batched)."""
+    of the single reduced axis contribute. ``valid_len`` is one length for
+    every sample or a shape (N,) array with one length per sample."""
     axes = (axes,) if isinstance(axes, int) else tuple(axes)
     if any(a < 0 or a >= x.ndim for a in axes):
         raise ShapeError(f"axes {axes} out of range for rank {x.ndim}")
@@ -419,6 +402,8 @@ def global_average_pool(x, axes, valid_len=None):
     axis = axes[0]
     t = x.shape[axis]
     lens = np.asarray(valid_len, dtype=np.int64)
+    if lens.ndim and lens.shape != x.shape[:1]:
+        raise ShapeError(f"valid lengths must be a scalar or of shape ({x.shape[0]},), got {lens.shape}")
     if np.any(lens <= 0) or np.any(lens > t):
         raise ShapeError(f"valid lengths must lie in 1..{t}, got {lens}")
     # mask broadcast over the reduced axis, per batch entry when lens is a vector

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from tempconv import Tensor
+from tempconv import Tensor, ops
 from tempconv.blocks import (
     BLOCK_KINDS,
     DEFAULT_EXPANSION,
@@ -13,7 +13,8 @@ from tempconv.blocks import (
     make_block,
 )
 from tempconv.complexity import count_params
-from tempconv.errors import ConfigError
+from tempconv.errors import ConfigError, ShapeError
+from tempconv.frontend import ClassifierHead, ReferenceExtractor, Stem
 
 from oracles import PARAM_FORMS, block_param_form
 
@@ -92,13 +93,21 @@ class TestShapesAndCausality:
         x = Tensor(np.random.default_rng(1).standard_normal((2, 16, 9)).astype(np.float32))
         assert blk(x).shape == (2, 16, 9)
 
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_unbatched_promotion(self, kind):
-        blk = fresh(kind).eval()
-        x = np.random.default_rng(2).standard_normal((16, 9)).astype(np.float32)
-        single = blk(Tensor(x)).data
-        batched = blk(Tensor(x[None])).data[0]
-        np.testing.assert_array_equal(single, batched)
+    # below the Model every op and module takes batched (N, C, *S) input only
+    UNBATCHED = {
+        **{kind: (lambda x, kind=kind: fresh(kind).eval()(x), (16, 9)) for kind in ALL_KINDS},
+        "ops.conv": (lambda x: ops.conv(x, Tensor(np.zeros((4, 4, 3), np.float32)), None,
+                                        ops.ConvSpec(4, 4, kernel=(3,), causal=True)), (4, 9)),
+        "stem": (lambda x: Stem()(x), (1, 5, 8, 8)),
+        "extractor": (lambda x: ReferenceExtractor()(x), (32, 5, 8, 8)),
+        "head": (lambda x: ClassifierHead(16, 4)(x), (16, 9)),
+    }
+
+    @pytest.mark.parametrize("name", list(UNBATCHED))
+    def test_unbatched_input_rejected(self, name):
+        run, shape = self.UNBATCHED[name]
+        with pytest.raises(ShapeError, match=f"rank {len(shape) + 1}"):
+            run(Tensor(np.zeros(shape, dtype=np.float32)))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("dilation", [1, 4])

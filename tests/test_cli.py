@@ -131,6 +131,18 @@ class TestInfer:
         assert "deadbeef0000" in capsys.readouterr().err
 
 
+    def test_checkpoint_name_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "clip.lwt"
+        lwt.save_tensor(p, np.zeros((1, 12, 8, 8), dtype=np.float32))
+        ck = tmp_path / "bad_name.lwtc"
+        lwt.save_checkpoint(ck, {"ab": np.zeros(1, dtype=np.float32)})
+        ck.write_bytes(ck.read_bytes().replace(b"ab", b"\xff\xfe"))
+        code = main(["infer", "--config", TOY_CFG, "--input", str(p),
+                     "--checkpoint", str(ck), "--crop-size", "8"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("tempconv.FormatError: record name is not UTF-8")
+
+
 class TestGradcheckCommand:
     def test_single_kind(self, capsys):
         assert main(["gradcheck", "--kind", "head"]) == EXIT_OK

@@ -1,6 +1,7 @@
 """Binary tensor/checkpoint formats: round-trips, layout, corruption handling."""
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,24 @@ class TestTensorFormat:
         blob = dumps_tensor(np.ones(5, dtype=np.float32))
         with pytest.raises(FormatError):
             loads_tensor(blob[:-3])
+
+    # 20-byte files whose headers declare 64 MiB: a 4096 x 4096 float32
+    # payload, or a checkpoint's metadata block
+    @pytest.mark.parametrize("blob,load", [
+        (b"LWT1" + struct.pack("<BB2I", 0, 2, 4096, 4096) + b"\x00" * 6, load_tensor),
+        (b"LWTC" + struct.pack("<HI", 1, 2**26) + b"{}" + b"\x00" * 8, load_checkpoint),
+    ], ids=["tensor", "checkpoint"])
+    def test_forged_size_refused_before_reading(self, tmp_path, blob, load):
+        p = tmp_path / "forged"
+        p.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="67108864 bytes declared"):
+                load(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_trailing_garbage_rejected(self):
         blob = dumps_tensor(np.ones(2, dtype=np.float32))

@@ -91,16 +91,6 @@ class TestConvForward:
         assert got.shape == (1, 2, 5, 3, 3)
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
-    def test_unbatched_input_promoted(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((4, 9))
-        w = rng.standard_normal((4, 4, 3))
-        spec = ops.ConvSpec(4, 4, kernel=(3,), causal=True)
-        got = ops.conv(t(x), t(w), None, spec).data
-        want = conv_oracle(x[None], w, padding=((2, 0),))[0]
-        assert got.shape == (4, 9)
-        np.testing.assert_allclose(got, want, rtol=1e-10)
-
     def test_channel_mismatch_raises(self):
         spec = ops.ConvSpec(4, 4, kernel=(3,), causal=True)
         w = np.zeros((4, 4, 3))
@@ -202,6 +192,10 @@ class TestPooling:
             ops.global_average_pool(x, axes=(2,), valid_len=np.array([6, 7]))
         with pytest.raises(ShapeError):
             ops.global_average_pool(x, axes=(2,), valid_len=np.array([0, 3]))
+        with pytest.raises(ShapeError):
+            ops.global_average_pool(x, axes=(2,), valid_len=np.array([3, 3, 3]))
+        with pytest.raises(ShapeError):
+            ops.global_average_pool(x, axes=(2,), valid_len=np.array([5]))
 
 
 class TestDropout:
