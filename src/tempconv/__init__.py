@@ -4,11 +4,11 @@ a minimal numpy tensor engine with reverse-mode gradients."""
 
 from .errors import (TempconvError, ShapeError, NumericError, TapeError,
                      ConfigError, FormatError)
-from .tensor import Tensor, GradTape, backward
+from .tensor import Tensor, GradTape
 from .ops import ConvSpec
 from .gradcheck import grad_check, GradCheckResult, block_suite
 from .layers import (Module, Conv, Conv1d, Conv2d, Conv3d, BatchNorm, ReLU,
-                     ReLU6, Dropout, Linear, Identity, Sequential)
+                     ReLU6, Dropout, Linear, Sequential)
 from .blocks import (BLOCK_KINDS, EXPERIMENTAL_KINDS, DEFAULT_EXPANSION,
                      make_block, canonical_kind)
 from .frontend import (StemSpec, Stem, ExtractorSpec, ReferenceExtractor,
@@ -33,9 +33,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TempconvError", "ShapeError", "NumericError", "TapeError", "ConfigError",
-    "FormatError", "Tensor", "GradTape", "backward", "ConvSpec", "grad_check",
+    "FormatError", "Tensor", "GradTape", "ConvSpec", "grad_check",
     "GradCheckResult", "block_suite", "Module", "Conv", "Conv1d", "Conv2d",
-    "Conv3d", "BatchNorm", "ReLU", "ReLU6", "Dropout", "Linear", "Identity",
+    "Conv3d", "BatchNorm", "ReLU", "ReLU6", "Dropout", "Linear",
     "Sequential", "BLOCK_KINDS", "EXPERIMENTAL_KINDS", "DEFAULT_EXPANSION",
     "make_block", "canonical_kind", "StemSpec", "Stem",
     "ExtractorSpec", "ReferenceExtractor", "ClassifierHead", "ModelConfig",

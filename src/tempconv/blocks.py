@@ -48,7 +48,10 @@ def canonical_kind(name):
 
 
 def expanded_width(channels, expansion):
-    e = int(round(expansion * channels))
+    try:
+        e = int(round(expansion * channels))
+    except (OverflowError, ValueError):  # an infinite or NaN width
+        e = 0
     if e < 1 or abs(e - expansion * channels) > 1e-9:
         raise ConfigError(f"expansion {expansion} does not give a whole width at {channels} channels")
     return e

@@ -15,8 +15,7 @@ import sys
 import numpy as np
 
 from . import complexity, lwt
-from .config import (load_config_file, parse_config, parse_toy_spec,
-                     parse_train_config)
+from .config import TrainConfig, config_to_dict, parse_config, parse_toy_spec, parse_train_config
 from .errors import ConfigError, FormatError, NumericError, ShapeError, TapeError
 from .model import build_model, describe, receptive_field
 from .tensor import Tensor
@@ -51,18 +50,15 @@ def _resolve_seed(args):
     return None
 
 
-def _load_model_config(args):
-    overrides = args.set or []
-    if args.config:
-        return load_config_file(args.config, overrides)
-    return parse_config("", overrides)
-
-
 def _read_text(args):
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             return f.read()
     return ""
+
+
+def _load_model_config(args):
+    return parse_config(_read_text(args), args.set or [])
 
 
 def _emit(args, document):
@@ -112,8 +108,8 @@ def build_parser():
 
     p = sub.add_parser("schedule", parents=[common],
                        help="print the annealed learning-rate table")
-    p.add_argument("--epochs", type=int, default=80)
-    p.add_argument("--base-lr", type=float, default=0.02)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--base-lr", type=float, default=TrainConfig.base_lr)
 
     p = sub.add_parser("train-toy", parents=[common],
                        help="train on the synthetic task with the full recipe")
@@ -131,7 +127,6 @@ def _cmd_describe(args):
     config = _load_model_config(args)
     model = build_model(config, seed=_resolve_seed(args) or 0, init=False)
     if args.format == "json":
-        from .config import config_to_dict
         doc = json.dumps({
             "build": model.build_version,
             "config_hash": model.config_hash,
@@ -161,8 +156,7 @@ def _cmd_verify(args):
 
 
 def _cmd_schedule(args):
-    if args.epochs < 1:
-        raise ConfigError(f"epochs must be ≥ 1, got {args.epochs}")
+    TrainConfig(epochs=args.epochs, base_lr=args.base_lr)  # validates both flags
     rates = lr_schedule(args.epochs, args.base_lr)
     if args.format == "json":
         doc = json.dumps({"base_lr": args.base_lr, "total_epochs": args.epochs,

@@ -5,45 +5,74 @@ Sections: [model] (frontend on/off, input channels, experimental flag),
 default; an empty document parses to the stock 4-stage, 512-channel,
 kernel-3 network with a 500-class head. ``--set tcn.stages=6`` style
 overrides patch the document before validation, last one wins.
+
+For [tcn], [classifier], [train] and [toy], a field of the section's frozen
+dataclass is the key: its name, its default and, by the default's type, its
+parser. ``__post_init__`` holds the section's rules, so ``replace()`` and
+direct construction are checked like parsing. Numbers must be finite, ``%``
+is literal, and [DEFAULT] is an unknown section like any other.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 from .blocks import DEFAULT_EXPANSION, STAR_DW_KERNEL, canonical_kind, expanded_width
 from .errors import ConfigError
 from .frontend import ExtractorSpec, StemSpec
 
-_KNOWN_KEYS = {
-    "model": {"frontend", "in_channels", "experimental"},
-    "stem": {"out_channels"},
-    "extractor": {"widths", "blocks_per_stage", "expansion"},
-    "tcn": {"block_kind", "stages", "channels", "kernel", "dropout", "expansion", "dw_kernel"},
-    "classifier": {"num_classes"},
-    "train": {"epochs", "base_lr", "weight_decay", "batch_size", "mixup_alpha",
-              "crop", "flip", "variable_length", "crop_size", "decoupled_decay", "seed"},
-    "toy": {"num_classes", "seq_len", "frame_size", "noise", "train_size",
-            "val_size", "test_size", "seed"},
-}
+# Stage i dilates by 2**i and LWT1 stores under 2**32 frames, so every
+# dilated tap of a 33rd stage would read only padding.
+MAX_STAGES = 32
 
 
 @dataclass(frozen=True)
 class TCNConfig:
     block_kind: str = "baseline"
     stages: int = 4
-    channels: tuple = (512, 512, 512, 512)
+    channels: tuple = (512,)  # one width is broadcast to every stage
     kernel: int = 3
     dropout: float = 0.2
     expansion: float = None  # None -> the kind's default
     dw_kernel: int = STAR_DW_KERNEL
 
+    def __post_init__(self):
+        object.__setattr__(self, "block_kind", canonical_kind(self.block_kind))
+        if self.stages < 1:
+            raise ConfigError("stages must be ≥ 1")
+        if self.stages > MAX_STAGES:
+            raise ConfigError(f"stages must be ≤ {MAX_STAGES}, got {self.stages}")
+        if len(self.channels) == 1:
+            object.__setattr__(self, "channels", tuple(self.channels) * self.stages)
+        if len(self.channels) != self.stages:
+            raise ConfigError(f"channels list has {len(self.channels)} entries for {self.stages} stages")
+        if any(c < 1 for c in self.channels):
+            raise ConfigError("channels must be ≥ 1")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ConfigError(f"kernel must be odd and positive, got {self.kernel}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.expansion is not None and not 0 < self.expansion < math.inf:
+            raise ConfigError(f"expansion must be positive, got {self.expansion}")
+        if self.dw_kernel < 1 or self.dw_kernel % 2 == 0:
+            raise ConfigError(f"dw_kernel must be odd and positive, got {self.dw_kernel}")
+        # surface non-integral expanded widths at parse time, per stage width
+        eff_e = DEFAULT_EXPANSION.get(self.block_kind) if self.expansion is None else self.expansion
+        if eff_e is not None:
+            for c in self.channels:
+                expanded_width(c, eff_e)
+
 
 @dataclass(frozen=True)
 class ClassifierConfig:
     num_classes: int = 500
+
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ConfigError(f"num_classes must be ≥ 2, got {self.num_classes}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +83,6 @@ class ModelConfig:
     experimental: bool = False
     tcn: TCNConfig = field(default_factory=TCNConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
-
-    @property
-    def tcn_only(self):
-        return self.extractor is None
 
 
 @dataclass(frozen=True)
@@ -74,6 +99,14 @@ class TrainConfig:
     decoupled_decay: bool = False
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be ≥ 1, got {self.epochs}")
+        if not all(0 <= r < math.inf for r in (self.base_lr, self.weight_decay, self.mixup_alpha)):
+            raise ConfigError("rates must be finite and nonnegative")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be ≥ 1")
+
 
 @dataclass(frozen=True)
 class ToyDatasetSpec:
@@ -86,13 +119,39 @@ class ToyDatasetSpec:
     test_size: int = 50
     seed: int = 0
 
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ConfigError("toy num_classes must be ≥ 2")
+        if self.frame_size < 1:
+            raise ConfigError("toy frame_size must be ≥ 1")
+        if self.num_classes > self.frame_size * self.frame_size:
+            raise ConfigError(
+                f"{self.num_classes} classes exceed the motif capacity of "
+                f"{self.frame_size}x{self.frame_size} frames"
+            )
+        if self.seq_len < 3:
+            raise ConfigError("toy seq_len must be ≥ 3")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError("toy noise must be finite and nonnegative")
+        if min(self.train_size, self.val_size, self.test_size) < 1:
+            raise ConfigError("every toy split needs at least one sample")
 
-def _parser():
-    return configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True)
+
+_SECTIONS = {"tcn": TCNConfig, "classifier": ClassifierConfig,
+             "train": TrainConfig, "toy": ToyDatasetSpec}
+_KNOWN_KEYS = {
+    "model": {"frontend", "in_channels", "experimental"},
+    "stem": {"out_channels"},
+    "extractor": {"widths", "blocks_per_stage", "expansion"},
+    **{name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()},
+}
 
 
 def _load_sections(text, overrides=()):
-    cp = _parser()
+    # a default_section no header can spell: [DEFAULT] is then an ordinary,
+    # unknown section instead of silently feeding every other section
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True,
+                                   interpolation=None, default_section="\n")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -130,12 +189,17 @@ def _get(sections, section, key, default, cast):
 
 
 def _bool(raw):
-    val = str(raw).strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got '{raw}'")
+    val = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
+    if val is None:
+        raise ValueError(f"expected a boolean, got '{raw}'")
+    return val
+
+
+def _float(raw):
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"expected a finite number, got {val}")
+    return val
 
 
 def _int_list(raw):
@@ -143,8 +207,17 @@ def _int_list(raw):
 
 
 def _optional_float(raw):
-    val = str(raw).strip().lower()
-    return None if val in ("", "none", "default") else float(val)
+    return None if raw.strip().lower() in ("", "none", "default") else _float(raw)
+
+
+_CASTS = {bool: _bool, int: int, float: _float, str: str, tuple: _int_list,
+          type(None): _optional_float}
+
+
+def _read(cls, sections, section):
+    """Build a section's dataclass: each field parsed by its default's type."""
+    return cls(**{f.name: _get(sections, section, f.name, f.default, _CASTS[type(f.default)])
+                  for f in fields(cls)})
 
 
 def parse_config(text, overrides=()):
@@ -152,124 +225,37 @@ def parse_config(text, overrides=()):
     sections = _load_sections(text, overrides)
 
     frontend = _get(sections, "model", "frontend", True, _bool)
-    in_channels = _get(sections, "model", "in_channels", 1, int)
-    experimental = _get(sections, "model", "experimental", False, _bool)
-
-    kind = canonical_kind(_get(sections, "tcn", "block_kind", "baseline", str))
-    stages = _get(sections, "tcn", "stages", 4, int)
-    if stages < 1:
-        raise ConfigError("stages must be ≥ 1")
-    channels = _get(sections, "tcn", "channels", (512,), _int_list)
-    if len(channels) == 1:
-        channels = channels * stages
-    if len(channels) != stages:
-        raise ConfigError(f"channels list has {len(channels)} entries for {stages} stages")
-    if any(c < 1 for c in channels):
-        raise ConfigError("channels must be ≥ 1")
-    kernel = _get(sections, "tcn", "kernel", 3, int)
-    if kernel < 1 or kernel % 2 == 0:
-        raise ConfigError(f"kernel must be odd and positive, got {kernel}")
-    dropout = _get(sections, "tcn", "dropout", 0.2, float)
-    if not 0.0 <= dropout < 1.0:
-        raise ConfigError(f"dropout must lie in [0, 1), got {dropout}")
-    expansion = _get(sections, "tcn", "expansion", None, _optional_float)
-    if expansion is not None and expansion <= 0:
-        raise ConfigError(f"expansion must be positive, got {expansion}")
-    dw_kernel = _get(sections, "tcn", "dw_kernel", STAR_DW_KERNEL, int)
-    if dw_kernel < 1 or dw_kernel % 2 == 0:
-        raise ConfigError(f"dw_kernel must be odd and positive, got {dw_kernel}")
-    # surface non-integral expanded widths at parse time, per stage width
-    eff_e = DEFAULT_EXPANSION.get(kind) if expansion is None else expansion
-    if eff_e is not None:
-        for c in channels:
-            expanded_width(c, eff_e)
-
-    num_classes = _get(sections, "classifier", "num_classes", 500, int)
-    if num_classes < 2:
-        raise ConfigError(f"num_classes must be ≥ 2, got {num_classes}")
+    in_channels = _get(sections, "model", "in_channels", ModelConfig.in_channels, int)
+    experimental = _get(sections, "model", "experimental", ModelConfig.experimental, _bool)
+    tcn = _read(TCNConfig, sections, "tcn")
+    classifier = _read(ClassifierConfig, sections, "classifier")
 
     stem = extractor = None
     if frontend:
         if in_channels not in (1, 3):
             raise ConfigError(f"in_channels must be 1 or 3, got {in_channels}")
-        stem_out = _get(sections, "stem", "out_channels", 32, int)
-        if stem_out < 1:
-            raise ConfigError("stem out_channels must be ≥ 1")
-        stem = StemSpec(out_channels=stem_out)
-        widths = _get(sections, "extractor", "widths", (64, 128, 256, 512), _int_list)
-        if not widths or any(w < 1 for w in widths):
-            raise ConfigError("extractor widths must be a nonempty list of positive ints")
-        blocks_per_stage = _get(sections, "extractor", "blocks_per_stage", 1, int)
-        if blocks_per_stage < 1:
-            raise ConfigError("extractor blocks_per_stage must be ≥ 1")
-        ext_expansion = _get(sections, "extractor", "expansion", 4.0, float)
-        if ext_expansion <= 0:
-            raise ConfigError("extractor expansion must be positive")
-        extractor = ExtractorSpec(in_channels=stem_out, stage_widths=widths,
-                                  blocks_per_stage=blocks_per_stage, expansion=ext_expansion)
+        stem = StemSpec(out_channels=_get(sections, "stem", "out_channels",
+                                          StemSpec.out_channels, int))
+        extractor = ExtractorSpec(
+            in_channels=stem.out_channels,
+            stage_widths=_get(sections, "extractor", "widths", ExtractorSpec.stage_widths, _int_list),
+            blocks_per_stage=_get(sections, "extractor", "blocks_per_stage",
+                                  ExtractorSpec.blocks_per_stage, int),
+            expansion=_get(sections, "extractor", "expansion", ExtractorSpec.expansion, _float),
+        )
     elif sections.get("stem") or sections.get("extractor"):
         raise ConfigError("stem/extractor sections present but model.frontend is false")
 
-    return ModelConfig(
-        stem=stem, extractor=extractor, in_channels=in_channels,
-        experimental=experimental,
-        tcn=TCNConfig(block_kind=kind, stages=stages, channels=channels,
-                      kernel=kernel, dropout=dropout, expansion=expansion,
-                      dw_kernel=dw_kernel),
-        classifier=ClassifierConfig(num_classes=num_classes),
-    )
+    return ModelConfig(stem=stem, extractor=extractor, in_channels=in_channels,
+                       experimental=experimental, tcn=tcn, classifier=classifier)
 
 
 def parse_train_config(text, overrides=()):
-    sections = _load_sections(text, overrides)
-    cfg = TrainConfig(
-        epochs=_get(sections, "train", "epochs", 80, int),
-        base_lr=_get(sections, "train", "base_lr", 0.02, float),
-        weight_decay=_get(sections, "train", "weight_decay", 0.01, float),
-        batch_size=_get(sections, "train", "batch_size", 32, int),
-        mixup_alpha=_get(sections, "train", "mixup_alpha", 0.4, float),
-        crop=_get(sections, "train", "crop", True, _bool),
-        flip=_get(sections, "train", "flip", True, _bool),
-        variable_length=_get(sections, "train", "variable_length", True, _bool),
-        crop_size=_get(sections, "train", "crop_size", 88, int),
-        decoupled_decay=_get(sections, "train", "decoupled_decay", False, _bool),
-        seed=_get(sections, "train", "seed", 0, int),
-    )
-    if cfg.epochs < 1:
-        raise ConfigError(f"epochs must be ≥ 1, got {cfg.epochs}")
-    if cfg.base_lr < 0 or cfg.weight_decay < 0 or cfg.mixup_alpha < 0:
-        raise ConfigError("rates must be nonnegative")
-    if cfg.batch_size < 1:
-        raise ConfigError("batch_size must be ≥ 1")
-    return cfg
+    return _read(TrainConfig, _load_sections(text, overrides), "train")
 
 
 def parse_toy_spec(text, overrides=()):
-    sections = _load_sections(text, overrides)
-    spec = ToyDatasetSpec(
-        num_classes=_get(sections, "toy", "num_classes", 10, int),
-        seq_len=_get(sections, "toy", "seq_len", 12, int),
-        frame_size=_get(sections, "toy", "frame_size", 8, int),
-        noise=_get(sections, "toy", "noise", 0.05, float),
-        train_size=_get(sections, "toy", "train_size", 200, int),
-        val_size=_get(sections, "toy", "val_size", 50, int),
-        test_size=_get(sections, "toy", "test_size", 50, int),
-        seed=_get(sections, "toy", "seed", 0, int),
-    )
-    if spec.num_classes < 2:
-        raise ConfigError("toy num_classes must be ≥ 2")
-    if spec.num_classes > spec.frame_size * spec.frame_size:
-        raise ConfigError(
-            f"{spec.num_classes} classes exceed the motif capacity of "
-            f"{spec.frame_size}x{spec.frame_size} frames"
-        )
-    if spec.seq_len < 3:
-        raise ConfigError("toy seq_len must be ≥ 3")
-    if spec.noise < 0:
-        raise ConfigError("toy noise must be nonnegative")
-    if min(spec.train_size, spec.val_size, spec.test_size) < 1:
-        raise ConfigError("every toy split needs at least one sample")
-    return spec
+    return _read(ToyDatasetSpec, _load_sections(text, overrides), "toy")
 
 
 def load_config_file(path, overrides=()):
@@ -286,16 +272,8 @@ def config_to_dict(config):
             "in_channels": config.in_channels,
             "experimental": config.experimental,
         },
-        "tcn": {
-            "block_kind": config.tcn.block_kind,
-            "stages": config.tcn.stages,
-            "channels": list(config.tcn.channels),
-            "kernel": config.tcn.kernel,
-            "dropout": config.tcn.dropout,
-            "expansion": config.tcn.expansion,
-            "dw_kernel": config.tcn.dw_kernel,
-        },
-        "classifier": {"num_classes": config.classifier.num_classes},
+        "tcn": {**asdict(config.tcn), "channels": list(config.tcn.channels)},
+        "classifier": asdict(config.classifier),
     }
     if config.extractor is not None:
         out["stem"] = {"out_channels": config.stem.out_channels}

@@ -9,10 +9,11 @@ an (N, D, T) feature sequence. Any module with the same mapping and an
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import ops
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .layers import BatchNorm, Conv2d, Conv3d, Linear, Module, ReLU, Sequential
 
 
@@ -24,8 +25,10 @@ class StemSpec:
     padding: tuple = (1, 2, 2)
 
     def __post_init__(self):
+        if self.out_channels < 1:
+            raise ConfigError("stem out_channels must be ≥ 1")
         if self.stride[0] != 1 or self.padding[0] * 2 != self.kernel[0] - 1:
-            raise ShapeError("stem must preserve temporal length (stride 1, symmetric padding)")
+            raise ConfigError("stem must preserve temporal length (stride 1, symmetric padding)")
 
 
 class Stem(Module):
@@ -73,10 +76,12 @@ class ExtractorSpec:
     expansion: float = 4.0
 
     def __post_init__(self):
-        if not self.stage_widths:
-            raise ShapeError("extractor needs at least one stage")
+        if not self.stage_widths or any(w < 1 for w in self.stage_widths):
+            raise ConfigError("extractor widths must be a nonempty list of positive ints")
         if self.blocks_per_stage < 1:
-            raise ShapeError("blocks_per_stage must be at least 1")
+            raise ConfigError("extractor blocks_per_stage must be ≥ 1")
+        if not 0 < self.expansion < math.inf:
+            raise ConfigError("extractor expansion must be positive")
 
     @property
     def out_dim(self):
@@ -171,10 +176,7 @@ class ClassifierHead(Module):
         """x: (N, C, T); returns logits (N, num_classes)."""
         if x.ndim != 3:
             raise ShapeError(f"classifier head expects (N, C, T) input of rank 3, got rank {x.ndim}")
-        pooled = ops.global_average_pool(
-            x, axes=(2,), valid_len=valid_len if valid_len is not None else x.shape[2]
-        )
-        return self.fc(pooled)
+        return self.fc(ops.global_average_pool(x, axes=(2,), valid_len=valid_len))
 
     def output_shape(self, in_shape):
         return (self.num_classes,)

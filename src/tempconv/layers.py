@@ -335,11 +335,6 @@ class Linear(Module):
         return lead * self.in_features * self.out_features
 
 
-class Identity(_ShapeKeeping):
-    def forward(self, x):
-        return x
-
-
 class Sequential(Module):
     def __init__(self, *layers):
         super().__init__()

@@ -56,19 +56,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data.reshape(-1)[0])
-
-    def numpy(self):
-        """A defensive copy of the underlying array."""
-        return self.data.copy()
-
-    def astype(self, dtype):
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         grad = ", grad" if self.grad is not None else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}{grad})"
@@ -170,11 +157,6 @@ class GradTape:
                 t.grad = g.copy() if t.grad is None else t.grad + g
                 result[t] = t.grad
         return result
-
-
-def backward(loss, tape):
-    """Functional alias for ``tape.backward(loss)``."""
-    return tape.backward(loss)
 
 
 def apply_op(op, inputs, data, make_backward):

@@ -30,11 +30,6 @@ class ToyDataset:
     def __init__(self, spec):
         if not isinstance(spec, ToyDatasetSpec):
             raise ConfigError("ToyDataset expects a ToyDatasetSpec")
-        if spec.num_classes > spec.frame_size * spec.frame_size:
-            raise ConfigError(
-                f"{spec.num_classes} classes exceed the motif capacity of "
-                f"{spec.frame_size}x{spec.frame_size} frames"
-            )
         self.spec = spec
         self.motifs = np.stack([self._motif(c) for c in range(spec.num_classes)])
 

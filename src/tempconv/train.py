@@ -21,7 +21,7 @@ from .tensor import GradTape, Tensor
 from . import ops
 
 
-def cosine_lr(epoch, total_epochs=80, base_lr=0.02):
+def cosine_lr(epoch, total_epochs=TrainConfig.epochs, base_lr=TrainConfig.base_lr):
     """Annealed rate at integer epoch e in 0..total_epochs."""
     if total_epochs < 1:
         raise ConfigError(f"total_epochs must be ≥ 1, got {total_epochs}")
@@ -30,11 +30,11 @@ def cosine_lr(epoch, total_epochs=80, base_lr=0.02):
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def lr_schedule(total_epochs=80, base_lr=0.02):
+def lr_schedule(total_epochs=TrainConfig.epochs, base_lr=TrainConfig.base_lr):
     return [cosine_lr(e, total_epochs, base_lr) for e in range(total_epochs + 1)]
 
 
-def sgd_step(params, lr, weight_decay=0.01, decoupled=False):
+def sgd_step(params, lr, weight_decay=TrainConfig.weight_decay, decoupled=False):
     """In-place descent step over all params that received gradients."""
     for p in params:
         g = p.grad

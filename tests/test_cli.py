@@ -43,6 +43,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ConfigError" in err and "stages" in err
 
+    @pytest.mark.parametrize("argv,doc", [
+        (["describe", "--set", "tcn.block_kind=50%"], None),
+        (["describe"], "[tcn]\nkernel = 3%\n"),
+        (["describe"], "[tcn]\nblock_kind = base%(x)s\n"),
+        (["describe", "--set", "DEFAULT.seed=3"], None),
+        (["describe"], "[DEFAULT]\nnum_classes = 7\n"),
+        (["describe", "--set", "tcn.expansion=nan"], None),
+        (["describe", "--set", "tcn.expansion=inf"], None),
+        (["describe", "--set", "extractor.expansion=inf"], None),
+        (["describe", "--set", "tcn.stages=33"], None),
+        (["schedule", "--epochs", "1", "--base-lr", "nan"], None),
+        (["schedule", "--epochs", "1", "--base-lr", "-1"], None),
+        (["train-toy", "--config", TOY_CFG, *TINY, "--set", "train.base_lr=nan",
+          "--run-dir", "{tmp}/run"], None),
+        (["gen-data", "--set", "toy.frame_size=-8", "--out", "{tmp}/toy.npz"], None),
+    ], ids=["percent-override", "percent-doc", "interpolation-doc", "default-override",
+            "default-doc", "tcn-expansion-nan", "tcn-expansion-inf", "extractor-expansion-inf",
+            "stages-33", "schedule-lr-nan", "schedule-lr-negative", "train-lr-nan",
+            "toy-frame-size-negative"])
+    def test_bad_config_input(self, argv, doc, tmp_path, capsys):
+        """Exit 2 with a ConfigError message: no traceback, no silent no-op."""
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        if doc is not None:
+            path = tmp_path / "bad.cfg"
+            path.write_text(doc)
+            argv = argv + ["--config", str(path)]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("tempconv.ConfigError: ")
+
     def test_bad_input_tensor(self, tmp_path, capsys):
         p = tmp_path / "bad.lwt"
         p.write_bytes(b"JUNKJUNKJUNK")

@@ -1,13 +1,17 @@
 """Model assembly: config validation, parameter prediction, receptive field,
 deterministic construction, and serialization round-trips."""
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tempconv as tc
 from tempconv import Tensor
 from tempconv.complexity import audit, count_params
+from tempconv.config import _KNOWN_KEYS
 from tempconv.errors import ConfigError, ShapeError
 from tempconv.model import PARAM_BUDGET_CAP, receptive_field
 
@@ -33,6 +37,10 @@ class TestConfigValidation:
     def test_stage_floor(self):
         with pytest.raises(ConfigError, match="stages must be ≥ 1"):
             cfg("[tcn]\nstages = 0\n")
+        # past 32 stages every dilated tap of an LWT1-sized input reads padding
+        assert cfg("[tcn]\nstages = 32\nchannels = 8\n").tcn.channels == (8,) * 32
+        with pytest.raises(ConfigError, match="stages must be ≤ 32"):
+            cfg("[tcn]\nstages = 33\n")
 
     def test_channel_list_length(self):
         c = cfg("[tcn]\nstages = 3\nchannels = 64, 128, 256\n")
@@ -67,6 +75,29 @@ class TestConfigValidation:
     def test_bad_override_value(self):
         with pytest.raises(ConfigError):
             cfg("", overrides=["tcn.stages=soon"])
+        with pytest.raises(ConfigError, match="finite"):
+            tc.parse_train_config("[train]\nmixup_alpha = nan\n")
+
+    def test_rules_hold_for_replace(self):
+        """A section's rules live in its dataclass, so replace() is checked too."""
+        with pytest.raises(ConfigError, match="epochs"):
+            replace(tc.TrainConfig(), epochs=0)
+        with pytest.raises(ConfigError, match="noise"):
+            replace(tc.ToyDatasetSpec(), noise=-1)
+        with pytest.raises(ConfigError, match="rates"):
+            replace(tc.TrainConfig(), base_lr=float("nan"))
+
+    @pytest.mark.parametrize("key", sorted(f"{section}.{key}" for section, keys in
+                                           _KNOWN_KEYS.items() for key in keys))
+    @settings(max_examples=40, deadline=None)
+    @given(value=st.one_of(st.text(), st.integers().map(str), st.floats().map(repr),
+                           st.sampled_from(["nan", "-inf", "1e308", "%", "%(x)s", "none"])))
+    def test_fuzzed_override_raises_only_config_error(self, key, value):
+        for parse in (tc.parse_config, tc.parse_train_config, tc.parse_toy_spec):
+            try:
+                parse("", [f"{key}={value}"])
+            except ConfigError:
+                pass
 
 
 class TestParamPrediction:
