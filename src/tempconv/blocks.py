@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm, Conv, Conv1d, Dropout, Module, ReLU, Sequential
+from .layers import BatchNorm, Conv, Conv1d, Dropout, Module, ReLU, Sequential, conv_norm
 
 BLOCK_KINDS = (
     "baseline", "linear", "fusedmb", "invertedresidual", "cib", "uib",
@@ -180,11 +180,11 @@ class StarBlock(TemporalBlock):
         self.dw_out = _dw(c, kk, d, bias=True)
 
     def _body(self, x):
-        h = self.bn_in(self.dw_in(x))
+        h = conv_norm(self.dw_in, self.bn_in, x)
         mixed = ops.hadamard(ops.relu6(self.branch1(h)), self.branch2(h))
         if self.mid is not None:
-            mixed = self.bn_mid(self.mid(mixed))
-        return self.dw_out(self.bn_out(self.project(mixed)))
+            mixed = conv_norm(self.mid, self.bn_mid, mixed)
+        return self.dw_out(conv_norm(self.project, self.bn_out, mixed))
 
 
 def make_block(kind, channels, dilation, expansion=None, kernel=3,

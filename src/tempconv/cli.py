@@ -39,15 +39,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
+    seed = getattr(args, "seed", None)
     env = os.environ.get("TEMPCONV_SEED")
-    if env is not None:
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"TEMPCONV_SEED='{env}' is not an integer") from None
-    return None
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be ≥ 0, got {seed}")
+    return seed
 
 
 def _read_text(args):

@@ -106,6 +106,10 @@ class TrainConfig:
             raise ConfigError("rates must be finite and nonnegative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be ≥ 1")
+        if self.crop_size < 1:
+            raise ConfigError(f"crop_size must be ≥ 1, got {self.crop_size}")
+        if self.seed < 0:
+            raise ConfigError(f"train seed must be ≥ 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,8 @@ class ToyDatasetSpec:
             raise ConfigError("toy noise must be finite and nonnegative")
         if min(self.train_size, self.val_size, self.test_size) < 1:
             raise ConfigError("every toy split needs at least one sample")
+        if self.seed < 0:
+            raise ConfigError(f"toy seed must be ≥ 0, got {self.seed}")
 
 
 _SECTIONS = {"tcn": TCNConfig, "classifier": ClassifierConfig,

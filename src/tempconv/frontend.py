@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm, Conv2d, Conv3d, Linear, Module, ReLU, Sequential
+from .layers import BatchNorm, Conv2d, Conv3d, Linear, Module, ReLU, Sequential, conv_norm
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class Stem(Module):
         if x.ndim != 5:
             raise ShapeError(f"stem expects (N, C, T, H, W) input of rank 5, got rank {x.ndim}")
         self._check(tuple(x.shape[1:]))
-        return self.act(self.bn(self.conv(x)))
+        return self.act(conv_norm(self.conv, self.bn, x))
 
     def output_shape(self, in_shape):
         self._check(in_shape)

@@ -23,9 +23,9 @@ from collections import OrderedDict
 import numpy as np
 
 from . import ops
-from .errors import FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 from .ops import ConvSpec
-from .tensor import Tensor
+from .tensor import Tensor, active_tape
 
 
 class Module:
@@ -175,8 +175,20 @@ class Module:
         raise NotImplementedError
 
 
+# refuse configs whose parameter total would not fit in desk-scale memory
+PARAM_BUDGET_CAP = 1_000_000_000
+
+
 def _declare(shape, fill=0.0):
-    """A float32 parameter known by shape; it holds ``fill`` until allocated."""
+    """A float32 parameter known by shape; it holds ``fill`` until allocated.
+
+    One parameter over the whole budget cap is refused here, before numpy
+    is asked for an array that large.
+    """
+    size = math.prod(shape)
+    if size > PARAM_BUDGET_CAP:
+        raise ConfigError(f"a parameter of shape {shape} has {size:,} entries, over the "
+                          f"{PARAM_BUDGET_CAP:,} budget cap")
     p = Tensor(np.float32(fill), requires_grad=True)
     p.data = np.broadcast_to(p.data, shape)
     return p
@@ -277,6 +289,25 @@ class BatchNorm(_ShapeKeeping):
                               momentum=self.momentum, training=self.training)
 
 
+def conv_norm(conv, norm, x):
+    """``norm(conv(x))``, with the norm folded into the conv in eval mode.
+
+    With ``norm`` in eval mode and no tape recording, one conv runs with
+    weight ``W·s`` and bias ``(b − μ)·s + β``, ``s = γ/√(var + eps)``. The
+    folded arrays are made per call from the current parameters and running
+    statistics, so nothing is cached and nothing needs invalidating.
+    """
+    if norm.training or active_tape() is not None:
+        return norm(conv(x))
+    w = conv.weight.data
+    scale, shift = ops.batch_norm_affine(norm.gamma.data, norm.beta.data, norm.running_mean,
+                                         norm.running_var, norm.eps, w.dtype)
+    if conv.bias is not None:
+        shift = conv.bias.data * scale + shift
+    w = w * scale.reshape((-1,) + (1,) * (w.ndim - 1))
+    return ops.conv(x, Tensor(w), Tensor(shift), conv.spec)
+
+
 class ReLU(_ShapeKeeping):
     def forward(self, x):
         return ops.relu(x)
@@ -355,8 +386,17 @@ class Sequential(Module):
         return list(self._modules.values())[i]
 
     def forward(self, x):
-        for layer in self:
-            x = layer(x)
+        """Each layer in turn; a Conv followed by a BatchNorm runs as ``conv_norm``."""
+        layers = list(self)
+        i = 0
+        while i < len(layers):
+            if (i + 1 < len(layers) and isinstance(layers[i], Conv)
+                    and isinstance(layers[i + 1], BatchNorm)):
+                x = conv_norm(layers[i], layers[i + 1], x)
+                i += 2
+            else:
+                x = layers[i](x)
+                i += 1
         return x
 
     def output_shape(self, in_shape):

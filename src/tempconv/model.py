@@ -15,12 +15,9 @@ from .blocks import TemporalBlock, make_block
 from .config import ModelConfig, config_hash, config_to_dict
 from .errors import ConfigError, ShapeError
 from .frontend import ClassifierHead, ReferenceExtractor, Stem
-from .layers import Conv1d, Module, Sequential
+from .layers import PARAM_BUDGET_CAP, Conv1d, Module, Sequential
 
 BUILD_VERSION = "0.1.0"
-
-# refuse configs whose parameter total would not fit in desk-scale memory
-PARAM_BUDGET_CAP = 1_000_000_000
 
 
 class TCN(Module):

@@ -2,16 +2,33 @@
 
 All ops take and return :class:`~tempconv.tensor.Tensor` and register a
 backward rule on the active :class:`~tempconv.tensor.GradTape`, if any.
-Convolution is one generic implementation covering 1-D/2-D/3-D by kernel
-rank, with stride, dilation, groups, and either symmetric zero padding or
-causal left padding (1-D only, output length equals input length).
+Convolution covers 1-D/2-D/3-D by kernel rank, with stride, dilation,
+groups, and either symmetric zero padding or causal left padding (1-D only,
+output length equals input length). :func:`conv` runs each call on one of
+three routes, chosen by shape class in :func:`_conv_route`, forward and
+backward alike:
+
+- ``GEMM`` (groups = 1): im2col, one column block per kernel tap, then one
+  ``matmul`` per sample; a pointwise conv is the matmul alone;
+- ``DEPTHWISE``: a multiply-add per kernel tap into one preallocated
+  output, channels-last for 2-D/3-D;
+- ``EINSUM``: the generic implementation, one ``einsum`` over a view of all
+  receptive-field patches (contraction order cached per shape). It runs
+  every other grouping and the GEMMs too small per sample, and it is the
+  oracle every other route is tested against.
+
+Eval-mode batch norm is one multiply-add per element; the layers fold it
+into the conv before it when no tape records (``layers.conv_norm``).
 
 Layout convention: batched and channels-first, (N, C, *S). Only
 :class:`~tempconv.model.Model` also accepts a single sample.
 """
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -113,6 +130,17 @@ def _dilated_patches(xp, spec, out_sizes):
     return patches
 
 
+@lru_cache(maxsize=256)
+def _einsum_path(eq, *shapes):
+    operands = [np.broadcast_to(np.float32(0), s) for s in shapes]
+    return np.einsum_path(eq, *operands, optimize=True)[0]
+
+
+def _einsum(eq, *operands):
+    """``np.einsum`` with its contraction order searched once per equation and shapes."""
+    return np.einsum(eq, *operands, optimize=_einsum_path(eq, *(a.shape for a in operands)))
+
+
 def _conv_input_grad(gout, w, spec, padded_shape):
     """Scatter the output gradient back through each kernel tap."""
     rank = spec.rank
@@ -129,14 +157,208 @@ def _conv_input_grad(gout, w, spec, padded_shape):
     gx_view = gx_pad.reshape(n, groups, cg, *padded_shape[2:])
     for tap in np.ndindex(*spec.kernel):
         w_tap = wg[(slice(None), slice(None), slice(None)) + tap]
-        contrib = np.einsum(eq, gout_g, w_tap, optimize=True)
-        index = (slice(None), slice(None), slice(None))
-        index += tuple(
-            slice(t * d, t * d + st * (o - 1) + 1, st)
-            for t, d, st, o in zip(tap, spec.dilation, spec.stride, out_sizes)
-        )
-        gx_view[index] += contrib
+        contrib = _einsum(eq, gout_g, w_tap)
+        gx_view[(slice(None),) + _tap_index(tap, spec, out_sizes, 2)] += contrib
     return gx_pad
+
+
+def _einsum_forward(xd, wd, spec, out_sizes):
+    """The generic conv, any groups: one einsum over a view of all patches."""
+    rank = spec.rank
+    xp = np.pad(xd, ((0, 0), (0, 0)) + spec.pad_pairs())
+    n, groups = xd.shape[0], spec.groups
+    og, cg = spec.out_channels // groups, spec.in_channels // groups
+    sub_out, sub_k = _OUT_AXES[:rank], _KER_AXES[:rank]
+    patches_g = _dilated_patches(xp, spec, out_sizes).reshape(n, groups, cg, *out_sizes, *spec.kernel)
+    wg = wd.reshape(groups, og, cg, *spec.kernel)
+    y = _einsum(f"ngc{sub_out}{sub_k},goc{sub_k}->ngo{sub_out}", patches_g, wg)
+    return y.reshape(n, spec.out_channels, *out_sizes), (xp.shape, patches_g)
+
+
+def _einsum_backward(up, wd, spec, saved, need_x, need_w):
+    padded_shape, patches_g = saved
+    gx = gw = None
+    if need_x:
+        gx = _conv_input_grad(up, wd, spec, padded_shape)[_interior(spec, 2)]
+    if need_w:
+        n, groups = up.shape[0], spec.groups
+        sub_out, sub_k = _OUT_AXES[:spec.rank], _KER_AXES[:spec.rank]
+        up_g = up.reshape(n, groups, spec.out_channels // groups, *up.shape[2:])
+        gw = _einsum(f"ngc{sub_out}{sub_k},ngo{sub_out}->goc{sub_k}", patches_g, up_g)
+        gw = gw.reshape(wd.shape)
+    return gx, gw
+
+
+def _padded(xd, spec, dtype, channels_last=False):
+    """Zero-padded copy of an (N, C, *S) input, channels moved last if asked.
+
+    The input is written once, straight into the padded buffer. An unpadded
+    channels-first input of the right dtype is returned as is.
+    """
+    pads = spec.pad_pairs()
+    src = np.moveaxis(xd, 1, -1) if channels_last else xd
+    if not channels_last and xd.dtype == dtype and not any(sum(p) for p in pads):
+        return xd
+    first = 1 if channels_last else 2
+    shape = list(src.shape)
+    for i, (lo, hi) in enumerate(pads):
+        shape[first + i] += lo + hi
+    buf = np.zeros(shape, dtype)
+    buf[_interior(spec, first, src.shape[first:first + spec.rank])] = src
+    return buf
+
+
+def _interior(spec, first, sizes=None):
+    """Index of the unpadded region, spatial axes starting at ``first``."""
+    pads = spec.pad_pairs()
+    if sizes is None:  # negative stops: the buffer's own extent, less the padding
+        return (slice(None),) * first + tuple(slice(lo, -hi or None) for lo, hi in pads)
+    return (slice(None),) * first + tuple(slice(lo, lo + s) for (lo, _), s in zip(pads, sizes))
+
+
+def _tap_index(tap, spec, out_sizes, first):
+    """Index of the padded input that one kernel tap reads, spatial axes at ``first``."""
+    return (slice(None),) * first + tuple(
+        slice(t * d, t * d + s * (o - 1) + 1, s)
+        for t, d, s, o in zip(tap, spec.dilation, spec.stride, out_sizes)
+    )
+
+
+def _gemm_forward(xd, wd, spec, out_sizes):
+    """groups = 1: im2col (one column block per tap), then one GEMM per sample.
+
+    A pointwise conv (k = 1, stride 1, no padding) uses its input as the
+    columns, so it is a single ``matmul`` of (O, C) against (N, C, S).
+    """
+    n, c = xd.shape[:2]
+    dtype = np.result_type(xd, wd)
+    taps = math.prod(spec.kernel)
+    xp = _padded(xd, spec, dtype)
+    if taps == 1 and xp.shape[2:] == out_sizes:
+        cols = xp.reshape(n, c, -1)
+    else:
+        cols = np.empty((n, c, taps) + out_sizes, dtype)
+        for t, tap in enumerate(np.ndindex(*spec.kernel)):
+            cols[:, :, t] = xp[_tap_index(tap, spec, out_sizes, 2)]
+        cols = cols.reshape(n, c * taps, -1)
+    y = np.matmul(wd.reshape(spec.out_channels, -1), cols)
+    return y.reshape((n, spec.out_channels) + out_sizes), (xp.shape, cols)
+
+
+def _gemm_backward(up, wd, spec, saved, need_x, need_w):
+    padded_shape, cols = saved
+    n = up.shape[0]
+    up3 = up.reshape(n, spec.out_channels, -1)
+    gx = gw = None
+    if need_x:
+        gcols = np.matmul(wd.reshape(spec.out_channels, -1).T, up3)
+        if math.prod(spec.kernel) == 1 and padded_shape[2:] == up.shape[2:]:
+            gxp = gcols.reshape(padded_shape)
+        else:  # col2im: add each tap's column block back where it was read
+            gcols = gcols.reshape((n, spec.in_channels, -1) + up.shape[2:])
+            gxp = np.zeros(padded_shape, gcols.dtype)
+            for t, tap in enumerate(np.ndindex(*spec.kernel)):
+                gxp[_tap_index(tap, spec, up.shape[2:], 2)] += gcols[:, :, t]
+        gx = gxp[_interior(spec, 2)]
+    if need_w:
+        gw = np.tensordot(up3, cols, axes=([0, 2], [0, 2])).reshape(wd.shape)
+    return gx, gw
+
+
+def _depthwise_layout(spec, arr):
+    """Per-tap work runs channels-last for rank >= 2, so a tap reads contiguous
+    channel rows however short the spatial rows are; rank 1 keeps the long
+    time axis innermost. Returns (channels_last, first spatial axis, per-tap
+    weights broadcastable against the layout)."""
+    last = spec.rank > 1
+    taps = arr.reshape(spec.in_channels, -1).T
+    if last:
+        return True, 1, np.ascontiguousarray(taps)
+    return False, 2, taps.reshape(taps.shape + (1,) * spec.rank)
+
+
+def _channels_first(arr, channels_last):
+    return np.ascontiguousarray(np.moveaxis(arr, -1, 1)) if channels_last else arr
+
+
+# The per-tap passes run over slices of the batch whose padded input is
+# about this size, so the passes of one tap loop stay in cache: the four
+# starv extractor dw2d layers (29 frames) took 62 ms instead of 83 on 2 vCPUs.
+_DEPTHWISE_CHUNK_BYTES = 1 << 20
+
+
+def _depthwise_forward(xd, wd, spec, out_sizes):
+    """groups = C_in = C_out: a multiply-add per tap into one preallocated output."""
+    last, first, taps = _depthwise_layout(spec, wd)
+    dtype = np.result_type(xd, wd)
+    n, c = xd.shape[:2]
+    y = np.empty((n, c) + out_sizes, dtype)
+    padded = math.prod(s + lo + hi for s, (lo, hi) in zip(xd.shape[2:], spec.pad_pairs()))
+    step = max(1, _DEPTHWISE_CHUNK_BYTES // (c * padded * dtype.itemsize))
+    for n0 in range(0, n, step):
+        xp = _padded(xd[n0:n0 + step], spec, dtype, last)
+        out = np.empty((len(xp),) + ((*out_sizes, c) if last else (c, *out_sizes)), dtype)
+        tmp = np.empty_like(out)
+        for t, tap in enumerate(np.ndindex(*spec.kernel)):
+            view = xp[_tap_index(tap, spec, out_sizes, first)]
+            if t == 0:
+                np.multiply(view, taps[0], out=out)
+            else:
+                out += np.multiply(view, taps[t], out=tmp)
+        y[n0:n0 + len(xp)] = np.moveaxis(out, -1, 1) if last else out
+    return y, xd
+
+
+def _depthwise_backward(up, wd, spec, xd, need_x, need_w):
+    last, first, taps = _depthwise_layout(spec, wd)
+    xp = _padded(xd, spec, up.dtype, last)
+    out_sizes = up.shape[2:]
+    upl = np.ascontiguousarray(np.moveaxis(up, 1, -1)) if last else up
+    tmp = np.empty_like(upl)
+    gxp = np.zeros(xp.shape, upl.dtype) if need_x else None
+    gw = np.empty((len(taps), spec.in_channels), upl.dtype) if need_w else None
+    channel_axis = upl.ndim - 1 if last else 1
+    others = tuple(a for a in range(upl.ndim) if a != channel_axis)
+    for t, tap in enumerate(np.ndindex(*spec.kernel)):
+        index = _tap_index(tap, spec, out_sizes, first)
+        if need_x:
+            gxp[index] += np.multiply(upl, taps[t], out=tmp)
+        if need_w:
+            gw[t] = np.multiply(xp[index], upl, out=tmp).sum(axis=others)
+    gx = _channels_first(gxp[_interior(spec, first)], last) if need_x else None
+    return gx, (gw.T.reshape(wd.shape) if need_w else None)
+
+
+_Route = namedtuple("_Route", "name forward backward")
+EINSUM = _Route("einsum", _einsum_forward, _einsum_backward)
+GEMM = _Route("gemm", _gemm_forward, _gemm_backward)
+DEPTHWISE = _Route("depthwise", _depthwise_forward, _depthwise_backward)
+
+# A GEMM per sample streams the whole weight for that sample's S output
+# columns. Past this many weight entries per column (with more than one
+# sample), the einsum's single GEMM over the batch wins: 2.0x at 58K on the
+# last starv extractor stage (512x1024 weight, 3x3 frames), while the GEMMs
+# win at 7.3K (1024x256, 6x6) and at the toy recipe's largest ratio, 4K.
+_GEMM_MAX_WEIGHTS_PER_COLUMN = 16384
+
+
+def _conv_route(spec, n, out_sizes):
+    """The one place a convolution's compute route is chosen, by shape class.
+
+    - groups = 1 (pointwise and full k > 1): im2col + GEMM per sample,
+      unless the weight is large for the sample's output columns;
+    - depthwise (groups = C_in = C_out): per-tap multiply-add;
+    - anything else: the generic einsum conv, which is also the oracle that
+      every other route is tested against.
+    """
+    if spec.groups == 1:
+        weights = spec.out_channels * spec.in_channels * math.prod(spec.kernel)
+        if n > 1 and weights > _GEMM_MAX_WEIGHTS_PER_COLUMN * math.prod(out_sizes):
+            return EINSUM
+        return GEMM
+    if spec.groups == spec.in_channels == spec.out_channels:
+        return DEPTHWISE
+    return EINSUM
 
 
 def conv(x, weight, bias=None, spec=None):
@@ -144,7 +366,8 @@ def conv(x, weight, bias=None, spec=None):
 
     ``x``: (N, C_in, *S); ``weight``: (C_out, C_in/groups, *k);
     ``bias``: (C_out,) or None. Causal mode preserves the temporal length
-    exactly and uses only past context.
+    exactly and uses only past context. The compute route comes from
+    :func:`_conv_route`; every route matches the einsum conv.
     """
     if spec is None:
         raise ShapeError("conv requires a ConvSpec")
@@ -158,51 +381,27 @@ def conv(x, weight, bias=None, spec=None):
         raise ShapeError(f"weight shape {tuple(weight.shape)} does not match {wshape}")
     if bias is not None and bias.shape != (spec.out_channels,):
         raise ShapeError(f"bias shape {tuple(bias.shape)} does not match ({spec.out_channels},)")
-
     out_sizes = spec.out_sizes(x.shape[2:])
-    pad = ((0, 0), (0, 0)) + spec.pad_pairs()
-    xp = np.pad(x.data, pad) if any(p != (0, 0) for p in spec.pad_pairs()) else x.data
+    return _conv_via(_conv_route(spec, x.shape[0], out_sizes), x, weight, bias, spec, out_sizes)
 
-    n = x.shape[0]
-    groups = spec.groups
-    og = spec.out_channels // groups
-    cg = spec.in_channels // groups
-    sub_out = _OUT_AXES[:rank]
-    sub_k = _KER_AXES[:rank]
 
-    patches = _dilated_patches(xp, spec, out_sizes)
-    patches_g = patches.reshape(n, groups, cg, *out_sizes, *spec.kernel)
-    wg = weight.data.reshape(groups, og, cg, *spec.kernel)
-    y = np.einsum(
-        f"ngc{sub_out}{sub_k},goc{sub_k}->ngo{sub_out}", patches_g, wg, optimize=True
-    ).reshape(n, spec.out_channels, *out_sizes)
+def _conv_via(route, x, weight, bias, spec, out_sizes):
+    """Run one checked convolution on ``route`` and record its backward."""
+    y, saved = route.forward(x.data, weight.data, spec, out_sizes)
     if bias is not None:
-        y = y + bias.data.reshape((1, -1) + (1,) * rank)
-
+        b = bias.data.reshape((1, -1) + (1,) * spec.rank)
+        if np.result_type(y, b) == y.dtype:
+            y += b  # in place: the output is the route's own fresh array
+        else:
+            y = y + b
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def make_backward():
-        padded_shape = xp.shape
-        pad_pairs = spec.pad_pairs()
-
         def bwd(up):
-            gx = gw = gb = None
-            if x.requires_grad:
-                gxp = _conv_input_grad(up, weight.data, spec, padded_shape)
-                index = (slice(None), slice(None)) + tuple(
-                    slice(pl, gxp.shape[2 + i] - pr) for i, (pl, pr) in enumerate(pad_pairs)
-                )
-                gx = gxp[index]
-            if weight.requires_grad:
-                up_g = up.reshape(n, groups, og, *out_sizes)
-                gw = np.einsum(
-                    f"ngc{sub_out}{sub_k},ngo{sub_out}->goc{sub_k}",
-                    patches_g, up_g, optimize=True,
-                ).reshape(wshape)
-            if bias is not None and bias.requires_grad:
-                gb = up.sum(axis=(0,) + tuple(range(2, 2 + rank)))
+            gx, gw = route.backward(up, weight.data, spec, saved, x.requires_grad, weight.requires_grad)
             if bias is None:
                 return gx, gw
+            gb = up.sum(axis=(0,) + tuple(range(2, 2 + spec.rank))) if bias.requires_grad else None
             return gx, gw, gb
 
         return bwd
@@ -210,13 +409,23 @@ def conv(x, weight, bias=None, spec=None):
     return apply_op("conv", inputs, y, make_backward)
 
 
+def batch_norm_affine(gamma, beta, mean, var, eps, dtype):
+    """Eval-mode batch norm as ``x * scale + shift``, per channel, in ``dtype``."""
+    denom = var.astype(dtype) + eps
+    if np.any(denom <= 0):
+        raise NumericError("batch_norm variance estimate is non-positive after eps")
+    scale = gamma.astype(dtype) / np.sqrt(denom)
+    return scale, beta.astype(dtype) - mean.astype(dtype) * scale
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
                momentum=0.1, training=False):
     """Per-channel batch normalization over a batched (N, C, *S) input.
 
     Training mode normalizes with batch statistics and updates the running
-    arrays in place (plain ndarrays, not tensors); inference mode uses the
-    running statistics. ``gamma``/``beta`` are the affine parameters.
+    arrays in place (plain ndarrays, not tensors); inference mode is one
+    multiply-add with the running statistics. ``gamma``/``beta`` are the
+    affine parameters.
     """
     if x.ndim < 2:
         raise ShapeError("batch_norm expects a batched (N, C, ...) input")
@@ -233,36 +442,49 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
 
     if training:
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xhat = x.data - mu.reshape(bshape)  # centred here, normalized in place below
+        var = (xhat * xhat).mean(axis=axes)  # the steps of np.var, without its second mean
         unbias = m / (m - 1) if m > 1 else 1.0
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * var * unbias
+        denom = var + eps
+        if np.any(denom <= 0):
+            raise NumericError("batch_norm variance estimate is non-positive after eps")
+        inv = 1.0 / np.sqrt(denom)
+        xhat *= inv.reshape(bshape)
+        y = gamma.data.reshape(bshape) * xhat
+        y += beta.data.reshape(bshape)
+        scale = gamma.data * inv
     else:
-        mu = running_mean.astype(x.dtype)
-        var = running_var.astype(x.dtype)
-    denom = var + eps
-    if np.any(denom <= 0):
-        raise NumericError("batch_norm variance estimate is non-positive after eps")
-    inv = 1.0 / np.sqrt(denom)
-    xhat = (x.data - mu.reshape(bshape)) * inv.reshape(bshape)
-    y = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+        scale, shift = batch_norm_affine(gamma.data, beta.data, running_mean, running_var,
+                                         eps, x.dtype)
+        y = x.data * scale.reshape(bshape)
+        y += shift.reshape(bshape)
 
     def make_backward():
+        if not training:  # only the gamma gradient needs the normalized input
+            mu = running_mean.astype(x.dtype)
+            inv = 1.0 / np.sqrt(running_var.astype(x.dtype) + eps)
+        sums = training and x.requires_grad
+
         def bwd(up):
-            gg = (up * xhat).sum(axis=axes) if gamma.requires_grad else None
-            gb = up.sum(axis=axes) if beta.requires_grad else None
+            gb = up.sum(axis=axes) if beta.requires_grad or sums else None
+            gg = None
+            if gamma.requires_grad or sums:
+                xn = xhat if training else (x.data - mu.reshape(bshape)) * inv.reshape(bshape)
+                gg = (up * xn).sum(axis=axes)
             gx = None
             if x.requires_grad:
-                scale = (gamma.data * inv).reshape(bshape)
                 if training:
-                    mean_up = up.mean(axis=axes).reshape(bshape)
-                    mean_up_xhat = (up * xhat).mean(axis=axes).reshape(bshape)
-                    gx = scale * (up - mean_up - xhat * mean_up_xhat)
+                    mean_up = (gb / m).reshape(bshape)
+                    mean_up_xhat = (gg / m).reshape(bshape)
+                    gx = scale.reshape(bshape) * (up - mean_up - xhat * mean_up_xhat)
                 else:
-                    gx = scale * up
-            return gx, gg, gb
+                    gx = scale.reshape(bshape) * up
+            return (gx, gg if gamma.requires_grad else None,
+                    gb if beta.requires_grad else None)
 
         return bwd
 

@@ -58,10 +58,25 @@ class TestExitCodes:
         (["train-toy", "--config", TOY_CFG, *TINY, "--set", "train.base_lr=nan",
           "--run-dir", "{tmp}/run"], None),
         (["gen-data", "--set", "toy.frame_size=-8", "--out", "{tmp}/toy.npz"], None),
+        (["gen-data", "--set", "toy.seed=-1", "--out", "{tmp}/toy.npz"], None),
+        (["train-toy", "--config", TOY_CFG, *TINY, "--set", "train.seed=-1",
+          "--run-dir", "{tmp}/run"], None),
+        (["train-toy", "--config", TOY_CFG, *TINY, "--seed", "-1", "--run-dir", "{tmp}/run"], None),
+        (["gradcheck", "--kind", "head", "--seed", "-1"], None),
+        (["train-toy", "--config", TOY_CFG, *TINY, "--set", "train.crop=true",
+          "--set", "train.crop_size=-1", "--run-dir", "{tmp}/run"], None),
+        (["describe", "--set", "tcn.channels=100000000000000000000"], None),
+        (["describe", "--set", "extractor.widths=100000000000000000000"], None),
+        (["describe", "--set", "stem.out_channels=100000000000000000000"], None),
+        (["describe", "--set", "extractor.expansion=1e30"], None),
+        (["describe", "--set", "tcn.kernel=10000000000000000001"], None),
     ], ids=["percent-override", "percent-doc", "interpolation-doc", "default-override",
             "default-doc", "tcn-expansion-nan", "tcn-expansion-inf", "extractor-expansion-inf",
             "stages-33", "schedule-lr-nan", "schedule-lr-negative", "train-lr-nan",
-            "toy-frame-size-negative"])
+            "toy-frame-size-negative", "toy-seed-negative", "train-seed-negative",
+            "seed-flag-negative", "gradcheck-seed-negative", "crop-size-negative",
+            "tcn-channels-huge", "extractor-widths-huge", "stem-out-channels-huge",
+            "extractor-expansion-huge", "tcn-kernel-huge"])
     def test_bad_config_input(self, argv, doc, tmp_path, capsys):
         """Exit 2 with a ConfigError message: no traceback, no silent no-op."""
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
