@@ -297,8 +297,8 @@ def conv_norm(conv, norm, x):
     folded arrays are made per call from the current parameters and running
     statistics, so nothing is cached and nothing needs invalidating.
     """
-    if norm.training or active_tape() is not None:
-        return norm(conv(x))
+    if norm.training or active_tape() is not None or norm.channels != conv.spec.out_channels:
+        return norm(conv(x))  # a width mismatch raises its ShapeError there
     w = conv.weight.data
     scale, shift = ops.batch_norm_affine(norm.gamma.data, norm.beta.data, norm.running_mean,
                                          norm.running_var, norm.eps, w.dtype)

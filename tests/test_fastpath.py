@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 from tempconv import ops
 from tempconv.blocks import BLOCK_KINDS, make_block
+from tempconv.errors import ShapeError
 from tempconv.frontend import Stem, _SpatialBottleneck
 from tempconv.gradcheck import grad_check
-from tempconv.layers import BatchNorm
+from tempconv.layers import BatchNorm, Conv1d, Sequential
 from tempconv.tensor import GradTape, Tensor
 
 FIXED = settings.get_profile("fastpath")
@@ -142,6 +143,13 @@ def test_eval_fold_matches_unfolded_frontend(stride, size, seed):
     stem.init_parameters(rng)
     _randomize_norms(stem, rng)
     _fold_matches_unfolded(stem, rng.standard_normal((1, 1, 3, 2 * size, 2 * size)).astype(np.float32))
+
+
+def test_fold_keeps_width_mismatch_error():
+    net = Sequential(Conv1d(4, 8, 3), BatchNorm(6))
+    net.init_parameters(np.random.default_rng(0)).eval()
+    with pytest.raises(ShapeError, match="does not match 8 channels"):
+        net(Tensor(np.zeros((1, 4, 5), np.float32)))
 
 
 def test_eval_batch_norm_gradcheck():
