@@ -14,7 +14,7 @@ differ only in name, except "stariii", which adds a pointwise stage.
 from __future__ import annotations
 
 from . import ops
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .layers import BatchNorm, Conv, Conv1d, Dropout, Module, ReLU, Sequential, conv_norm
 
 BLOCK_KINDS = (
@@ -73,23 +73,10 @@ class TemporalBlock(Module):
     def _body(self, x):
         raise NotImplementedError
 
-    def _convs(self):
-        return [m for m in self.modules() if isinstance(m, Conv)]
-
-    def output_shape(self, in_shape):
-        if in_shape[0] != self.channels:
-            raise ShapeError(f"block expects {self.channels} channels, got shape {in_shape}")
-        return in_shape
-
-    def macs(self, in_shape):
-        # every conv in a block is causal with stride 1, so all keep length T
-        t = self.output_shape(in_shape)[1:]
-        return sum(m.macs((m.spec.in_channels,) + t) for m in self._convs())
-
     def rf_taps(self):
         """(kernel, dilation) of every temporal conv, for receptive-field sums."""
         return [(m.spec.kernel[0], m.spec.dilation[0])
-                for m in self._convs() if m.spec.kernel[0] > 1]
+                for m in self.modules() if isinstance(m, Conv) and m.spec.kernel[0] > 1]
 
 
 def _full(a, b, k, d, bias=False):

@@ -9,7 +9,9 @@ Parameter counts include weights, biases, and norm affine pairs, and
 exclude running statistics.
 
 Everything here is integer arithmetic over layer shapes; no data passes
-through the network.
+through the network. A part's MACs are ``ConvSpec.macs`` summed along its
+convs, each fed the sizes the one before it produced; the classifier's are
+its weight's size.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 from .blocks import TemporalBlock
 from .errors import ConfigError, FormatError, ShapeError
+from .layers import Conv
 from .model import Model
 
 GROUPS = ("stem", "extractor", "tcn", "classifier")
@@ -73,27 +76,45 @@ def count_macs(model, input_shape=None):
     return audit(model, input_shape).total_macs
 
 
+def _conv_macs(module, sizes):
+    """MACs of one sample through ``module``'s convs, and the sizes it leaves.
+
+    The walk takes the ``Conv`` leaves in ``modules()`` order and feeds each
+    one the spatial/temporal sizes the previous one produced. That is the
+    data's path because convs run in definition order and, where a module
+    branches (the star blocks' two pointwise branches), every branch keeps
+    its spatial sizes.
+    """
+    macs = 0
+    for m in module.modules():
+        if isinstance(m, Conv):
+            macs += m.spec.macs(sizes)
+            sizes = m.spec.out_sizes(sizes)
+    return macs, sizes
+
+
 def audit(model, input_shape=None):
-    """Per-module params/MACs with shape propagation; exact integers."""
+    """Per-part params/MACs for one unbatched ``(C, *S)`` input; exact integers."""
     if not isinstance(model, Model):
         raise ConfigError("audit expects a built model")
     shape = tuple(input_shape) if input_shape is not None else model.input_shape()
     rows = []
+
+    def row(group, name, part, sizes, repeat=1):
+        macs, sizes = _conv_macs(part, sizes)
+        rows.append(ComplexityRow(group, name, part.param_count(), repeat * macs))
+        return sizes
+
     if model.has_frontend:
         if len(shape) != 4:
             raise ShapeError(f"frontend model audits a (C, T, H, W) input, got {shape}")
-        rows.append(ComplexityRow("stem", "stem", model.stem.param_count(),
-                                  model.stem.macs(shape)))
-        shape = model.stem.output_shape(shape)
-        rows.append(ComplexityRow("extractor", "extractor",
-                                  model.extractor.param_count(),
-                                  model.extractor.macs(shape)))
-        shape = model.extractor.output_shape(shape)
+        # each walk runs before its check, so a conv's size error is the one raised
+        t, h, w = row("stem", "stem", model.stem, shape[1:])
+        model.stem._check(shape)
+        row("extractor", "extractor", model.extractor, (h, w), repeat=t)
+        model.extractor._check_spatial(h, w)
         if model.projection is not None:
-            rows.append(ComplexityRow("tcn", "projection",
-                                      model.projection.param_count(),
-                                      model.projection.macs(shape)))
-            shape = model.projection.output_shape(shape)
+            row("tcn", "projection", model.projection, (t,))
     else:
         if len(shape) != 2:
             raise ShapeError(f"frontend-less model audits a (C, T) input, got {shape}")
@@ -101,6 +122,8 @@ def audit(model, input_shape=None):
             raise ShapeError(
                 f"input has {shape[0]} channels, temporal stack expects {model.tcn.in_channels}"
             )
+        t = shape[1]
+    sizes = (t,)
     stage = 0
     for layer in model.tcn.body:
         if isinstance(layer, TemporalBlock):
@@ -108,13 +131,10 @@ def audit(model, input_shape=None):
             stage += 1
         else:
             name = f"tcn transition {layer.spec.in_channels}->{layer.spec.out_channels}"
-        rows.append(ComplexityRow("tcn", name, layer.param_count(), layer.macs(shape)))
-        shape = layer.output_shape(shape)
+        sizes = row("tcn", name, layer, sizes)
     rows.append(ComplexityRow("classifier", "classifier",
-                              model.head.param_count(), model.head.macs(shape)))
-    report = ComplexityReport(model.config_hash,
-                              tuple(input_shape) if input_shape is not None else model.input_shape(),
-                              tuple(rows))
+                              model.head.param_count(), model.head.fc.weight.size))
+    report = ComplexityReport(model.config_hash, shape, tuple(rows))
     assert report.total_params == model.param_count()
     return report
 

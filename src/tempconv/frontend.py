@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import ops
+from .blocks import expanded_width
 from .errors import ConfigError, ShapeError
 from .layers import BatchNorm, Conv2d, Conv3d, Linear, Module, ReLU, Sequential, conv_norm
 
@@ -58,13 +59,6 @@ class Stem(Module):
         self._check(tuple(x.shape[1:]))
         return self.act(conv_norm(self.conv, self.bn, x))
 
-    def output_shape(self, in_shape):
-        self._check(in_shape)
-        return self.conv.output_shape(in_shape)
-
-    def macs(self, in_shape):
-        return self.conv.macs(in_shape)
-
 
 @dataclass(frozen=True)
 class ExtractorSpec:
@@ -82,6 +76,10 @@ class ExtractorSpec:
             raise ConfigError("extractor blocks_per_stage must be ≥ 1")
         if not 0 < self.expansion < math.inf:
             raise ConfigError("extractor expansion must be positive")
+        # surface non-integral expanded widths at parse time, per bottleneck input width
+        widths = tuple(self.stage_widths)
+        for c in (self.in_channels,) + widths[:-1] + (widths if self.blocks_per_stage > 1 else ()):
+            expanded_width(c, self.expansion)
 
     @property
     def out_dim(self):
@@ -93,7 +91,7 @@ class _SpatialBottleneck(Module):
 
     def __init__(self, cin, cout, stride, expansion):
         super().__init__()
-        e = int(round(cin * expansion))
+        e = expanded_width(cin, expansion)
         self.residual = stride == 1 and cin == cout
         self.body = Sequential(
             Conv2d(cin, e, 1, bias=False), BatchNorm(e), ReLU(),
@@ -104,12 +102,6 @@ class _SpatialBottleneck(Module):
     def forward(self, x):
         y = self.body(x)
         return ops.add(y, x) if self.residual else y
-
-    def output_shape(self, in_shape):
-        return self.body.output_shape(in_shape)
-
-    def macs(self, in_shape):
-        return self.body.macs(in_shape)
 
 
 class ReferenceExtractor(Module):
@@ -152,16 +144,6 @@ class ReferenceExtractor(Module):
         pooled = ops.global_average_pool(self.stages(frames), axes=(2, 3))
         return ops.moveaxis(ops.reshape(pooled, (n, t, self.out_dim)), 1, 2)
 
-    def output_shape(self, in_shape):
-        c, t, h, w = in_shape
-        self._check_spatial(h, w)
-        self.stages.output_shape((c, h, w))
-        return (self.out_dim, t)
-
-    def macs(self, in_shape):
-        c, t, h, w = in_shape
-        return t * self.stages.macs((c, h, w))
-
 
 class ClassifierHead(Module):
     """Masked temporal mean pool, then an affine map to class logits."""
@@ -177,9 +159,3 @@ class ClassifierHead(Module):
         if x.ndim != 3:
             raise ShapeError(f"classifier head expects (N, C, T) input of rank 3, got rank {x.ndim}")
         return self.fc(ops.global_average_pool(x, axes=(2,), valid_len=valid_len))
-
-    def output_shape(self, in_shape):
-        return (self.num_classes,)
-
-    def macs(self, in_shape):
-        return self.in_dim * self.num_classes

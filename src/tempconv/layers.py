@@ -2,18 +2,12 @@
 
 ``Module`` auto-registers parameters (``Tensor`` attributes) and child
 modules in definition order, which fixes the iteration order used for
-initialization, checkpoints, and optimizer updates. Every layer also knows
-its output shape and multiply-accumulate cost for a single unbatched input,
-so analytic audits never have to run data through the network.
+initialization, checkpoints, and optimizer updates.
 
-Layers declare their parameters by shape only: a declared parameter is a
-read-only broadcast of its fill value and takes no memory until
+Layers declare their parameters and buffers by shape only: a declared
+array is a read-only broadcast of its fill value and takes no memory until
 ``init_parameters`` or ``allocate`` gives it storage, so a module tree can
 be counted (and refused) before any weight exists.
-
-MAC convention: one unit per multiply-accumulate inside convolutions and
-affine maps. Bias adds, normalization, activations, and other elementwise
-work are excluded.
 """
 from __future__ import annotations
 
@@ -123,10 +117,14 @@ class Module:
         return self
 
     def allocate(self):
-        """Give every declared parameter its own writeable storage."""
+        """Give every declared parameter and buffer its own writeable storage."""
         for p in self.parameters():
             if not p.data.flags.writeable:
                 p.data = p.data.copy()
+        for m in self.modules():
+            for name, b in list(m._buffers.items()):
+                if not b.flags.writeable:
+                    m.register_buffer(name, b.copy())
         return self
 
     def reset_parameters(self, rng):
@@ -147,6 +145,7 @@ class Module:
             missing = sorted(expected - got)[:4]
             extra = sorted(got - expected)[:4]
             raise FormatError(f"state mismatch; missing {missing}, unexpected {extra}")
+        self.allocate()  # buffers are written in place
         for k, p in own.items():
             arr = np.asarray(state[k])
             if arr.shape != p.shape:
@@ -166,13 +165,6 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-    def output_shape(self, in_shape):
-        raise NotImplementedError
-
-    def macs(self, in_shape):
-        """Multiply-accumulates for one unbatched input of ``in_shape``."""
-        raise NotImplementedError
 
 
 # refuse configs whose parameter total would not fit in desk-scale memory
@@ -218,17 +210,6 @@ class Conv(Module):
     def forward(self, x):
         return ops.conv(x, self.weight, self.bias, self.spec)
 
-    def output_shape(self, in_shape):
-        spatial = in_shape[1:]
-        if in_shape[0] != self.spec.in_channels:
-            raise ShapeError(f"expected {self.spec.in_channels} channels, got shape {in_shape}")
-        return (self.spec.out_channels,) + self.spec.out_sizes(spatial)
-
-    def macs(self, in_shape):
-        out = self.output_shape(in_shape)
-        per_position = (self.spec.in_channels // self.spec.groups) * math.prod(self.spec.kernel)
-        return math.prod(out) * per_position
-
 
 def Conv1d(in_channels, out_channels, kernel, dilation=1, groups=1,
            causal=False, padding=None, bias=True):
@@ -254,17 +235,7 @@ def _pair(v, rank):
     return (v,) * rank if isinstance(v, int) else tuple(v)
 
 
-class _ShapeKeeping(Module):
-    """A layer whose output has its input's shape and costs no MACs."""
-
-    def output_shape(self, in_shape):
-        return in_shape
-
-    def macs(self, in_shape):
-        return 0
-
-
-class BatchNorm(_ShapeKeeping):
+class BatchNorm(Module):
     """Batch normalization over channel axis 1 of a batched input."""
 
     def __init__(self, channels, eps=1e-5, momentum=0.1):
@@ -274,8 +245,8 @@ class BatchNorm(_ShapeKeeping):
         self.momentum = momentum
         self.gamma = _declare((channels,), fill=1.0)
         self.beta = _declare((channels,))
-        self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
-        self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
+        self.register_buffer("running_mean", np.broadcast_to(np.float32(0.0), (channels,)))
+        self.register_buffer("running_var", np.broadcast_to(np.float32(1.0), (channels,)))
 
     def reset_parameters(self, rng):
         self.gamma.data[...] = 1.0
@@ -284,6 +255,8 @@ class BatchNorm(_ShapeKeeping):
         self.running_var[...] = 1.0
 
     def forward(self, x):
+        if self.training and not self.running_mean.flags.writeable:
+            self.allocate()  # training updates the declared running statistics in place
         return ops.batch_norm(x, self.gamma, self.beta, self.running_mean,
                               self.running_var, eps=self.eps,
                               momentum=self.momentum, training=self.training)
@@ -308,17 +281,17 @@ def conv_norm(conv, norm, x):
     return ops.conv(x, Tensor(w), Tensor(shift), conv.spec)
 
 
-class ReLU(_ShapeKeeping):
+class ReLU(Module):
     def forward(self, x):
         return ops.relu(x)
 
 
-class ReLU6(_ShapeKeeping):
+class ReLU6(Module):
     def forward(self, x):
         return ops.relu6(x)
 
 
-class Dropout(_ShapeKeeping):
+class Dropout(Module):
     """Inverted dropout with a private, reseedable generator."""
 
     def __init__(self, p):
@@ -356,15 +329,6 @@ class Linear(Module):
     def forward(self, x):
         return ops.linear(x, self.weight, self.bias)
 
-    def output_shape(self, in_shape):
-        if in_shape[-1] != self.in_features:
-            raise ShapeError(f"expected last dim {self.in_features}, got shape {in_shape}")
-        return in_shape[:-1] + (self.out_features,)
-
-    def macs(self, in_shape):
-        lead = math.prod(in_shape[:-1]) if len(in_shape) > 1 else 1
-        return lead * self.in_features * self.out_features
-
 
 class Sequential(Module):
     def __init__(self, *layers):
@@ -398,15 +362,3 @@ class Sequential(Module):
                 x = layers[i](x)
                 i += 1
         return x
-
-    def output_shape(self, in_shape):
-        for layer in self:
-            in_shape = layer.output_shape(in_shape)
-        return in_shape
-
-    def macs(self, in_shape):
-        total = 0
-        for layer in self:
-            total += layer.macs(in_shape)
-            in_shape = layer.output_shape(in_shape)
-        return total

@@ -54,12 +54,6 @@ class TCN(Module):
     def forward(self, x):
         return self.body(x)
 
-    def output_shape(self, in_shape):
-        return self.body.output_shape(in_shape)
-
-    def macs(self, in_shape):
-        return self.body.macs(in_shape)
-
     def blocks(self):
         return [layer for layer in self.body if isinstance(layer, TemporalBlock)]
 

@@ -116,6 +116,11 @@ class ConvSpec:
             sizes.append((padded - eff) // st + 1)
         return tuple(sizes)
 
+    def macs(self, in_sizes):
+        """Multiply-accumulates of one sample whose spatial/temporal sizes are ``in_sizes``."""
+        return (self.out_channels * math.prod(self.out_sizes(in_sizes))
+                * (self.in_channels // self.groups) * math.prod(self.kernel))
+
 
 def _dilated_patches(xp, spec, out_sizes):
     """View of all receptive-field patches: (N, C, *out, *kernel)."""

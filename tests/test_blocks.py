@@ -93,6 +93,12 @@ class TestShapesAndCausality:
         x = Tensor(np.random.default_rng(1).standard_normal((2, 16, 9)).astype(np.float32))
         assert blk(x).shape == (2, 16, 9)
 
+    def test_declared_block_runs_in_training(self):
+        """Norm statistics are declared by shape; the first training update allocates them."""
+        blk = make_block("baseline", 4, dilation=1)
+        blk(Tensor(np.ones((2, 4, 5), np.float32)))
+        assert all(b.flags.writeable for _, b in blk.named_buffers())
+
     # below the Model every op and module takes batched (N, C, *S) input only
     UNBATCHED = {
         **{kind: (lambda x, kind=kind: fresh(kind).eval()(x), (16, 9)) for kind in ALL_KINDS},

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, file side effects."""
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tempconv.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, mai
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 TOY_CFG = os.path.join(ROOT, "configs", "toy.cfg")
+STARV_CFG = os.path.join(ROOT, "configs", "starv.cfg")
 FIXTURE = os.path.join(ROOT, "fixtures", "paper_tables.json")
 
 TINY = ["--set", "extractor.widths=4,8", "--set", "tcn.channels=8",
@@ -70,13 +72,14 @@ class TestExitCodes:
         (["describe", "--set", "stem.out_channels=100000000000000000000"], None),
         (["describe", "--set", "extractor.expansion=1e30"], None),
         (["describe", "--set", "tcn.kernel=10000000000000000001"], None),
+        (["describe", "--set", "extractor.expansion=1.01"], None),
     ], ids=["percent-override", "percent-doc", "interpolation-doc", "default-override",
             "default-doc", "tcn-expansion-nan", "tcn-expansion-inf", "extractor-expansion-inf",
             "stages-33", "schedule-lr-nan", "schedule-lr-negative", "train-lr-nan",
             "toy-frame-size-negative", "toy-seed-negative", "train-seed-negative",
             "seed-flag-negative", "gradcheck-seed-negative", "crop-size-negative",
             "tcn-channels-huge", "extractor-widths-huge", "stem-out-channels-huge",
-            "extractor-expansion-huge", "tcn-kernel-huge"])
+            "extractor-expansion-huge", "tcn-kernel-huge", "extractor-expansion-fraction"])
     def test_bad_config_input(self, argv, doc, tmp_path, capsys):
         """Exit 2 with a ConfigError message: no traceback, no silent no-op."""
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -86,6 +89,21 @@ class TestExitCodes:
             argv = argv + ["--config", str(path)]
         assert main(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("tempconv.ConfigError: ")
+
+    def test_refused_width_allocates_nothing(self, capsys):
+        """Norm buffers are declared by shape, so a refused width costs no memory."""
+        argv = ["describe", "--set", "model.frontend=false", "--set", "tcn.block_kind=linear",
+                "--set", "tcn.kernel=1", "--set", "tcn.channels=5000000"]
+        main(argv)  # the first call pays for one-time imports
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        assert "budget cap" in capsys.readouterr().err
+        assert peak < 2**20
 
     def test_bad_input_tensor(self, tmp_path, capsys):
         p = tmp_path / "bad.lwt"
@@ -121,6 +139,18 @@ class TestCount:
         assert main(["count", "--config", TOY_CFG, "--frames", "12",
                      "--size", "8", "--format", "markdown"]) == EXIT_OK
         assert "|" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--frames", "2"], "need at least 3 frames, got 2"),
+        (["--size", "6"], "spatial input 3x3 collapses before the final stage (stage 2 of 4)"),
+        (["--size", "7"], "spatial size must be even, got 7x7"),
+        (["--size", "0"], "input size 0 too small for kernel 5 with dilation 1"),
+        (["--set", "model.frontend=false", "--frames", "0"],
+         "input size 0 too small for kernel 7 with dilation 1"),
+    ], ids=["frames-2", "size-6", "size-7", "size-0", "frontendless-frames-0"])
+    def test_shape_errors(self, flags, message, capsys):
+        assert main(["count", "--config", STARV_CFG, *flags]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"tempconv.ShapeError: {message}\n"
 
 
 class TestVerify:

@@ -1,11 +1,14 @@
 """Parameter/MAC auditing: row accounting, fixture verification, emitters."""
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 import tempconv as tc
+from tempconv import Tensor, ops
+from tempconv.blocks import BLOCK_KINDS
 from tempconv.complexity import (
     audit,
     count_macs,
@@ -77,6 +80,44 @@ class TestAudit:
         block_rows = [r for r in rep.rows if "baseline" in r.name]
         assert len(block_rows) == 2
         assert all(r.macs == per_block for r in block_rows)
+
+
+JOIN_CASES = {
+    **{kind: ("[model]\nfrontend = false\nexperimental = true\n"
+              f"[tcn]\nblock_kind = {kind}\nchannels = 8,16\nstages = 2\n", (2, 8, 7))
+       for kind in BLOCK_KINDS},
+    "frontend": ("[stem]\nout_channels = 4\n"
+                 "[extractor]\nwidths = 8, 16\nblocks_per_stage = 2\n"
+                 "[tcn]\nblock_kind = starv\nchannels = 8\nstages = 2\n", (2, 1, 5, 16, 16)),
+}
+
+
+class TestMacJoin:
+    """A batched forward runs exactly N times the MACs ``audit`` reports."""
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("case", list(JOIN_CASES))
+    def test_forward_macs_equal_audit(self, case, training, monkeypatch):
+        doc, shape = JOIN_CASES[case]
+        model = tc.build_model(tc.parse_config(doc + "[classifier]\nnum_classes = 4\n"), seed=0)
+        model.train(training)  # eval folds each norm into its conv
+        counted = []
+        conv, linear = ops.conv, ops.linear
+
+        def counting_conv(x, weight, bias=None, spec=None):
+            out = conv(x, weight, bias, spec)
+            counted.append(out.data.size * math.prod(weight.shape[1:]))
+            return out
+
+        def counting_linear(x, weight, bias=None):
+            counted.append(math.prod(x.shape[:-1]) * weight.data.size)
+            return linear(x, weight, bias)
+
+        monkeypatch.setattr(ops, "conv", counting_conv)
+        monkeypatch.setattr(ops, "linear", counting_linear)
+        x = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
+        model(Tensor(x))
+        assert sum(counted) == shape[0] * audit(model, shape[1:]).total_macs
 
 
 class TestVerify:
