@@ -42,7 +42,6 @@ class Stem(Module):
         self.conv = Conv3d(in_channels, self.spec.out_channels, self.spec.kernel,
                            stride=self.spec.stride, padding=self.spec.padding, bias=True)
         self.bn = BatchNorm(self.spec.out_channels)
-        self.act = ReLU()
 
     def _check(self, shape):
         c, t, h, w = shape
@@ -57,7 +56,7 @@ class Stem(Module):
         if x.ndim != 5:
             raise ShapeError(f"stem expects (N, C, T, H, W) input of rank 5, got rank {x.ndim}")
         self._check(tuple(x.shape[1:]))
-        return self.act(conv_norm(self.conv, self.bn, x))
+        return conv_norm(self.conv, self.bn, x, relu=True)
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,8 @@ class ReferenceExtractor(Module):
             raise ShapeError(f"extractor expects (N, C, T, H, W) input of rank 5, got rank {x.ndim}")
         n, c, t, h, w = x.shape
         self._check_spatial(h, w)
-        frames = ops.reshape(ops.moveaxis(x, 2, 1), (n * t, c, h, w))
+        # one copy, landing channels-last: the (N·T, C, H, W) view of (N·T, H, W, C)
+        frames = ops.moveaxis(ops.reshape(ops.moveaxis(x, 1, -1), (n * t, h, w, c)), 3, 1)
         pooled = ops.global_average_pool(self.stages(frames), axes=(2, 3))
         return ops.moveaxis(ops.reshape(pooled, (n, t, self.out_dim)), 1, 2)
 

@@ -262,23 +262,30 @@ class BatchNorm(Module):
                               momentum=self.momentum, training=self.training)
 
 
-def conv_norm(conv, norm, x):
-    """``norm(conv(x))``, with the norm folded into the conv in eval mode.
+def conv_norm(conv, norm, x, relu=False):
+    """``norm(conv(x))``, then ``relu`` if asked, with the norm folded into
+    the conv in eval mode.
 
     With ``norm`` in eval mode and no tape recording, one conv runs with
-    weight ``W·s`` and bias ``(b − μ)·s + β``, ``s = γ/√(var + eps)``. The
-    folded arrays are made per call from the current parameters and running
-    statistics, so nothing is cached and nothing needs invalidating.
+    weight ``W·s`` and bias ``(b − μ)·s + β``, ``s = γ/√(var + eps)``, and
+    the ReLU clamps that conv's fresh output in place: one Tensor, one
+    finite check. The folded arrays are made per call from the current
+    parameters and running statistics, so nothing is cached and nothing
+    needs invalidating.
     """
     if norm.training or active_tape() is not None or norm.channels != conv.spec.out_channels:
-        return norm(conv(x))  # a width mismatch raises its ShapeError there
+        y = norm(conv(x))  # a width mismatch raises its ShapeError there
+        return ops.relu(y) if relu else y
     w = conv.weight.data
     scale, shift = ops.batch_norm_affine(norm.gamma.data, norm.beta.data, norm.running_mean,
                                          norm.running_var, norm.eps, w.dtype)
     if conv.bias is not None:
         shift = conv.bias.data * scale + shift
     w = w * scale.reshape((-1,) + (1,) * (w.ndim - 1))
-    return ops.conv(x, Tensor(w), Tensor(shift), conv.spec)
+    y = ops.conv(x, Tensor(w), Tensor(shift), conv.spec)
+    if relu:
+        np.maximum(y.data, 0, out=y.data)
+    return y
 
 
 class ReLU(Module):
@@ -350,14 +357,16 @@ class Sequential(Module):
         return list(self._modules.values())[i]
 
     def forward(self, x):
-        """Each layer in turn; a Conv followed by a BatchNorm runs as ``conv_norm``."""
+        """Each layer in turn; a Conv followed by a BatchNorm, and a ReLU
+        right after them, runs as one ``conv_norm``."""
         layers = list(self)
         i = 0
         while i < len(layers):
             if (i + 1 < len(layers) and isinstance(layers[i], Conv)
                     and isinstance(layers[i + 1], BatchNorm)):
-                x = conv_norm(layers[i], layers[i + 1], x)
-                i += 2
+                relu = i + 2 < len(layers) and isinstance(layers[i + 2], ReLU)
+                x = conv_norm(layers[i], layers[i + 1], x, relu)
+                i += 2 + relu
             else:
                 x = layers[i](x)
                 i += 1

@@ -37,6 +37,7 @@ CHECKPOINT_VERSION = 1
 _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _KIND_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _MAX_RANK = 8
+_READ_CHUNK = 1 << 20  # bytes per read from a stream that cannot be sized
 
 
 def _bytes_left(f):
@@ -51,11 +52,19 @@ def _bytes_left(f):
 
 def _read_exact(f, n, what):
     # a read allocates the size it asks for, so a large declared size is
-    # checked against the stream first and a forged header allocates nothing
+    # checked against a seekable stream first, and read from any other in
+    # bounded chunks: a forged header allocates nothing it cannot fill
     left = _bytes_left(f) if n > io.DEFAULT_BUFFER_SIZE else None
     if left is not None and n > left:
         raise FormatError(f"truncated stream while reading {what}: {n} bytes declared, {left} remain")
-    buf = f.read(n)
+    if left is None and n > io.DEFAULT_BUFFER_SIZE:
+        chunks, got = [], 0
+        while got < n and (chunk := f.read(min(n - got, _READ_CHUNK))):
+            chunks.append(chunk)
+            got += len(chunk)
+        buf = b"".join(chunks)
+    else:
+        buf = f.read(n)
     if len(buf) != n:
         raise FormatError(f"truncated stream while reading {what} ({len(buf)}/{n} bytes)")
     return buf

@@ -5,22 +5,28 @@ backward rule on the active :class:`~tempconv.tensor.GradTape`, if any.
 Convolution covers 1-D/2-D/3-D by kernel rank, with stride, dilation,
 groups, and either symmetric zero padding or causal left padding (1-D only,
 output length equals input length). :func:`conv` runs each call on one of
-three routes, chosen by shape class in :func:`_conv_route`, forward and
-backward alike:
+four routes, chosen by shape class and input layout in :func:`_conv_route`,
+forward and backward alike:
 
+- ``POINTWISE`` (k = 1 on a channels-last input): one GEMM over every
+  position of the batch, its result channels-last;
 - ``GEMM`` (groups = 1): im2col, one column block per kernel tap, then one
   ``matmul`` per sample; a pointwise conv is the matmul alone;
 - ``DEPTHWISE``: a multiply-add per kernel tap into one preallocated
   output, channels-last for 2-D/3-D;
 - ``EINSUM``: the generic implementation, one ``einsum`` over a view of all
   receptive-field patches (contraction order cached per shape). It runs
-  every other grouping and the GEMMs too small per sample, and it is the
-  oracle every other route is tested against.
+  every other grouping, and it is the oracle every other route is tested
+  against.
 
 Eval-mode batch norm is one multiply-add per element; the layers fold it
 into the conv before it when no tape records (``layers.conv_norm``).
 
-Layout convention: batched and channels-first, (N, C, *S). Only
+Layout convention: every op takes and returns the logical shape (N, C, *S),
+batched and channels-first. Memory may be channels-last: an array that is
+the (N, C, *S) view of a C-order (N, *S, C) array. The 2-D/3-D depthwise
+and the pointwise routes return that layout, elementwise and normalization
+ops keep the layout their inputs share, and every op accepts either. Only
 :class:`~tempconv.model.Model` also accepts a single sample.
 """
 from __future__ import annotations
@@ -194,22 +200,27 @@ def _einsum_backward(up, wd, spec, saved, need_x, need_w):
     return gx, gw
 
 
+def _zero_padded(shape, spec, dtype, channels_last):
+    """Zeros shaped like an (N, C, *S) input of ``shape`` once padded,
+    channels moved last if asked."""
+    n, c, *sizes = shape
+    padded = [s + lo + hi for s, (lo, hi) in zip(sizes, spec.pad_pairs())]
+    return np.zeros([n, *padded, c] if channels_last else [n, c, *padded], dtype)
+
+
 def _padded(xd, spec, dtype, channels_last=False):
     """Zero-padded copy of an (N, C, *S) input, channels moved last if asked.
 
     The input is written once, straight into the padded buffer. An unpadded
     channels-first input of the right dtype is returned as is.
     """
-    pads = spec.pad_pairs()
-    src = np.moveaxis(xd, 1, -1) if channels_last else xd
-    if not channels_last and xd.dtype == dtype and not any(sum(p) for p in pads):
+    if not channels_last and xd.dtype == dtype and not any(map(sum, spec.pad_pairs())):
         return xd
-    first = 1 if channels_last else 2
-    shape = list(src.shape)
-    for i, (lo, hi) in enumerate(pads):
-        shape[first + i] += lo + hi
-    buf = np.zeros(shape, dtype)
-    buf[_interior(spec, first)] = src
+    buf = _zero_padded(xd.shape, spec, dtype, channels_last)
+    if channels_last:
+        buf[_interior(spec, 1)] = np.moveaxis(xd, 1, -1)
+    else:
+        buf[_interior(spec, 2)] = xd
     return buf
 
 
@@ -224,6 +235,29 @@ def _tap_index(tap, spec, out_sizes, first):
         slice(t * d, t * d + s * (o - 1) + 1, s)
         for t, d, s, o in zip(tap, spec.dilation, spec.stride, out_sizes)
     )
+
+
+def _channels_last(xd):
+    """Whether an (N, C, *S) array is the view of a C-order (N, *S, C) array."""
+    return np.moveaxis(xd, 1, -1).flags.c_contiguous
+
+
+def _pointwise_forward(xd, wd, spec, out_sizes):
+    """k = 1, stride 1, no padding: one (N·S, C) @ (C, O) GEMM over the whole
+    batch, returned as the (N, O, *S) view of its (N, *S, O) result."""
+    xl = np.moveaxis(xd, 1, -1)
+    y = np.matmul(xl.reshape(-1, spec.in_channels), wd.reshape(spec.out_channels, -1).T)
+    return np.moveaxis(y.reshape(xl.shape[:-1] + (-1,)), -1, 1), xl
+
+
+def _pointwise_backward(up, wd, spec, xl, need_x, need_w):
+    upl = np.moveaxis(up, 1, -1).reshape(-1, spec.out_channels)
+    gx = gw = None
+    if need_x:
+        gx = np.moveaxis((upl @ wd.reshape(spec.out_channels, -1)).reshape(xl.shape), -1, 1)
+    if need_w:
+        gw = (upl.T @ xl.reshape(-1, spec.in_channels)).reshape(wd.shape)
+    return gx, gw
 
 
 def _gemm_forward(xd, wd, spec, out_sizes):
@@ -281,30 +315,33 @@ def _depthwise_layout(spec, arr):
 
 # The per-tap passes run over slices of the batch whose padded input is
 # about this size, so the passes of one tap loop stay in cache: the four
-# starv extractor dw2d layers (29 frames) took 62 ms instead of 83 on 2 vCPUs.
+# starv extractor dw2d layers (29 frames, channels-last) took 39 ms instead
+# of 63 on 2 vCPUs.
 _DEPTHWISE_CHUNK_BYTES = 1 << 20
 
 
 def _depthwise_forward(xd, wd, spec, out_sizes):
-    """groups = C_in = C_out: a multiply-add per tap into one preallocated output."""
+    """groups = C_in = C_out: a multiply-add per tap into one preallocated
+    output, which rank >= 2 returns as the view of its channels-last array."""
     last, first, taps = _depthwise_layout(spec, wd)
     dtype = np.result_type(xd, wd)
     n, c = xd.shape[:2]
-    y = np.empty((n, c) + out_sizes, dtype)
+    y = np.empty((n,) + ((*out_sizes, c) if last else (c, *out_sizes)), dtype)
     padded = math.prod(s + lo + hi for s, (lo, hi) in zip(xd.shape[2:], spec.pad_pairs()))
     step = max(1, _DEPTHWISE_CHUNK_BYTES // (c * padded * dtype.itemsize))
+    tmp = np.empty_like(y[:step])
+    buf = _zero_padded((min(step, n), c) + xd.shape[2:], spec, dtype, last)  # borders stay zero
     for n0 in range(0, n, step):
-        xp = _padded(xd[n0:n0 + step], spec, dtype, last)
-        out = np.empty((len(xp),) + ((*out_sizes, c) if last else (c, *out_sizes)), dtype)
-        tmp = np.empty_like(out)
+        src = xd[n0:n0 + step]
+        xp, out, scratch = buf[:len(src)], y[n0:n0 + step], tmp[:len(src)]
+        xp[_interior(spec, first)] = np.moveaxis(src, 1, -1) if last else src
         for t, tap in enumerate(np.ndindex(*spec.kernel)):
             view = xp[_tap_index(tap, spec, out_sizes, first)]
             if t == 0:
                 np.multiply(view, taps[0], out=out)
             else:
-                out += np.multiply(view, taps[t], out=tmp)
-        y[n0:n0 + len(xp)] = np.moveaxis(out, -1, 1) if last else out
-    return y, xd
+                out += np.multiply(view, taps[t], out=scratch)
+    return (np.moveaxis(y, -1, 1) if last else y), xd
 
 
 def _depthwise_backward(up, wd, spec, xd, need_x, need_w):
@@ -326,7 +363,7 @@ def _depthwise_backward(up, wd, spec, xd, need_x, need_w):
     gx = None
     if need_x:
         gx = gxp[_interior(spec, first)]
-        gx = np.ascontiguousarray(np.moveaxis(gx, -1, 1)) if last else gx
+        gx = np.moveaxis(np.ascontiguousarray(gx), -1, 1) if last else gx
     return gx, (gw.T.reshape(wd.shape) if need_w else None)
 
 
@@ -334,18 +371,24 @@ _Route = namedtuple("_Route", "name forward backward")
 EINSUM = _Route("einsum", _einsum_forward, _einsum_backward)
 GEMM = _Route("gemm", _gemm_forward, _gemm_backward)
 DEPTHWISE = _Route("depthwise", _depthwise_forward, _depthwise_backward)
+POINTWISE = _Route("pointwise", _pointwise_forward, _pointwise_backward)
 
 # A GEMM per sample streams the whole weight for that sample's S output
 # columns. Past this many weight entries per column (with more than one
-# sample), the einsum's single GEMM over the batch wins: 2.0x at 58K on the
-# last starv extractor stage (512x1024 weight, 3x3 frames), while the GEMMs
-# win at 7.3K (1024x256, 6x6) and at the toy recipe's largest ratio, 4K.
+# sample, on a channels-first input), the einsum's single contraction over
+# the batch wins: frontend-less stacks on (8, 512, 29) batches took 98 ms
+# (starv) and 44 ms (baseline) with this escape, 120 and 51 ms without
+# (medians of 15 alternating runs, 2 vCPUs). A channels-last pointwise conv
+# is one GEMM over the batch already.
 _GEMM_MAX_WEIGHTS_PER_COLUMN = 16384
 
 
-def _conv_route(spec, n, out_sizes):
-    """The one place a convolution's compute route is chosen, by shape class.
+def _conv_route(spec, xd, out_sizes):
+    """The one place a convolution's compute route is chosen, by shape class
+    and by the input's memory layout.
 
+    - pointwise (k = 1, stride 1, no padding) on a channels-last input: one
+      GEMM over the batch;
     - groups = 1 (pointwise and full k > 1): im2col + GEMM per sample,
       unless the weight is large for the sample's output columns;
     - depthwise (groups = C_in = C_out): per-tap multiply-add;
@@ -353,8 +396,11 @@ def _conv_route(spec, n, out_sizes):
       every other route is tested against.
     """
     if spec.groups == 1:
+        if (math.prod(spec.kernel) == 1 and not any(map(sum, spec.pad_pairs()))
+                and out_sizes == xd.shape[2:] and _channels_last(xd)):
+            return POINTWISE
         weights = spec.out_channels * spec.in_channels * math.prod(spec.kernel)
-        if n > 1 and weights > _GEMM_MAX_WEIGHTS_PER_COLUMN * math.prod(out_sizes):
+        if xd.shape[0] > 1 and weights > _GEMM_MAX_WEIGHTS_PER_COLUMN * math.prod(out_sizes):
             return EINSUM
         return GEMM
     if spec.groups == spec.in_channels == spec.out_channels:
@@ -383,7 +429,7 @@ def conv(x, weight, bias=None, spec=None):
     if bias is not None and bias.shape != (spec.out_channels,):
         raise ShapeError(f"bias shape {tuple(bias.shape)} does not match ({spec.out_channels},)")
     out_sizes = spec.out_sizes(x.shape[2:])
-    return _conv_via(_conv_route(spec, x.shape[0], out_sizes), x, weight, bias, spec, out_sizes)
+    return _conv_via(_conv_route(spec, x.data, out_sizes), x, weight, bias, spec, out_sizes)
 
 
 def _conv_via(route, x, weight, bias, spec, out_sizes):
@@ -759,7 +805,7 @@ def moveaxis(x, src, dst):
 
         return bwd
 
-    return apply_op("moveaxis", (x,), np.moveaxis(x.data, src, dst).copy(), make_backward)
+    return apply_op("moveaxis", (x,), np.moveaxis(x.data, src, dst), make_backward)
 
 
 def tensor_sum(x):

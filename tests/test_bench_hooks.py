@@ -4,20 +4,57 @@
 ``ops.concat``, ``complexity.audit``, ``Module.__call__``, ...) when a
 ``Tracer`` is built; building one installs nothing. Renaming or deleting
 one of them fails here, not only in the slow benchmark self-test.
+
+An installed ``Tracer`` reads each conv call's MACs from its input's logical
+shape; around an eval and a training forward of a small frontend model they
+must add up to the audit's (``spans.check_macs``), whatever memory layout
+the activations have.
 """
 import importlib.util
 import os
 
+import numpy as np
+
+import tempconv as tc
 from tempconv import complexity, ops
 from tempconv.layers import Module
+from tempconv.tensor import GradTape, Tensor
 
 SPANS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench", "spans.py")
 
 
-def test_tracer_resolves_every_patch_point():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_tracer_resolves_every_patch_point():
+    spans = _load_spans()
     originals = (ops.conv, complexity.audit, Module.__call__)
     spans.Tracer()
     assert (ops.conv, complexity.audit, Module.__call__) == originals
+
+
+def test_traced_forwards_join_the_audit_macs():
+    spans = _load_spans()
+    config = tc.parse_config("", ["stem.out_channels=4", "extractor.widths=8,16",
+                                  "tcn.channels=8", "tcn.stages=1", "classifier.num_classes=5"])
+    model = tc.build_model(config, seed=0)
+    shape = model.input_shape(5, 16)
+    audit = {"small": complexity.audit(model, shape).total_macs}
+    x = Tensor(np.random.default_rng(0).standard_normal((2,) + shape).astype(np.float32))
+    tracer = spans.Tracer()
+    tracer.set_models({"small": model})
+    tracer.op = 0
+    tracer.install()
+    try:
+        model.eval()(x)
+        model.train()
+        with GradTape() as tape:
+            loss = ops.tensor_mean(model(x))
+        tape.backward(loss)
+    finally:
+        tracer.uninstall()
+    assert spans.check_macs(tracer.spans, audit) == 2

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output formats, file side effects."""
 import json
 import os
+import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -111,6 +113,33 @@ class TestExitCodes:
         code = main(["infer", "--config", TOY_CFG, "--input", str(p)])
         assert code == EXIT_VALIDATION
         assert "FormatError" in capsys.readouterr().err
+
+
+    def test_forged_size_from_unseekable_stream(self, tmp_path, capsys):
+        """A pipe cannot be sized, so a header declaring 2^31 x 2^31 float32
+        is read in bounded chunks and ends as a truncated record."""
+        fifo = str(tmp_path / "forged.lwt")
+        os.mkfifo(fifo)
+        blob = b"LWT1" + struct.pack("<BB2I", 0, 2, 2**31, 2**31) + b"\x00" * 64
+
+        def feed():
+            try:
+                with open(fifo, "wb") as f:
+                    f.write(blob)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            code = main(["infer", "--config", TOY_CFG, "--input", fifo])
+        finally:
+            if writer.is_alive():  # the pipe was never opened: release the writer
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("tempconv.FormatError: truncated stream")
 
 
 class TestDescribe:

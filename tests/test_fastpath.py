@@ -3,14 +3,23 @@
 ``ops.conv`` picks a compute route by shape class; the generic einsum conv
 (``ops.EINSUM``) stays in ``ops.py`` as the oracle. Each route that accepts a
 drawn convolution must match it in the output and in both gradients, to
-float32 tolerance. In eval mode with no tape, a norm right after a conv is
-folded into the conv; a folded forward must match the unfolded one (run
-under a tape, which turns the fold off) for every block kind, the extractor
-bottleneck and the stem.
+float32 tolerance. Every route also takes channels-last arrays, inputs and
+upstream gradients alike, and must then match the oracle run on C-order
+copies; the eval extractor, which keeps its activations channels-last, must
+match the same frames run channels-first.
+
+In eval mode with no tape, a norm right after a conv is folded into the
+conv; a folded forward must match the unfolded one (run under a tape, which
+turns the fold off) for every block kind, the extractor bottleneck and the
+stem. A ReLU right after them then clamps the conv's output in place; that
+must equal the unfused layers, and under a tape or in training the ReLU
+must leave its input array as it was.
 
 The cases come from the fixed ``fastpath`` hypothesis profile (see
 ``conftest.py``), so every run draws the same ones.
 """
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +28,9 @@ from hypothesis import strategies as st
 from tempconv import ops
 from tempconv.blocks import BLOCK_KINDS, make_block
 from tempconv.errors import ShapeError
-from tempconv.frontend import Stem, _SpatialBottleneck
+from tempconv.frontend import ExtractorSpec, ReferenceExtractor, Stem, StemSpec, _SpatialBottleneck
 from tempconv.gradcheck import grad_check
-from tempconv.layers import BatchNorm, Conv1d, Sequential
+from tempconv.layers import BatchNorm, Conv1d, Conv2d, ReLU, Sequential
 from tempconv.tensor import GradTape, Tensor
 
 FIXED = settings.get_profile("fastpath")
@@ -67,6 +76,19 @@ def _run(route, spec, x, w, b, probe):
     return [y.data, xt.grad, wt.grad] + ([] if b is None else [bt.grad])
 
 
+def _routes(spec, x, out_sizes):
+    """The dispatched route and every route that accepts the conv's shape class."""
+    routes = [ops._conv_route(spec, x, out_sizes)]
+    if spec.groups == 1:
+        routes.append(ops.GEMM)
+        pointwise = all(k == 1 for k in spec.kernel) and not any(map(sum, spec.pad_pairs()))
+        if pointwise and out_sizes == x.shape[2:]:
+            routes.append(ops.POINTWISE)
+    if spec.groups == spec.in_channels == spec.out_channels:
+        routes.append(ops.DEPTHWISE)
+    return routes
+
+
 def _close(got, want):
     scale = max(1.0, float(np.abs(want).max()))
     np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5 * scale)
@@ -84,13 +106,8 @@ def test_every_route_matches_einsum(case):
     out = spec.out_sizes(shape[2:])
     probe = rng.standard_normal((shape[0], spec.out_channels) + out).astype(np.float32)
 
-    routes = [ops._conv_route(spec, shape[0], out)]
-    if spec.groups == 1:
-        routes.append(ops.GEMM)
-    if spec.groups == spec.in_channels == spec.out_channels:
-        routes.append(ops.DEPTHWISE)
     want = _run(ops.EINSUM, spec, x, w, b, probe)
-    for route in routes:
+    for route in _routes(spec, x, out):
         got = _run(route, spec, x, w, b, probe)
         for g, r in zip(got, want):
             assert g.shape == r.shape, route.name
@@ -98,6 +115,89 @@ def test_every_route_matches_einsum(case):
     # the public entry point takes the dispatched route
     direct = ops.conv(Tensor(x), Tensor(w), None if b is None else Tensor(b), spec).data
     _close(direct, want[0])
+
+
+def _channels_last(a):
+    """The values of an (N, C, *S) array, stored as a C-order (N, *S, C) array."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 1, -1)), -1, 1)
+
+
+@st.composite
+def channels_last_convolutions(draw):
+    """A 2-D or 3-D pointwise or depthwise conv of stride 1-2, and an input for it."""
+    rank = draw(st.integers(2, 3))
+    if draw(st.booleans()):  # depthwise
+        groups = cin = cout = draw(st.integers(1, 5))
+        kernel = tuple(draw(st.integers(1, 3)) for _ in range(rank))
+    else:
+        groups, cin, cout = 1, draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        kernel = (1,) * rank
+    stride = tuple(draw(st.integers(1, 2)) for _ in range(rank))
+    spec = ops.ConvSpec(cin, cout, kernel, stride=stride, groups=groups)
+    sizes = tuple(draw(st.integers(k, k + 4)) for k in kernel)
+    shape = (draw(st.integers(1, 3)), cin) + sizes
+    return spec, shape, draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
+def _conv_grads(route, spec, x, w, b, up):
+    """Output and input, weight and bias gradients of one conv on ``route``,
+    given the upstream gradient ``up`` as it is laid out."""
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    bt = None if b is None else Tensor(b, requires_grad=True)
+    with GradTape() as tape:
+        y = ops._conv_via(route, xt, wt, bt, spec, spec.out_sizes(x.shape[2:]))
+    (node,) = tape._nodes
+    return [y.data, *node.backward_fn(up)]
+
+
+@settings(FIXED, max_examples=200)
+@given(channels_last_convolutions())
+def test_routes_take_channels_last_arrays(case):
+    spec, shape, with_bias, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape).astype(np.float32)
+    w = rng.standard_normal((spec.out_channels, spec.in_channels // spec.groups)
+                            + spec.kernel).astype(np.float32)
+    b = rng.standard_normal(spec.out_channels).astype(np.float32) if with_bias else None
+    out = spec.out_sizes(shape[2:])
+    up = rng.standard_normal((shape[0], spec.out_channels) + out).astype(np.float32)
+
+    want = _conv_grads(ops.EINSUM, spec, x, w, b, up)
+    xl, upl = _channels_last(x), _channels_last(up)
+    for route in _routes(spec, xl, out) + [ops.EINSUM]:
+        got = _conv_grads(route, spec, xl, w, b, upl)
+        for g, r in zip(got, want):
+            assert g.shape == r.shape, route.name
+            _close(g, r)
+        if route in (ops.DEPTHWISE, ops.POINTWISE):  # output and input gradient stay channels-last
+            assert ops._channels_last(got[0]) and ops._channels_last(got[1]), route.name
+
+
+def test_eval_extractor_matches_channels_first_run(monkeypatch):
+    rng = np.random.default_rng(0)
+    extractor = ReferenceExtractor(ExtractorSpec(4, (8, 16), blocks_per_stage=2, expansion=2.0))
+    extractor.init_parameters(rng)
+    _randomize_norms(extractor, rng)
+    extractor.eval()
+    x = rng.standard_normal((2, 4, 3, 12, 12)).astype(np.float32)
+
+    layouts, conv = [], ops.conv
+
+    def spy(x, weight, bias=None, spec=None):
+        layouts.append(ops._channels_last(x.data))
+        return conv(x, weight, bias, spec)
+
+    monkeypatch.setattr(ops, "conv", spy)
+    got = extractor(Tensor(x)).data
+    assert len(layouts) == 12 and all(layouts)  # every 2-D conv read a channels-last input
+
+    apply_op = ops.apply_op  # every op's result copied to C order: a channels-first run
+    monkeypatch.setattr(ops, "apply_op", lambda op, inputs, data, make_backward: apply_op(
+        op, inputs, np.ascontiguousarray(data), make_backward))
+    layouts.clear()
+    want = extractor(Tensor(x)).data
+    assert not any(layouts)
+    _close(got, want)
 
 
 def _randomize_norms(module, rng):
@@ -166,3 +266,53 @@ def test_eval_batch_norm_gradcheck():
 
     result = grad_check(fn, [x, gamma, beta])
     assert result.ok, result
+
+
+def _conv_norm_relu_cases(rng):
+    """A Conv→BatchNorm→ReLU Sequential and a Stem with non-trivial norms,
+    each with an input and its unfused layers."""
+    net = Sequential(Conv2d(3, 5, 3, stride=2), BatchNorm(5), ReLU())
+    stem = Stem(StemSpec(out_channels=4))
+    cases = []
+    for module, layers, shape in ((net, list(net), (2, 3, 7, 7)),
+                                  (stem, [stem.conv, stem.bn, ReLU()], (1, 1, 3, 8, 8))):
+        module.init_parameters(rng)
+        _randomize_norms(module, rng)
+        cases.append((module, layers, rng.standard_normal(shape).astype(np.float32)))
+    return cases
+
+
+@FIXED
+@given(seed=st.integers(0, 2**16))
+def test_eval_relu_in_place_matches_unfused(seed):
+    for module, layers, x in _conv_norm_relu_cases(np.random.default_rng(seed)):
+        module.eval()
+        kept = x.copy()
+        fused = module(Tensor(x)).data
+        h = Tensor(x)
+        for layer in layers:
+            h = layer(h)
+        assert fused.shape == h.shape
+        _close(fused, h.data)
+        np.testing.assert_array_equal(x, kept)
+
+
+@pytest.mark.parametrize("mode", ["tape", "training"])
+def test_relu_leaves_its_input_when_recorded_or_training(mode, monkeypatch):
+    recorded, batch_norm = [], ops.batch_norm
+
+    def spy(*args, **kwargs):
+        out = batch_norm(*args, **kwargs)
+        recorded.append((out.data, out.data.copy()))
+        return out
+
+    monkeypatch.setattr(ops, "batch_norm", spy)
+    for module, _, x in _conv_norm_relu_cases(np.random.default_rng(0)):
+        module.train(mode == "training")
+        with GradTape() if mode == "tape" else contextlib.nullcontext():
+            y = module(Tensor(x))
+        assert (y.data >= 0).all()
+    assert len(recorded) == 2
+    for data, kept in recorded:
+        assert (kept < 0).any()  # a ReLU in place would have clamped these
+        np.testing.assert_array_equal(data, kept)
