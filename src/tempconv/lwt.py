@@ -58,11 +58,9 @@ def _read_exact(f, n, what):
     if left is not None and n > left:
         raise FormatError(f"truncated stream while reading {what}: {n} bytes declared, {left} remain")
     if left is None and n > io.DEFAULT_BUFFER_SIZE:
-        chunks, got = [], 0
-        while got < n and (chunk := f.read(min(n - got, _READ_CHUNK))):
-            chunks.append(chunk)
-            got += len(chunk)
-        buf = b"".join(chunks)
+        buf = bytearray()
+        while len(buf) < n and (chunk := f.read(min(n - len(buf), _READ_CHUNK))):
+            buf += chunk
     else:
         buf = f.read(n)
     if len(buf) != n:

@@ -373,15 +373,6 @@ GEMM = _Route("gemm", _gemm_forward, _gemm_backward)
 DEPTHWISE = _Route("depthwise", _depthwise_forward, _depthwise_backward)
 POINTWISE = _Route("pointwise", _pointwise_forward, _pointwise_backward)
 
-# A GEMM per sample streams the whole weight for that sample's S output
-# columns. Past this many weight entries per column (with more than one
-# sample, on a channels-first input), the einsum's single contraction over
-# the batch wins: frontend-less stacks on (8, 512, 29) batches took 98 ms
-# (starv) and 44 ms (baseline) with this escape, 120 and 51 ms without
-# (medians of 15 alternating runs, 2 vCPUs). A channels-last pointwise conv
-# is one GEMM over the batch already.
-_GEMM_MAX_WEIGHTS_PER_COLUMN = 16384
-
 
 def _conv_route(spec, xd, out_sizes):
     """The one place a convolution's compute route is chosen, by shape class
@@ -389,8 +380,7 @@ def _conv_route(spec, xd, out_sizes):
 
     - pointwise (k = 1, stride 1, no padding) on a channels-last input: one
       GEMM over the batch;
-    - groups = 1 (pointwise and full k > 1): im2col + GEMM per sample,
-      unless the weight is large for the sample's output columns;
+    - groups = 1 (pointwise and full k > 1): im2col + GEMM per sample;
     - depthwise (groups = C_in = C_out): per-tap multiply-add;
     - anything else: the generic einsum conv, which is also the oracle that
       every other route is tested against.
@@ -399,9 +389,6 @@ def _conv_route(spec, xd, out_sizes):
         if (math.prod(spec.kernel) == 1 and not any(map(sum, spec.pad_pairs()))
                 and out_sizes == xd.shape[2:] and _channels_last(xd)):
             return POINTWISE
-        weights = spec.out_channels * spec.in_channels * math.prod(spec.kernel)
-        if xd.shape[0] > 1 and weights > _GEMM_MAX_WEIGHTS_PER_COLUMN * math.prod(out_sizes):
-            return EINSUM
         return GEMM
     if spec.groups == spec.in_channels == spec.out_channels:
         return DEPTHWISE
