@@ -13,9 +13,12 @@ differ only in name, except "stariii", which adds a pointwise stage.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from . import ops
 from .errors import ConfigError
 from .layers import BatchNorm, Conv, Conv1d, Dropout, Module, ReLU, Sequential, conv_norm
+from .tensor import Tensor, active_tape
 
 BLOCK_KINDS = (
     "baseline", "linear", "fusedmb", "invertedresidual", "cib", "uib",
@@ -68,7 +71,16 @@ class TemporalBlock(Module):
         self.drop = Dropout(dropout)
 
     def forward(self, x):
-        return self.drop(ops.add(self._body(x), x))
+        y = self._body(x)
+        if not self._in_place():
+            return self.drop(ops.add(y, x))
+        y.data += x.data  # the body's output is a fresh array that nothing else holds
+        return self.drop(Tensor(y.data, _op="add"))
+
+    def _in_place(self):
+        """Eval with no tape: no backward reads an op's result, so a fresh
+        result may be overwritten by the op that consumes it."""
+        return not self.training and active_tape() is None
 
     def _body(self, x):
         raise NotImplementedError
@@ -168,7 +180,12 @@ class StarBlock(TemporalBlock):
 
     def _body(self, x):
         h = conv_norm(self.dw_in, self.bn_in, x)
-        mixed = ops.hadamard(ops.relu6(self.branch1(h)), self.branch2(h))
+        if self._in_place():  # gate the fresh branch1 output where it lies
+            gate = self.branch1(h).data
+            np.clip(gate, 0, 6, out=gate)
+            mixed = Tensor(np.multiply(gate, self.branch2(h).data, out=gate), _op="hadamard")
+        else:
+            mixed = ops.hadamard(ops.relu6(self.branch1(h)), self.branch2(h))
         if self.mid is not None:
             mixed = conv_norm(self.mid, self.bn_mid, mixed)
         return self.dw_out(conv_norm(self.project, self.bn_out, mixed))

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from . import ops
 from .blocks import expanded_width
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm, Conv2d, Conv3d, Linear, Module, ReLU, Sequential, conv_norm
+from .layers import (PARAM_BUDGET_CAP, BatchNorm, Conv2d, Conv3d, Linear, Module, ReLU, Sequential,
+                     conv_norm)
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,18 @@ class ReferenceExtractor(Module):
         super().__init__()
         self.spec = spec if spec is not None else ExtractorSpec()
         self.out_dim = self.spec.out_dim
+        repeats = self.spec.blocks_per_stage - 1
+        if repeats:  # refuse a deep stack from one sample repeat per stage, before building it
+            total = repeats * sum(_SpatialBottleneck(w, w, 1, self.spec.expansion).param_count()
+                                  for w in self.spec.stage_widths)
+            if total > PARAM_BUDGET_CAP:
+                raise ConfigError(f"config implies at least {total:,} parameters, over the "
+                                  f"{PARAM_BUDGET_CAP:,} budget cap")
         stages = []
         cin = self.spec.in_channels
         for width in self.spec.stage_widths:
             stages.append(_SpatialBottleneck(cin, width, 2, self.spec.expansion))
-            for _ in range(self.spec.blocks_per_stage - 1):
+            for _ in range(repeats):
                 stages.append(_SpatialBottleneck(width, width, 1, self.spec.expansion))
             cin = width
         self.stages = Sequential(*stages)
@@ -139,7 +147,8 @@ class ReferenceExtractor(Module):
             raise ShapeError(f"extractor expects (N, C, T, H, W) input of rank 5, got rank {x.ndim}")
         n, c, t, h, w = x.shape
         self._check_spatial(h, w)
-        # one copy, landing channels-last: the (N·T, C, H, W) view of (N·T, H, W, C)
+        # one copy at any batch size (ops.reshape returns C order), landing
+        # channels-last: the (N·T, C, H, W) view of (N·T, H, W, C)
         frames = ops.moveaxis(ops.reshape(ops.moveaxis(x, 1, -1), (n * t, h, w, c)), 3, 1)
         pooled = ops.global_average_pool(self.stages(frames), axes=(2, 3))
         return ops.moveaxis(ops.reshape(pooled, (n, t, self.out_dim)), 1, 2)

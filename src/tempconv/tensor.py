@@ -128,7 +128,9 @@ class GradTape:
         grad_of = {id(loss): np.ones_like(loss.data)}
         seen = {id(loss): loss}
         for node in reversed(self._nodes):
-            upstream = grad_of.get(id(node.output))
+            # an op result's gradient is complete once its node is reached
+            # (later nodes ran first), so it is dropped here; leaves' stay
+            upstream = grad_of.pop(id(node.output), None)
             if upstream is None:
                 continue
             input_grads = node.backward_fn(upstream)

@@ -1,5 +1,7 @@
 """Reverse-mode gradient correctness against a plain finite-difference oracle,
 plus the tape's bookkeeping rules (ordering, accumulation, gap detection)."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,24 @@ class TestTapeMechanics:
             loss = ops.tensor_sum(y)
         grads = tape.backward(loss)
         assert y not in grads and y.grad is None
+
+    def test_backward_drops_each_upstream_once_used(self):
+        """An op result's gradient is freed once its node's backward ran, so a
+        chain's backward holds a few activation-sized arrays, not one per op."""
+        x = Tensor(np.ones(2**18, np.float32), requires_grad=True)  # 1 MiB
+        with GradTape() as tape:
+            h = x
+            for _ in range(20):
+                h = ops.relu(h)
+            loss = ops.tensor_sum(h)
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(x.grad, 1.0)
+        assert peak < 6 * 2**20  # 22 MiB when every upstream was kept to the end
 
 
 class TestBuiltInChecker:

@@ -6,9 +6,10 @@
 one of them fails here, not only in the slow benchmark self-test.
 
 An installed ``Tracer`` reads each conv call's MACs from its input's logical
-shape; around an eval and a training forward of a small frontend model they
-must add up to the audit's (``spans.check_macs``), whatever memory layout
-the activations have.
+shape; around an eval and a training forward of a small frontend model, and
+an eval forward of a frontend-less ``starv`` stack, they must add up to the
+audit's (``spans.check_macs``), whatever memory layout the activations have
+and whichever eval path (in place or not) the blocks take.
 """
 import importlib.util
 import os
@@ -42,19 +43,25 @@ def test_traced_forwards_join_the_audit_macs():
     config = tc.parse_config("", ["stem.out_channels=4", "extractor.widths=8,16",
                                   "tcn.channels=8", "tcn.stages=1", "classifier.num_classes=5"])
     model = tc.build_model(config, seed=0)
-    shape = model.input_shape(5, 16)
-    audit = {"small": complexity.audit(model, shape).total_macs}
-    x = Tensor(np.random.default_rng(0).standard_normal((2,) + shape).astype(np.float32))
+    tcn = tc.build_model(tc.parse_config("", [
+        "model.frontend=false", "tcn.block_kind=starv", "tcn.stages=2", "tcn.channels=8,16",
+        "classifier.num_classes=5"]), seed=0)
+    shape, tcn_shape = model.input_shape(5, 16), tcn.input_shape(12)
+    audit = {"small": complexity.audit(model, shape).total_macs,
+             "tcn": complexity.audit(tcn, tcn_shape).total_macs}
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((2,) + shape).astype(np.float32))
     tracer = spans.Tracer()
-    tracer.set_models({"small": model})
+    tracer.set_models({"small": model, "tcn": tcn})
     tracer.op = 0
     tracer.install()
     try:
         model.eval()(x)
+        tcn.eval()(Tensor(rng.standard_normal((2,) + tcn_shape).astype(np.float32)))
         model.train()
         with GradTape() as tape:
             loss = ops.tensor_mean(model(x))
         tape.backward(loss)
     finally:
         tracer.uninstall()
-    assert spans.check_macs(tracer.spans, audit) == 2
+    assert spans.check_macs(tracer.spans, audit) == 3

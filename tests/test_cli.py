@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tempconv import lwt
+from tempconv import frontend, lwt
 from tempconv.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -106,6 +106,24 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert "budget cap" in capsys.readouterr().err
         assert peak < 2**20
+
+    def test_deep_extractor_refused_before_building(self, monkeypatch, capsys):
+        """A huge blocks_per_stage is refused from one sample bottleneck per
+        stage, not after building them all (10^9 never finished)."""
+        built = []
+
+        class Counted(frontend._SpatialBottleneck):
+            def __init__(self, *args):
+                built.append(args)
+                if len(built) > 64:
+                    raise RuntimeError("built more than 64 bottlenecks")
+                super().__init__(*args)
+
+        monkeypatch.setattr(frontend, "_SpatialBottleneck", Counted)
+        argv = ["describe", "--config", STARV_CFG, "--set", "extractor.blocks_per_stage=1000000000"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "budget cap" in capsys.readouterr().err
+        assert len(built) == 4  # one per stage width
 
     def test_bad_input_tensor(self, tmp_path, capsys):
         p = tmp_path / "bad.lwt"

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from tempconv import ops
 from tempconv.blocks import BLOCK_KINDS, make_block
-from tempconv.errors import ShapeError
+from tempconv.errors import NumericError, ShapeError
 from tempconv.frontend import ExtractorSpec, ReferenceExtractor, Stem, StemSpec, _SpatialBottleneck
 from tempconv.gradcheck import grad_check
 from tempconv.layers import BatchNorm, Conv1d, Conv2d, ReLU, Sequential
@@ -174,12 +174,13 @@ def test_routes_take_channels_last_arrays(case):
 
 
 def test_eval_extractor_matches_channels_first_run(monkeypatch):
+    """At batch 1 too, where a reshape could return a strided view."""
     rng = np.random.default_rng(0)
     extractor = ReferenceExtractor(ExtractorSpec(4, (8, 16), blocks_per_stage=2, expansion=2.0))
     extractor.init_parameters(rng)
     _randomize_norms(extractor, rng)
     extractor.eval()
-    x = rng.standard_normal((2, 4, 3, 12, 12)).astype(np.float32)
+    xs = [rng.standard_normal((batch, 4, 3, 12, 12)).astype(np.float32) for batch in (2, 1)]
 
     layouts, conv = [], ops.conv
 
@@ -188,16 +189,40 @@ def test_eval_extractor_matches_channels_first_run(monkeypatch):
         return conv(x, weight, bias, spec)
 
     monkeypatch.setattr(ops, "conv", spy)
-    got = extractor(Tensor(x)).data
-    assert len(layouts) == 12 and all(layouts)  # every 2-D conv read a channels-last input
+    got = [extractor(Tensor(x)).data for x in xs]
+    assert len(layouts) == 24 and all(layouts)  # every 2-D conv read a channels-last input
 
     apply_op = ops.apply_op  # every op's result copied to C order: a channels-first run
     monkeypatch.setattr(ops, "apply_op", lambda op, inputs, data, make_backward: apply_op(
         op, inputs, np.ascontiguousarray(data), make_backward))
     layouts.clear()
-    want = extractor(Tensor(x)).data
+    want = [extractor(Tensor(x)).data for x in xs]
     assert not any(layouts)
-    _close(got, want)
+    for g, w in zip(got, want):
+        _close(g, w)
+
+
+@pytest.mark.parametrize("chunk_rows,shape,kernel,dilation", [
+    (3, (2, 7, 10), 3, 2),  # channel tiles of 3, 3 and 1 per sample
+    (4, (3, 9, 6), 2, 1),   # tiles of 3 channels
+    (1, (2, 5, 4), 3, 1),   # one channel per tile
+    (6, (5, 3, 8), 4, 1),   # whole samples, two per tile, the last one alone
+])
+def test_tiled_depthwise_matches_einsum(chunk_rows, shape, kernel, dilation, monkeypatch):
+    """Rank 1 tiles channels as well as samples; ``chunk_rows`` padded
+    channel rows make one tile."""
+    n, c, t = shape
+    spec = ops.ConvSpec(c, c, (kernel,), dilation=(dilation,), groups=c, causal=True)
+    row = 4 * (t + (kernel - 1) * dilation)
+    monkeypatch.setattr(ops, "_DEPTHWISE_CHUNK_BYTES", chunk_rows * row)
+    rng = np.random.default_rng(c)
+    x = rng.standard_normal(shape).astype(np.float32)
+    w = rng.standard_normal((c, 1, kernel)).astype(np.float32)
+    b = rng.standard_normal(c).astype(np.float32)
+    probe = rng.standard_normal(shape).astype(np.float32)
+    for got, want in zip(_run(ops.DEPTHWISE, spec, x, w, b, probe),
+                         _run(ops.EINSUM, spec, x, w, b, probe)):
+        _close(got, want)
 
 
 def _randomize_norms(module, rng):
@@ -243,6 +268,41 @@ def test_eval_fold_matches_unfolded_frontend(stride, size, seed):
     stem.init_parameters(rng)
     _randomize_norms(stem, rng)
     _fold_matches_unfolded(stem, rng.standard_normal((1, 1, 3, 2 * size, 2 * size)).astype(np.float32))
+
+
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+def test_eval_block_leaves_input_and_parameters(kind):
+    """The in-place eval paths write only into arrays their own ops made."""
+    rng = np.random.default_rng(0)
+    block = make_block(kind, 8, 2, experimental=True)
+    block.init_parameters(rng)
+    _randomize_norms(block, rng)
+    block.eval()
+    x = rng.standard_normal((2, 8, 9)).astype(np.float32)
+    before = [x.tobytes()] + [p.data.tobytes() for p in block.parameters()]
+    block(Tensor(x))
+    assert before == [x.tobytes()] + [p.data.tobytes() for p in block.parameters()]
+
+
+@pytest.mark.parametrize("recorded", [False, True])
+@pytest.mark.parametrize("kind,bias,want", [
+    ("starv", "branch2.bias", "hadamard"),  # relu6(6) * 3e38 overflows the gate
+    ("starv", "dw_out.bias", "add"),        # 3e38 + 1e38 overflows the residual
+    ("linear", "body.5.beta", "add"),
+])
+def test_forced_overflow_names_the_op(kind, bias, want, recorded):
+    block = make_block(kind, 4, 1, experimental=True).init_parameters(np.random.default_rng(0))
+    for name, p in block.named_parameters():
+        if name.endswith(("weight", "bias", "beta")):
+            p.data[...] = 0.0
+    dict(block.named_parameters())[bias].data[...] = 3e38
+    if kind == "starv":
+        block.branch1.bias.data[...] = 6.0
+    block.eval()
+    x = Tensor(np.full((1, 4, 5), 1e38, np.float32), requires_grad=recorded)
+    with GradTape() if recorded else contextlib.nullcontext(), np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match=f"non-finite values produced by {want}$"):
+            block(x)
 
 
 def test_fold_keeps_width_mismatch_error():
