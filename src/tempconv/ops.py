@@ -5,13 +5,13 @@ backward rule on the active :class:`~tempconv.tensor.GradTape`, if any.
 Convolution covers 1-D/2-D/3-D by kernel rank, with stride, dilation,
 groups, and either symmetric zero padding or causal left padding (1-D only,
 output length equals input length). :func:`conv` runs each call on one of
-four routes, chosen by shape class and input layout in :func:`_conv_route`,
-forward and backward alike:
+four routes, chosen by shape class alone in :func:`_conv_route`, forward
+and backward alike:
 
-- ``POINTWISE`` (k = 1 on a channels-last input): one GEMM over every
-  position of the batch, its result channels-last;
-- ``GEMM`` (groups = 1): im2col, one column block per kernel tap, then one
-  ``matmul`` per sample; a pointwise conv is the matmul alone;
+- ``POINTWISE`` (groups = 1, k = 1, stride 1, no padding): one GEMM over
+  every position of the batch, its result channels-last;
+- ``GEMM`` (other groups = 1 convs): im2col, one column block per kernel
+  tap, then one ``matmul`` per sample;
 - ``DEPTHWISE``: a multiply-add per kernel tap into one preallocated
   output, channels-last for 2-D/3-D;
 - ``EINSUM``: the generic implementation, one ``einsum`` over a view of all
@@ -211,11 +211,8 @@ def _zero_padded(shape, spec, dtype, channels_last):
 def _padded(xd, spec, dtype, channels_last=False):
     """Zero-padded copy of an (N, C, *S) input, channels moved last if asked.
 
-    The input is written once, straight into the padded buffer. An unpadded
-    channels-first input of the right dtype is returned as is.
+    The input is written once, straight into the padded buffer.
     """
-    if not channels_last and xd.dtype == dtype and not any(map(sum, spec.pad_pairs())):
-        return xd
     buf = _zero_padded(xd.shape, spec, dtype, channels_last)
     if channels_last:
         buf[_interior(spec, 1)] = np.moveaxis(xd, 1, -1)
@@ -237,11 +234,6 @@ def _tap_index(tap, spec, out_sizes, first):
     )
 
 
-def _channels_last(xd):
-    """Whether an (N, C, *S) array is the view of a C-order (N, *S, C) array."""
-    return np.moveaxis(xd, 1, -1).flags.c_contiguous
-
-
 def _pointwise_forward(xd, wd, spec, out_sizes):
     """k = 1, stride 1, no padding: one (N·S, C) @ (C, O) GEMM over the whole
     batch, returned as the (N, O, *S) view of its (N, *S, O) result."""
@@ -261,22 +253,16 @@ def _pointwise_backward(up, wd, spec, xl, need_x, need_w):
 
 
 def _gemm_forward(xd, wd, spec, out_sizes):
-    """groups = 1: im2col (one column block per tap), then one GEMM per sample.
-
-    A pointwise conv (k = 1, stride 1, no padding) uses its input as the
-    columns, so it is a single ``matmul`` of (O, C) against (N, C, S).
-    """
+    """groups = 1: im2col, one (N, C, S_out) column block per kernel tap, then
+    one ``matmul`` of (O, C·taps) against each sample's columns."""
     n, c = xd.shape[:2]
     dtype = np.result_type(xd, wd)
     taps = math.prod(spec.kernel)
     xp = _padded(xd, spec, dtype)
-    if taps == 1 and xp.shape[2:] == out_sizes:
-        cols = xp.reshape(n, c, -1)
-    else:
-        cols = np.empty((n, c, taps) + out_sizes, dtype)
-        for t, tap in enumerate(np.ndindex(*spec.kernel)):
-            cols[:, :, t] = xp[_tap_index(tap, spec, out_sizes, 2)]
-        cols = cols.reshape(n, c * taps, -1)
+    cols = np.empty((n, c, taps) + out_sizes, dtype)
+    for t, tap in enumerate(np.ndindex(*spec.kernel)):
+        cols[:, :, t] = xp[_tap_index(tap, spec, out_sizes, 2)]
+    cols = cols.reshape(n, c * taps, -1)
     y = np.matmul(wd.reshape(spec.out_channels, -1), cols)
     return y.reshape((n, spec.out_channels) + out_sizes), (xp.shape, cols)
 
@@ -287,14 +273,12 @@ def _gemm_backward(up, wd, spec, saved, need_x, need_w):
     up3 = up.reshape(n, spec.out_channels, -1)
     gx = gw = None
     if need_x:
-        gcols = np.matmul(wd.reshape(spec.out_channels, -1).T, up3)
-        if math.prod(spec.kernel) == 1 and padded_shape[2:] == up.shape[2:]:
-            gxp = gcols.reshape(padded_shape)
-        else:  # col2im: add each tap's column block back where it was read
-            gcols = gcols.reshape((n, spec.in_channels, -1) + up.shape[2:])
-            gxp = np.zeros(padded_shape, gcols.dtype)
-            for t, tap in enumerate(np.ndindex(*spec.kernel)):
-                gxp[_tap_index(tap, spec, up.shape[2:], 2)] += gcols[:, :, t]
+        # col2im: add each tap's column block back where it was read
+        gcols = np.matmul(wd.reshape(spec.out_channels, -1).T, up3).reshape(
+            (n, spec.in_channels, -1) + up.shape[2:])
+        gxp = np.zeros(padded_shape, gcols.dtype)
+        for t, tap in enumerate(np.ndindex(*spec.kernel)):
+            gxp[_tap_index(tap, spec, up.shape[2:], 2)] += gcols[:, :, t]
         gx = gxp[_interior(spec, 2)]
     if need_w:
         gw = np.tensordot(up3, cols, axes=([0, 2], [0, 2])).reshape(wd.shape)
@@ -387,20 +371,20 @@ DEPTHWISE = _Route("depthwise", _depthwise_forward, _depthwise_backward)
 POINTWISE = _Route("pointwise", _pointwise_forward, _pointwise_backward)
 
 
-def _conv_route(spec, xd, out_sizes):
+def _conv_route(spec, in_sizes, out_sizes):
     """The one place a convolution's compute route is chosen, by shape class
-    and by the input's memory layout.
+    alone: the input's memory layout plays no part.
 
-    - pointwise (k = 1, stride 1, no padding) on a channels-last input: one
-      GEMM over the batch;
-    - groups = 1 (pointwise and full k > 1): im2col + GEMM per sample;
+    - pointwise (groups = 1, k = 1, no padding, output as large as the
+      input): one GEMM over the batch, whatever the input's layout;
+    - other groups = 1 convs: im2col + GEMM per sample;
     - depthwise (groups = C_in = C_out): per-tap multiply-add;
     - anything else: the generic einsum conv, which is also the oracle that
       every other route is tested against.
     """
     if spec.groups == 1:
         if (math.prod(spec.kernel) == 1 and not any(map(sum, spec.pad_pairs()))
-                and out_sizes == xd.shape[2:] and _channels_last(xd)):
+                and out_sizes == in_sizes):
             return POINTWISE
         return GEMM
     if spec.groups == spec.in_channels == spec.out_channels:
@@ -429,7 +413,7 @@ def conv(x, weight, bias=None, spec=None):
     if bias is not None and bias.shape != (spec.out_channels,):
         raise ShapeError(f"bias shape {tuple(bias.shape)} does not match ({spec.out_channels},)")
     out_sizes = spec.out_sizes(x.shape[2:])
-    return _conv_via(_conv_route(spec, x.data, out_sizes), x, weight, bias, spec, out_sizes)
+    return _conv_via(_conv_route(spec, x.shape[2:], out_sizes), x, weight, bias, spec, out_sizes)
 
 
 def _conv_via(route, x, weight, bias, spec, out_sizes):

@@ -6,7 +6,9 @@ drawn convolution must match it in the output and in both gradients, to
 float32 tolerance. Every route also takes channels-last arrays, inputs and
 upstream gradients alike, and must then match the oracle run on C-order
 copies; the eval extractor, which keeps its activations channels-last, must
-match the same frames run channels-first.
+match the same frames run channels-first. Every shipped config, run at small
+widths in eval and in a taped training step, sends each conv to the route of
+its shape class and none to the einsum conv.
 
 In eval mode with no tape, a norm right after a conv is folded into the
 conv; a folded forward must match the unfolded one (run under a tape, which
@@ -19,12 +21,15 @@ The cases come from the fixed ``fastpath`` hypothesis profile (see
 ``conftest.py``), so every run draws the same ones.
 """
 import contextlib
+import glob
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tempconv as tc
 from tempconv import ops
 from tempconv.blocks import BLOCK_KINDS, make_block
 from tempconv.errors import NumericError, ShapeError
@@ -32,6 +37,7 @@ from tempconv.frontend import ExtractorSpec, ReferenceExtractor, Stem, StemSpec,
 from tempconv.gradcheck import grad_check
 from tempconv.layers import BatchNorm, Conv1d, Conv2d, ReLU, Sequential
 from tempconv.tensor import GradTape, Tensor
+from tempconv.train import one_hot
 
 FIXED = settings.get_profile("fastpath")
 
@@ -76,13 +82,13 @@ def _run(route, spec, x, w, b, probe):
     return [y.data, xt.grad, wt.grad] + ([] if b is None else [bt.grad])
 
 
-def _routes(spec, x, out_sizes):
+def _routes(spec, in_sizes, out_sizes):
     """The dispatched route and every route that accepts the conv's shape class."""
-    routes = [ops._conv_route(spec, x, out_sizes)]
+    routes = [ops._conv_route(spec, in_sizes, out_sizes)]
     if spec.groups == 1:
         routes.append(ops.GEMM)
         pointwise = all(k == 1 for k in spec.kernel) and not any(map(sum, spec.pad_pairs()))
-        if pointwise and out_sizes == x.shape[2:]:
+        if pointwise and out_sizes == in_sizes:
             routes.append(ops.POINTWISE)
     if spec.groups == spec.in_channels == spec.out_channels:
         routes.append(ops.DEPTHWISE)
@@ -107,7 +113,7 @@ def test_every_route_matches_einsum(case):
     probe = rng.standard_normal((shape[0], spec.out_channels) + out).astype(np.float32)
 
     want = _run(ops.EINSUM, spec, x, w, b, probe)
-    for route in _routes(spec, x, out):
+    for route in _routes(spec, x.shape[2:], out):
         got = _run(route, spec, x, w, b, probe)
         for g, r in zip(got, want):
             assert g.shape == r.shape, route.name
@@ -117,23 +123,34 @@ def test_every_route_matches_einsum(case):
     _close(direct, want[0])
 
 
-def _channels_last(a):
+def _to_channels_last(a):
     """The values of an (N, C, *S) array, stored as a C-order (N, *S, C) array."""
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 1, -1)), -1, 1)
 
 
+def _is_channels_last(a):
+    """Whether an (N, C, *S) array is the view of a C-order (N, *S, C) array."""
+    return np.moveaxis(a, 1, -1).flags.c_contiguous
+
+
 @st.composite
 def channels_last_convolutions(draw):
-    """A 2-D or 3-D pointwise or depthwise conv of stride 1-2, and an input for it."""
-    rank = draw(st.integers(2, 3))
+    """A pointwise or depthwise conv of rank 1-3 and an input for it: stride
+    1-2 for rank 2-3; at rank 1, as in the TCN, causal or symmetric and
+    dilation 1-2."""
+    rank = draw(st.integers(1, 3))
     if draw(st.booleans()):  # depthwise
         groups = cin = cout = draw(st.integers(1, 5))
         kernel = tuple(draw(st.integers(1, 3)) for _ in range(rank))
     else:
         groups, cin, cout = 1, draw(st.integers(1, 5)), draw(st.integers(1, 5))
         kernel = (1,) * rank
-    stride = tuple(draw(st.integers(1, 2)) for _ in range(rank))
-    spec = ops.ConvSpec(cin, cout, kernel, stride=stride, groups=groups)
+    if rank == 1:
+        stride, dilation, causal = (1,), (draw(st.integers(1, 2)),), draw(st.booleans())
+    else:
+        stride, dilation, causal = tuple(draw(st.integers(1, 2)) for _ in range(rank)), None, False
+    spec = ops.ConvSpec(cin, cout, kernel, stride=stride, dilation=dilation, groups=groups,
+                        causal=causal)
     sizes = tuple(draw(st.integers(k, k + 4)) for k in kernel)
     shape = (draw(st.integers(1, 3)), cin) + sizes
     return spec, shape, draw(st.booleans()), draw(st.integers(0, 2**16))
@@ -163,14 +180,15 @@ def test_routes_take_channels_last_arrays(case):
     up = rng.standard_normal((shape[0], spec.out_channels) + out).astype(np.float32)
 
     want = _conv_grads(ops.EINSUM, spec, x, w, b, up)
-    xl, upl = _channels_last(x), _channels_last(up)
-    for route in _routes(spec, xl, out) + [ops.EINSUM]:
+    xl, upl = _to_channels_last(x), _to_channels_last(up)
+    for route in _routes(spec, shape[2:], out) + [ops.EINSUM]:
         got = _conv_grads(route, spec, xl, w, b, upl)
         for g, r in zip(got, want):
             assert g.shape == r.shape, route.name
             _close(g, r)
-        if route in (ops.DEPTHWISE, ops.POINTWISE):  # output and input gradient stay channels-last
-            assert ops._channels_last(got[0]) and ops._channels_last(got[1]), route.name
+        # output and input gradient stay channels-last; rank-1 depthwise works channels-first
+        if route is ops.POINTWISE or (route is ops.DEPTHWISE and spec.rank > 1):
+            assert _is_channels_last(got[0]) and _is_channels_last(got[1]), route.name
 
 
 def test_eval_extractor_matches_channels_first_run(monkeypatch):
@@ -185,7 +203,7 @@ def test_eval_extractor_matches_channels_first_run(monkeypatch):
     layouts, conv = [], ops.conv
 
     def spy(x, weight, bias=None, spec=None):
-        layouts.append(ops._channels_last(x.data))
+        layouts.append(_is_channels_last(x.data))
         return conv(x, weight, bias, spec)
 
     monkeypatch.setattr(ops, "conv", spy)
@@ -200,6 +218,49 @@ def test_eval_extractor_matches_channels_first_run(monkeypatch):
     assert not any(layouts)
     for g, w in zip(got, want):
         _close(g, w)
+
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))
+# the shipped stacks at small widths; a TCN width of 6 against the extractor's
+# 8 keeps the pointwise projection
+SMALL = ["stem.out_channels=4", "extractor.widths=4,8", "extractor.expansion=2",
+         "tcn.channels=6", "classifier.num_classes=3"]
+
+
+def _shape_class_route(spec):
+    if spec.groups == 1:
+        unit = (1,) * spec.rank
+        pointwise = spec.kernel == unit and spec.stride == unit and not any(map(sum, spec.pad_pairs()))
+        return ops.POINTWISE if pointwise else ops.GEMM
+    if spec.groups == spec.in_channels == spec.out_channels:
+        return ops.DEPTHWISE
+    return ops.EINSUM
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_shipped_configs_take_shape_class_routes(path, monkeypatch):
+    """Every pointwise conv takes POINTWISE whatever its input's layout, in
+    eval (norms folded) and in a taped training step; no shipped config
+    runs the einsum conv."""
+    model = tc.build_model(tc.load_config_file(path, SMALL), seed=0)
+    x = np.random.default_rng(0).standard_normal((2,) + model.input_shape(5, 16)).astype(np.float32)
+    calls, route = [], ops._conv_route
+
+    def spy(spec, in_sizes, out_sizes):
+        calls.append((spec, route(spec, in_sizes, out_sizes)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ops, "_conv_route", spy)
+    model.eval()
+    model(Tensor(x))
+    model.train()
+    with GradTape() as tape:
+        loss = ops.cross_entropy(model(Tensor(x)), Tensor(one_hot([0, 1], 3)))
+    tape.backward(loss)
+    for spec, got in calls:
+        assert got is _shape_class_route(spec), spec
+        assert got is not ops.EINSUM, spec
+    assert {ops.POINTWISE, ops.GEMM, ops.DEPTHWISE} <= {got for _, got in calls}
 
 
 @pytest.mark.parametrize("chunk_rows,shape,kernel,dilation", [
