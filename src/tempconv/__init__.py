@@ -8,7 +8,7 @@ from .tensor import Tensor, GradTape
 from .ops import ConvSpec
 from .gradcheck import grad_check, GradCheckResult, block_suite
 from .layers import (Module, Conv, Conv1d, Conv2d, Conv3d, BatchNorm, ReLU,
-                     ReLU6, Dropout, Linear, Sequential)
+                     Dropout, Linear, Sequential)
 from .blocks import (BLOCK_KINDS, EXPERIMENTAL_KINDS, DEFAULT_EXPANSION,
                      make_block, canonical_kind)
 from .frontend import (StemSpec, Stem, ExtractorSpec, ReferenceExtractor,
@@ -35,7 +35,7 @@ __all__ = [
     "TempconvError", "ShapeError", "NumericError", "TapeError", "ConfigError",
     "FormatError", "Tensor", "GradTape", "ConvSpec", "grad_check",
     "GradCheckResult", "block_suite", "Module", "Conv", "Conv1d", "Conv2d",
-    "Conv3d", "BatchNorm", "ReLU", "ReLU6", "Dropout", "Linear",
+    "Conv3d", "BatchNorm", "ReLU", "Dropout", "Linear",
     "Sequential", "BLOCK_KINDS", "EXPERIMENTAL_KINDS", "DEFAULT_EXPANSION",
     "make_block", "canonical_kind", "StemSpec", "Stem",
     "ExtractorSpec", "ReferenceExtractor", "ClassifierHead", "ModelConfig",

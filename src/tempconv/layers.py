@@ -293,11 +293,6 @@ class ReLU(Module):
         return ops.relu(x)
 
 
-class ReLU6(Module):
-    def forward(self, x):
-        return ops.relu6(x)
-
-
 class Dropout(Module):
     """Inverted dropout with a private, reseedable generator."""
 

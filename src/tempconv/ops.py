@@ -13,7 +13,8 @@ and backward alike:
 - ``GEMM`` (other groups = 1 convs): im2col, one column block per kernel
   tap, then one ``matmul`` per sample;
 - ``DEPTHWISE``: a multiply-add per kernel tap into one preallocated
-  output, channels-last for 2-D/3-D;
+  channels-last output, over cache-sized tiles of samples or, for a large
+  sample, of rows of its first spatial axis;
 - ``EINSUM``: the generic implementation, one ``einsum`` over a view of all
   receptive-field patches (contraction order cached per shape). It runs
   every other grouping, and it is the oracle every other route is tested
@@ -24,10 +25,10 @@ into the conv before it when no tape records (``layers.conv_norm``).
 
 Layout convention: every op takes and returns the logical shape (N, C, *S),
 batched and channels-first. Memory may be channels-last: an array that is
-the (N, C, *S) view of a C-order (N, *S, C) array. The 2-D/3-D depthwise
-and the pointwise routes return that layout, elementwise and normalization
-ops keep the layout their inputs share, and every op accepts either. Only
-:class:`~tempconv.model.Model` also accepts a single sample.
+the (N, C, *S) view of a C-order (N, *S, C) array. The depthwise and the
+pointwise routes return that layout at every rank, elementwise and
+normalization ops keep the layout their inputs share, and every op accepts
+either. Only :class:`~tempconv.model.Model` also accepts a single sample.
 """
 from __future__ import annotations
 
@@ -200,20 +201,14 @@ def _einsum_backward(up, wd, spec, saved, need_x, need_w):
     return gx, gw
 
 
-def _zero_padded(shape, spec, dtype, channels_last):
-    """Zeros shaped like an (N, C, *S) input of ``shape`` once padded,
-    channels moved last if asked."""
-    n, c, *sizes = shape
-    padded = [s + lo + hi for s, (lo, hi) in zip(sizes, spec.pad_pairs())]
-    return np.zeros([n, *padded, c] if channels_last else [n, c, *padded], dtype)
-
-
 def _padded(xd, spec, dtype, channels_last=False):
     """Zero-padded copy of an (N, C, *S) input, channels moved last if asked.
 
     The input is written once, straight into the padded buffer.
     """
-    buf = _zero_padded(xd.shape, spec, dtype, channels_last)
+    n, c, *sizes = xd.shape
+    padded = [s + lo + hi for s, (lo, hi) in zip(sizes, spec.pad_pairs())]
+    buf = np.zeros([n, *padded, c] if channels_last else [n, c, *padded], dtype)
     if channels_last:
         buf[_interior(spec, 1)] = np.moveaxis(xd, 1, -1)
     else:
@@ -285,82 +280,73 @@ def _gemm_backward(up, wd, spec, saved, need_x, need_w):
     return gx, gw
 
 
-def _depthwise_layout(spec, arr):
-    """Per-tap work runs channels-last for rank >= 2, so a tap reads contiguous
-    channel rows however short the spatial rows are; rank 1 keeps the long
-    time axis innermost. Returns (channels_last, first spatial axis, per-tap
-    weights broadcastable against the layout)."""
-    last = spec.rank > 1
-    taps = arr.reshape(spec.in_channels, -1).T
-    if last:
-        return True, 1, np.ascontiguousarray(taps)
-    return False, 2, taps.reshape(taps.shape + (1,) * spec.rank)
-
-
-# The per-tap passes run over tiles whose padded input is about this size,
-# so the passes of one tap loop stay in cache. Channels-last (rank >= 2)
-# tiles whole samples: the four starv extractor dw2d layers (29 frames)
-# took 39 ms instead of 63 on 2 vCPUs. Channels-first (rank 1) tiles the
-# channels of a sample too, since one long sequence outgrows the cache: a
-# (2, 512, 1024) k7 call in three 171-channel tiles per sample took 7.6 ms
-# instead of 10.7 in whole 2 MiB samples (dilation 1; 9.7 vs 10.1 at 8).
+# The per-tap passes run over tiles whose padded input, output and scratch
+# together take about this size, so the passes of one tap loop stay in
+# cache. A tile holds whole samples while one sample fits, else near-equal
+# runs of rows of the first spatial axis (time at rank 1), each with the
+# halo its kernel reads past the run. In seven 147-frame runs per sample, a
+# (2, 512, 1024) k7 call took 5.1 ms, against 7.7 ms on the channels-first,
+# channel-tiled route it replaced, fed channels-first (dilation 1; 5.3 vs
+# 6.9 at 8). The four starv extractor dw2d layers (29 frames) took 34.0 ms
+# against 33.8 (medians of 60 interleaved calls, 2 vCPUs); untiled, they
+# took 63 ms against 39 in whole-sample tiles.
 _DEPTHWISE_CHUNK_BYTES = 1 << 20
 
 
 def _depthwise_forward(xd, wd, spec, out_sizes):
     """groups = C_in = C_out: a multiply-add per tap into one preallocated
-    output, which rank >= 2 returns as the view of its channels-last array."""
-    last, first, taps = _depthwise_layout(spec, wd)
+    channels-last output, returned as its (N, C, *S) view. Each tile's
+    padded input is gathered channels-last into one reused buffer."""
+    taps = np.ascontiguousarray(wd.reshape(spec.in_channels, -1).T)  # (taps, C)
     dtype = np.result_type(xd, wd)
-    n, c = xd.shape[:2]
-    y = np.empty((n,) + ((*out_sizes, c) if last else (c, *out_sizes)), dtype)
-    row = dtype.itemsize * math.prod(
-        s + lo + hi for s, (lo, hi) in zip(xd.shape[2:], spec.pad_pairs()))
-    tiles = 1 if last else -(-c * row // _DEPTHWISE_CHUNK_BYTES)  # near-equal channel tiles
-    width = -(-c // tiles)
-    step = min(n, max(1, _DEPTHWISE_CHUNK_BYTES // (width * row)))
-
-    def tile(a, samples, channels):
-        return a[(samples, Ellipsis, channels) if last else (samples, channels)]
-
-    tmp = np.empty_like(tile(y, slice(step), slice(width)))
-    buf = _zero_padded((step, width) + xd.shape[2:], spec, dtype, last)  # borders stay zero
+    n, c, size = xd.shape[:3]
+    lo, halo, s = spec.pad_pairs()[0][0], (spec.kernel[0] - 1) * spec.dilation[0], spec.stride[0]
+    padded = [t + a + b for t, (a, b) in zip(xd.shape[3:], spec.pad_pairs()[1:])]
+    row = dtype.itemsize * c * math.prod(padded)  # one padded row of the first spatial axis
+    out_row = dtype.itemsize * c * math.prod(out_sizes[1:])
+    fit = max(1, (_DEPTHWISE_CHUNK_BYTES - row * (halo + 1 - s)) // (s * row + 2 * out_row))
+    rows = -(-out_sizes[0] // -(-out_sizes[0] // fit))  # near-equal runs of at most ``fit``
+    span = s * (rows - 1) + halo + 1  # padded input rows one run reads
+    step = min(n, max(1, _DEPTHWISE_CHUNK_BYTES // (row * span + 2 * rows * out_row)))
+    y = np.empty((n, *out_sizes, c), dtype)
+    tmp = np.empty((step, rows, *out_sizes[1:], c), dtype)
+    buf = np.zeros((step, span, *padded, c), dtype)  # borders of the other axes stay zero
+    inner = _interior(spec, 0)[1:]
     for n0 in range(0, n, step):
-        for c0 in range(0, c, width):
-            samples, channels = slice(n0, n0 + step), slice(c0, c0 + width)
-            src = xd[samples, channels]
-            whole = slice(src.shape[0]), slice(src.shape[1])
-            xp, scratch, out = tile(buf, *whole), tile(tmp, *whole), tile(y, samples, channels)
-            xp[_interior(spec, first)] = np.moveaxis(src, 1, -1) if last else src
+        for o0 in range(0, out_sizes[0], rows):
+            o1 = min(o0 + rows, out_sizes[0])
+            r0 = s * o0 - lo  # tile row j holds input row r0 + j, or padding
+            rows_in = s * (o1 - o0 - 1) + halo + 1
+            p = max(0, -r0)
+            q = max(p, min(rows_in, size - r0))  # rows [p, q) hold input, the rest zeros
+            src = xd[n0:n0 + step, :, r0 + p:r0 + q]
+            xp = buf[:len(src), :rows_in]
+            xp[:, :p] = xp[:, q:] = 0
+            xp[(slice(None), slice(p, q)) + inner] = np.moveaxis(src, 1, -1)
+            out, scratch = y[n0:n0 + step, o0:o1], tmp[:len(src), :o1 - o0]
             for t, tap in enumerate(np.ndindex(*spec.kernel)):
-                view = xp[_tap_index(tap, spec, out_sizes, first)]
+                view = xp[_tap_index(tap, spec, out.shape[1:-1], 1)]
                 if t == 0:
-                    np.multiply(view, taps[0, channels], out=out)
+                    np.multiply(view, taps[0], out=out)
                 else:
-                    out += np.multiply(view, taps[t, channels], out=scratch)
-    return (np.moveaxis(y, -1, 1) if last else y), xd
+                    out += np.multiply(view, taps[t], out=scratch)
+    return np.moveaxis(y, -1, 1), xd
 
 
 def _depthwise_backward(up, wd, spec, xd, need_x, need_w):
-    last, first, taps = _depthwise_layout(spec, wd)
-    xp = _padded(xd, spec, up.dtype, last)
-    out_sizes = up.shape[2:]
-    upl = np.ascontiguousarray(np.moveaxis(up, 1, -1)) if last else up
+    taps = np.ascontiguousarray(wd.reshape(spec.in_channels, -1).T)
+    xp = _padded(xd, spec, up.dtype, True)
+    upl = np.ascontiguousarray(np.moveaxis(up, 1, -1))
     tmp = np.empty_like(upl)
     gxp = np.zeros(xp.shape, upl.dtype) if need_x else None
     gw = np.empty((len(taps), spec.in_channels), upl.dtype) if need_w else None
-    channel_axis = upl.ndim - 1 if last else 1
-    others = tuple(a for a in range(upl.ndim) if a != channel_axis)
     for t, tap in enumerate(np.ndindex(*spec.kernel)):
-        index = _tap_index(tap, spec, out_sizes, first)
+        index = _tap_index(tap, spec, up.shape[2:], 1)
         if need_x:
             gxp[index] += np.multiply(upl, taps[t], out=tmp)
         if need_w:
-            gw[t] = np.multiply(xp[index], upl, out=tmp).sum(axis=others)
-    gx = None
-    if need_x:
-        gx = gxp[_interior(spec, first)]
-        gx = np.moveaxis(np.ascontiguousarray(gx), -1, 1) if last else gx
+            gw[t] = np.multiply(xp[index], upl, out=tmp).sum(axis=tuple(range(upl.ndim - 1)))
+    gx = np.moveaxis(np.ascontiguousarray(gxp[_interior(spec, 1)]), -1, 1) if need_x else None
     return gx, (gw.T.reshape(wd.shape) if need_w else None)
 
 

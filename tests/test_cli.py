@@ -107,9 +107,9 @@ class TestExitCodes:
         assert "budget cap" in capsys.readouterr().err
         assert peak < 2**20
 
-    def test_deep_extractor_refused_before_building(self, monkeypatch, capsys):
-        """A huge blocks_per_stage is refused from one sample bottleneck per
-        stage, not after building them all (10^9 never finished)."""
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every extractor bottleneck built, by its arguments; past 64 builds fail."""
         built = []
 
         class Counted(frontend._SpatialBottleneck):
@@ -120,10 +120,26 @@ class TestExitCodes:
                 super().__init__(*args)
 
         monkeypatch.setattr(frontend, "_SpatialBottleneck", Counted)
+        return built
+
+    def test_deep_extractor_refused_before_building(self, built, capsys):
+        """A huge blocks_per_stage is refused with the config, before any
+        bottleneck is built (10^9 never finished)."""
         argv = ["describe", "--config", STARV_CFG, "--set", "extractor.blocks_per_stage=1000000000"]
         assert main(argv) == EXIT_VALIDATION
-        assert "budget cap" in capsys.readouterr().err
-        assert len(built) == 4  # one per stage width
+        assert "blocks_per_stage must lie in 1..32" in capsys.readouterr().err
+        assert built == []
+
+    def test_many_small_extractor_repeats_refused(self, built, capsys):
+        """Repeats too small to reach the parameter cap are bounded too
+        (20,000 per stage of width 4 built for 10.8 s, then exited 0)."""
+        argv = ["describe", "--config", STARV_CFG, "--set", "extractor.widths=4",
+                "--set", "extractor.blocks_per_stage=20000"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "ConfigError" in capsys.readouterr().err
+        assert built == []
+        limit = frontend.MAX_BLOCKS_PER_STAGE
+        assert frontend.ExtractorSpec(4, (4,), blocks_per_stage=limit).blocks_per_stage == limit
 
     def test_bad_input_tensor(self, tmp_path, capsys):
         p = tmp_path / "bad.lwt"

@@ -5,10 +5,10 @@
 drawn convolution must match it in the output and in both gradients, to
 float32 tolerance. Every route also takes channels-last arrays, inputs and
 upstream gradients alike, and must then match the oracle run on C-order
-copies; the eval extractor, which keeps its activations channels-last, must
-match the same frames run channels-first. Every shipped config, run at small
-widths in eval and in a taped training step, sends each conv to the route of
-its shape class and none to the einsum conv.
+copies; the eval extractor and the eval TCN, which keep their activations
+channels-last, must match the same inputs run channels-first. Every shipped
+config, run at small widths in eval and in a taped training step, sends each
+conv to the route of its shape class and none to the einsum conv.
 
 In eval mode with no tape, a norm right after a conv is folded into the
 conv; a folded forward must match the unfolded one (run under a tape, which
@@ -186,8 +186,8 @@ def test_routes_take_channels_last_arrays(case):
         for g, r in zip(got, want):
             assert g.shape == r.shape, route.name
             _close(g, r)
-        # output and input gradient stay channels-last; rank-1 depthwise works channels-first
-        if route is ops.POINTWISE or (route is ops.DEPTHWISE and spec.rank > 1):
+        # output and input gradient stay channels-last
+        if route in (ops.POINTWISE, ops.DEPTHWISE):
             assert _is_channels_last(got[0]) and _is_channels_last(got[1]), route.name
 
 
@@ -218,6 +218,39 @@ def test_eval_extractor_matches_channels_first_run(monkeypatch):
     assert not any(layouts)
     for g, w in zip(got, want):
         _close(g, w)
+
+
+@pytest.mark.parametrize("kind", ["starv", "linear", "invertedresidual", "cib", "uib"])
+def test_eval_tcn_keeps_channels_last(kind, monkeypatch):
+    """Fed channels-last, every conv of an eval TCN reads channels-last
+    memory, depthwise ones included, and the logits match a channels-first run."""
+    rng = np.random.default_rng(1)
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "starv.cfg")
+    config = tc.load_config_file(path, ["model.frontend=false", f"tcn.block_kind={kind}",
+                                        "tcn.stages=2", "tcn.channels=6", "classifier.num_classes=3"])
+    model = tc.build_model(config, seed=0)
+    _randomize_norms(model, rng)
+    model.eval()
+    x = rng.standard_normal((2, 6, 9)).astype(np.float32)
+    valid_len = np.array([9, 5])
+
+    layouts, conv = [], ops.conv
+
+    def spy(x, weight, bias=None, spec=None):
+        layouts.append(_is_channels_last(x.data))
+        return conv(x, weight, bias, spec)
+
+    monkeypatch.setattr(ops, "conv", spy)
+    got = model(Tensor(_to_channels_last(x)), valid_len).data
+    assert len(layouts) == sum(isinstance(m, tc.Conv) for m in model.modules()) and all(layouts)
+
+    apply_op = ops.apply_op  # every op's result copied to C order: a channels-first run
+    monkeypatch.setattr(ops, "apply_op", lambda op, inputs, data, make_backward: apply_op(
+        op, inputs, np.ascontiguousarray(data), make_backward))
+    layouts.clear()
+    want = model(Tensor(x), valid_len).data
+    assert layouts and not any(layouts)
+    _close(got, want)
 
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))
@@ -263,24 +296,34 @@ def test_shipped_configs_take_shape_class_routes(path, monkeypatch):
     assert {ops.POINTWISE, ops.GEMM, ops.DEPTHWISE} <= {got for _, got in calls}
 
 
-@pytest.mark.parametrize("chunk_rows,shape,kernel,dilation", [
-    (3, (2, 7, 10), 3, 2),  # channel tiles of 3, 3 and 1 per sample
-    (4, (3, 9, 6), 2, 1),   # tiles of 3 channels
-    (1, (2, 5, 4), 3, 1),   # one channel per tile
-    (6, (5, 3, 8), 4, 1),   # whole samples, two per tile, the last one alone
+# (chunk bytes, input shape, ConvSpec keywords): tiles come out as noted
+@pytest.mark.parametrize("chunk,shape,conv", [
+    # 5 time tiles of 4 frames; each reads its 4-frame halo from the tile before
+    (192, (1, 3, 20), dict(kernel=(3,), dilation=(2,), causal=True)),
+    # dilation 5 over tiles of 2 frames
+    (128, (2, 2, 16), dict(kernel=(3,), dilation=(5,), causal=True)),
+    # stride 2: output tiles of 3, 3, 3 and 2 frames
+    (156, (2, 3, 21), dict(kernel=(3,), stride=(2,))),
+    # stride 2, k = 1: output tiles of 2, 2 and 1 frames
+    (56, (1, 2, 9), dict(kernel=(1,), stride=(2,), padding=(0,))),
+    # symmetric padding 4: 6 tiles of 2 frames, the first and last all padding
+    (64, (1, 2, 6), dict(kernel=(3,), padding=(4,))),
+    # whole samples, two per tile, the last one alone
+    (624, (5, 3, 8), dict(kernel=(3,), causal=True)),
+    # rank 2: tiles of 2, 2 and 1 output rows of the first spatial axis
+    (564, (2, 3, 9, 5), dict(kernel=(3, 3), stride=(2, 2))),
 ])
-def test_tiled_depthwise_matches_einsum(chunk_rows, shape, kernel, dilation, monkeypatch):
-    """Rank 1 tiles channels as well as samples; ``chunk_rows`` padded
-    channel rows make one tile."""
-    n, c, t = shape
-    spec = ops.ConvSpec(c, c, (kernel,), dilation=(dilation,), groups=c, causal=True)
-    row = 4 * (t + (kernel - 1) * dilation)
-    monkeypatch.setattr(ops, "_DEPTHWISE_CHUNK_BYTES", chunk_rows * row)
+def test_tiled_depthwise_matches_einsum(chunk, shape, conv, monkeypatch):
+    """A tile holds whole samples while one fits ``chunk`` bytes, else runs
+    of the first spatial axis that read their halo past the run."""
+    c = shape[1]
+    spec = ops.ConvSpec(c, c, groups=c, **conv)
+    monkeypatch.setattr(ops, "_DEPTHWISE_CHUNK_BYTES", chunk)
     rng = np.random.default_rng(c)
     x = rng.standard_normal(shape).astype(np.float32)
-    w = rng.standard_normal((c, 1, kernel)).astype(np.float32)
+    w = rng.standard_normal((c, 1) + spec.kernel).astype(np.float32)
     b = rng.standard_normal(c).astype(np.float32)
-    probe = rng.standard_normal(shape).astype(np.float32)
+    probe = rng.standard_normal((shape[0], c) + spec.out_sizes(shape[2:])).astype(np.float32)
     for got, want in zip(_run(ops.DEPTHWISE, spec, x, w, b, probe),
                          _run(ops.EINSUM, spec, x, w, b, probe)):
         _close(got, want)
