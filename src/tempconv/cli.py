@@ -3,7 +3,10 @@
 Commands: describe, count, verify, infer, gradcheck, schedule, train-toy,
 gen-data. Exit codes: 0 success, 1 usage, 2 validation/config/format
 error, 3 numeric failure (divergence, failed verification or gradcheck).
-``--seed`` falls back to the TEMPCONV_SEED environment variable, then 0.
+Each command accepts only the flags it reads. ``--seed`` (infer, gradcheck,
+train-toy) falls back to the TEMPCONV_SEED environment variable, then 0.
+An unreadable path (missing, a directory, no permission) exits 2 with the
+path and the OS reason.
 """
 from __future__ import annotations
 
@@ -15,7 +18,8 @@ import sys
 import numpy as np
 
 from . import complexity, lwt
-from .config import TrainConfig, config_to_dict, parse_config, parse_toy_spec, parse_train_config
+from .config import (TrainConfig, config_to_dict, parse_config, parse_toy_spec, parse_train_config,
+                     read_config_text)
 from .errors import ConfigError, FormatError, NumericError, ShapeError, TapeError
 from .model import build_model, describe, receptive_field
 from .tensor import Tensor
@@ -39,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(args):
-    seed = getattr(args, "seed", None)
+    seed = args.seed
     env = os.environ.get("TEMPCONV_SEED")
     if seed is None and env is not None:
         try:
@@ -52,10 +56,7 @@ def _resolve_seed(args):
 
 
 def _read_text(args):
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            return f.read()
-    return ""
+    return read_config_text(args.config) if args.config else ""
 
 
 def _load_model_config(args):
@@ -71,54 +72,57 @@ def _emit(args, document):
 
 
 def build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="path to a config document")
-    common.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
+    # each command takes only the flag groups it reads
+    config = _Parser(add_help=False)
+    config.add_argument("--config", help="path to a config document")
+    config.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                         help="override one config key (repeatable, last wins)")
-    common.add_argument("--seed", type=int, help="seed (fallback: TEMPCONV_SEED, then 0)")
-    common.add_argument("--format", choices=_FORMATS, default="text")
-    common.add_argument("--out", help="write the output document to this path")
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, help="seed (fallback: TEMPCONV_SEED, then 0)")
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=_FORMATS, default="text")
+    output.add_argument("--out", help="write the output document to this path")
 
     parser = _Parser(prog="tempconv",
                      description="causal temporal-convolution model toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub.add_parser("describe", parents=[common],
+    sub.add_parser("describe", parents=[config, output],
                    help="build a model and print its structure")
 
-    p = sub.add_parser("count", parents=[common],
+    p = sub.add_parser("count", parents=[config, output],
                        help="analytic parameter/MAC audit")
     p.add_argument("--frames", type=int, default=29, help="temporal length to audit at")
     p.add_argument("--size", type=int, default=88, help="spatial edge to audit at")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[output],
                        help="check configs against an expectations fixture")
     p.add_argument("--fixture", default="fixtures/paper_tables.json")
     p.add_argument("--only", action="append", help="restrict to fixture row id (repeatable)")
 
-    p = sub.add_parser("infer", parents=[common],
+    p = sub.add_parser("infer", parents=[config, seed, output],
                        help="classify one stored tensor")
     p.add_argument("--input", required=True, help="tensor file to classify")
     p.add_argument("--checkpoint", help="trained weights; omitted = fresh seeded model")
     p.add_argument("--crop-size", type=int, default=88,
                    help="center-crop larger inputs to this edge")
 
-    p = sub.add_parser("gradcheck", parents=[common],
+    p = sub.add_parser("gradcheck", parents=[seed, output],
                        help="finite-difference check of block gradients")
     p.add_argument("--kind", default="all", help="block kind, 'head', or 'all'")
 
-    p = sub.add_parser("schedule", parents=[common],
+    p = sub.add_parser("schedule", parents=[output],
                        help="print the annealed learning-rate table")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--base-lr", type=float, default=TrainConfig.base_lr)
 
-    p = sub.add_parser("train-toy", parents=[common],
+    p = sub.add_parser("train-toy", parents=[config, seed, output],
                        help="train on the synthetic task with the full recipe")
     p.add_argument("--run-dir", default="runs/toy",
                    help="directory for history, checkpoint and summary")
 
-    p = sub.add_parser("gen-data", parents=[common],
-                       help="materialize the synthetic dataset to an .npz file")
+    sub.add_parser("gen-data", parents=[config, output],
+                   help="materialize the synthetic dataset to an .npz file")
     return parser
 
 
@@ -126,7 +130,7 @@ def build_parser():
 
 def _cmd_describe(args):
     config = _load_model_config(args)
-    model = build_model(config, seed=_resolve_seed(args) or 0, init=False)
+    model = build_model(config, init=False)
     if args.format == "json":
         doc = json.dumps({
             "build": model.build_version,
@@ -342,8 +346,9 @@ def main(argv=None):
     except NumericError as exc:
         print(f"tempconv.{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
-        print(f"tempconv: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"tempconv: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

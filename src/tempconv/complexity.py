@@ -180,6 +180,8 @@ def load_fixture(path):
             fixture = json.load(f)
         except json.JSONDecodeError as exc:
             raise FormatError(f"fixture is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"fixture is not UTF-8: {exc.reason} at byte {exc.start}") from None
     if "rows" not in fixture or not isinstance(fixture["rows"], list):
         raise FormatError("fixture must contain a 'rows' list")
     seen = set()

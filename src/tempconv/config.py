@@ -264,10 +264,17 @@ def parse_toy_spec(text, overrides=()):
     return _read(ToyDatasetSpec, _load_sections(text, overrides), "toy")
 
 
-def load_config_file(path, overrides=()):
+def read_config_text(path):
+    """The text of a config document; bytes that are not UTF-8 raise ConfigError."""
     with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    return parse_config(text, overrides)
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def load_config_file(path, overrides=()):
+    return parse_config(read_config_text(path), overrides)
 
 
 def config_to_dict(config):

@@ -5,20 +5,18 @@ backward rule on the active :class:`~tempconv.tensor.GradTape`, if any.
 Convolution covers 1-D/2-D/3-D by kernel rank, with stride, dilation,
 groups, and either symmetric zero padding or causal left padding (1-D only,
 output length equals input length). :func:`conv` runs each call on one of
-four routes, chosen by shape class alone in :func:`_conv_route`, forward
+three routes, chosen by shape class alone in :func:`_conv_route`, forward
 and backward alike:
 
 - ``POINTWISE`` (groups = 1, k = 1, stride 1, no padding): one GEMM over
   every position of the batch, its result channels-last;
-- ``GEMM`` (other groups = 1 convs): im2col, one column block per kernel
-  tap, then one ``matmul`` per sample;
-- ``DEPTHWISE``: a multiply-add per kernel tap into one preallocated
-  channels-last output, over cache-sized tiles of samples or, for a large
-  sample, of rows of its first spatial axis;
-- ``EINSUM``: the generic implementation, one ``einsum`` over a view of all
-  receptive-field patches (contraction order cached per shape). It runs
-  every other grouping, and it is the oracle every other route is tested
-  against.
+- ``DEPTHWISE`` (groups = C_in = C_out > 1): a multiply-add per kernel tap
+  into one preallocated channels-last output, over cache-sized tiles of
+  samples or, for a large sample, of rows of its first spatial axis;
+- ``GEMM`` (every other conv, any groups): im2col, one column block per
+  kernel tap, then one ``matmul`` per sample and group.
+
+Every route is tested against the reference conv in ``tests/oracles.py``.
 
 Eval-mode batch norm is one multiply-add per element; the layers fold it
 into the conv before it when no tape records (``layers.conv_norm``).
@@ -35,16 +33,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ShapeError
 from .tensor import Tensor, apply_op
-
-_OUT_AXES = "xyz"
-_KER_AXES = "uvw"
 
 
 def _tuplify(value, rank, name):
@@ -129,78 +122,6 @@ class ConvSpec:
                 * (self.in_channels // self.groups) * math.prod(self.kernel))
 
 
-def _dilated_patches(xp, spec, out_sizes):
-    """View of all receptive-field patches: (N, C, *out, *kernel)."""
-    rank = spec.rank
-    eff = tuple((k - 1) * d + 1 for k, d in zip(spec.kernel, spec.dilation))
-    win = sliding_window_view(xp, eff, axis=tuple(range(2, 2 + rank)))
-    index = (slice(None), slice(None))
-    index += tuple(slice(None, None, s) for s in spec.stride)
-    index += tuple(slice(None, None, d) for d in spec.dilation)
-    patches = win[index]
-    assert patches.shape[2 : 2 + rank] == out_sizes
-    return patches
-
-
-@lru_cache(maxsize=256)
-def _einsum_path(eq, *shapes):
-    operands = [np.broadcast_to(np.float32(0), s) for s in shapes]
-    return tuple(np.einsum_path(eq, *operands, optimize=True)[0])
-
-
-def _einsum(eq, *operands):
-    """``np.einsum`` with its contraction order searched once per equation and shapes."""
-    return np.einsum(eq, *operands, optimize=_einsum_path(eq, *(a.shape for a in operands)))
-
-
-def _conv_input_grad(gout, w, spec, padded_shape):
-    """Scatter the output gradient back through each kernel tap."""
-    rank = spec.rank
-    groups = spec.groups
-    n = gout.shape[0]
-    out_sizes = gout.shape[2:]
-    og = spec.out_channels // groups
-    cg = spec.in_channels // groups
-    gout_g = gout.reshape(n, groups, og, *out_sizes)
-    wg = w.reshape(groups, og, cg, *spec.kernel)
-    sub = _OUT_AXES[:rank]
-    eq = f"ngo{sub},goc->ngc{sub}"
-    gx_pad = np.zeros(padded_shape, dtype=gout.dtype)
-    gx_view = gx_pad.reshape(n, groups, cg, *padded_shape[2:])
-    for tap in np.ndindex(*spec.kernel):
-        w_tap = wg[(slice(None), slice(None), slice(None)) + tap]
-        contrib = _einsum(eq, gout_g, w_tap)
-        gx_view[(slice(None),) + _tap_index(tap, spec, out_sizes, 2)] += contrib
-    return gx_pad
-
-
-def _einsum_forward(xd, wd, spec, out_sizes):
-    """The generic conv, any groups: one einsum over a view of all patches."""
-    rank = spec.rank
-    xp = np.pad(xd, ((0, 0), (0, 0)) + spec.pad_pairs())
-    n, groups = xd.shape[0], spec.groups
-    og, cg = spec.out_channels // groups, spec.in_channels // groups
-    sub_out, sub_k = _OUT_AXES[:rank], _KER_AXES[:rank]
-    patches_g = _dilated_patches(xp, spec, out_sizes).reshape(n, groups, cg, *out_sizes, *spec.kernel)
-    wg = wd.reshape(groups, og, cg, *spec.kernel)
-    y = _einsum(f"ngc{sub_out}{sub_k},goc{sub_k}->ngo{sub_out}", patches_g, wg)
-    return y.reshape(n, spec.out_channels, *out_sizes), (xp.shape, patches_g)
-
-
-def _einsum_backward(up, wd, spec, saved, need_x, need_w):
-    padded_shape, patches_g = saved
-    gx = gw = None
-    if need_x:
-        gx = _conv_input_grad(up, wd, spec, padded_shape)[_interior(spec, 2)]
-    if need_w:
-        n, groups = up.shape[0], spec.groups
-        sub_out, sub_k = _OUT_AXES[:spec.rank], _KER_AXES[:spec.rank]
-        up_g = up.reshape(n, groups, spec.out_channels // groups, *up.shape[2:])
-        gw = _einsum(f"ngc{sub_out}{sub_k},ngo{sub_out}->goc{sub_k}", patches_g, up_g)
-        gw = gw.reshape(wd.shape)
-    return gx, gw
-
-
 def _padded(xd, spec, dtype, channels_last=False):
     """Zero-padded copy of an (N, C, *S) input, channels moved last if asked.
 
@@ -248,35 +169,37 @@ def _pointwise_backward(up, wd, spec, xl, need_x, need_w):
 
 
 def _gemm_forward(xd, wd, spec, out_sizes):
-    """groups = 1: im2col, one (N, C, S_out) column block per kernel tap, then
-    one ``matmul`` of (O, C·taps) against each sample's columns."""
+    """im2col, one (N, C, S_out) column block per kernel tap, then one batched
+    ``matmul`` of each group's (O/G, C/G·taps) weight against its columns."""
     n, c = xd.shape[:2]
+    g = spec.groups
     dtype = np.result_type(xd, wd)
     taps = math.prod(spec.kernel)
     xp = _padded(xd, spec, dtype)
     cols = np.empty((n, c, taps) + out_sizes, dtype)
     for t, tap in enumerate(np.ndindex(*spec.kernel)):
         cols[:, :, t] = xp[_tap_index(tap, spec, out_sizes, 2)]
-    cols = cols.reshape(n, c * taps, -1)
-    y = np.matmul(wd.reshape(spec.out_channels, -1), cols)
+    cols = cols.reshape(n, g, c // g * taps, -1)
+    y = np.matmul(wd.reshape(g, spec.out_channels // g, -1), cols)
     return y.reshape((n, spec.out_channels) + out_sizes), (xp.shape, cols)
 
 
 def _gemm_backward(up, wd, spec, saved, need_x, need_w):
     padded_shape, cols = saved
-    n = up.shape[0]
-    up3 = up.reshape(n, spec.out_channels, -1)
+    n, g = up.shape[0], spec.groups
+    up4 = up.reshape(n, g, spec.out_channels // g, -1)
     gx = gw = None
     if need_x:
         # col2im: add each tap's column block back where it was read
-        gcols = np.matmul(wd.reshape(spec.out_channels, -1).T, up3).reshape(
-            (n, spec.in_channels, -1) + up.shape[2:])
+        wt = wd.reshape(g, spec.out_channels // g, -1).transpose(0, 2, 1)
+        gcols = np.matmul(wt, up4).reshape((n, spec.in_channels, -1) + up.shape[2:])
         gxp = np.zeros(padded_shape, gcols.dtype)
         for t, tap in enumerate(np.ndindex(*spec.kernel)):
             gxp[_tap_index(tap, spec, up.shape[2:], 2)] += gcols[:, :, t]
         gx = gxp[_interior(spec, 2)]
     if need_w:
-        gw = np.tensordot(up3, cols, axes=([0, 2], [0, 2])).reshape(wd.shape)
+        gw = np.concatenate([np.tensordot(up4[:, i], cols[:, i], axes=([0, 2], [0, 2]))
+                             for i in range(g)]).reshape(wd.shape)
     return gx, gw
 
 
@@ -351,7 +274,6 @@ def _depthwise_backward(up, wd, spec, xd, need_x, need_w):
 
 
 _Route = namedtuple("_Route", "name forward backward")
-EINSUM = _Route("einsum", _einsum_forward, _einsum_backward)
 GEMM = _Route("gemm", _gemm_forward, _gemm_backward)
 DEPTHWISE = _Route("depthwise", _depthwise_forward, _depthwise_backward)
 POINTWISE = _Route("pointwise", _pointwise_forward, _pointwise_backward)
@@ -363,19 +285,15 @@ def _conv_route(spec, in_sizes, out_sizes):
 
     - pointwise (groups = 1, k = 1, no padding, output as large as the
       input): one GEMM over the batch, whatever the input's layout;
-    - other groups = 1 convs: im2col + GEMM per sample;
-    - depthwise (groups = C_in = C_out): per-tap multiply-add;
-    - anything else: the generic einsum conv, which is also the oracle that
-      every other route is tested against.
+    - depthwise (groups = C_in = C_out > 1): per-tap multiply-add;
+    - every other conv, any groups: im2col + one batched GEMM per sample.
     """
-    if spec.groups == 1:
-        if (math.prod(spec.kernel) == 1 and not any(map(sum, spec.pad_pairs()))
-                and out_sizes == in_sizes):
-            return POINTWISE
-        return GEMM
-    if spec.groups == spec.in_channels == spec.out_channels:
+    if (spec.groups == 1 and math.prod(spec.kernel) == 1
+            and not any(map(sum, spec.pad_pairs())) and out_sizes == in_sizes):
+        return POINTWISE
+    if spec.groups == spec.in_channels == spec.out_channels > 1:
         return DEPTHWISE
-    return EINSUM
+    return GEMM
 
 
 def conv(x, weight, bias=None, spec=None):
@@ -384,7 +302,7 @@ def conv(x, weight, bias=None, spec=None):
     ``x``: (N, C_in, *S); ``weight``: (C_out, C_in/groups, *k);
     ``bias``: (C_out,) or None. Causal mode preserves the temporal length
     exactly and uses only past context. The compute route comes from
-    :func:`_conv_route`; every route matches the einsum conv.
+    :func:`_conv_route`.
     """
     if spec is None:
         raise ShapeError("conv requires a ConvSpec")
@@ -605,15 +523,6 @@ def narrow(x, axis, start, stop):
         return bwd
 
     return apply_op("narrow", (x,), x.data[index].copy(), make_backward)
-
-
-def chunk(x, parts, axis):
-    """Split into ``parts`` equal pieces along ``axis``; inverse of concat."""
-    size = x.shape[axis]
-    if size % parts:
-        raise ShapeError(f"axis size {size} not divisible into {parts} parts")
-    step = size // parts
-    return [narrow(x, axis, i * step, (i + 1) * step) for i in range(parts)]
 
 
 def global_average_pool(x, axes, valid_len=None):

@@ -6,8 +6,10 @@ formulas, no shared code with the library under test beyond numpy.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv_oracle(x, w, b=None, stride=None, dilation=None, padding=None, groups=1):
@@ -63,6 +65,69 @@ def causal_conv1d_oracle(x, w, b=None, dilation=1):
     k = w.shape[-1]
     return conv_oracle(x, w, b, stride=(1,), dilation=(dilation,),
                        padding=(((k - 1) * dilation, 0),))
+
+
+# -- the einsum conv --------------------------------------------------------
+# The generic convolution, any groups: one einsum over a strided view of all
+# receptive-field patches. It has the forward/backward interface of an
+# ``ops`` route, so ``ops._conv_via(EINSUM, ...)`` runs it under the tape
+# and every route ``ops.conv`` dispatches to is tested against it.
+
+_OUT_AXES, _KER_AXES = "xyz", "uvw"
+
+
+def _interior(spec, first):
+    """Index of the unpadded region of a padded buffer, spatial axes at ``first``."""
+    return (slice(None),) * first + tuple(slice(lo, -hi or None) for lo, hi in spec.pad_pairs())
+
+
+def _tap_index(tap, spec, out_sizes, first):
+    """Index of the padded input that one kernel tap reads, spatial axes at ``first``."""
+    return (slice(None),) * first + tuple(
+        slice(t * d, t * d + s * (o - 1) + 1, s)
+        for t, d, s, o in zip(tap, spec.dilation, spec.stride, out_sizes)
+    )
+
+
+def _einsum_forward(xd, wd, spec, out_sizes):
+    rank, n, groups = spec.rank, xd.shape[0], spec.groups
+    og, cg = spec.out_channels // groups, spec.in_channels // groups
+    sub_out, sub_k = _OUT_AXES[:rank], _KER_AXES[:rank]
+    xp = np.pad(xd, ((0, 0), (0, 0)) + spec.pad_pairs())
+    eff = tuple((k - 1) * d + 1 for k, d in zip(spec.kernel, spec.dilation))
+    win = sliding_window_view(xp, eff, axis=tuple(range(2, 2 + rank)))
+    index = ((slice(None),) * 2 + tuple(slice(None, None, s) for s in spec.stride)
+             + tuple(slice(None, None, d) for d in spec.dilation))
+    patches = win[index]  # (N, C, *out, *kernel)
+    assert patches.shape[2:2 + rank] == out_sizes
+    patches = patches.reshape(n, groups, cg, *out_sizes, *spec.kernel)
+    wg = wd.reshape(groups, og, cg, *spec.kernel)
+    y = np.einsum(f"ngc{sub_out}{sub_k},goc{sub_k}->ngo{sub_out}", patches, wg, optimize=True)
+    return y.reshape(n, spec.out_channels, *out_sizes), (xp.shape, patches)
+
+
+def _einsum_backward(up, wd, spec, saved, need_x, need_w):
+    padded_shape, patches = saved
+    n, groups = up.shape[0], spec.groups
+    og, cg = spec.out_channels // groups, spec.in_channels // groups
+    sub_out, sub_k = _OUT_AXES[:spec.rank], _KER_AXES[:spec.rank]
+    up_g = up.reshape(n, groups, og, *up.shape[2:])
+    gx = gw = None
+    if need_x:  # scatter the output gradient back through each kernel tap
+        wg = wd.reshape(groups, og, cg, *spec.kernel)
+        gxp = np.zeros(padded_shape, up.dtype)
+        gx_g = gxp.reshape(n, groups, cg, *padded_shape[2:])
+        for tap in np.ndindex(*spec.kernel):
+            gx_g[(slice(None),) + _tap_index(tap, spec, up.shape[2:], 2)] += np.einsum(
+                f"ngo{sub_out},goc->ngc{sub_out}", up_g, wg[(slice(None),) * 3 + tap], optimize=True)
+        gx = gxp[_interior(spec, 2)]
+    if need_w:
+        gw = np.einsum(f"ngc{sub_out}{sub_k},ngo{sub_out}->goc{sub_k}", patches, up_g,
+                       optimize=True).reshape(wd.shape)
+    return gx, gw
+
+
+EINSUM = namedtuple("Route", "name forward backward")("einsum", _einsum_forward, _einsum_backward)
 
 
 def numeric_grad(fn, arrays, h=1e-5):

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, output formats, file side effects."""
+import errno
 import json
 import os
 import struct
@@ -41,6 +42,51 @@ class TestExitCodes:
 
     def test_missing_config_file(self, capsys):
         assert main(["describe", "--config", "/nope/missing.cfg"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("argv,path,code", [
+        (["count", "--config", "{dir}"], "{dir}", errno.EISDIR),
+        (["describe", "--config", TOY_CFG, "--out", "{dir}"], "{dir}", errno.EISDIR),
+        (["verify", "--fixture", "{dir}"], "{dir}", errno.EISDIR),
+        (["infer", "--config", TOY_CFG, "--input", "{dir}"], "{dir}", errno.EISDIR),
+        (["infer", "--config", TOY_CFG, "--input", "{file}", "--checkpoint", "{dir}"],
+         "{dir}", errno.EISDIR),
+        (["train-toy", "--config", TOY_CFG, *TINY, "--run-dir", "{file}"], "{file}", errno.EEXIST),
+    ], ids=["count-config-dir", "describe-out-dir", "verify-fixture-dir", "infer-input-dir",
+            "infer-checkpoint-dir", "train-run-dir-is-file"])
+    def test_unusable_path(self, argv, path, code, tmp_path, capsys):
+        """Exit 2 naming the path and the OS reason, not a traceback."""
+        (tmp_path / "file").write_bytes(b"")
+        names = {"{dir}": str(tmp_path), "{file}": str(tmp_path / "file")}
+        assert main([names.get(a, a) for a in argv]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"tempconv: {names[path]}: {os.strerror(code)}\n"
+
+    @pytest.mark.parametrize("command,flag,error", [
+        ("describe", "--config", "ConfigError"),
+        ("verify", "--fixture", "FormatError"),
+    ])
+    def test_document_not_utf8(self, command, flag, error, tmp_path, capsys):
+        path = tmp_path / "latin1.doc"
+        path.write_bytes("[tcn]\nblock_kind = baseline # \u00e9\n".encode("latin-1"))
+        assert main([command, flag, str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"tempconv.{error}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["describe", "--seed", "1"],
+        ["count", "--seed", "1"],
+        ["gen-data", "--seed", "1"],
+        ["verify", "--config", TOY_CFG],
+        ["verify", "--set", "tcn.stages=1"],
+        ["verify", "--seed", "1"],
+        ["schedule", "--config", TOY_CFG],
+        ["schedule", "--set", "tcn.stages=1"],
+        ["schedule", "--seed", "1"],
+        ["gradcheck", "--config", TOY_CFG],
+        ["gradcheck", "--set", "tcn.stages=1"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_flag_the_command_ignores(self, argv, capsys):
+        """A flag the command would not read is a usage error, not a silent no-op."""
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_invalid_config_value(self, capsys):
         assert main(["describe", "--set", "tcn.stages=0"]) == EXIT_VALIDATION
@@ -322,12 +368,12 @@ class TestSeedResolution:
 
     def test_env_seed_must_be_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("TEMPCONV_SEED", "three")
-        assert main(["describe", "--config", TOY_CFG]) == EXIT_VALIDATION
+        assert main(["gradcheck", "--kind", "head"]) == EXIT_VALIDATION
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TEMPCONV_SEED", "not-an-int")
         # an explicit --seed wins, so the broken env value is never parsed
-        assert main(["describe", "--config", TOY_CFG, "--seed", "3"]) == EXIT_OK
+        assert main(["gradcheck", "--kind", "head", "--seed", "3"]) == EXIT_OK
 
 
 class TestTrainToy:

@@ -1,14 +1,15 @@
 """Every convolution route and the eval batch-norm fold against their oracles.
 
-``ops.conv`` picks a compute route by shape class; the generic einsum conv
-(``ops.EINSUM``) stays in ``ops.py`` as the oracle. Each route that accepts a
-drawn convolution must match it in the output and in both gradients, to
-float32 tolerance. Every route also takes channels-last arrays, inputs and
-upstream gradients alike, and must then match the oracle run on C-order
-copies; the eval extractor and the eval TCN, which keep their activations
-channels-last, must match the same inputs run channels-first. Every shipped
-config, run at small widths in eval and in a taped training step, sends each
-conv to the route of its shape class and none to the einsum conv.
+``ops.conv`` picks one of three compute routes by shape class; the generic
+einsum conv (``oracles.EINSUM``) is the oracle. Each route that accepts a
+drawn convolution (``GEMM`` accepts every one) must match it in the output
+and in both gradients, to float32 tolerance. Every route also takes
+channels-last arrays, inputs and upstream gradients alike, and must then
+match the oracle run on C-order copies; the eval extractor and the eval
+TCN, which keep their activations channels-last, must match the same inputs
+run channels-first. Every shipped config, run at small widths in eval and in
+a taped training step, sends each conv to the route of its shape class, and
+so do grouped and channel-multiplier convs built through the layers.
 
 In eval mode with no tape, a norm right after a conv is folded into the
 conv; a folded forward must match the unfolded one (run under a tape, which
@@ -28,6 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import EINSUM
 
 import tempconv as tc
 from tempconv import ops
@@ -83,13 +85,12 @@ def _run(route, spec, x, w, b, probe):
 
 
 def _routes(spec, in_sizes, out_sizes):
-    """The dispatched route and every route that accepts the conv's shape class."""
-    routes = [ops._conv_route(spec, in_sizes, out_sizes)]
-    if spec.groups == 1:
-        routes.append(ops.GEMM)
-        pointwise = all(k == 1 for k in spec.kernel) and not any(map(sum, spec.pad_pairs()))
-        if pointwise and out_sizes == in_sizes:
-            routes.append(ops.POINTWISE)
+    """The dispatched route and every route that accepts the conv's shape
+    class; GEMM accepts every conv."""
+    routes = [ops._conv_route(spec, in_sizes, out_sizes), ops.GEMM]
+    pointwise = all(k == 1 for k in spec.kernel) and not any(map(sum, spec.pad_pairs()))
+    if spec.groups == 1 and pointwise and out_sizes == in_sizes:
+        routes.append(ops.POINTWISE)
     if spec.groups == spec.in_channels == spec.out_channels:
         routes.append(ops.DEPTHWISE)
     return routes
@@ -112,7 +113,7 @@ def test_every_route_matches_einsum(case):
     out = spec.out_sizes(shape[2:])
     probe = rng.standard_normal((shape[0], spec.out_channels) + out).astype(np.float32)
 
-    want = _run(ops.EINSUM, spec, x, w, b, probe)
+    want = _run(EINSUM, spec, x, w, b, probe)
     for route in _routes(spec, x.shape[2:], out):
         got = _run(route, spec, x, w, b, probe)
         for g, r in zip(got, want):
@@ -179,9 +180,9 @@ def test_routes_take_channels_last_arrays(case):
     out = spec.out_sizes(shape[2:])
     up = rng.standard_normal((shape[0], spec.out_channels) + out).astype(np.float32)
 
-    want = _conv_grads(ops.EINSUM, spec, x, w, b, up)
+    want = _conv_grads(EINSUM, spec, x, w, b, up)
     xl, upl = _to_channels_last(x), _to_channels_last(up)
-    for route in _routes(spec, shape[2:], out) + [ops.EINSUM]:
+    for route in _routes(spec, shape[2:], out) + [EINSUM]:
         got = _conv_grads(route, spec, xl, w, b, upl)
         for g, r in zip(got, want):
             assert g.shape == r.shape, route.name
@@ -261,20 +262,20 @@ SMALL = ["stem.out_channels=4", "extractor.widths=4,8", "extractor.expansion=2",
 
 
 def _shape_class_route(spec):
-    if spec.groups == 1:
-        unit = (1,) * spec.rank
-        pointwise = spec.kernel == unit and spec.stride == unit and not any(map(sum, spec.pad_pairs()))
-        return ops.POINTWISE if pointwise else ops.GEMM
-    if spec.groups == spec.in_channels == spec.out_channels:
+    unit = (1,) * spec.rank
+    if spec.groups == 1 and spec.kernel == unit and spec.stride == unit \
+            and not any(map(sum, spec.pad_pairs())):
+        return ops.POINTWISE
+    if 1 < spec.groups == spec.in_channels == spec.out_channels:
         return ops.DEPTHWISE
-    return ops.EINSUM
+    return ops.GEMM
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
 def test_shipped_configs_take_shape_class_routes(path, monkeypatch):
-    """Every pointwise conv takes POINTWISE whatever its input's layout, in
-    eval (norms folded) and in a taped training step; no shipped config
-    runs the einsum conv."""
+    """Every conv takes the route of its shape class (pointwise ones
+    POINTWISE whatever their input's layout), in eval (norms folded) and in
+    a taped training step."""
     model = tc.build_model(tc.load_config_file(path, SMALL), seed=0)
     x = np.random.default_rng(0).standard_normal((2,) + model.input_shape(5, 16)).astype(np.float32)
     calls, route = [], ops._conv_route
@@ -292,8 +293,50 @@ def test_shipped_configs_take_shape_class_routes(path, monkeypatch):
     tape.backward(loss)
     for spec, got in calls:
         assert got is _shape_class_route(spec), spec
-        assert got is not ops.EINSUM, spec
     assert {ops.POINTWISE, ops.GEMM, ops.DEPTHWISE} <= {got for _, got in calls}
+
+
+def _eval_and_train_step(net, x, probe):
+    """A net's eval (folded) output, then the output and the input and
+    parameter gradients of one taped training step; the state is restored."""
+    state = net.state_dict()
+    out = [net.eval()(Tensor(x)).data]
+    xt = Tensor(x, requires_grad=True)
+    with GradTape() as tape:
+        y = net.train()(xt)
+        loss = ops.tensor_sum(ops.hadamard(y, Tensor(probe)))
+    tape.backward(loss)
+    out += [y.data, xt.grad] + [p.grad for p in net.parameters()]
+    net.load_state_dict(state)
+    net.zero_grad()
+    return out
+
+
+@pytest.mark.parametrize("conv,shape", [
+    (Conv1d(6, 4, 3, dilation=2, groups=2, causal=True), (2, 6, 9)),  # 1 < groups < C
+    (Conv2d(4, 8, 3, stride=2, groups=4), (2, 4, 7, 7)),  # groups = C_in, two outputs each
+], ids=["grouped", "channel-multiplier"])
+def test_grouped_layers_take_gemm(conv, shape, monkeypatch):
+    """Convs between groups = 1 and depthwise, each followed by a norm, run
+    on GEMM in eval (folded) and in training, and match the einsum conv."""
+    rng = np.random.default_rng(5)
+    net = Sequential(conv, BatchNorm(conv.spec.out_channels)).init_parameters(rng)
+    _randomize_norms(net, rng)
+    x = rng.standard_normal(shape).astype(np.float32)
+    probe = rng.standard_normal((shape[0], conv.spec.out_channels)
+                                + conv.spec.out_sizes(shape[2:])).astype(np.float32)
+    routes, route = [], ops._conv_route
+
+    def spy(spec, in_sizes, out_sizes):
+        routes.append(route(spec, in_sizes, out_sizes))
+        return routes[-1]
+
+    monkeypatch.setattr(ops, "_conv_route", spy)
+    got = _eval_and_train_step(net, x, probe)
+    assert routes == [ops.GEMM, ops.GEMM]
+    monkeypatch.setattr(ops, "_conv_route", lambda spec, in_sizes, out_sizes: EINSUM)
+    for g, w in zip(got, _eval_and_train_step(net, x, probe), strict=True):
+        _close(g, w)
 
 
 # (chunk bytes, input shape, ConvSpec keywords): tiles come out as noted
@@ -325,7 +368,7 @@ def test_tiled_depthwise_matches_einsum(chunk, shape, conv, monkeypatch):
     b = rng.standard_normal(c).astype(np.float32)
     probe = rng.standard_normal((shape[0], c) + spec.out_sizes(shape[2:])).astype(np.float32)
     for got, want in zip(_run(ops.DEPTHWISE, spec, x, w, b, probe),
-                         _run(ops.EINSUM, spec, x, w, b, probe)):
+                         _run(EINSUM, spec, x, w, b, probe)):
         _close(got, want)
 
 
