@@ -23,8 +23,7 @@ toy = tc.parse_toy_spec(text)
 dataset = gen_toy_dataset(toy)
 model = tc.build_model(config, seed=tcfg.seed)
 
-from tempconv.complexity import count_params
-print(f"model: {count_params(model):,} parameters, "
+print(f"model: {model.param_count():,} parameters, "
       f"receptive field {tc.receptive_field(config)} frames")
 print(f"data: {dataset.split_size('train')} train / "
       f"{dataset.split_size('val')} val, {toy.num_classes} classes, "

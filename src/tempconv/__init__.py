@@ -19,9 +19,8 @@ from .config import (ModelConfig, TCNConfig, ClassifierConfig, TrainConfig,
                      config_to_dict)
 from .model import (Model, TCN, build_model, receptive_field, describe,
                     BUILD_VERSION, PARAM_BUDGET_CAP)
-from .complexity import (ComplexityReport, ComplexityRow, audit, count_params,
-                         count_macs, verify_fixture, verify_report,
-                         emit_report, emit_verify, load_fixture)
+from .complexity import (ComplexityReport, ComplexityRow, audit, verify_fixture,
+                         verify_report, emit_report, emit_verify, load_fixture)
 from .train import (cosine_lr, lr_schedule, sgd_step, one_hot, train_loop,
                     evaluate, TrainResult)
 from .augment import (augment, mixup, random_crop, center_crop,
@@ -44,7 +43,7 @@ __all__ = [
     "config_hash", "config_to_dict", "Model", "TCN", "build_model",
     "receptive_field", "describe", "BUILD_VERSION",
     "PARAM_BUDGET_CAP", "ComplexityReport", "ComplexityRow", "audit",
-    "count_params", "count_macs", "verify_fixture", "verify_report",
+    "verify_fixture", "verify_report",
     "emit_report", "emit_verify", "load_fixture", "cosine_lr", "lr_schedule",
     "sgd_step", "one_hot", "train_loop", "evaluate", "TrainResult", "augment",
     "mixup", "random_crop", "center_crop", "horizontal_flip",

@@ -63,7 +63,7 @@ def expanded_width(channels, expansion):
 class TemporalBlock(Module):
     """Residual + dropout wrapper around a body; subclasses provide the body."""
 
-    def __init__(self, kind, channels, dilation, dropout=0.2):
+    def __init__(self, kind, channels, dilation, dropout):
         super().__init__()
         self.kind = kind
         self.channels = channels
@@ -139,7 +139,7 @@ _BODIES = {
 class SequentialBlock(TemporalBlock):
     """Body is the plain layer stack ``_BODIES[kind]`` builds."""
 
-    def __init__(self, kind, channels, dilation, expansion=None, kernel=3, dropout=0.2):
+    def __init__(self, kind, channels, dilation, expansion, kernel, dropout):
         super().__init__(kind, channels, dilation, dropout)
         self.kernel = kernel
         self.expansion = expansion
@@ -159,8 +159,7 @@ class StarBlock(TemporalBlock):
     other experimental tags share this exact structure.
     """
 
-    def __init__(self, kind, channels, dilation, expansion=4.0, dw_kernel=STAR_DW_KERNEL,
-                 dropout=0.2):
+    def __init__(self, kind, channels, dilation, expansion, dw_kernel, dropout):
         super().__init__(kind, channels, dilation, dropout)
         self.expansion = expansion
         self.dw_kernel = dw_kernel

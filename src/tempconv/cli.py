@@ -30,7 +30,7 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-_FORMATS = ("text", "json", "markdown")
+_FORMATS = ("text", "json")  # count alone adds markdown
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,49 +79,52 @@ def build_parser():
                         help="override one config key (repeatable, last wins)")
     seed = _Parser(add_help=False)
     seed.add_argument("--seed", type=int, help="seed (fallback: TEMPCONV_SEED, then 0)")
-    output = _Parser(add_help=False)
-    output.add_argument("--format", choices=_FORMATS, default="text")
-    output.add_argument("--out", help="write the output document to this path")
+
+    def output(*formats):
+        p = _Parser(add_help=False)
+        p.add_argument("--format", choices=_FORMATS + formats, default="text")
+        p.add_argument("--out", help="write the output document to this path")
+        return p
 
     parser = _Parser(prog="tempconv",
                      description="causal temporal-convolution model toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub.add_parser("describe", parents=[config, output],
+    sub.add_parser("describe", parents=[config, output()],
                    help="build a model and print its structure")
 
-    p = sub.add_parser("count", parents=[config, output],
+    p = sub.add_parser("count", parents=[config, output("markdown")],
                        help="analytic parameter/MAC audit")
     p.add_argument("--frames", type=int, default=29, help="temporal length to audit at")
     p.add_argument("--size", type=int, default=88, help="spatial edge to audit at")
 
-    p = sub.add_parser("verify", parents=[output],
+    p = sub.add_parser("verify", parents=[output()],
                        help="check configs against an expectations fixture")
     p.add_argument("--fixture", default="fixtures/paper_tables.json")
     p.add_argument("--only", action="append", help="restrict to fixture row id (repeatable)")
 
-    p = sub.add_parser("infer", parents=[config, seed, output],
+    p = sub.add_parser("infer", parents=[config, seed, output()],
                        help="classify one stored tensor")
     p.add_argument("--input", required=True, help="tensor file to classify")
     p.add_argument("--checkpoint", help="trained weights; omitted = fresh seeded model")
     p.add_argument("--crop-size", type=int, default=88,
                    help="center-crop larger inputs to this edge")
 
-    p = sub.add_parser("gradcheck", parents=[seed, output],
+    p = sub.add_parser("gradcheck", parents=[seed, output()],
                        help="finite-difference check of block gradients")
     p.add_argument("--kind", default="all", help="block kind, 'head', or 'all'")
 
-    p = sub.add_parser("schedule", parents=[output],
+    p = sub.add_parser("schedule", parents=[output()],
                        help="print the annealed learning-rate table")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--base-lr", type=float, default=TrainConfig.base_lr)
 
-    p = sub.add_parser("train-toy", parents=[config, seed, output],
+    p = sub.add_parser("train-toy", parents=[config, seed, output()],
                        help="train on the synthetic task with the full recipe")
     p.add_argument("--run-dir", default="runs/toy",
                    help="directory for history, checkpoint and summary")
 
-    sub.add_parser("gen-data", parents=[config, output],
+    sub.add_parser("gen-data", parents=[config, output()],
                    help="materialize the synthetic dataset to an .npz file")
     return parser
 
@@ -155,8 +158,7 @@ def _cmd_count(args):
 
 def _cmd_verify(args):
     results = complexity.verify_fixture(args.fixture, row_ids=args.only)
-    fmt = "json" if args.format == "json" else "text"
-    _emit(args, complexity.emit_verify(results, fmt))
+    _emit(args, complexity.emit_verify(results, args.format))
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERIC
 
 
@@ -310,7 +312,8 @@ def _cmd_gen_data(args):
         arrays[f"{split}_y"] = y
         counts[split] = len(y)
     out = args.out or "toy_data.npz"
-    np.savez(out, **arrays)
+    with open(out, "wb") as f:  # a path, not a file, would gain a ".npz" suffix
+        np.savez(f, **arrays)
     doc = json.dumps({"path": out, "classes": toy.num_classes,
                       "seq_len": toy.seq_len, "frame_size": toy.frame_size,
                       "sizes": counts}, indent=2)

@@ -66,16 +66,6 @@ class ComplexityReport:
         return sum(r.macs for r in self.rows if r.group == "tcn")
 
 
-def count_params(model):
-    """Total learnable parameters (the registry is the ground truth)."""
-    return model.param_count()
-
-
-def count_macs(model, input_shape=None):
-    """MACs for one unbatched input of ``input_shape``."""
-    return audit(model, input_shape).total_macs
-
-
 def _conv_macs(module, sizes):
     """MACs of one sample through ``module``'s convs, and the sizes it leaves.
 

@@ -6,11 +6,14 @@ default; an empty document parses to the stock 4-stage, 512-channel,
 kernel-3 network with a 500-class head. ``--set tcn.stages=6`` style
 overrides patch the document before validation, last one wins.
 
-For [tcn], [classifier], [train] and [toy], a field of the section's frozen
-dataclass is the key: its name, its default and, by the default's type, its
-parser. ``__post_init__`` holds the section's rules, so ``replace()`` and
-direct construction are checked like parsing. Numbers must be finite, ``%``
-is literal, and [DEFAULT] is an unknown section like any other.
+Every section except [model] is its frozen dataclass: a field is a key, with
+its name, its default and, by the default's type, its parser; the writer
+emits the same fields. The one exception is the extractor's ``in_channels``,
+which is the stem's width and not a key. ``__post_init__`` holds the
+section's rules, so ``replace()`` and direct construction are checked like
+parsing. [model] is read by hand because its ``frontend`` key decides
+whether [stem] and [extractor] exist. Numbers must be finite, ``%`` is
+literal, and [DEFAULT] is an unknown section like any other.
 """
 from __future__ import annotations
 
@@ -143,14 +146,13 @@ class ToyDatasetSpec:
             raise ConfigError(f"toy seed must be ≥ 0, got {self.seed}")
 
 
-_SECTIONS = {"tcn": TCNConfig, "classifier": ClassifierConfig,
-             "train": TrainConfig, "toy": ToyDatasetSpec}
+_SECTIONS = {"stem": StemSpec, "extractor": ExtractorSpec, "tcn": TCNConfig,
+             "classifier": ClassifierConfig, "train": TrainConfig, "toy": ToyDatasetSpec}
 _KNOWN_KEYS = {
     "model": {"frontend", "in_channels", "experimental"},
-    "stem": {"out_channels"},
-    "extractor": {"widths", "blocks_per_stage", "expansion"},
     **{name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()},
 }
+_KNOWN_KEYS["extractor"].remove("in_channels")  # the stem's width, given by parse_config
 
 
 def _load_sections(text, overrides=()):
@@ -220,10 +222,16 @@ _CASTS = {bool: _bool, int: int, float: _float, str: str, tuple: _int_list,
           type(None): _optional_float}
 
 
-def _read(cls, sections, section):
-    """Build a section's dataclass: each field parsed by its default's type."""
-    return cls(**{f.name: _get(sections, section, f.name, f.default, _CASTS[type(f.default)])
-                  for f in fields(cls)})
+def _read(cls, sections, section, **given):
+    """Build a section's dataclass: each field not given parsed by its default's type."""
+    return cls(**given, **{f.name: _get(sections, section, f.name, f.default, _CASTS[type(f.default)])
+                           for f in fields(cls) if f.name not in given})
+
+
+def _write(section, spec):
+    """A section's keys and values as a document holds them; tuples become lists."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(spec).items() if k in _KNOWN_KEYS[section]}
 
 
 def parse_config(text, overrides=()):
@@ -240,15 +248,8 @@ def parse_config(text, overrides=()):
     if frontend:
         if in_channels not in (1, 3):
             raise ConfigError(f"in_channels must be 1 or 3, got {in_channels}")
-        stem = StemSpec(out_channels=_get(sections, "stem", "out_channels",
-                                          StemSpec.out_channels, int))
-        extractor = ExtractorSpec(
-            in_channels=stem.out_channels,
-            stage_widths=_get(sections, "extractor", "widths", ExtractorSpec.stage_widths, _int_list),
-            blocks_per_stage=_get(sections, "extractor", "blocks_per_stage",
-                                  ExtractorSpec.blocks_per_stage, int),
-            expansion=_get(sections, "extractor", "expansion", ExtractorSpec.expansion, _float),
-        )
+        stem = _read(StemSpec, sections, "stem")
+        extractor = _read(ExtractorSpec, sections, "extractor", in_channels=stem.out_channels)
     elif sections.get("stem") or sections.get("extractor"):
         raise ConfigError("stem/extractor sections present but model.frontend is false")
 
@@ -285,16 +286,11 @@ def config_to_dict(config):
             "in_channels": config.in_channels,
             "experimental": config.experimental,
         },
-        "tcn": {**asdict(config.tcn), "channels": list(config.tcn.channels)},
-        "classifier": asdict(config.classifier),
     }
-    if config.extractor is not None:
-        out["stem"] = {"out_channels": config.stem.out_channels}
-        out["extractor"] = {
-            "widths": list(config.extractor.stage_widths),
-            "blocks_per_stage": config.extractor.blocks_per_stage,
-            "expansion": config.extractor.expansion,
-        }
+    for section in ("tcn", "classifier", "stem", "extractor"):
+        spec = getattr(config, section)
+        if spec is not None:
+            out[section] = _write(section, spec)
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import ops
 from .blocks import expanded_width
@@ -21,15 +22,15 @@ from .layers import BatchNorm, Conv2d, Conv3d, Linear, Module, ReLU, Sequential,
 @dataclass(frozen=True)
 class StemSpec:
     out_channels: int = 32
-    kernel: tuple = (3, 5, 5)
-    stride: tuple = (1, 2, 2)
-    padding: tuple = (1, 2, 2)
+    # Stride 1 and symmetric padding in time keep T: causality and
+    # receptive_field rely on the stem preserving temporal length.
+    kernel: ClassVar[tuple] = (3, 5, 5)
+    stride: ClassVar[tuple] = (1, 2, 2)
+    padding: ClassVar[tuple] = (1, 2, 2)
 
     def __post_init__(self):
         if self.out_channels < 1:
             raise ConfigError("stem out_channels must be ≥ 1")
-        if self.stride[0] != 1 or self.padding[0] * 2 != self.kernel[0] - 1:
-            raise ConfigError("stem must preserve temporal length (stride 1, symmetric padding)")
 
 
 class Stem(Module):
@@ -71,13 +72,13 @@ MAX_BLOCKS_PER_STAGE = 32
 class ExtractorSpec:
     """Reference extractor layout: one downsampling stage per width."""
 
-    in_channels: int = 32
-    stage_widths: tuple = (64, 128, 256, 512)
+    in_channels: int = StemSpec.out_channels
+    widths: tuple = (64, 128, 256, 512)
     blocks_per_stage: int = 1
     expansion: float = 4.0
 
     def __post_init__(self):
-        if not self.stage_widths or any(w < 1 for w in self.stage_widths):
+        if not self.widths or any(w < 1 for w in self.widths):
             raise ConfigError("extractor widths must be a nonempty list of positive ints")
         if not 1 <= self.blocks_per_stage <= MAX_BLOCKS_PER_STAGE:
             raise ConfigError(f"extractor blocks_per_stage must lie in 1..{MAX_BLOCKS_PER_STAGE}, "
@@ -85,13 +86,13 @@ class ExtractorSpec:
         if not 0 < self.expansion < math.inf:
             raise ConfigError("extractor expansion must be positive")
         # surface non-integral expanded widths at parse time, per bottleneck input width
-        widths = tuple(self.stage_widths)
+        widths = tuple(self.widths)
         for c in (self.in_channels,) + widths[:-1] + (widths if self.blocks_per_stage > 1 else ()):
             expanded_width(c, self.expansion)
 
     @property
     def out_dim(self):
-        return self.stage_widths[-1]
+        return self.widths[-1]
 
 
 class _SpatialBottleneck(Module):
@@ -127,7 +128,7 @@ class ReferenceExtractor(Module):
         repeats = self.spec.blocks_per_stage - 1
         stages = []
         cin = self.spec.in_channels
-        for width in self.spec.stage_widths:
+        for width in self.spec.widths:
             stages.append(_SpatialBottleneck(cin, width, 2, self.spec.expansion))
             for _ in range(repeats):
                 stages.append(_SpatialBottleneck(width, width, 1, self.spec.expansion))
@@ -136,12 +137,12 @@ class ReferenceExtractor(Module):
 
     def _check_spatial(self, h, w):
         size = min(h, w)
-        for i in range(len(self.spec.stage_widths) - 1):
+        for i in range(len(self.spec.widths) - 1):
             size = (size + 2 - 3) // 2 + 1
             if size <= 1:
                 raise ShapeError(
                     f"spatial input {h}x{w} collapses before the final stage "
-                    f"(stage {i + 1} of {len(self.spec.stage_widths)})"
+                    f"(stage {i + 1} of {len(self.spec.widths)})"
                 )
 
     def forward(self, x):

@@ -129,7 +129,7 @@ def _head_case(seed, channels=8, t=7, batch=3, classes=5):
     return fn, head.parameters()
 
 
-def block_suite(which="all", seed=0, tol=1e-3, coords_per_param=5):
+def block_suite(which="all", seed=0):
     """Gradient-check every block kind and the classifier head.
 
     Returns [(name, GradCheckResult), ...]; names cover the full zoo when
@@ -150,6 +150,5 @@ def block_suite(which="all", seed=0, tol=1e-3, coords_per_param=5):
         else:
             fn, params = _block_case(name, seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 9]))
-        results.append((name, grad_check(fn, params, tol=tol,
-                                         coords_per_param=coords_per_param, rng=rng)))
+        results.append((name, grad_check(fn, params, rng=rng)))
     return results

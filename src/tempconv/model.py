@@ -175,7 +175,7 @@ def describe(model):
         )
         ext = model.extractor
         lines.append(
-            f"  extractor   {len(ext.spec.stage_widths)} stage(s) widths {ext.spec.stage_widths}  "
+            f"  extractor   {len(ext.spec.widths)} stage(s) widths {ext.spec.widths}  "
             f"params {_fmt(ext.param_count())}"
         )
         if model.projection is not None:

@@ -240,13 +240,13 @@ def predict_param_count(config):
         total += stem.out_channels + 2 * stem.out_channels
         cin = config.extractor.in_channels
         e_ratio = config.extractor.expansion
-        for width in config.extractor.stage_widths:
+        for width in config.extractor.widths:
             chain = [(cin, width)] + [(width, width)] * (config.extractor.blocks_per_stage - 1)
             for a, b in chain:
                 e = int(round(a * e_ratio))
                 total += a * e + 2 * e + 9 * e + 2 * e + e * b + 2 * b
             cin = width
-        d = config.extractor.stage_widths[-1]
+        d = config.extractor.widths[-1]
         if d != tcn.channels[0]:
             total += d * tcn.channels[0] + tcn.channels[0]
     total += tcn.channels[-1] * config.classifier.num_classes + config.classifier.num_classes

@@ -12,7 +12,6 @@ from tempconv.blocks import (
     expanded_width,
     make_block,
 )
-from tempconv.complexity import count_params
 from tempconv.errors import ConfigError, ShapeError
 from tempconv.frontend import ClassifierHead, ReferenceExtractor, Stem
 
@@ -233,4 +232,4 @@ class TestCountAgreement:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_registry_equals_complexity_counter(self, kind):
         blk = fresh(kind)
-        assert count_params(blk) == param_count(blk)
+        assert blk.param_count() == param_count(blk)

@@ -51,8 +51,9 @@ class TestExitCodes:
         (["infer", "--config", TOY_CFG, "--input", "{file}", "--checkpoint", "{dir}"],
          "{dir}", errno.EISDIR),
         (["train-toy", "--config", TOY_CFG, *TINY, "--run-dir", "{file}"], "{file}", errno.EEXIST),
+        (["gen-data", "--config", TOY_CFG, *TINY, "--out", "{dir}"], "{dir}", errno.EISDIR),
     ], ids=["count-config-dir", "describe-out-dir", "verify-fixture-dir", "infer-input-dir",
-            "infer-checkpoint-dir", "train-run-dir-is-file"])
+            "infer-checkpoint-dir", "train-run-dir-is-file", "gen-data-out-dir"])
     def test_unusable_path(self, argv, path, code, tmp_path, capsys):
         """Exit 2 naming the path and the OS reason, not a traceback."""
         (tmp_path / "file").write_bytes(b"")
@@ -88,6 +89,22 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["describe"],
+        ["verify"],
+        ["infer", "--input", "{tmp}/missing.lwt"],
+        ["gradcheck", "--kind", "head"],
+        ["schedule", "--epochs", "2"],
+        ["train-toy", "--config", TOY_CFG, *TINY, "--run-dir", "{tmp}/run"],
+        ["gen-data", "--config", TOY_CFG, *TINY, "--out", "{tmp}/toy.npz"],
+    ], ids=lambda argv: argv[0])
+    def test_markdown_only_where_it_renders(self, argv, tmp_path, capsys):
+        """Only count renders markdown; elsewhere it is a usage error, not text."""
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert main(argv + ["--format", "markdown"]) == EXIT_USAGE
+        assert "invalid choice: 'markdown'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_invalid_config_value(self, capsys):
         assert main(["describe", "--set", "tcn.stages=0"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
@@ -121,13 +138,17 @@ class TestExitCodes:
         (["describe", "--set", "extractor.expansion=1e30"], None),
         (["describe", "--set", "tcn.kernel=10000000000000000001"], None),
         (["describe", "--set", "extractor.expansion=1.01"], None),
+        (["describe", "--set", "extractor.in_channels=8"], None),
+        (["describe", "--set", "stem.kernel=3"], None),
+        (["describe", "--set", "extractor.stage_widths=8"], None),
     ], ids=["percent-override", "percent-doc", "interpolation-doc", "default-override",
             "default-doc", "tcn-expansion-nan", "tcn-expansion-inf", "extractor-expansion-inf",
             "stages-33", "schedule-lr-nan", "schedule-lr-negative", "train-lr-nan",
             "toy-frame-size-negative", "toy-seed-negative", "train-seed-negative",
             "seed-flag-negative", "gradcheck-seed-negative", "crop-size-negative",
             "tcn-channels-huge", "extractor-widths-huge", "stem-out-channels-huge",
-            "extractor-expansion-huge", "tcn-kernel-huge", "extractor-expansion-fraction"])
+            "extractor-expansion-huge", "tcn-kernel-huge", "extractor-expansion-fraction",
+            "extractor-in-channels-key", "stem-kernel-key", "extractor-stage-widths-key"])
     def test_bad_config_input(self, argv, doc, tmp_path, capsys):
         """Exit 2 with a ConfigError message: no traceback, no silent no-op."""
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -399,3 +420,12 @@ class TestTrainToy:
         with np.load(dest) as z:
             assert z["train_x"].shape == (16, 1, 8, 8, 8)
             assert z["val_y"].shape == (8,)
+
+    def test_gen_data_writes_the_path_it_reports(self, tmp_path, capsys):
+        """No ".npz" suffix is appended to a path that lacks one."""
+        dest = tmp_path / "toy"
+        assert main(["gen-data", "--config", TOY_CFG, *TINY, "--out", str(dest)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"wrote {dest}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy"]
+        with np.load(dest) as z:
+            assert z["test_y"].shape == (8,)

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempconv.errors import FormatError
 from tempconv.lwt import (
@@ -17,6 +19,8 @@ from tempconv.lwt import (
     save_tensor,
     write_tensor,
 )
+
+FIXED = settings.get_profile("fastpath")
 
 
 class TestTensorFormat:
@@ -154,3 +158,46 @@ class TestCheckpointFormat:
         p.write_bytes(bytes(blob) + record)
         with pytest.raises(FormatError):
             load_checkpoint(p)
+
+
+def _damaged(blob):
+    """Every proper prefix of ``blob``, and every copy with one byte set to 0x00 or 0xFF."""
+    for cut in range(len(blob)):
+        yield blob[:cut]
+    for i in range(len(blob)):
+        for byte in (b"\x00", b"\xff"):
+            yield blob[:i] + byte + blob[i + 1:]
+
+
+arrays = st.builds(
+    lambda dtype, shape, seed: np.random.default_rng(seed).standard_normal(shape).astype(dtype),
+    st.sampled_from([np.float32, np.float64]),
+    st.lists(st.integers(0, 2), max_size=3).map(tuple),
+    st.integers(0, 2**16),
+)
+
+
+class TestDamagedInput:
+    """Truncated or byte-corrupted records load or raise FormatError, nothing else."""
+
+    @settings(FIXED)
+    @given(array=arrays)
+    def test_tensor_record(self, array):
+        for blob in _damaged(dumps_tensor(array)):
+            try:
+                loads_tensor(blob)
+            except FormatError:
+                pass
+
+    @settings(FIXED, max_examples=10)
+    @given(first=arrays, second=arrays,
+           meta=st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2))
+    def test_checkpoint(self, first, second, meta, tmp_path_factory):
+        path = tmp_path_factory.mktemp("damaged") / "c.lwtc"
+        save_checkpoint(path, {"a": first, "b.weight": second}, meta=meta)
+        for blob in _damaged(path.read_bytes()):
+            path.write_bytes(blob)
+            try:
+                load_checkpoint(path)
+            except FormatError:
+                pass

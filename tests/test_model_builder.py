@@ -1,5 +1,7 @@
 """Model assembly: config validation, parameter prediction, receptive field,
 deterministic construction, and serialization round-trips."""
+import glob
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 import tempconv as tc
 from tempconv import Tensor
-from tempconv.complexity import audit, count_params
+from tempconv.blocks import EXPERIMENTAL_KINDS
+from tempconv.complexity import audit
 from tempconv.config import _KNOWN_KEYS
 from tempconv.errors import ConfigError, ShapeError
 from tempconv.model import PARAM_BUDGET_CAP, receptive_field
@@ -22,6 +25,27 @@ def cfg(text, overrides=()):
     return tc.parse_config(text, overrides)
 
 TCN_ONLY = "[model]\nfrontend = false\n"
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))
+
+
+def render(doc):
+    """The INI text of a ``config_to_dict`` document."""
+    lines = []
+    for section, body in doc.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {', '.join(map(str, value)) if isinstance(value, list) else value}"
+                  for key, value in body.items()]
+    return "\n".join(lines) + "\n"
+
+
+def shipped_and_experimental():
+    """Every shipped config and each experimental kind, frontend on and off."""
+    cases = {os.path.basename(path): tc.load_config_file(path) for path in CONFIGS}
+    cases.update({kind: cfg("[model]\nexperimental = true\n", [f"tcn.block_kind={kind}"])
+                  for kind in EXPERIMENTAL_KINDS})
+    for name, c in list(cases.items()):
+        cases[f"{name}-tcn-only"] = replace(c, stem=None, extractor=None)
+    return cases
 
 
 class TestConfigValidation:
@@ -87,6 +111,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="rates"):
             replace(tc.TrainConfig(), base_lr=float("nan"))
 
+    @pytest.mark.parametrize("name,config", sorted(shipped_and_experimental().items()))
+    def test_writer_and_reader_agree(self, name, config):
+        """config_to_dict writes a document that parses back to the same config."""
+        assert cfg(render(tc.config_to_dict(config))) == config
+
     @pytest.mark.parametrize("key", sorted(f"{section}.{key}" for section, keys in
                                            _KNOWN_KEYS.items() for key in keys))
     @settings(max_examples=40, deadline=None)
@@ -106,20 +135,20 @@ class TestParamPrediction:
     def test_closed_form_matches_built_model(self, kind):
         c = cfg(TCN_ONLY + f"[tcn]\nblock_kind = {kind}\nchannels = 64\nstages = 3\n")
         model = tc.build_model(c, init=False)
-        assert predict_param_count(c) == count_params(model)
+        assert predict_param_count(c) == model.param_count()
 
     def test_full_model_prediction(self):
         c = cfg("[tcn]\nchannels = 128\nstages = 2\n[classifier]\nnum_classes = 12\n")
         model = tc.build_model(c, init=False)
-        assert predict_param_count(c) == count_params(model)
+        assert predict_param_count(c) == model.param_count()
 
     def test_per_stage_widths_add_transitions(self):
         uniform = cfg(TCN_ONLY + "[tcn]\nstages = 2\nchannels = 64\n")
         mixed = cfg(TCN_ONLY + "[tcn]\nstages = 2\nchannels = 64, 96\n")
         m_uniform = tc.build_model(uniform, init=False)
         m_mixed = tc.build_model(mixed, init=False)
-        assert count_params(m_mixed) != count_params(m_uniform)
-        assert predict_param_count(mixed) == count_params(m_mixed)
+        assert m_mixed.param_count() != m_uniform.param_count()
+        assert predict_param_count(mixed) == m_mixed.param_count()
 
     def test_budget_cap_enforced(self):
         """Over-budget configs fail on declared shapes, before any weight is
@@ -225,7 +254,7 @@ class TestDescribe:
         assert "starv" in text
         assert "receptive field" in text.lower()
         assert tc.config_hash(c) in text
-        assert f"{count_params(model):,}" in text
+        assert f"{predict_param_count(c):,}" in text
 
     def test_describe_deterministic(self):
         c = cfg(TCN_ONLY + "[tcn]\nchannels = 16\n")
