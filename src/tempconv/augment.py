@@ -18,22 +18,22 @@ def horizontal_flip(frames):
     return frames[..., ::-1].copy()
 
 
-def random_crop(frames, size, rng):
+def _crop(frames, size, offsets):
+    """The size x size window at ``offsets(h - size, w - size)``; one rule for every crop."""
     h, w = frames.shape[-2:]
-    if size > h or size > w:
-        raise ShapeError(f"crop {size} larger than frame {h}x{w}")
-    top = int(rng.integers(0, h - size + 1))
-    left = int(rng.integers(0, w - size + 1))
+    if not 1 <= size <= min(h, w):
+        raise ShapeError(f"crop {size} must lie in 1..{min(h, w)} for a {h}x{w} frame")
+    top, left = offsets(h - size, w - size)
     return frames[..., top:top + size, left:left + size].copy()
+
+
+def random_crop(frames, size, rng):
+    return _crop(frames, size, lambda dh, dw: (int(rng.integers(0, dh + 1)),
+                                               int(rng.integers(0, dw + 1))))
 
 
 def center_crop(frames, size):
-    h, w = frames.shape[-2:]
-    if size > h or size > w:
-        raise ShapeError(f"crop {size} larger than frame {h}x{w}")
-    top = (h - size) // 2
-    left = (w - size) // 2
-    return frames[..., top:top + size, left:left + size].copy()
+    return _crop(frames, size, lambda dh, dw: (dh // 2, dw // 2))
 
 
 def variable_length(seq, rng, t_min=None):

@@ -50,6 +50,17 @@ def canonical_kind(name):
     return key
 
 
+def checked_kind(name, experimental):
+    """The canonical kind; an experimental kind needs the flag."""
+    kind = canonical_kind(name)
+    if kind in EXPERIMENTAL_KINDS and not experimental:
+        raise ConfigError(
+            f"block kind '{kind}' is experimental; pass experimental=True "
+            "(CLI/config: experimental = true) to use it"
+        )
+    return kind
+
+
 def expanded_width(channels, expansion):
     try:
         e = int(round(expansion * channels))
@@ -58,6 +69,16 @@ def expanded_width(channels, expansion):
     if e < 1 or abs(e - expansion * channels) > 1e-9:
         raise ConfigError(f"expansion {expansion} does not give a whole width at {channels} channels")
     return e
+
+
+def block_width(kind, channels, expansion):
+    """Expanded width of a canonical kind at ``channels``; None for a kind
+    without one, which refuses an expansion it would ignore."""
+    if kind not in DEFAULT_EXPANSION:
+        if expansion is not None:
+            raise ConfigError(f"block kind '{kind}' has no expanded width; leave expansion unset")
+        return None
+    return expanded_width(channels, DEFAULT_EXPANSION[kind] if expansion is None else expansion)
 
 
 class TemporalBlock(Module):
@@ -139,12 +160,9 @@ _BODIES = {
 class SequentialBlock(TemporalBlock):
     """Body is the plain layer stack ``_BODIES[kind]`` builds."""
 
-    def __init__(self, kind, channels, dilation, expansion, kernel, dropout):
+    def __init__(self, kind, channels, dilation, width, kernel, dropout):
         super().__init__(kind, channels, dilation, dropout)
-        self.kernel = kernel
-        self.expansion = expansion
-        self.width = None if expansion is None else expanded_width(channels, expansion)
-        self.body = Sequential(*_BODIES[kind](channels, self.width, kernel, dilation))
+        self.body = Sequential(*_BODIES[kind](channels, width, kernel, dilation))
 
     def _body(self, x):
         return self.body(x)
@@ -159,12 +177,9 @@ class StarBlock(TemporalBlock):
     other experimental tags share this exact structure.
     """
 
-    def __init__(self, kind, channels, dilation, expansion, dw_kernel, dropout):
+    def __init__(self, kind, channels, dilation, width, dw_kernel, dropout):
         super().__init__(kind, channels, dilation, dropout)
-        self.expansion = expansion
-        self.dw_kernel = dw_kernel
-        self.width = expanded_width(channels, expansion)
-        c, d, kk, e = channels, dilation, dw_kernel, self.width
+        c, d, kk, e = channels, dilation, dw_kernel, width
         self.dw_in = _dw(c, kk, d)
         self.bn_in = BatchNorm(c)
         self.branch1 = _pw(c, e, bias=True)
@@ -193,15 +208,8 @@ class StarBlock(TemporalBlock):
 def make_block(kind, channels, dilation, expansion=None, kernel=3,
                dw_kernel=STAR_DW_KERNEL, dropout=0.2, experimental=False):
     """Construct one temporal block; experimental kinds need the flag."""
-    kind = canonical_kind(kind)
-    if kind in EXPERIMENTAL_KINDS and not experimental:
-        raise ConfigError(
-            f"block kind '{kind}' is experimental; pass experimental=True "
-            "(CLI/config: experimental = true) to use it"
-        )
-    e = None  # baseline and linear have no expanded width
-    if kind in DEFAULT_EXPANSION:
-        e = DEFAULT_EXPANSION[kind] if expansion is None else expansion
+    kind = checked_kind(kind, experimental)
+    width = block_width(kind, channels, expansion)
     if kind in _BODIES:
-        return SequentialBlock(kind, channels, dilation, e, kernel, dropout)
-    return StarBlock(kind, channels, dilation, e, dw_kernel, dropout)
+        return SequentialBlock(kind, channels, dilation, width, kernel, dropout)
+    return StarBlock(kind, channels, dilation, width, dw_kernel, dropout)

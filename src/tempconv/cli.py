@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import complexity, lwt
+from .augment import center_crop
 from .config import (TrainConfig, config_to_dict, parse_config, parse_toy_spec, parse_train_config,
                      read_config_text)
 from .errors import ConfigError, FormatError, NumericError, ShapeError, TapeError
@@ -201,14 +202,6 @@ def _cmd_gradcheck(args):
     return EXIT_OK if passed else EXIT_NUMERIC
 
 
-def _center_crop_to(arr, size):
-    h, w = arr.shape[-2:]
-    if h < size or w < size:
-        raise ShapeError(f"input spatial {h}x{w} smaller than expected {size}x{size}")
-    top, left = (h - size) // 2, (w - size) // 2
-    return arr[..., top:top + size, left:left + size]
-
-
 def _cmd_infer(args):
     config = _load_model_config(args)
     seed = _resolve_seed(args) or 0
@@ -230,8 +223,7 @@ def _cmd_infer(args):
             raise ShapeError(
                 f"tensor has {arr.shape[0]} channels, model expects {config.in_channels}"
             )
-        if arr.shape[-2:] != (args.crop_size, args.crop_size):
-            arr = _center_crop_to(arr, args.crop_size)
+        arr = center_crop(arr, args.crop_size)
     elif arr.ndim != 2:
         raise ShapeError(f"frontend-less model expects a (C, T) tensor, got rank {arr.ndim}")
     probs = model.predict_proba(Tensor(arr.astype(np.float32))).data

@@ -6,13 +6,14 @@ default; an empty document parses to the stock 4-stage, 512-channel,
 kernel-3 network with a 500-class head. ``--set tcn.stages=6`` style
 overrides patch the document before validation, last one wins.
 
-Every section except [model] is its frozen dataclass: a field is a key, with
-its name, its default and, by the default's type, its parser; the writer
-emits the same fields. The one exception is the extractor's ``in_channels``,
-which is the stem's width and not a key. ``__post_init__`` holds the
+Every section is its frozen dataclass: a field is a key, with its name,
+its default and, by the default's type, its parser; the writer emits the
+same fields. Fields that hold another section or the stem's width (the
+extractor's ``in_channels``) are not keys. ``__post_init__`` holds the
 section's rules, so ``replace()`` and direct construction are checked like
-parsing. [model] is read by hand because its ``frontend`` key decides
-whether [stem] and [extractor] exist. Numbers must be finite, ``%`` is
+parsing; [model]'s rules span its sections. Only [model]'s ``frontend`` key
+is read by hand: it decides whether [stem] and [extractor] exist, and the
+writer derives it from the extractor. Numbers must be finite, ``%`` is
 literal, and [DEFAULT] is an unknown section like any other.
 """
 from __future__ import annotations
@@ -21,11 +22,12 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
-from .blocks import DEFAULT_EXPANSION, STAR_DW_KERNEL, canonical_kind, expanded_width
+from .blocks import STAR_DW_KERNEL, block_width, canonical_kind, checked_kind
 from .errors import ConfigError
 from .frontend import ExtractorSpec, StemSpec
+from .layers import PARAM_BUDGET_CAP
 
 # Stage i dilates by 2**i and LWT1 stores under 2**32 frames, so every
 # dilated tap of a 33rd stage would read only padding.
@@ -62,11 +64,8 @@ class TCNConfig:
             raise ConfigError(f"expansion must be positive, got {self.expansion}")
         if self.dw_kernel < 1 or self.dw_kernel % 2 == 0:
             raise ConfigError(f"dw_kernel must be odd and positive, got {self.dw_kernel}")
-        # surface non-integral expanded widths at parse time, per stage width
-        eff_e = DEFAULT_EXPANSION.get(self.block_kind) if self.expansion is None else self.expansion
-        if eff_e is not None:
-            for c in self.channels:
-                expanded_width(c, eff_e)
+        for c in self.channels:  # the builder's width rule, at parse time
+            block_width(self.block_kind, c, self.expansion)
 
 
 @dataclass(frozen=True)
@@ -86,6 +85,17 @@ class ModelConfig:
     experimental: bool = False
     tcn: TCNConfig = field(default_factory=TCNConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
+
+    def __post_init__(self):
+        if (self.stem is None) != (self.extractor is None):
+            raise ConfigError("stem and extractor must both be set (frontend) or both be None (TCN only)")
+        if self.extractor is not None:
+            if self.extractor.in_channels != self.stem.out_channels:
+                raise ConfigError(f"extractor in_channels {self.extractor.in_channels} must equal "
+                                  f"the stem's out_channels {self.stem.out_channels}")
+            if self.in_channels not in (1, 3):
+                raise ConfigError(f"in_channels must be 1 or 3, got {self.in_channels}")
+        checked_kind(self.tcn.block_kind, self.experimental)
 
 
 @dataclass(frozen=True)
@@ -144,12 +154,19 @@ class ToyDatasetSpec:
             raise ConfigError("every toy split needs at least one sample")
         if self.seed < 0:
             raise ConfigError(f"toy seed must be ≥ 0, got {self.seed}")
+        # gen-data holds the motifs and every (1, T, S, S) sample of the three
+        # splits at once: refuse a dataset past the budget before numpy is asked
+        samples = self.train_size + self.val_size + self.test_size
+        entries = (self.num_classes + samples * self.seq_len) * self.frame_size ** 2
+        if entries > PARAM_BUDGET_CAP:
+            raise ConfigError(f"toy dataset holds {entries:,} entries, over the "
+                              f"{PARAM_BUDGET_CAP:,} budget cap")
 
 
 _SECTIONS = {"stem": StemSpec, "extractor": ExtractorSpec, "tcn": TCNConfig,
              "classifier": ClassifierConfig, "train": TrainConfig, "toy": ToyDatasetSpec}
 _KNOWN_KEYS = {
-    "model": {"frontend", "in_channels", "experimental"},
+    "model": {"frontend"} | {f.name for f in fields(ModelConfig) if f.name not in _SECTIONS},
     **{name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()},
 }
 _KNOWN_KEYS["extractor"].remove("in_channels")  # the stem's width, given by parse_config
@@ -230,31 +247,22 @@ def _read(cls, sections, section, **given):
 
 def _write(section, spec):
     """A section's keys and values as a document holds them; tuples become lists."""
-    return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in asdict(spec).items() if k in _KNOWN_KEYS[section]}
+    values = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name in _KNOWN_KEYS[section]}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 def parse_config(text, overrides=()):
     """Parse and validate a model config; defaults fill every gap."""
     sections = _load_sections(text, overrides)
-
-    frontend = _get(sections, "model", "frontend", True, _bool)
-    in_channels = _get(sections, "model", "in_channels", ModelConfig.in_channels, int)
-    experimental = _get(sections, "model", "experimental", ModelConfig.experimental, _bool)
-    tcn = _read(TCNConfig, sections, "tcn")
-    classifier = _read(ClassifierConfig, sections, "classifier")
-
     stem = extractor = None
-    if frontend:
-        if in_channels not in (1, 3):
-            raise ConfigError(f"in_channels must be 1 or 3, got {in_channels}")
+    if _get(sections, "model", "frontend", True, _bool):
         stem = _read(StemSpec, sections, "stem")
         extractor = _read(ExtractorSpec, sections, "extractor", in_channels=stem.out_channels)
     elif sections.get("stem") or sections.get("extractor"):
         raise ConfigError("stem/extractor sections present but model.frontend is false")
-
-    return ModelConfig(stem=stem, extractor=extractor, in_channels=in_channels,
-                       experimental=experimental, tcn=tcn, classifier=classifier)
+    return _read(ModelConfig, sections, "model", stem=stem, extractor=extractor,
+                 tcn=_read(TCNConfig, sections, "tcn"),
+                 classifier=_read(ClassifierConfig, sections, "classifier"))
 
 
 def parse_train_config(text, overrides=()):
@@ -280,13 +288,7 @@ def load_config_file(path, overrides=()):
 
 def config_to_dict(config):
     """Canonical nested dict; basis for hashing and describe output."""
-    out = {
-        "model": {
-            "frontend": config.extractor is not None,
-            "in_channels": config.in_channels,
-            "experimental": config.experimental,
-        },
-    }
+    out = {"model": {"frontend": config.extractor is not None, **_write("model", config)}}
     for section in ("tcn", "classifier", "stem", "extractor"):
         spec = getattr(config, section)
         if spec is not None:

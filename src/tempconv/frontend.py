@@ -85,14 +85,22 @@ class ExtractorSpec:
                               f"got {self.blocks_per_stage}")
         if not 0 < self.expansion < math.inf:
             raise ConfigError("extractor expansion must be positive")
-        # surface non-integral expanded widths at parse time, per bottleneck input width
-        widths = tuple(self.widths)
-        for c in (self.in_channels,) + widths[:-1] + (widths if self.blocks_per_stage > 1 else ()):
-            expanded_width(c, self.expansion)
+        for cin, _, _ in self.bottlenecks():  # surface non-integral widths at parse time
+            expanded_width(cin, self.expansion)
 
     @property
     def out_dim(self):
         return self.widths[-1]
+
+    def bottlenecks(self):
+        """(in width, out width, stride) of every bottleneck, in build order:
+        each stage downsamples once, then repeats at its own width."""
+        cin = self.in_channels
+        for width in self.widths:
+            yield cin, width, 2
+            for _ in range(self.blocks_per_stage - 1):
+                yield width, width, 1
+            cin = width
 
 
 class _SpatialBottleneck(Module):
@@ -125,15 +133,8 @@ class ReferenceExtractor(Module):
         super().__init__()
         self.spec = spec if spec is not None else ExtractorSpec()
         self.out_dim = self.spec.out_dim
-        repeats = self.spec.blocks_per_stage - 1
-        stages = []
-        cin = self.spec.in_channels
-        for width in self.spec.widths:
-            stages.append(_SpatialBottleneck(cin, width, 2, self.spec.expansion))
-            for _ in range(repeats):
-                stages.append(_SpatialBottleneck(width, width, 1, self.spec.expansion))
-            cin = width
-        self.stages = Sequential(*stages)
+        self.stages = Sequential(*(_SpatialBottleneck(cin, cout, stride, self.spec.expansion)
+                                   for cin, cout, stride in self.spec.bottlenecks()))
 
     def _check_spatial(self, h, w):
         size = min(h, w)

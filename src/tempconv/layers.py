@@ -348,9 +348,6 @@ class Sequential(Module):
     def __len__(self):
         return len(self._modules)
 
-    def __getitem__(self, i):
-        return list(self._modules.values())[i]
-
     def forward(self, x):
         """Each layer in turn; a Conv followed by a BatchNorm, and a ReLU
         right after them, runs as one ``conv_norm``."""

@@ -47,18 +47,11 @@ class TCN(Module):
     def in_channels(self):
         return self.cfg.channels[0]
 
-    @property
-    def out_channels(self):
-        return self.cfg.channels[-1]
-
     def forward(self, x):
         return self.body(x)
 
     def blocks(self):
         return [layer for layer in self.body if isinstance(layer, TemporalBlock)]
-
-    def rf_taps(self):
-        return [tap for block in self.blocks() for tap in block.rf_taps()]
 
 
 class Model(Module):
@@ -139,9 +132,8 @@ def receptive_field(config):
     1 + sum over blocks of (kernel - 1) * dilation per temporal conv;
     the stem's temporal kernel widens it further when the frontend is present.
     """
-    # a structural query: the experimental gate applies to building models
-    taps = TCN(config.tcn, experimental=True).rf_taps()
-    rf = 1 + sum((k - 1) * d for k, d in taps)
+    blocks = TCN(config.tcn, experimental=config.experimental).blocks()
+    rf = 1 + sum((k - 1) * d for block in blocks for k, d in block.rf_taps())
     if config.extractor is not None:
         rf += config.stem.kernel[0] - 1
     return rf

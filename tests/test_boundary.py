@@ -35,7 +35,7 @@ def cases(draw):
     return config, frames, seed
 
 
-@settings(max_examples=40, deadline=None)
+@settings(settings.get_profile("fastpath"), max_examples=40)
 @given(cases())
 def test_single_sample_equals_batched_rows(case):
     config, frames, seed = case

@@ -141,6 +141,13 @@ class TestExitCodes:
         (["describe", "--set", "extractor.in_channels=8"], None),
         (["describe", "--set", "stem.kernel=3"], None),
         (["describe", "--set", "extractor.stage_widths=8"], None),
+        # sizes whose arrays no machine holds, so they fail at once wherever they are not refused
+        (["train-toy", "--config", TOY_CFG, "--set", "toy.train_size=1000000000000",
+          "--run-dir", "{tmp}/run"], None),
+        (["train-toy", "--config", TOY_CFG, "--set", "toy.seq_len=10000000000000",
+          "--run-dir", "{tmp}/run"], None),
+        (["gen-data", "--set", "toy.frame_size=10000000", "--set", "toy.num_classes=2",
+          "--out", "{tmp}/toy.npz"], None),
     ], ids=["percent-override", "percent-doc", "interpolation-doc", "default-override",
             "default-doc", "tcn-expansion-nan", "tcn-expansion-inf", "extractor-expansion-inf",
             "stages-33", "schedule-lr-nan", "schedule-lr-negative", "train-lr-nan",
@@ -148,7 +155,8 @@ class TestExitCodes:
             "seed-flag-negative", "gradcheck-seed-negative", "crop-size-negative",
             "tcn-channels-huge", "extractor-widths-huge", "stem-out-channels-huge",
             "extractor-expansion-huge", "tcn-kernel-huge", "extractor-expansion-fraction",
-            "extractor-in-channels-key", "stem-kernel-key", "extractor-stage-widths-key"])
+            "extractor-in-channels-key", "stem-kernel-key", "extractor-stage-widths-key",
+            "toy-train-size-huge", "toy-seq-len-huge", "toy-frame-size-huge"])
     def test_bad_config_input(self, argv, doc, tmp_path, capsys):
         """Exit 2 with a ConfigError message: no traceback, no silent no-op."""
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -317,6 +325,15 @@ class TestInfer:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["top5"]) == 5
         assert doc["prob_sum"] == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("size", ["-2", "0"])
+    def test_empty_crop_refused(self, size, tmp_path, capsys):
+        """A crop edge below 1 would slice an empty frame; the crop rule names it."""
+        p = tmp_path / "clip.lwt"
+        lwt.save_tensor(p, np.zeros((1, 12, 8, 8), dtype=np.float32))
+        assert main(["infer", "--config", TOY_CFG, "--input", str(p),
+                     "--crop-size", size]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"tempconv.ShapeError: crop {size} must lie in 1..8")
 
     def test_wrong_rank_rejected(self, tmp_path, capsys):
         p = tmp_path / "flat.lwt"

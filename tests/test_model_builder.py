@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 
 import tempconv as tc
 from tempconv import Tensor
-from tempconv.blocks import EXPERIMENTAL_KINDS
+from tempconv.blocks import BLOCK_KINDS, EXPERIMENTAL_KINDS
 from tempconv.complexity import audit
 from tempconv.config import _KNOWN_KEYS
 from tempconv.errors import ConfigError, ShapeError
+from tempconv.frontend import StemSpec
 from tempconv.model import PARAM_BUDGET_CAP, receptive_field
 
 from oracles import predict_param_count
+
+FIXED = settings.get_profile("fastpath")
 
 
 def cfg(text, overrides=()):
@@ -118,7 +121,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key", sorted(f"{section}.{key}" for section, keys in
                                            _KNOWN_KEYS.items() for key in keys))
-    @settings(max_examples=40, deadline=None)
+    @settings(FIXED, max_examples=40)
     @given(value=st.one_of(st.text(), st.integers().map(str), st.floats().map(repr),
                            st.sampled_from(["nan", "-inf", "1e308", "%", "%(x)s", "none"])))
     def test_fuzzed_override_raises_only_config_error(self, key, value):
@@ -127,6 +130,66 @@ class TestConfigValidation:
                 parse("", [f"{key}={value}"])
             except ConfigError:
                 pass
+
+
+WIDTH_RULE = "block kind 'baseline' has no expanded width"
+KIND_RULE = "block kind 'stari' is experimental"
+
+
+@st.composite
+def documents(draw):
+    kind = draw(st.sampled_from(BLOCK_KINDS))
+    overrides = [f"tcn.block_kind={kind}",
+                 f"model.experimental={draw(st.booleans())}",
+                 f"model.in_channels={draw(st.integers(0, 4))}",
+                 f"tcn.stages={draw(st.integers(1, 2))}",
+                 f"tcn.channels={draw(st.sampled_from(['1', '3', '4', '5', '4,6', '8,3']))}",
+                 "classifier.num_classes=3"]
+    expansion = draw(st.sampled_from([None, 0.5, 1.0, 1.5, 2.0, 3.5, 7.0]))
+    if expansion is not None:
+        overrides.append(f"tcn.expansion={expansion}")
+    if draw(st.booleans()):
+        overrides += [f"stem.out_channels={draw(st.integers(1, 6))}",
+                      f"extractor.widths={draw(st.sampled_from(['2', '4,6', '3,4,5']))}",
+                      f"extractor.blocks_per_stage={draw(st.integers(1, 2))}",
+                      f"extractor.expansion={draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))}"]
+    else:
+        overrides.append("model.frontend=false")
+    return overrides
+
+
+class TestModelRules:
+    """[model]'s rules and the builder's width and kind rules have one owner,
+    so parsing, replace() and make_block refuse the same configs."""
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: cfg("", ["tcn.expansion=0.3", "tcn.channels=5"]), WIDTH_RULE),
+        (lambda: cfg("", ["tcn.expansion=7"]), WIDTH_RULE),
+        (lambda: tc.make_block("baseline", 8, 1, expansion=7), WIDTH_RULE),
+        (lambda: cfg("[tcn]\nblock_kind = stari\n"), KIND_RULE),
+        (lambda: tc.make_block("stari", 8, 1), KIND_RULE),
+        (lambda: replace(cfg(""), in_channels=2), "in_channels must be 1 or 3"),
+        (lambda: replace(cfg(""), stem=StemSpec(16)), "extractor in_channels 32 must equal"),
+        (lambda: replace(cfg(""), stem=None), "must both be set"),
+        (lambda: replace(cfg(TCN_ONLY), tcn=tc.TCNConfig(block_kind="stari")), KIND_RULE),
+    ], ids=["expansion-whole-on-baseline", "expansion-ignored-on-baseline",
+            "make-block-expansion-on-baseline", "experimental-kind-parse",
+            "experimental-kind-make-block", "in-channels-2", "stem-width-mismatch",
+            "stem-without-extractor", "experimental-kind-replace"])
+    def test_refused_where_the_rule_lives(self, make, match):
+        with pytest.raises(ConfigError, match=match):
+            make()
+
+    @settings(FIXED, max_examples=200)
+    @given(overrides=documents())
+    def test_every_parsed_document_builds_and_audits(self, overrides):
+        """A document the parser accepts is one the builder and auditor accept."""
+        try:
+            config = cfg("", overrides)
+        except ConfigError:
+            return
+        model = tc.build_model(config, init=False)
+        audit(model, model.input_shape())
 
 
 class TestParamPrediction:
