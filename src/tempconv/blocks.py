@@ -34,11 +34,14 @@ _ALIASES = {
     "star-v": "starv",
 }
 
+STAR_KINDS = ("starv",) + EXPERIMENTAL_KINDS
+
 DEFAULT_EXPANSION = {
     "fusedmb": 3.5, "invertedresidual": 2.0, "cib": 2.0, "uib": 4.0,
-    **dict.fromkeys(("starv",) + EXPERIMENTAL_KINDS, 4.0),
+    **dict.fromkeys(STAR_KINDS, 4.0),
 }
 
+PLAIN_KERNEL = 3
 STAR_DW_KERNEL = 7
 
 
@@ -79,6 +82,15 @@ def block_width(kind, channels, expansion):
             raise ConfigError(f"block kind '{kind}' has no expanded width; leave expansion unset")
         return None
     return expanded_width(channels, DEFAULT_EXPANSION[kind] if expansion is None else expansion)
+
+
+def check_kernels(kind, kernel, dw_kernel):
+    """Refuse a setting the canonical kind never reads: ``kernel`` on the
+    star kinds, ``dw_kernel`` on the plain ones."""
+    unread, value, default = (("kernel", kernel, PLAIN_KERNEL) if kind in STAR_KINDS
+                              else ("dw_kernel", dw_kernel, STAR_DW_KERNEL))
+    if value != default:
+        raise ConfigError(f"block kind '{kind}' never reads {unread}; leave it at {default}")
 
 
 class TemporalBlock(Module):
@@ -205,11 +217,12 @@ class StarBlock(TemporalBlock):
         return self.dw_out(conv_norm(self.project, self.bn_out, mixed))
 
 
-def make_block(kind, channels, dilation, expansion=None, kernel=3,
+def make_block(kind, channels, dilation, expansion=None, kernel=PLAIN_KERNEL,
                dw_kernel=STAR_DW_KERNEL, dropout=0.2, experimental=False):
     """Construct one temporal block; experimental kinds need the flag."""
     kind = checked_kind(kind, experimental)
     width = block_width(kind, channels, expansion)
+    check_kernels(kind, kernel, dw_kernel)
     if kind in _BODIES:
         return SequentialBlock(kind, channels, dilation, width, kernel, dropout)
     return StarBlock(kind, channels, dilation, width, dw_kernel, dropout)

@@ -219,10 +219,6 @@ def _cmd_infer(args):
     if model.has_frontend:
         if arr.ndim != 4:
             raise ShapeError(f"expected a (C, T, H, W) tensor, got rank {arr.ndim}")
-        if arr.shape[0] != config.in_channels:
-            raise ShapeError(
-                f"tensor has {arr.shape[0]} channels, model expects {config.in_channels}"
-            )
         arr = center_crop(arr, args.crop_size)
     elif arr.ndim != 2:
         raise ShapeError(f"frontend-less model expects a (C, T) tensor, got rank {arr.ndim}")

@@ -103,8 +103,6 @@ def audit(model, input_shape=None):
         model.stem._check(shape)
         row("extractor", "extractor", model.extractor, (h, w), repeat=t)
         model.extractor._check_spatial(h, w)
-        if model.projection is not None:
-            row("tcn", "projection", model.projection, (t,))
     else:
         if len(shape) != 2:
             raise ShapeError(f"frontend-less model audits a (C, T) input, got {shape}")

@@ -8,13 +8,13 @@ overrides patch the document before validation, last one wins.
 
 Every section is its frozen dataclass: a field is a key, with its name,
 its default and, by the default's type, its parser; the writer emits the
-same fields. Fields that hold another section or the stem's width (the
-extractor's ``in_channels``) are not keys. ``__post_init__`` holds the
-section's rules, so ``replace()`` and direct construction are checked like
-parsing; [model]'s rules span its sections. Only [model]'s ``frontend`` key
-is read by hand: it decides whether [stem] and [extractor] exist, and the
-writer derives it from the extractor. Numbers must be finite, ``%`` is
-literal, and [DEFAULT] is an unknown section like any other.
+same fields. Fields that hold another section are not keys.
+``__post_init__`` holds the section's rules, so ``replace()`` and direct
+construction are checked like parsing; [model]'s rules span its sections.
+Only [model]'s ``frontend`` key is read by hand: it decides whether [stem]
+and [extractor] exist, and the writer derives it from the extractor.
+Numbers must be finite, ``%`` is literal, and [DEFAULT] is an unknown
+section like any other.
 """
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-from .blocks import STAR_DW_KERNEL, block_width, canonical_kind, checked_kind
+from .blocks import (PLAIN_KERNEL, STAR_DW_KERNEL, block_width, canonical_kind, check_kernels,
+                     checked_kind, expanded_width)
 from .errors import ConfigError
 from .frontend import ExtractorSpec, StemSpec
 from .layers import PARAM_BUDGET_CAP
@@ -39,7 +40,7 @@ class TCNConfig:
     block_kind: str = "baseline"
     stages: int = 4
     channels: tuple = (512,)  # one width is broadcast to every stage
-    kernel: int = 3
+    kernel: int = PLAIN_KERNEL
     dropout: float = 0.2
     expansion: float = None  # None -> the kind's default
     dw_kernel: int = STAR_DW_KERNEL
@@ -66,6 +67,7 @@ class TCNConfig:
             raise ConfigError(f"dw_kernel must be odd and positive, got {self.dw_kernel}")
         for c in self.channels:  # the builder's width rule, at parse time
             block_width(self.block_kind, c, self.expansion)
+        check_kernels(self.block_kind, self.kernel, self.dw_kernel)
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,12 @@ class ModelConfig:
         if (self.stem is None) != (self.extractor is None):
             raise ConfigError("stem and extractor must both be set (frontend) or both be None (TCN only)")
         if self.extractor is not None:
-            if self.extractor.in_channels != self.stem.out_channels:
-                raise ConfigError(f"extractor in_channels {self.extractor.in_channels} must equal "
-                                  f"the stem's out_channels {self.stem.out_channels}")
             if self.in_channels not in (1, 3):
                 raise ConfigError(f"in_channels must be 1 or 3, got {self.in_channels}")
+            for cin, _, _ in self.extractor.bottlenecks(self.stem.out_channels):
+                expanded_width(cin, self.extractor.expansion)
+        elif self.in_channels != 1:
+            raise ConfigError(f"in_channels must be 1 without a frontend, got {self.in_channels}")
         checked_kind(self.tcn.block_kind, self.experimental)
 
 
@@ -169,7 +172,6 @@ _KNOWN_KEYS = {
     "model": {"frontend"} | {f.name for f in fields(ModelConfig) if f.name not in _SECTIONS},
     **{name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()},
 }
-_KNOWN_KEYS["extractor"].remove("in_channels")  # the stem's width, given by parse_config
 
 
 def _load_sections(text, overrides=()):
@@ -257,7 +259,7 @@ def parse_config(text, overrides=()):
     stem = extractor = None
     if _get(sections, "model", "frontend", True, _bool):
         stem = _read(StemSpec, sections, "stem")
-        extractor = _read(ExtractorSpec, sections, "extractor", in_channels=stem.out_channels)
+        extractor = _read(ExtractorSpec, sections, "extractor")
     elif sections.get("stem") or sections.get("extractor"):
         raise ConfigError("stem/extractor sections present but model.frontend is false")
     return _read(ModelConfig, sections, "model", stem=stem, extractor=extractor,

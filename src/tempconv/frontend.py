@@ -70,9 +70,11 @@ MAX_BLOCKS_PER_STAGE = 32
 
 @dataclass(frozen=True)
 class ExtractorSpec:
-    """Reference extractor layout: one downsampling stage per width."""
+    """Reference extractor layout: one downsampling stage per width.
 
-    in_channels: int = StemSpec.out_channels
+    The input width is the stem's, given when the bottlenecks are laid out.
+    """
+
     widths: tuple = (64, 128, 256, 512)
     blocks_per_stage: int = 1
     expansion: float = 4.0
@@ -85,17 +87,15 @@ class ExtractorSpec:
                               f"got {self.blocks_per_stage}")
         if not 0 < self.expansion < math.inf:
             raise ConfigError("extractor expansion must be positive")
-        for cin, _, _ in self.bottlenecks():  # surface non-integral widths at parse time
-            expanded_width(cin, self.expansion)
 
     @property
     def out_dim(self):
         return self.widths[-1]
 
-    def bottlenecks(self):
-        """(in width, out width, stride) of every bottleneck, in build order:
-        each stage downsamples once, then repeats at its own width."""
-        cin = self.in_channels
+    def bottlenecks(self, cin):
+        """(in width, out width, stride) of every bottleneck fed ``cin``
+        channels, in build order: each stage downsamples once, then repeats
+        at its own width."""
         for width in self.widths:
             yield cin, width, 2
             for _ in range(self.blocks_per_stage - 1):
@@ -129,12 +129,12 @@ class ReferenceExtractor(Module):
     test uses).
     """
 
-    def __init__(self, spec=None):
+    def __init__(self, spec=None, in_channels=StemSpec.out_channels):
         super().__init__()
         self.spec = spec if spec is not None else ExtractorSpec()
         self.out_dim = self.spec.out_dim
         self.stages = Sequential(*(_SpatialBottleneck(cin, cout, stride, self.spec.expansion)
-                                   for cin, cout, stride in self.spec.bottlenecks()))
+                                   for cin, cout, stride in self.spec.bottlenecks(in_channels)))
 
     def _check_spatial(self, h, w):
         size = min(h, w)

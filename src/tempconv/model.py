@@ -1,10 +1,10 @@
 """Assemble configured networks and compute their structural properties.
 
-Pipeline: stem -> per-frame extractor -> (projection when widths differ)
--> dilated causal temporal stack -> masked-pool classifier. A config with
-the frontend disabled builds the temporal stack alone, consuming [C, T]
-feature sequences directly; that mode is what the complexity audit uses
-for the column that excludes the frontend.
+Pipeline: stem -> per-frame extractor -> dilated causal temporal stack
+-> masked-pool classifier. A config with the frontend disabled builds the
+temporal stack alone, consuming [C, T] feature sequences directly; that
+mode is what the complexity audit uses for the column that excludes the
+frontend.
 """
 from __future__ import annotations
 
@@ -23,17 +23,18 @@ BUILD_VERSION = "0.1.0"
 class TCN(Module):
     """Stack of temporal blocks with dilation doubled at every stage.
 
-    Stage widths may differ; a biased pointwise transition is inserted at
-    each boundary where they do.
+    A biased pointwise transition is inserted wherever the incoming width
+    differs from a stage's: between stages, and before the first stage when
+    the input (the extractor's output, say) has another width.
     """
 
-    def __init__(self, cfg, experimental=False):
+    def __init__(self, cfg, in_channels, experimental=False):
         super().__init__()
-        self.cfg = cfg
+        self.in_channels = in_channels
         items = []
-        prev = cfg.channels[0]
+        prev = in_channels
         for i, width in enumerate(cfg.channels):
-            if i > 0 and width != prev:
+            if width != prev:
                 items.append(Conv1d(prev, width, 1, causal=True, bias=True))
             items.append(make_block(
                 cfg.block_kind, width, 2 ** i, expansion=cfg.expansion,
@@ -42,10 +43,6 @@ class TCN(Module):
             ))
             prev = width
         self.body = Sequential(*items)
-
-    @property
-    def in_channels(self):
-        return self.cfg.channels[0]
 
     def forward(self, x):
         return self.body(x)
@@ -65,17 +62,12 @@ class Model(Module):
         tcn_cfg = config.tcn
         if config.extractor is not None:
             self.stem = Stem(config.stem, in_channels=config.in_channels)
-            self.extractor = ReferenceExtractor(config.extractor)
-            if self.extractor.out_dim != tcn_cfg.channels[0]:
-                self.projection = Conv1d(self.extractor.out_dim, tcn_cfg.channels[0],
-                                         1, causal=True, bias=True)
-            else:
-                self.projection = None
+            self.extractor = ReferenceExtractor(config.extractor, config.stem.out_channels)
+            width = self.extractor.out_dim
         else:
-            self.stem = None
-            self.extractor = None
-            self.projection = None
-        self.tcn = TCN(tcn_cfg, experimental=config.experimental)
+            self.stem = self.extractor = None
+            width = tcn_cfg.channels[0]
+        self.tcn = TCN(tcn_cfg, width, experimental=config.experimental)
         self.head = ClassifierHead(tcn_cfg.channels[-1], config.classifier.num_classes)
 
     @property
@@ -86,8 +78,6 @@ class Model(Module):
         """Everything before the classifier; returns an (N, C, T) sequence."""
         if self.has_frontend:
             x = self.extractor(self.stem(x))
-            if self.projection is not None:
-                x = self.projection(x)
         return self.tcn(x)
 
     def forward(self, x, valid_len=None):
@@ -132,7 +122,7 @@ def receptive_field(config):
     1 + sum over blocks of (kernel - 1) * dilation per temporal conv;
     the stem's temporal kernel widens it further when the frontend is present.
     """
-    blocks = TCN(config.tcn, experimental=config.experimental).blocks()
+    blocks = TCN(config.tcn, config.tcn.channels[0], experimental=config.experimental).blocks()
     rf = 1 + sum((k - 1) * d for block in blocks for k, d in block.rf_taps())
     if config.extractor is not None:
         rf += config.stem.kernel[0] - 1
@@ -170,11 +160,6 @@ def describe(model):
             f"  extractor   {len(ext.spec.widths)} stage(s) widths {ext.spec.widths}  "
             f"params {_fmt(ext.param_count())}"
         )
-        if model.projection is not None:
-            lines.append(
-                f"  projection  pw {model.extractor.out_dim}->{model.tcn.in_channels}  "
-                f"params {_fmt(model.projection.param_count())}"
-            )
     stage = 0
     for layer in model.tcn.body:
         if isinstance(layer, TemporalBlock):
@@ -184,8 +169,9 @@ def describe(model):
             )
             stage += 1
         else:
+            source = stage - 1 if stage else "in"
             lines.append(
-                f"  tcn[{stage - 1}->{stage}] transition pw {layer.spec.in_channels}->"
+                f"  tcn[{source}->{stage}] transition pw {layer.spec.in_channels}->"
                 f"{layer.spec.out_channels}  params {_fmt(layer.param_count())}"
             )
     lines.append(

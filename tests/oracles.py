@@ -238,7 +238,7 @@ def predict_param_count(config):
         stem = config.stem
         total += config.in_channels * stem.out_channels * math.prod(stem.kernel)
         total += stem.out_channels + 2 * stem.out_channels
-        cin = config.extractor.in_channels
+        cin = stem.out_channels
         e_ratio = config.extractor.expansion
         for width in config.extractor.widths:
             chain = [(cin, width)] + [(width, width)] * (config.extractor.blocks_per_stage - 1)

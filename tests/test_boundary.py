@@ -27,7 +27,7 @@ def cases(draw):
                  f"tcn.stages={stages}", f"tcn.channels={','.join(map(str, widths))}",
                  f"classifier.num_classes={CLASSES}"]
     if frontend:
-        # extractor output 8 differs from a first tcn width of 4: projection
+        # extractor output 8 differs from a first tcn width of 4: a leading transition
         overrides += ["stem.out_channels=4", "extractor.widths=4,8"]
     else:
         overrides.append("model.frontend=false")

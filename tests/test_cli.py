@@ -140,6 +140,7 @@ class TestExitCodes:
         (["describe", "--set", "extractor.expansion=1.01"], None),
         (["describe", "--set", "extractor.in_channels=8"], None),
         (["describe", "--set", "stem.kernel=3"], None),
+        (["describe", "--set", "model.frontend=false", "--set", "model.in_channels=-5"], None),
         (["describe", "--set", "extractor.stage_widths=8"], None),
         # sizes whose arrays no machine holds, so they fail at once wherever they are not refused
         (["train-toy", "--config", TOY_CFG, "--set", "toy.train_size=1000000000000",
@@ -155,8 +156,9 @@ class TestExitCodes:
             "seed-flag-negative", "gradcheck-seed-negative", "crop-size-negative",
             "tcn-channels-huge", "extractor-widths-huge", "stem-out-channels-huge",
             "extractor-expansion-huge", "tcn-kernel-huge", "extractor-expansion-fraction",
-            "extractor-in-channels-key", "stem-kernel-key", "extractor-stage-widths-key",
-            "toy-train-size-huge", "toy-seq-len-huge", "toy-frame-size-huge"])
+            "extractor-in-channels-key", "stem-kernel-key", "in-channels-without-frontend",
+            "extractor-stage-widths-key", "toy-train-size-huge", "toy-seq-len-huge",
+            "toy-frame-size-huge"])
     def test_bad_config_input(self, argv, doc, tmp_path, capsys):
         """Exit 2 with a ConfigError message: no traceback, no silent no-op."""
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -214,7 +216,7 @@ class TestExitCodes:
         assert "ConfigError" in capsys.readouterr().err
         assert built == []
         limit = frontend.MAX_BLOCKS_PER_STAGE
-        assert frontend.ExtractorSpec(4, (4,), blocks_per_stage=limit).blocks_per_stage == limit
+        assert frontend.ExtractorSpec((4,), blocks_per_stage=limit).blocks_per_stage == limit
 
     def test_bad_input_tensor(self, tmp_path, capsys):
         p = tmp_path / "bad.lwt"
@@ -334,6 +336,15 @@ class TestInfer:
         assert main(["infer", "--config", TOY_CFG, "--input", str(p),
                      "--crop-size", size]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"tempconv.ShapeError: crop {size} must lie in 1..8")
+
+    def test_wrong_channel_count_rejected(self, tmp_path, capsys):
+        """The stem owns the input-channel rule; infer reports its error."""
+        p = tmp_path / "rgb.lwt"
+        lwt.save_tensor(p, np.zeros((3, 12, 8, 8), dtype=np.float32))
+        assert main(["infer", "--config", TOY_CFG, "--input", str(p),
+                     "--crop-size", "8"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            "tempconv.ShapeError: stem expects 1 input channels, got 3")
 
     def test_wrong_rank_rejected(self, tmp_path, capsys):
         p = tmp_path / "flat.lwt"

@@ -195,7 +195,7 @@ def test_routes_take_channels_last_arrays(case):
 def test_eval_extractor_matches_channels_first_run(monkeypatch):
     """At batch 1 too, where a reshape could return a strided view."""
     rng = np.random.default_rng(0)
-    extractor = ReferenceExtractor(ExtractorSpec(4, (8, 16), blocks_per_stage=2, expansion=2.0))
+    extractor = ReferenceExtractor(ExtractorSpec((8, 16), blocks_per_stage=2, expansion=2.0), 4)
     extractor.init_parameters(rng)
     _randomize_norms(extractor, rng)
     extractor.eval()
@@ -256,7 +256,7 @@ def test_eval_tcn_keeps_channels_last(kind, monkeypatch):
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))
 # the shipped stacks at small widths; a TCN width of 6 against the extractor's
-# 8 keeps the pointwise projection
+# 8 keeps the leading pointwise transition
 SMALL = ["stem.out_channels=4", "extractor.widths=4,8", "extractor.expansion=2",
          "tcn.channels=6", "classifier.num_classes=3"]
 

@@ -134,6 +134,8 @@ class TestConfigValidation:
 
 WIDTH_RULE = "block kind 'baseline' has no expanded width"
 KIND_RULE = "block kind 'stari' is experimental"
+KERNEL_RULE = "block kind 'starv' never reads kernel; leave it at 3"
+DW_KERNEL_RULE = "block kind 'baseline' never reads dw_kernel; leave it at 7"
 
 
 @st.composite
@@ -144,6 +146,8 @@ def documents(draw):
                  f"model.in_channels={draw(st.integers(0, 4))}",
                  f"tcn.stages={draw(st.integers(1, 2))}",
                  f"tcn.channels={draw(st.sampled_from(['1', '3', '4', '5', '4,6', '8,3']))}",
+                 f"tcn.kernel={draw(st.sampled_from([1, 3, 5]))}",
+                 f"tcn.dw_kernel={draw(st.sampled_from([3, 7]))}",
                  "classifier.num_classes=3"]
     expansion = draw(st.sampled_from([None, 0.5, 1.0, 1.5, 2.0, 3.5, 7.0]))
     if expansion is not None:
@@ -169,16 +173,30 @@ class TestModelRules:
         (lambda: cfg("[tcn]\nblock_kind = stari\n"), KIND_RULE),
         (lambda: tc.make_block("stari", 8, 1), KIND_RULE),
         (lambda: replace(cfg(""), in_channels=2), "in_channels must be 1 or 3"),
-        (lambda: replace(cfg(""), stem=StemSpec(16)), "extractor in_channels 32 must equal"),
+        (lambda: replace(cfg(TCN_ONLY), in_channels=-5), "must be 1 without a frontend"),
+        (lambda: replace(cfg("", ["extractor.expansion=1.5"]), stem=StemSpec(3)),
+         "expansion 1.5 does not give a whole width at 3 channels"),
         (lambda: replace(cfg(""), stem=None), "must both be set"),
         (lambda: replace(cfg(TCN_ONLY), tcn=tc.TCNConfig(block_kind="stari")), KIND_RULE),
+        (lambda: cfg("[tcn]\nblock_kind = starv\nkernel = 5\n"), KERNEL_RULE),
+        (lambda: tc.make_block("starv", 8, 1, kernel=5), KERNEL_RULE),
+        (lambda: cfg("", ["tcn.dw_kernel=5"]), DW_KERNEL_RULE),
+        (lambda: tc.make_block("baseline", 8, 1, dw_kernel=5), DW_KERNEL_RULE),
     ], ids=["expansion-whole-on-baseline", "expansion-ignored-on-baseline",
             "make-block-expansion-on-baseline", "experimental-kind-parse",
-            "experimental-kind-make-block", "in-channels-2", "stem-width-mismatch",
-            "stem-without-extractor", "experimental-kind-replace"])
+            "experimental-kind-make-block", "in-channels-2", "in-channels-without-frontend",
+            "stem-width-fractional-expansion", "stem-without-extractor",
+            "experimental-kind-replace", "kernel-on-star-parse", "kernel-on-star-make-block",
+            "dw-kernel-on-plain-parse", "dw-kernel-on-plain-make-block"])
     def test_refused_where_the_rule_lives(self, make, match):
         with pytest.raises(ConfigError, match=match):
             make()
+
+    def test_extractor_takes_the_stem_width(self):
+        """The stem's width is passed to the extractor when the model is
+        built, so any stem width with whole expanded widths builds."""
+        config = replace(cfg(""), stem=StemSpec(16))
+        assert tc.build_model(config, init=False).param_count() == predict_param_count(config)
 
     @settings(FIXED, max_examples=200)
     @given(overrides=documents())
@@ -318,6 +336,15 @@ class TestDescribe:
         assert "receptive field" in text.lower()
         assert tc.config_hash(c) in text
         assert f"{predict_param_count(c):,}" in text
+
+    def test_describe_names_the_leading_transition(self):
+        """An extractor width unlike the first TCN width gets the TCN's own
+        transition, named for the input it reads."""
+        c = cfg("[stem]\nout_channels = 4\n[extractor]\nwidths = 4, 16\n"
+                "[tcn]\nchannels = 8\nstages = 2\n[classifier]\nnum_classes = 3\n")
+        text = tc.describe(tc.build_model(c, init=False))
+        assert "  tcn[in->0] transition pw 16->8  params 136" in text
+        assert "tcn[-1" not in text
 
     def test_describe_deterministic(self):
         c = cfg(TCN_ONLY + "[tcn]\nchannels = 16\n")
