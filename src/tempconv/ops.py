@@ -10,9 +10,9 @@ and backward alike:
 
 - ``POINTWISE`` (groups = 1, k = 1, stride 1, no padding): one GEMM over
   every position of the batch, its result channels-last;
-- ``DEPTHWISE`` (groups = C_in = C_out > 1): a multiply-add per kernel tap
-  into one preallocated channels-last output, over cache-sized tiles of
-  samples or, for a large sample, of rows of its first spatial axis;
+- ``DEPTHWISE`` (groups = C_in = C_out > 1): one einsum per cache-sized
+  tile of whole samples, over a read-only view of the tile's tap windows,
+  into one preallocated channels-last output;
 - ``GEMM`` (every other conv, any groups): im2col, one column block per
   kernel tap, then one ``matmul`` per sample and group.
 
@@ -150,12 +150,21 @@ def _tap_index(tap, spec, out_sizes, first):
     )
 
 
-def _pointwise_forward(xd, wd, spec, out_sizes):
+def _biased(y, bd):
+    """An (N, C, *S) route output plus its per-channel bias: added in place
+    into the route's fresh array unless the bias's dtype is wider."""
+    if bd is None:
+        return y
+    b = bd.reshape((-1,) + (1,) * (y.ndim - 2))
+    return y + b if np.result_type(y, b) != y.dtype else np.add(y, b, out=y)
+
+
+def _pointwise_forward(xd, wd, bd, spec, out_sizes):
     """k = 1, stride 1, no padding: one (N·S, C) @ (C, O) GEMM over the whole
     batch, returned as the (N, O, *S) view of its (N, *S, O) result."""
     xl = np.moveaxis(xd, 1, -1)
     y = np.matmul(xl.reshape(-1, spec.in_channels), wd.reshape(spec.out_channels, -1).T)
-    return np.moveaxis(y.reshape(xl.shape[:-1] + (-1,)), -1, 1), xl
+    return _biased(np.moveaxis(y.reshape(xl.shape[:-1] + (-1,)), -1, 1), bd), xl
 
 
 def _pointwise_backward(up, wd, spec, xl, need_x, need_w):
@@ -168,7 +177,7 @@ def _pointwise_backward(up, wd, spec, xl, need_x, need_w):
     return gx, gw
 
 
-def _gemm_forward(xd, wd, spec, out_sizes):
+def _gemm_forward(xd, wd, bd, spec, out_sizes):
     """im2col, one (N, C, S_out) column block per kernel tap, then one batched
     ``matmul`` of each group's (O/G, C/G·taps) weight against its columns."""
     n, c = xd.shape[:2]
@@ -181,7 +190,7 @@ def _gemm_forward(xd, wd, spec, out_sizes):
         cols[:, :, t] = xp[_tap_index(tap, spec, out_sizes, 2)]
     cols = cols.reshape(n, g, c // g * taps, -1)
     y = np.matmul(wd.reshape(g, spec.out_channels // g, -1), cols)
-    return y.reshape((n, spec.out_channels) + out_sizes), (xp.shape, cols)
+    return _biased(y.reshape((n, spec.out_channels) + out_sizes), bd), (xp.shape, cols)
 
 
 def _gemm_backward(up, wd, spec, saved, need_x, need_w):
@@ -203,74 +212,63 @@ def _gemm_backward(up, wd, spec, saved, need_x, need_w):
     return gx, gw
 
 
-# The per-tap passes run over tiles whose padded input, output and scratch
-# together take about this size, so the passes of one tap loop stay in
-# cache. A tile holds whole samples while one sample fits, else near-equal
-# runs of rows of the first spatial axis (time at rank 1), each with the
-# halo its kernel reads past the run. In seven 147-frame runs per sample, a
-# (2, 512, 1024) k7 call took 5.1 ms, against 7.7 ms on the channels-first,
-# channel-tiled route it replaced, fed channels-first (dilation 1; 5.3 vs
-# 6.9 at 8). The four starv extractor dw2d layers (29 frames) took 34.0 ms
-# against 33.8 (medians of 60 interleaved calls, 2 vCPUs); untiled, they
-# took 63 ms against 39 in whole-sample tiles.
+# A tile of whole samples whose padded input and output together take
+# about this size stays in cache through its einsum; a sample over it is a
+# tile of its own. On the first starv extractor dw2d (29 frames of
+# 128×44×44, stride 2) one tile of the whole batch took 16.4 ms against
+# 11.6 in these tiles, and tiles of 256 KiB to 4 MiB all took 11.6 to
+# 12.3 ms (medians of 9 interleaved calls, 2 vCPUs).
 _DEPTHWISE_CHUNK_BYTES = 1 << 20
 
 
-def _depthwise_forward(xd, wd, spec, out_sizes):
-    """groups = C_in = C_out: a multiply-add per tap into one preallocated
-    channels-last output, returned as its (N, C, *S) view. Each tile's
-    padded input is gathered channels-last into one reused buffer."""
-    taps = np.ascontiguousarray(wd.reshape(spec.in_channels, -1).T)  # (taps, C)
-    dtype = np.result_type(xd, wd)
-    n, c, size = xd.shape[:3]
-    lo, halo, s = spec.pad_pairs()[0][0], (spec.kernel[0] - 1) * spec.dilation[0], spec.stride[0]
-    padded = [t + a + b for t, (a, b) in zip(xd.shape[3:], spec.pad_pairs()[1:])]
-    row = dtype.itemsize * c * math.prod(padded)  # one padded row of the first spatial axis
-    out_row = dtype.itemsize * c * math.prod(out_sizes[1:])
-    fit = max(1, (_DEPTHWISE_CHUNK_BYTES - row * (halo + 1 - s)) // (s * row + 2 * out_row))
-    rows = -(-out_sizes[0] // -(-out_sizes[0] // fit))  # near-equal runs of at most ``fit``
-    span = s * (rows - 1) + halo + 1  # padded input rows one run reads
-    step = min(n, max(1, _DEPTHWISE_CHUNK_BYTES // (row * span + 2 * rows * out_row)))
+def _windows(xp, spec):
+    """Read-only (N, *S_out, C, *k) view of a channels-last padded buffer:
+    the input each output position reads through each kernel tap."""
+    eff = [(k - 1) * d + 1 for k, d in zip(spec.kernel, spec.dilation)]
+    win = np.lib.stride_tricks.sliding_window_view(xp, eff, axis=tuple(range(1, 1 + spec.rank)))
+    return win[(slice(None),) + tuple(slice(None, None, s) for s in spec.stride)
+               + (slice(None),) + tuple(slice(None, None, d) for d in spec.dilation)]
+
+
+def _depthwise_forward(xd, wd, bd, spec, out_sizes):
+    """groups = C_in = C_out: one einsum of each tile's tap windows with the
+    (*k, C) taps, straight into a preallocated channels-last output, the
+    bias added while the tile is in cache; returned as the (N, C, *S) view.
+    Each tile's padded input is gathered channels-last into one reused buffer."""
+    n, c = xd.shape[:2]
+    dtype = np.result_type(xd, wd, *([] if bd is None else [bd]))
+    taps = np.ascontiguousarray(np.moveaxis(wd.reshape(c, *spec.kernel), 0, -1))  # (*k, C)
+    padded = [s + lo + hi for s, (lo, hi) in zip(xd.shape[2:], spec.pad_pairs())]
+    sample = dtype.itemsize * c * (math.prod(padded) + math.prod(out_sizes))
+    step = min(n, max(1, _DEPTHWISE_CHUNK_BYTES // sample))
+    buf = np.zeros((step, *padded, c), dtype)  # its padding stays zero
     y = np.empty((n, *out_sizes, c), dtype)
-    tmp = np.empty((step, rows, *out_sizes[1:], c), dtype)
-    buf = np.zeros((step, span, *padded, c), dtype)  # borders of the other axes stay zero
-    inner = _interior(spec, 0)[1:]
+    o, k = "abc"[:spec.rank], "ijk"[:spec.rank]  # output and kernel axes; z: channels
     for n0 in range(0, n, step):
-        for o0 in range(0, out_sizes[0], rows):
-            o1 = min(o0 + rows, out_sizes[0])
-            r0 = s * o0 - lo  # tile row j holds input row r0 + j, or padding
-            rows_in = s * (o1 - o0 - 1) + halo + 1
-            p = max(0, -r0)
-            q = max(p, min(rows_in, size - r0))  # rows [p, q) hold input, the rest zeros
-            src = xd[n0:n0 + step, :, r0 + p:r0 + q]
-            xp = buf[:len(src), :rows_in]
-            xp[:, :p] = xp[:, q:] = 0
-            xp[(slice(None), slice(p, q)) + inner] = np.moveaxis(src, 1, -1)
-            out, scratch = y[n0:n0 + step, o0:o1], tmp[:len(src), :o1 - o0]
-            for t, tap in enumerate(np.ndindex(*spec.kernel)):
-                view = xp[_tap_index(tap, spec, out.shape[1:-1], 1)]
-                if t == 0:
-                    np.multiply(view, taps[0], out=out)
-                else:
-                    out += np.multiply(view, taps[t], out=scratch)
+        src = xd[n0:n0 + step]
+        xp = buf[:len(src)]
+        xp[_interior(spec, 1)] = np.moveaxis(src, 1, -1)
+        out = y[n0:n0 + step]
+        np.einsum(f"n{o}z{k},{k}z->n{o}z", _windows(xp, spec), taps, out=out)
+        if bd is not None:
+            out += bd
     return np.moveaxis(y, -1, 1), xd
 
 
 def _depthwise_backward(up, wd, spec, xd, need_x, need_w):
-    taps = np.ascontiguousarray(wd.reshape(spec.in_channels, -1).T)
     xp = _padded(xd, spec, up.dtype, True)
     upl = np.ascontiguousarray(np.moveaxis(up, 1, -1))
-    tmp = np.empty_like(upl)
-    gxp = np.zeros(xp.shape, upl.dtype) if need_x else None
-    gw = np.empty((len(taps), spec.in_channels), upl.dtype) if need_w else None
-    for t, tap in enumerate(np.ndindex(*spec.kernel)):
-        index = _tap_index(tap, spec, up.shape[2:], 1)
-        if need_x:
-            gxp[index] += np.multiply(upl, taps[t], out=tmp)
-        if need_w:
-            gw[t] = np.multiply(xp[index], upl, out=tmp).sum(axis=tuple(range(upl.ndim - 1)))
-    gx = np.moveaxis(np.ascontiguousarray(gxp[_interior(spec, 1)]), -1, 1) if need_x else None
-    return gx, (gw.T.reshape(wd.shape) if need_w else None)
+    gx = gw = None
+    if need_x:
+        taps, tmp = np.ascontiguousarray(wd.reshape(spec.in_channels, -1).T), np.empty_like(upl)
+        gxp = np.zeros(xp.shape, upl.dtype)
+        for t, tap in enumerate(np.ndindex(*spec.kernel)):
+            gxp[_tap_index(tap, spec, up.shape[2:], 1)] += np.multiply(upl, taps[t], out=tmp)
+        gx = np.moveaxis(np.ascontiguousarray(gxp[_interior(spec, 1)]), -1, 1)
+    if need_w:
+        o, k = "abc"[:spec.rank], "ijk"[:spec.rank]
+        gw = np.einsum(f"n{o}z{k},n{o}z->z{k}", _windows(xp, spec), upl).reshape(wd.shape)
+    return gx, gw
 
 
 _Route = namedtuple("_Route", "name forward backward")
@@ -285,7 +283,7 @@ def _conv_route(spec, in_sizes, out_sizes):
 
     - pointwise (groups = 1, k = 1, no padding, output as large as the
       input): one GEMM over the batch, whatever the input's layout;
-    - depthwise (groups = C_in = C_out > 1): per-tap multiply-add;
+    - depthwise (groups = C_in = C_out > 1): one einsum over tap windows;
     - every other conv, any groups: im2col + one batched GEMM per sample.
     """
     if (spec.groups == 1 and math.prod(spec.kernel) == 1
@@ -322,13 +320,8 @@ def conv(x, weight, bias=None, spec=None):
 
 def _conv_via(route, x, weight, bias, spec, out_sizes):
     """Run one checked convolution on ``route`` and record its backward."""
-    y, saved = route.forward(x.data, weight.data, spec, out_sizes)
-    if bias is not None:
-        b = bias.data.reshape((1, -1) + (1,) * spec.rank)
-        if np.result_type(y, b) == y.dtype:
-            y += b  # in place: the output is the route's own fresh array
-        else:
-            y = y + b
+    y, saved = route.forward(x.data, weight.data, None if bias is None else bias.data,
+                             spec, out_sizes)
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def make_backward():

@@ -89,7 +89,7 @@ def _tap_index(tap, spec, out_sizes, first):
     )
 
 
-def _einsum_forward(xd, wd, spec, out_sizes):
+def _einsum_forward(xd, wd, bd, spec, out_sizes):
     rank, n, groups = spec.rank, xd.shape[0], spec.groups
     og, cg = spec.out_channels // groups, spec.in_channels // groups
     sub_out, sub_k = _OUT_AXES[:rank], _KER_AXES[:rank]
@@ -103,7 +103,10 @@ def _einsum_forward(xd, wd, spec, out_sizes):
     patches = patches.reshape(n, groups, cg, *out_sizes, *spec.kernel)
     wg = wd.reshape(groups, og, cg, *spec.kernel)
     y = np.einsum(f"ngc{sub_out}{sub_k},goc{sub_k}->ngo{sub_out}", patches, wg, optimize=True)
-    return y.reshape(n, spec.out_channels, *out_sizes), (xp.shape, patches)
+    y = y.reshape(n, spec.out_channels, *out_sizes)
+    if bd is not None:
+        y = y + bd.reshape((-1,) + (1,) * rank)
+    return y, (xp.shape, patches)
 
 
 def _einsum_backward(up, wd, spec, saved, need_x, need_w):

@@ -7,9 +7,12 @@ and in both gradients, to float32 tolerance. Every route also takes
 channels-last arrays, inputs and upstream gradients alike, and must then
 match the oracle run on C-order copies; the eval extractor and the eval
 TCN, which keep their activations channels-last, must match the same inputs
-run channels-first. Every shipped config, run at small widths in eval and in
-a taped training step, sends each conv to the route of its shape class, and
-so do grouped and channel-multiplier convs built through the layers.
+run channels-first. The depthwise route tiles the batch by whole samples;
+it must match the oracle for every count of samples per tile, in both
+float dtypes and both layouts. Every shipped config, run at small widths
+in eval and in a taped training step, sends each conv to the route of its
+shape class, and so do grouped and channel-multiplier convs built through
+the layers.
 
 In eval mode with no tape, a norm right after a conv is folded into the
 conv; a folded forward must match the unfolded one (run under a tape, which
@@ -339,37 +342,131 @@ def test_grouped_layers_take_gemm(conv, shape, monkeypatch):
         _close(g, w)
 
 
-# (chunk bytes, input shape, ConvSpec keywords): tiles come out as noted
+def _depthwise_case(rng, spec, shape, dtype=np.float32):
+    """Input, weight, bias and output probe for a depthwise ``spec``."""
+    c = shape[1]
+    x = rng.standard_normal(shape).astype(dtype)
+    w = rng.standard_normal((c, 1) + spec.kernel).astype(dtype)
+    b = rng.standard_normal(c).astype(dtype)
+    probe = rng.standard_normal((shape[0], c) + spec.out_sizes(shape[2:])).astype(dtype)
+    return x, w, b, probe
+
+
+def _tile_sizes(monkeypatch):
+    """Samples per forward tile of the depthwise route, one entry per call
+    of its window view (the weight gradient adds one for the whole batch)."""
+    sizes, windows = [], ops._windows
+
+    def spy(xp, spec):
+        sizes.append(len(xp))
+        return windows(xp, spec)
+
+    monkeypatch.setattr(ops, "_windows", spy)
+    return sizes
+
+
+def _sample_bytes(spec, shape, dtype):
+    """Bytes one sample's padded input and output take in a depthwise tile."""
+    padded = [s + lo + hi for s, (lo, hi) in zip(shape[2:], spec.pad_pairs())]
+    return np.dtype(dtype).itemsize * shape[1] * int(
+        np.prod(padded) + np.prod(spec.out_sizes(shape[2:])))
+
+
+def _check_depthwise_tiles(spec, shape, per_tile, x, w, b, probe, monkeypatch):
+    """The depthwise route runs tiles of ``per_tile`` samples, the last one
+    partial, and matches the oracle run on C-order copies."""
+    want = _run(EINSUM, spec, *(np.ascontiguousarray(a) for a in (x, w, b, probe)))
+    sizes = _tile_sizes(monkeypatch)
+    got = _run(ops.DEPTHWISE, spec, x, w, b, probe)
+    assert sizes[:-1] == [min(per_tile, shape[0] - i) for i in range(0, shape[0], per_tile)]
+    for g, r in zip(got, want, strict=True):
+        assert g.shape == r.shape and g.dtype == r.dtype
+        _close(g, r)
+
+
+# (chunk bytes, input shape, ConvSpec keywords): a sample takes
+# 4·C·(padded + output positions) bytes, and a tile holds as many whole
+# samples as fit the chunk, at least one
 @pytest.mark.parametrize("chunk,shape,conv", [
-    # 5 time tiles of 4 frames; each reads its 4-frame halo from the tile before
+    # causal, dilation 2: the one sample (528 B) is larger than the chunk
     (192, (1, 3, 20), dict(kernel=(3,), dilation=(2,), causal=True)),
-    # dilation 5 over tiles of 2 frames
+    # causal, dilation 5: two tiles, each sample (336 B) over the chunk
     (128, (2, 2, 16), dict(kernel=(3,), dilation=(5,), causal=True)),
-    # stride 2: output tiles of 3, 3, 3 and 2 frames
+    # stride 2: two tiles of one sample (408 B)
     (156, (2, 3, 21), dict(kernel=(3,), stride=(2,))),
-    # stride 2, k = 1: output tiles of 2, 2 and 1 frames
+    # stride 2, k = 1: every other frame
     (56, (1, 2, 9), dict(kernel=(1,), stride=(2,), padding=(0,))),
-    # symmetric padding 4: 6 tiles of 2 frames, the first and last all padding
+    # symmetric padding 4, wider than the kernel's reach of 2: the first two
+    # and the last two outputs read only zeros
     (64, (1, 2, 6), dict(kernel=(3,), padding=(4,))),
-    # whole samples, two per tile, the last one alone
+    # two samples (216 B each) per tile, the last tile partial
     (624, (5, 3, 8), dict(kernel=(3,), causal=True)),
-    # rank 2: tiles of 2, 2 and 1 output rows of the first spatial axis
+    # rank 2, stride 2: two tiles of one sample (1104 B)
     (564, (2, 3, 9, 5), dict(kernel=(3, 3), stride=(2, 2))),
 ])
 def test_tiled_depthwise_matches_einsum(chunk, shape, conv, monkeypatch):
-    """A tile holds whole samples while one fits ``chunk`` bytes, else runs
-    of the first spatial axis that read their halo past the run."""
+    """Tiles of whole samples, each adding the bias, match the oracle."""
     c = shape[1]
     spec = ops.ConvSpec(c, c, groups=c, **conv)
     monkeypatch.setattr(ops, "_DEPTHWISE_CHUNK_BYTES", chunk)
-    rng = np.random.default_rng(c)
-    x = rng.standard_normal(shape).astype(np.float32)
-    w = rng.standard_normal((c, 1) + spec.kernel).astype(np.float32)
-    b = rng.standard_normal(c).astype(np.float32)
-    probe = rng.standard_normal((shape[0], c) + spec.out_sizes(shape[2:])).astype(np.float32)
-    for got, want in zip(_run(ops.DEPTHWISE, spec, x, w, b, probe),
-                         _run(EINSUM, spec, x, w, b, probe)):
-        _close(got, want)
+    per_tile = max(1, chunk // _sample_bytes(spec, shape, np.float32))
+    _check_depthwise_tiles(spec, shape, per_tile,
+                           *_depthwise_case(np.random.default_rng(c), spec, shape), monkeypatch)
+
+
+@pytest.mark.parametrize("shape,conv", [
+    ((2, 3, 11), dict(kernel=(4,), dilation=(3,), causal=True)),
+    ((2, 3, 9, 8), dict(kernel=(3, 2), stride=(2, 3), dilation=(2, 1), padding=(1, 3))),
+    ((1, 2, 5, 6, 4), dict(kernel=(2, 3, 1), stride=(1, 2, 2))),
+])
+def test_depthwise_windows_are_tap_slices(shape, conv):
+    """The window view holds, at each kernel tap, the padded buffer's slice
+    that the tap reads, and cannot be written through."""
+    c = shape[1]
+    spec = ops.ConvSpec(c, c, groups=c, **conv)
+    out = spec.out_sizes(shape[2:])
+    xp = ops._padded(np.random.default_rng(0).standard_normal(shape), spec, np.float64, True)
+    windows = ops._windows(xp, spec)
+    assert windows.shape == (shape[0], *out, c, *spec.kernel)
+    assert not windows.flags.writeable
+    for tap in np.ndindex(*spec.kernel):
+        np.testing.assert_array_equal(windows[(Ellipsis,) + tap],
+                                      xp[ops._tap_index(tap, spec, out, 1)])
+
+
+@st.composite
+def depthwise_convolutions(draw):
+    """A depthwise spec of rank 1-2 (k 1-7, stride 1-3, dilation 1-4, causal
+    or symmetric padding), a batch of 1-5 and the samples per tile."""
+    rank = draw(st.integers(1, 2))
+    c = draw(st.integers(1, 4))
+    kernel = tuple(draw(st.integers(1, 7)) for _ in range(rank))
+    dilation = tuple(draw(st.integers(1, 4)) for _ in range(rank))
+    causal = rank == 1 and draw(st.booleans())
+    stride, padding = (1,), None
+    if not causal:
+        stride = tuple(draw(st.integers(1, 3)) for _ in range(rank))
+        padding = tuple(draw(st.integers(0, (k - 1) * d + 1)) for k, d in zip(kernel, dilation))
+    spec = ops.ConvSpec(c, c, kernel, stride=stride, dilation=dilation, groups=c,
+                        causal=causal, padding=padding)
+    low = [max(1, (k - 1) * d + 1 - sum(p)) for k, d, p in zip(kernel, dilation, spec.pad_pairs())]
+    batch = draw(st.integers(1, 5))
+    shape = (batch, c) + tuple(draw(st.integers(lo, lo + 4)) for lo in low)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return (spec, shape, dtype, draw(st.integers(1, batch)), draw(st.booleans()),
+            draw(st.integers(0, 2**16)))
+
+
+@settings(FIXED, max_examples=150)
+@given(depthwise_convolutions())
+def test_depthwise_tiles_match_einsum(case):
+    spec, shape, dtype, per_tile, channels_last, seed = case
+    x, w, b, probe = _depthwise_case(np.random.default_rng(seed), spec, shape, dtype)
+    if channels_last:
+        x, probe = _to_channels_last(x), _to_channels_last(probe)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ops, "_DEPTHWISE_CHUNK_BYTES", per_tile * _sample_bytes(spec, shape, dtype))
+        _check_depthwise_tiles(spec, shape, per_tile, x, w, b, probe, patch)
 
 
 def _randomize_norms(module, rng):
