@@ -17,7 +17,8 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError
-from .layers import BatchNorm, Conv, Conv1d, Dropout, Module, ReLU, Sequential, conv_norm
+from .layers import (BatchNorm, Conv, Conv1d, Dropout, Module, ReLU, Sequential, conv_norm,
+                     eval_tiles)
 from .tensor import Tensor, active_tape
 
 BLOCK_KINDS = (
@@ -187,6 +188,10 @@ class StarBlock(TemporalBlock):
     relu6(x1) * x2 -> pointwise E->C + norm -> dw(K, biased). The variant
     tagged "iii" inserts one extra pointwise E->E after the product; the
     other experimental tags share this exact structure.
+
+    In eval with no tape, the pointwise section between the two depthwise
+    convs reaches no other frame, so it runs on tiles of time steps with no
+    halo (``layers.eval_tiles``), and no E-wide tensor exists whole.
     """
 
     def __init__(self, kind, channels, dilation, width, dw_kernel, dropout):
@@ -206,6 +211,16 @@ class StarBlock(TemporalBlock):
 
     def _body(self, x):
         h = conv_norm(self.dw_in, self.bn_in, x)
+        pairs = [(self.project, self.bn_out)] + ([] if self.mid is None else [(self.mid, self.bn_mid)])
+        expanded = h.shape[0] * 2 * self.branch1.spec.out_channels  # both branches, per frame
+        mixed = eval_tiles(h, 2, h.data.itemsize * expanded, pairs,
+                           lambda tile, folds: self._pointwise(tile, folds).data)
+        mixed = self._pointwise(h) if mixed is None else Tensor(mixed, _op="conv")
+        return self.dw_out(mixed)
+
+    def _pointwise(self, h, folds=(None, None)):
+        """The branches, their gate, ``mid`` and ``project`` with its norm;
+        ``folds`` are the folded (project, mid) convs of a run of tiles."""
         if self._in_place():  # gate the fresh branch1 output where it lies
             gate = self.branch1(h).data
             np.clip(gate, 0, 6, out=gate)
@@ -213,8 +228,8 @@ class StarBlock(TemporalBlock):
         else:
             mixed = ops.hadamard(ops.relu6(self.branch1(h)), self.branch2(h))
         if self.mid is not None:
-            mixed = conv_norm(self.mid, self.bn_mid, mixed)
-        return self.dw_out(conv_norm(self.project, self.bn_out, mixed))
+            mixed = conv_norm(self.mid, self.bn_mid, mixed, fold=folds[1])
+        return conv_norm(self.project, self.bn_out, mixed, fold=folds[0])
 
 
 def make_block(kind, channels, dilation, expansion=None, kernel=PLAIN_KERNEL,

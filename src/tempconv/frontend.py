@@ -6,6 +6,10 @@ each frame independently (it never mixes time): frames are folded into the
 batch axis, run through 2-D stages, spatially pooled, and unfolded back to
 an (N, D, T) feature sequence. Any module with the same mapping and an
 ``out_dim`` attribute can replace the reference extractor.
+
+No bottleneck mixes frames, so in eval with no tape each runs on tiles of
+whole frames (``layers.eval_tiles``) with no halo: its expanded tensor
+(27 MiB in the first bottleneck of a 1×29×88×88 clip) never exists whole.
 """
 from __future__ import annotations
 
@@ -16,7 +20,9 @@ from typing import ClassVar
 from . import ops
 from .blocks import expanded_width
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm, Conv2d, Conv3d, Linear, Module, ReLU, Sequential, conv_norm
+from .layers import (BatchNorm, Conv2d, Conv3d, Linear, Module, ReLU, Sequential, conv_norm,
+                     eval_tiles)
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,8 @@ class ExtractorSpec:
 
 
 class _SpatialBottleneck(Module):
-    """2-D inverted bottleneck; residual only when shape-preserving."""
+    """2-D inverted bottleneck; residual only when shape-preserving. In
+    eval, each tile of frames adds its residual in place."""
 
     def __init__(self, cin, cout, stride, expansion):
         super().__init__()
@@ -117,8 +124,24 @@ class _SpatialBottleneck(Module):
         )
 
     def forward(self, x):
+        expand, bn1, _, dw, bn2, _, project, bn3 = self.body
+        sizes = x.shape[2:]
+        expanded = expand.spec.out_channels * (math.prod(sizes) + math.prod(dw.spec.out_sizes(sizes)))
+        y = eval_tiles(x, 0, x.data.itemsize * expanded,
+                       [(expand, bn1), (dw, bn2), (project, bn3)], self._tile)
+        if y is not None:
+            return Tensor(y, _op="add" if self.residual else "conv")
         y = self.body(x)
         return ops.add(y, x) if self.residual else y
+
+    def _tile(self, x, folds):
+        expand, bn1, _, dw, bn2, _, project, bn3 = self.body
+        h = conv_norm(expand, bn1, x, relu=True, fold=folds[0])
+        h = conv_norm(dw, bn2, h, relu=True, fold=folds[1])
+        y = conv_norm(project, bn3, h, fold=folds[2]).data
+        if self.residual:
+            y += x.data  # the project conv's fresh output
+        return y
 
 
 class ReferenceExtractor(Module):

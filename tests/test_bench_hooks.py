@@ -9,7 +9,9 @@ An installed ``Tracer`` reads each conv call's MACs from its input's logical
 shape; around an eval and a training forward of a small frontend model, and
 an eval forward of a frontend-less ``starv`` stack, they must add up to the
 audit's (``spans.check_macs``), whatever memory layout the activations have
-and whichever eval path (in place or not) the blocks take.
+and whichever eval path (in place or not) the blocks take. So must they
+when the eval bottlenecks and star blocks run in tiles of one frame or one
+time step.
 """
 import importlib.util
 import os
@@ -17,7 +19,7 @@ import os
 import numpy as np
 
 import tempconv as tc
-from tempconv import complexity, ops
+from tempconv import complexity, layers, ops
 from tempconv.layers import Module
 from tempconv.tensor import GradTape, Tensor
 
@@ -65,3 +67,33 @@ def test_traced_forwards_join_the_audit_macs():
     finally:
         tracer.uninstall()
     assert spans.check_macs(tracer.spans, audit) == 3
+
+
+def test_traced_tiles_join_the_audit_macs(monkeypatch):
+    """One frame per extractor tile and one time step per star tile: the
+    convs of every tile add up to the audit's MACs, each counted once."""
+    spans = _load_spans()
+    model = tc.build_model(tc.parse_config("", [
+        "stem.out_channels=4", "extractor.widths=8,16", "tcn.block_kind=starv", "tcn.channels=8",
+        "tcn.stages=1", "classifier.num_classes=5"]), seed=0).eval()
+    tcn = tc.build_model(tc.parse_config("", [
+        "model.frontend=false", "tcn.block_kind=starv", "tcn.stages=2", "tcn.channels=8,16",
+        "classifier.num_classes=5"]), seed=0).eval()
+    shape, tcn_shape = model.input_shape(5, 16), tcn.input_shape(12)
+    audit = {"small": complexity.audit(model, shape).total_macs,
+             "tcn": complexity.audit(tcn, tcn_shape).total_macs}
+    rng = np.random.default_rng(0)
+    convs = sum(isinstance(m, tc.Conv) for m in model.modules())
+    monkeypatch.setattr(layers, "_EVAL_TILE_BYTES", 1)
+    tracer = spans.Tracer()
+    tracer.set_models({"small": model, "tcn": tcn})
+    tracer.op = 0
+    tracer.install()
+    try:
+        model(Tensor(rng.standard_normal((2,) + shape).astype(np.float32)))
+        calls = sum(s[1] == "ops.conv" for s in tracer.spans)
+        tcn(Tensor(rng.standard_normal((2,) + tcn_shape).astype(np.float32)))
+    finally:
+        tracer.uninstall()
+    assert calls > 5 * convs  # ten frames and five time steps, a tile each
+    assert spans.check_macs(tracer.spans, audit) == 2

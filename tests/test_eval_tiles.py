@@ -1,0 +1,177 @@
+"""Eval tiles of the expanding blocks against the whole-tensor paths.
+
+In eval with no tape, an extractor bottleneck runs expand → dw3×3 →
+project on tiles of whole frames, and a star block runs its pointwise
+section (both branches, the gate, ``mid`` and ``project``) on tiles of
+time steps; ``layers._EVAL_TILE_BYTES`` sizes the tiles. Forced to one
+frame or step per tile, to a partial last tile, or to one tile longer than
+the input, each block must match the taped path (which never tiles) to
+float32 tolerance, and must equal bitwise the whole-tensor eval path run
+on each tile's slice alone. Against the whole-tensor eval path run on the
+whole input it must match to float32 tolerance: OpenBLAS rounds a GEMM of
+a few rows with other kernels than one of many, so at these small sizes
+that match is not bitwise. At paper scale, where every tile's GEMM has
+hundreds of rows, the memory guard checks it bitwise, and checks that no
+forward holds a whole expanded tensor.
+
+The cases come from the fixed ``fastpath`` hypothesis profile (see
+``conftest.py``), so every run draws the same ones.
+"""
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_fastpath import _close, _is_channels_last, _randomize_norms, _to_channels_last
+
+import tempconv as tc
+from tempconv import layers, ops
+from tempconv.blocks import make_block
+from tempconv.frontend import ExtractorSpec, ReferenceExtractor, _SpatialBottleneck
+from tempconv.layers import conv_norm
+from tempconv.tensor import GradTape, Tensor
+
+FIXED = settings.get_profile("fastpath")
+WHOLE = 1 << 62  # a tile budget no input here reaches: the whole-tensor path
+MODES = ["one", "partial", "single"]
+STARV = os.path.join(os.path.dirname(__file__), "..", "configs", "starv.cfg")
+
+
+def _per_tile(mode, size):
+    """Items per tile that force ``mode`` over ``size`` items; a single tile
+    is longer than the input."""
+    return {"one": 1, "partial": 2, "single": size + 1}[mode]
+
+
+def _sizes(mode):
+    """Item counts a mode can tile: a partial last tile of two per tile
+    needs an odd count of at least 3."""
+    return st.sampled_from([3, 5, 7]) if mode == "partial" else st.integers(1, 6)
+
+
+def _spec_inputs(monkeypatch, spec):
+    """The input of every call of ``ops.conv`` with ``spec``, as it comes."""
+    inputs, conv = [], ops.conv
+
+    def spy(x, weight, bias=None, spec_=None):
+        if spec_ is spec:
+            inputs.append(x.data)
+        return conv(x, weight, bias, spec_)
+
+    monkeypatch.setattr(ops, "conv", spy)
+    return inputs
+
+
+def _taped(module, x):
+    with GradTape():  # a recording tape turns the fold and the tiles off
+        return module(Tensor(x)).data
+
+
+def _bottleneck_item_bytes(block, x):
+    """Bytes of one frame's expanded tensor and its depthwise output."""
+    expand, _, _, dw, *_ = block.body
+    sizes = x.shape[2:]
+    return x.itemsize * expand.spec.out_channels * (
+        int(np.prod(sizes)) + int(np.prod(dw.spec.out_sizes(sizes))))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@FIXED
+@given(data=st.data(), stride=st.sampled_from([1, 2]), channels_last=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), size=st.integers(3, 7),
+       seed=st.integers(0, 2**16))
+def test_bottleneck_tiles_match_whole(mode, data, stride, channels_last, dtype, size, seed):
+    frames = data.draw(_sizes(mode), label="frames")
+    rng = np.random.default_rng(seed)
+    block = _SpatialBottleneck(4, 4 * stride, stride, 2.0).init_parameters(rng)
+    _randomize_norms(block, rng)
+    block.astype(dtype).eval()
+    assert block.residual == (stride == 1)
+    x = rng.standard_normal((frames, 4, size, size)).astype(dtype)
+    if channels_last:
+        x = _to_channels_last(x)
+    per_tile = _per_tile(mode, frames)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers, "_EVAL_TILE_BYTES", per_tile * _bottleneck_item_bytes(block, x))
+        tiles = _spec_inputs(patch, next(iter(block.body)).spec)
+        got = block(Tensor(x)).data
+    assert [len(t) for t in tiles] == [min(per_tile, frames - i) for i in range(0, frames, per_tile)]
+    assert got.dtype == dtype and (_is_channels_last(got) or not channels_last)
+    _close(got, _taped(block, x))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers, "_EVAL_TILE_BYTES", WHOLE)
+        _close(got, block(Tensor(x)).data)
+        each = [block(Tensor(x[i:i + per_tile])).data for i in range(0, frames, per_tile)]
+    np.testing.assert_array_equal(got, np.concatenate(each))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@FIXED
+@given(data=st.data(), kind=st.sampled_from(["starv", "stariii"]), dilation=st.integers(1, 8),
+       batch=st.integers(1, 2), seed=st.integers(0, 2**16))
+def test_star_tiles_match_whole(mode, data, kind, dilation, batch, seed):
+    frames = data.draw(_sizes(mode), label="frames")
+    rng = np.random.default_rng(seed)
+    block = make_block(kind, 4, dilation, experimental=True).init_parameters(rng)
+    _randomize_norms(block, rng)
+    block.eval()
+    x = rng.standard_normal((batch, 4, frames)).astype(np.float32)
+    per_tile = _per_tile(mode, frames)
+    item = x.itemsize * batch * 2 * block.branch1.spec.out_channels
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers, "_EVAL_TILE_BYTES", per_tile * item)
+        tiles = _spec_inputs(patch, block.branch1.spec)
+        mixed = _spec_inputs(patch, block.dw_out.spec)
+        got = block(Tensor(x)).data
+    assert [t.shape[2] for t in tiles] == [min(per_tile, frames - i)
+                                          for i in range(0, frames, per_tile)]
+    _close(got, _taped(block, x))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers, "_EVAL_TILE_BYTES", WHOLE)
+        _close(got, block(Tensor(x)).data)
+        h = conv_norm(block.dw_in, block.bn_in, Tensor(x)).data
+        each = [block._pointwise(Tensor(h[..., i:i + per_tile])).data
+                for i in range(0, frames, per_tile)]
+    np.testing.assert_array_equal(mixed[0], np.concatenate(each, axis=2))
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _eval_whole(module, x, *args):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers, "_EVAL_TILE_BYTES", WHOLE)
+        return module(Tensor(x), *args).data
+
+
+def test_long_sequence_forward_holds_no_whole_expanded_tensor():
+    """Frontend-less starv at (2, 512, 1024): each block's two 16 MiB branch
+    outputs made a 44.0 MiB peak before its pointwise section ran in tiles."""
+    model = tc.build_model(tc.load_config_file(STARV, ["model.frontend=false"]), seed=0).eval()
+    x = np.random.default_rng(0).standard_normal((2, 512, 1024)).astype(np.float32)
+    valid_len = np.array([1024, 600])
+    got, peak = _peak_mib(lambda: model(Tensor(x), valid_len).data)
+    assert peak < 36, f"eval forward peaked at {peak:.1f} MiB"
+    np.testing.assert_array_equal(got, _eval_whole(model, x, valid_len))
+
+
+def test_clip_extractor_holds_no_whole_expanded_tensor():
+    """One paper-scale clip's stem output through the extractor: the first
+    bottleneck's 27 MiB expanded tensor made a 42.9 MiB peak before the
+    bottlenecks ran in tiles of frames."""
+    rng = np.random.default_rng(0)
+    extractor = ReferenceExtractor(ExtractorSpec(), 32).init_parameters(rng)
+    _randomize_norms(extractor, rng)
+    extractor.eval()
+    x = np.maximum(rng.standard_normal((1, 32, 29, 44, 44)), 0).astype(np.float32)
+    got, peak = _peak_mib(lambda: extractor(Tensor(x)).data)
+    assert peak < 36, f"extractor forward peaked at {peak:.1f} MiB"
+    np.testing.assert_array_equal(got, _eval_whole(extractor, x))

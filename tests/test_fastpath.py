@@ -11,8 +11,9 @@ run channels-first. The depthwise route tiles the batch by whole samples;
 it must match the oracle for every count of samples per tile, in both
 float dtypes and both layouts. Every shipped config, run at small widths
 in eval and in a taped training step, sends each conv to the route of its
-shape class, and so do grouped and channel-multiplier convs built through
-the layers.
+shape class, also when its eval bottlenecks and star blocks run one frame
+or time step per tile, and so do grouped and channel-multiplier convs
+built through the layers.
 
 In eval mode with no tape, a norm right after a conv is folded into the
 conv; a folded forward must match the unfolded one (run under a tape, which
@@ -35,7 +36,7 @@ from hypothesis import strategies as st
 from oracles import EINSUM
 
 import tempconv as tc
-from tempconv import ops
+from tempconv import layers, ops
 from tempconv.blocks import BLOCK_KINDS, make_block
 from tempconv.errors import NumericError, ShapeError
 from tempconv.frontend import ExtractorSpec, ReferenceExtractor, Stem, StemSpec, _SpatialBottleneck
@@ -274,11 +275,11 @@ def _shape_class_route(spec):
     return ops.GEMM
 
 
-@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
-def test_shipped_configs_take_shape_class_routes(path, monkeypatch):
-    """Every conv takes the route of its shape class (pointwise ones
-    POINTWISE whatever their input's layout), in eval (norms folded) and in
-    a taped training step."""
+def _routes_taken(path, monkeypatch):
+    """Every conv call of an eval forward (norms folded) and a taped training
+    step of a shipped config at small widths, with the route it took, which
+    must be that of its shape class (pointwise convs POINTWISE whatever
+    their input's layout); and the model's count of convs."""
     model = tc.build_model(tc.load_config_file(path, SMALL), seed=0)
     x = np.random.default_rng(0).standard_normal((2,) + model.input_shape(5, 16)).astype(np.float32)
     calls, route = [], ops._conv_route
@@ -296,7 +297,24 @@ def test_shipped_configs_take_shape_class_routes(path, monkeypatch):
     tape.backward(loss)
     for spec, got in calls:
         assert got is _shape_class_route(spec), spec
+    return calls, sum(isinstance(m, tc.Conv) for m in model.modules())
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_shipped_configs_take_shape_class_routes(path, monkeypatch):
+    """Every conv takes the route of its shape class, in eval and in a
+    taped training step."""
+    calls, _ = _routes_taken(path, monkeypatch)
     assert {ops.POINTWISE, ops.GEMM, ops.DEPTHWISE} <= {got for _, got in calls}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_eval_tiles_take_shape_class_routes(path, monkeypatch):
+    """With one frame per eval bottleneck tile and one time step per star
+    tile, every tile's conv still takes the route of its shape class."""
+    monkeypatch.setattr(layers, "_EVAL_TILE_BYTES", 1)
+    calls, convs = _routes_taken(path, monkeypatch)
+    assert len(calls) > 2 * convs  # ten frames: the bottlenecks ran in tiles
 
 
 def _eval_and_train_step(net, x, probe):
