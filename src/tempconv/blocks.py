@@ -8,8 +8,8 @@ norm carry no bias; the plain two-conv block keeps its biases, giving it
 
 The built module tree is the only description of a block: parameter
 counts, MACs and receptive-field taps are read from it. Plain stacks come
-from the ``_BODIES`` table; the star family is one class whose kinds
-differ only in name, except "stariii", which adds a pointwise stage.
+from the ``_BODIES`` table, star blocks from ``StarBlock``; each kind names
+one structure, and "stariii" is "starv" plus a pointwise stage.
 """
 from __future__ import annotations
 
@@ -21,21 +21,8 @@ from .layers import (BatchNorm, Conv, Conv1d, Dropout, Module, ReLU, Sequential,
                      eval_tiles)
 from .tensor import Tensor, active_tape
 
-BLOCK_KINDS = (
-    "baseline", "linear", "fusedmb", "invertedresidual", "cib", "uib",
-    "starv", "stari", "starii", "stariii", "stariv",
-)
-EXPERIMENTAL_KINDS = ("stari", "starii", "stariii", "stariv")
-
-_ALIASES = {
-    "baselinetcn": "baseline",
-    "invres": "invertedresidual",
-    "inverted_residual": "invertedresidual",
-    "star": "starv",
-    "star-v": "starv",
-}
-
-STAR_KINDS = ("starv",) + EXPERIMENTAL_KINDS
+STAR_KINDS = ("starv", "stariii")
+EXPERIMENTAL_KINDS = ("stariii",)
 
 DEFAULT_EXPANSION = {
     "fusedmb": 3.5, "invertedresidual": 2.0, "cib": 2.0, "uib": 4.0,
@@ -48,7 +35,6 @@ STAR_DW_KERNEL = 7
 
 def canonical_kind(name):
     key = str(name).strip().lower().replace(" ", "")
-    key = _ALIASES.get(key, key)
     if key not in BLOCK_KINDS:
         raise ConfigError(f"unknown block kind '{name}'; choose from {', '.join(BLOCK_KINDS)}")
     return key
@@ -169,6 +155,8 @@ _BODIES = {
     ],
 }
 
+BLOCK_KINDS = tuple(_BODIES) + STAR_KINDS
+
 
 class SequentialBlock(TemporalBlock):
     """Body is the plain layer stack ``_BODIES[kind]`` builds."""
@@ -185,9 +173,9 @@ class StarBlock(TemporalBlock):
     """Multiplicative mixing: two pointwise branches joined elementwise.
 
     Body: dw(K) + norm -> branches x1, x2 (pointwise C->E, biased) ->
-    relu6(x1) * x2 -> pointwise E->C + norm -> dw(K, biased). The variant
-    tagged "iii" inserts one extra pointwise E->E after the product; the
-    other experimental tags share this exact structure.
+    relu6(x1) * x2 -> pointwise E->C + norm -> dw(K, biased). The
+    experimental "stariii" inserts one extra pointwise E->E + norm after the
+    product.
 
     In eval with no tape, the pointwise section between the two depthwise
     convs reaches no other frame, so it runs on tiles of time steps with no

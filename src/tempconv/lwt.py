@@ -6,7 +6,7 @@ Single tensor record layout (all integers little-endian):
     u8     dtype code: 0 = float32, 1 = float64
     u8     rank
     u32    dim[rank]
-    raw    row-major payload, little-endian floats
+    raw    row-major payload, little-endian finite floats
 
 Checkpoint container: a versioned header followed by ordered named records,
 each a length-prefixed UTF-8 name plus an embedded tensor record. Order is
@@ -53,16 +53,18 @@ def _bytes_left(f):
 def _read_exact(f, n, what):
     # a read allocates the size it asks for, so a large declared size is
     # checked against a seekable stream first, and read from any other in
-    # bounded chunks: a forged header allocates nothing it cannot fill
+    # bounded chunks: a forged header allocates nothing it cannot fill.
+    # A read may return less than asked before the end (a raw pipe), so
+    # a short read is followed by more until the end.
     left = _bytes_left(f) if n > io.DEFAULT_BUFFER_SIZE else None
     if left is not None and n > left:
         raise FormatError(f"truncated stream while reading {what}: {n} bytes declared, {left} remain")
-    if left is None and n > io.DEFAULT_BUFFER_SIZE:
-        buf = bytearray()
-        while len(buf) < n and (chunk := f.read(min(n - len(buf), _READ_CHUNK))):
+    step = n if left is not None else min(n, _READ_CHUNK)
+    buf = f.read(step)
+    if len(buf) < n:
+        buf = bytearray(buf)
+        while len(buf) < n and (chunk := f.read(min(n - len(buf), step))):
             buf += chunk
-    else:
-        buf = f.read(n)
     if len(buf) != n:
         raise FormatError(f"truncated stream while reading {what} ({len(buf)}/{n} bytes)")
     return buf
@@ -100,6 +102,8 @@ def read_tensor(f):
         count *= dim
     payload = _read_exact(f, count * dtype.itemsize, "payload")
     arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise FormatError("payload holds non-finite values (NaN or Inf)")
     return arr.astype(dtype.newbyteorder("="), copy=True)
 
 
@@ -158,7 +162,10 @@ def load_checkpoint(path):
                 raise FormatError(f"record name is not UTF-8: {exc}") from exc
             if name in records:
                 raise FormatError(f"duplicate record name '{name}'")
-            records[name] = read_tensor(f)
+            try:
+                records[name] = read_tensor(f)
+            except FormatError as exc:
+                raise FormatError(f"record '{name}': {exc}") from None
         if f.read(1):
             raise FormatError("trailing bytes after final record")
     return records, meta

@@ -213,9 +213,11 @@ PARAM_FORMS = {
         3 * c * _e(c, e) + 2 * _e(c, e) + (2 * K + 5) * c + _e(c, e) ** 2 + 2 * _e(c, e)
     ),
 }
-PARAM_FORMS["stari"] = PARAM_FORMS["starv"]
-PARAM_FORMS["starii"] = PARAM_FORMS["starv"]
-PARAM_FORMS["stariv"] = PARAM_FORMS["starv"]
+
+# names that build no block: former copies of starv, and former aliases of
+# baseline, invertedresidual and starv
+RETIRED_KIND_NAMES = ("stari", "starii", "stariv",
+                      "baselinetcn", "invres", "inverted_residual", "star", "star-v")
 
 
 def block_param_form(kind, channels, expansion=None, kernel=3, dw_kernel=7):

@@ -9,8 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tempconv import frontend, lwt
+from tempconv import build_model, frontend, load_config_file, lwt
 from tempconv.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+
+from oracles import RETIRED_KIND_NAMES
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 TOY_CFG = os.path.join(ROOT, "configs", "toy.cfg")
@@ -374,6 +376,31 @@ class TestInfer:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("tempconv.FormatError: record name is not UTF-8")
 
+    def test_non_finite_input_refused(self, tmp_path, capsys):
+        clip = np.zeros((1, 12, 8, 8), dtype=np.float32)
+        clip[0, 3, 2, 5] = np.nan
+        p = tmp_path / "nan.lwt"
+        lwt.save_tensor(p, clip)
+        assert main(["infer", "--config", TOY_CFG, "--input", str(p),
+                     "--crop-size", "8"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            "tempconv.FormatError: payload holds non-finite values")
+
+    def test_non_finite_checkpoint_names_the_record(self, tmp_path, capsys):
+        p = tmp_path / "clip.lwt"
+        lwt.save_tensor(p, np.zeros((1, 12, 8, 8), dtype=np.float32))
+        model = build_model(load_config_file(TOY_CFG), seed=0)
+        state = model.state_dict()
+        name = next(iter(state))
+        state[name].flat[0] = np.inf
+        ck = tmp_path / "inf.lwtc"
+        lwt.save_checkpoint(ck, state, meta={"config_hash": model.config_hash})
+        code = main(["infer", "--config", TOY_CFG, "--input", str(p),
+                     "--checkpoint", str(ck), "--crop-size", "8"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            f"tempconv.FormatError: record '{name}': payload holds non-finite values")
+
 
 class TestGradcheckCommand:
     def test_single_kind(self, capsys):
@@ -382,6 +409,16 @@ class TestGradcheckCommand:
 
     def test_unknown_kind(self, capsys):
         assert main(["gradcheck", "--kind", "nope"]) == EXIT_VALIDATION
+
+    def test_retired_kind_names_refused(self, capsys):
+        """Neither a config override nor --kind accepts a name that builds no block."""
+        for name in RETIRED_KIND_NAMES:
+            for argv in (["describe", "--config", STARV_CFG, "--set", "model.experimental=true",
+                          "--set", f"tcn.block_kind={name}"],
+                         ["gradcheck", "--kind", name]):
+                assert main(argv) == EXIT_VALIDATION
+                assert capsys.readouterr().err.startswith(
+                    f"tempconv.ConfigError: unknown block kind '{name}'; choose from baseline,")
 
 
 class TestScheduleCommand:

@@ -144,6 +144,12 @@ def test_block_state_hashes_unchanged():
     _compare(_load()["blocks"], block_hashes())
 
 
+def test_each_kind_builds_its_own_structure():
+    """Two kinds with one raw state are two names for one structure."""
+    raw = {kind: state_hash(make_block(kind, 16, 2, experimental=True)) for kind in BLOCK_KINDS}
+    assert len(set(raw.values())) == len(raw), raw
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")

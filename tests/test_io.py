@@ -104,6 +104,62 @@ class TestTensorFormat:
         with pytest.raises(FormatError):
             loads_tensor(bytes(blob))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_refused(self, dtype, bad):
+        a = np.ones((2, 3), dtype=dtype)
+        a[1, 2] = bad
+        with pytest.raises(FormatError, match=r"payload holds non-finite values \(NaN or Inf\)"):
+            loads_tensor(dumps_tensor(a))
+
+
+class _Unseekable(io.RawIOBase):
+    """A read-only stream that cannot report its size, like a pipe, and
+    returns at most ``most`` bytes per read."""
+
+    def __init__(self, blob, most=None):
+        self._buf = io.BytesIO(blob)
+        self._most = most
+
+    def readable(self):
+        return True
+
+    def seekable(self):
+        return False
+
+    def readinto(self, b):
+        return self._buf.readinto(memoryview(b)[:self._most])
+
+
+class TestUnseekableStream:
+    """A stream that cannot be sized is read in bounded chunks."""
+
+    BLOB = dumps_tensor(np.random.default_rng(4).standard_normal(5000).astype(np.float32))
+
+    @pytest.mark.parametrize("most", [None, 1, 3, 4096])
+    def test_round_trip(self, most):
+        """Reads shorter than asked are not a truncation."""
+        f = _Unseekable(self.BLOB, most)
+        np.testing.assert_array_equal(read_tensor(f), loads_tensor(self.BLOB))
+        assert f.read(1) == b""
+
+    def test_every_truncation_refused(self):
+        for cut in range(len(self.BLOB)):
+            with pytest.raises(FormatError, match="truncated stream"):
+                read_tensor(_Unseekable(self.BLOB[:cut]))
+
+    def test_forged_size_allocates_one_chunk(self):
+        """A header declaring a 64 MiB payload over 6 bytes allocates no more than a chunk."""
+        f = _Unseekable(b"LWT1" + struct.pack("<BB2I", 0, 2, 4096, 4096) + b"\x00" * 6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"payload \(6/67108864 bytes\)"):
+                read_tensor(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 class TestCheckpointFormat:
     def _arrays(self):
@@ -144,6 +200,14 @@ class TestCheckpointFormat:
         data = p.read_bytes()
         p.write_bytes(data[:-10])
         with pytest.raises(FormatError):
+            load_checkpoint(p)
+
+    def test_non_finite_record_named(self, tmp_path):
+        p = tmp_path / "c.lwtc"
+        arrays = self._arrays()
+        arrays["head.fc.bias"][4] = np.nan
+        save_checkpoint(p, arrays)
+        with pytest.raises(FormatError, match="^record 'head.fc.bias': payload holds non-finite"):
             load_checkpoint(p)
 
     def test_duplicate_names_rejected(self, tmp_path):

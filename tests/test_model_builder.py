@@ -133,7 +133,7 @@ class TestConfigValidation:
 
 
 WIDTH_RULE = "block kind 'baseline' has no expanded width"
-KIND_RULE = "block kind 'stari' is experimental"
+KIND_RULE = "block kind 'stariii' is experimental"
 KERNEL_RULE = "block kind 'starv' never reads kernel; leave it at 3"
 DW_KERNEL_RULE = "block kind 'baseline' never reads dw_kernel; leave it at 7"
 
@@ -170,14 +170,14 @@ class TestModelRules:
         (lambda: cfg("", ["tcn.expansion=0.3", "tcn.channels=5"]), WIDTH_RULE),
         (lambda: cfg("", ["tcn.expansion=7"]), WIDTH_RULE),
         (lambda: tc.make_block("baseline", 8, 1, expansion=7), WIDTH_RULE),
-        (lambda: cfg("[tcn]\nblock_kind = stari\n"), KIND_RULE),
-        (lambda: tc.make_block("stari", 8, 1), KIND_RULE),
+        (lambda: cfg("[tcn]\nblock_kind = stariii\n"), KIND_RULE),
+        (lambda: tc.make_block("stariii", 8, 1), KIND_RULE),
         (lambda: replace(cfg(""), in_channels=2), "in_channels must be 1 or 3"),
         (lambda: replace(cfg(TCN_ONLY), in_channels=-5), "must be 1 without a frontend"),
         (lambda: replace(cfg("", ["extractor.expansion=1.5"]), stem=StemSpec(3)),
          "expansion 1.5 does not give a whole width at 3 channels"),
         (lambda: replace(cfg(""), stem=None), "must both be set"),
-        (lambda: replace(cfg(TCN_ONLY), tcn=tc.TCNConfig(block_kind="stari")), KIND_RULE),
+        (lambda: replace(cfg(TCN_ONLY), tcn=tc.TCNConfig(block_kind="stariii")), KIND_RULE),
         (lambda: cfg("[tcn]\nblock_kind = starv\nkernel = 5\n"), KERNEL_RULE),
         (lambda: tc.make_block("starv", 8, 1, kernel=5), KERNEL_RULE),
         (lambda: cfg("", ["tcn.dw_kernel=5"]), DW_KERNEL_RULE),
