@@ -18,8 +18,8 @@ import numpy as np
 from . import ops
 from .errors import ConfigError
 from .layers import (BatchNorm, Conv, Conv1d, Dropout, Module, ReLU, Sequential, conv_norm,
-                     eval_tiles)
-from .tensor import Tensor, active_tape
+                     eval_tiles, fast_eval, residual)
+from .tensor import Tensor
 
 STAR_KINDS = ("starv", "stariii")
 EXPERIMENTAL_KINDS = ("stariii",)
@@ -91,16 +91,7 @@ class TemporalBlock(Module):
         self.drop = Dropout(dropout)
 
     def forward(self, x):
-        y = self._body(x)
-        if not self._in_place():
-            return self.drop(ops.add(y, x))
-        y.data += x.data  # the body's output is a fresh array that nothing else holds
-        return self.drop(Tensor(y.data, _op="add"))
-
-    def _in_place(self):
-        """Eval with no tape: no backward reads an op's result, so a fresh
-        result may be overwritten by the op that consumes it."""
-        return not self.training and active_tape() is None
+        return self.drop(residual(self, self._body(x), x))
 
     def _body(self, x):
         raise NotImplementedError
@@ -199,25 +190,22 @@ class StarBlock(TemporalBlock):
 
     def _body(self, x):
         h = conv_norm(self.dw_in, self.bn_in, x)
-        pairs = [(self.project, self.bn_out)] + ([] if self.mid is None else [(self.mid, self.bn_mid)])
+        pairs = ([] if self.mid is None else [(self.mid, self.bn_mid)]) + [(self.project, self.bn_out)]
         expanded = h.shape[0] * 2 * self.branch1.spec.out_channels  # both branches, per frame
-        mixed = eval_tiles(h, 2, h.data.itemsize * expanded, pairs,
-                           lambda tile, folds: self._pointwise(tile, folds).data)
-        mixed = self._pointwise(h) if mixed is None else Tensor(mixed, _op="conv")
-        return self.dw_out(mixed)
+        return self.dw_out(eval_tiles(h, 2, h.data.itemsize * expanded, pairs, self._pointwise))
 
     def _pointwise(self, h, folds=(None, None)):
         """The branches, their gate, ``mid`` and ``project`` with its norm;
-        ``folds`` are the folded (project, mid) convs of a run of tiles."""
-        if self._in_place():  # gate the fresh branch1 output where it lies
+        ``folds`` are the folded (mid, project) convs of a run of tiles."""
+        if fast_eval(self):  # gate the fresh branch1 output where it lies
             gate = self.branch1(h).data
             np.clip(gate, 0, 6, out=gate)
             mixed = Tensor(np.multiply(gate, self.branch2(h).data, out=gate), _op="hadamard")
         else:
             mixed = ops.hadamard(ops.relu6(self.branch1(h)), self.branch2(h))
         if self.mid is not None:
-            mixed = conv_norm(self.mid, self.bn_mid, mixed, fold=folds[1])
-        return conv_norm(self.project, self.bn_out, mixed, fold=folds[0])
+            mixed = conv_norm(self.mid, self.bn_mid, mixed, fold=folds[0])
+        return conv_norm(self.project, self.bn_out, mixed, fold=folds[-1])
 
 
 def make_block(kind, channels, dilation, expansion=None, kernel=PLAIN_KERNEL,

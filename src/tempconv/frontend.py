@@ -21,8 +21,7 @@ from . import ops
 from .blocks import expanded_width
 from .errors import ConfigError, ShapeError
 from .layers import (BatchNorm, Conv2d, Conv3d, Linear, Module, ReLU, Sequential, conv_norm,
-                     eval_tiles)
-from .tensor import Tensor
+                     eval_tiles, residual)
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,8 @@ class ExtractorSpec:
 
 
 class _SpatialBottleneck(Module):
-    """2-D inverted bottleneck; residual only when shape-preserving. In
-    eval, each tile of frames adds its residual in place."""
+    """2-D inverted bottleneck; residual only when shape-preserving. One
+    body runs every mode: in eval with no tape, on tiles of frames."""
 
     def __init__(self, cin, cout, stride, expansion):
         super().__init__()
@@ -127,21 +126,15 @@ class _SpatialBottleneck(Module):
         expand, bn1, _, dw, bn2, _, project, bn3 = self.body
         sizes = x.shape[2:]
         expanded = expand.spec.out_channels * (math.prod(sizes) + math.prod(dw.spec.out_sizes(sizes)))
-        y = eval_tiles(x, 0, x.data.itemsize * expanded,
-                       [(expand, bn1), (dw, bn2), (project, bn3)], self._tile)
-        if y is not None:
-            return Tensor(y, _op="add" if self.residual else "conv")
-        y = self.body(x)
-        return ops.add(y, x) if self.residual else y
+        return eval_tiles(x, 0, x.data.itemsize * expanded,
+                          [(expand, bn1), (dw, bn2), (project, bn3)], self._body)
 
-    def _tile(self, x, folds):
+    def _body(self, x, folds):
         expand, bn1, _, dw, bn2, _, project, bn3 = self.body
         h = conv_norm(expand, bn1, x, relu=True, fold=folds[0])
         h = conv_norm(dw, bn2, h, relu=True, fold=folds[1])
-        y = conv_norm(project, bn3, h, fold=folds[2]).data
-        if self.residual:
-            y += x.data  # the project conv's fresh output
-        return y
+        y = conv_norm(project, bn3, h, fold=folds[2])
+        return residual(self, y, x) if self.residual else y
 
 
 class ReferenceExtractor(Module):
@@ -160,13 +153,14 @@ class ReferenceExtractor(Module):
                                    for cin, cout, stride in self.spec.bottlenecks(in_channels)))
 
     def _check_spatial(self, h, w):
-        size = min(h, w)
-        for i in range(len(self.spec.widths) - 1):
-            size = (size + 2 - 3) // 2 + 1
-            if size <= 1:
+        sizes, firsts = (h, w), list(self.stages)[::self.spec.blocks_per_stage]
+        for stage, block in enumerate(firsts[:-1], 1):
+            _, _, _, dw, *_ = block.body  # the stage's downsampling conv
+            sizes = dw.spec.out_sizes(sizes)
+            if min(sizes) <= 1:
                 raise ShapeError(
                     f"spatial input {h}x{w} collapses before the final stage "
-                    f"(stage {i + 1} of {len(self.spec.widths)})"
+                    f"(stage {stage} of {len(firsts)})"
                 )
 
     def forward(self, x):

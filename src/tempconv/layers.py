@@ -262,12 +262,27 @@ class BatchNorm(Module):
                               momentum=self.momentum, training=self.training)
 
 
+def fast_eval(module):
+    """Eval with no tape: no backward reads an op's result, so a fresh result
+    may be overwritten by the op that consumes it, and norms fold."""
+    return not module.training and active_tape() is None
+
+
+def residual(module, y, x):
+    """``y + x`` for the fresh body output ``y`` of ``module``; in
+    :func:`fast_eval`, ``x`` is added into ``y``, which nothing else holds."""
+    if not fast_eval(module):
+        return ops.add(y, x)
+    y.data += x.data
+    return Tensor(y.data, _op="add")
+
+
 def folded(conv, norm):
     """The weight and bias Tensors of ``conv`` with eval-mode ``norm``
     folded in: weight ``W·s`` and bias ``(b − μ)·s + β``,
-    ``s = γ/√(var + eps)``. None where no fold applies: ``norm`` in
-    training, a tape recording, or a width mismatch."""
-    if norm.training or active_tape() is not None or norm.channels != conv.spec.out_channels:
+    ``s = γ/√(var + eps)``. None where no fold applies: ``norm`` not in
+    :func:`fast_eval`, or a width mismatch."""
+    if not fast_eval(norm) or norm.channels != conv.spec.out_channels:
         return None
     w = conv.weight.data
     scale, shift = ops.batch_norm_affine(norm.gamma.data, norm.beta.data, norm.running_mean,
@@ -308,26 +323,24 @@ _EVAL_TILE_BYTES = 8 << 20
 
 
 def eval_tiles(x, axis, item_bytes, pairs, run):
-    """Run ``run(tile, folds)`` on tiles of ``x`` along ``axis`` of about
-    ``_EVAL_TILE_BYTES`` at ``item_bytes`` per index, and return the results
-    in one array laid out like the first; ``folds`` are the :func:`folded`
-    ``pairs``, made once. ``run`` must not mix across ``axis``. None where one
-    tile would cover the axis or a pair does not fold."""
+    """``run(x, folds)`` on tiles of ``x`` along ``axis`` of about
+    ``_EVAL_TILE_BYTES`` at ``item_bytes`` per index, joined in one Tensor
+    laid out like the first; ``folds`` are the :func:`folded` ``pairs``, made
+    once. ``run`` must not mix across ``axis``. One run takes the whole ``x``
+    where a pair does not fold or one tile covers the axis."""
     size = x.shape[axis]
     step = max(1, _EVAL_TILE_BYTES // item_bytes)
-    if step >= size:
-        return None
     folds = [folded(conv, norm) for conv, norm in pairs]
-    if None in folds:
-        return None
+    if step >= size or None in folds:
+        return run(x, folds)
     out = None
     for start in range(0, size, step):
         index = (slice(None),) * axis + (slice(start, start + step),)
         y = run(Tensor(x.data[index]), folds)
         if out is None:
-            out = np.empty_like(y, shape=y.shape[:axis] + (size,) + y.shape[axis + 1:])
-        out[index] = y
-    return out
+            out = np.empty_like(y.data, shape=y.shape[:axis] + (size,) + y.shape[axis + 1:])
+        out[index] = y.data
+    return Tensor(out, _op=y._op)
 
 
 class ReLU(Module):

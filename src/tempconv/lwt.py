@@ -70,19 +70,32 @@ def _read_exact(f, n, what):
     return buf
 
 
-def write_tensor(f, array):
-    """Write one array as an LWT1 record to a binary stream."""
+def _check_finite(arr):
+    if not np.isfinite(arr).all():
+        raise FormatError("payload holds non-finite values (NaN or Inf)")
+
+
+def _storable(array):
+    """(dtype code, array) of a record the reader accepts; every writer
+    checks its records before it writes a byte."""
     arr = np.asarray(array)
     code = _KIND_TO_CODE.get(np.dtype(arr.dtype))
     if code is None:
         raise FormatError(f"dtype {arr.dtype} is not storable; use float32 or float64")
     if arr.ndim > _MAX_RANK:
         raise FormatError(f"rank {arr.ndim} exceeds the format limit of {_MAX_RANK}")
-    f.write(TENSOR_MAGIC)
-    f.write(struct.pack("<BB", code, arr.ndim))
-    for dim in arr.shape:
-        f.write(struct.pack("<I", dim))
+    _check_finite(arr)
+    return code, arr
+
+
+def _write_record(f, code, arr):
+    f.write(TENSOR_MAGIC + struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape))
     f.write(np.ascontiguousarray(arr, dtype=_CODE_TO_DTYPE[code]).tobytes())
+
+
+def write_tensor(f, array):
+    """Write one array as an LWT1 record to a binary stream."""
+    _write_record(f, *_storable(array))
 
 
 def read_tensor(f):
@@ -102,40 +115,47 @@ def read_tensor(f):
         count *= dim
     payload = _read_exact(f, count * dtype.itemsize, "payload")
     arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
-    if not np.isfinite(arr).all():
-        raise FormatError("payload holds non-finite values (NaN or Inf)")
+    _check_finite(arr)
     return arr.astype(dtype.newbyteorder("="), copy=True)
 
 
 def save_tensor(path, array):
+    record = _storable(array)
     with open(path, "wb") as f:
-        write_tensor(f, array)
+        _write_record(f, *record)
 
 
 def load_tensor(path):
-    with open(path, "rb") as f:
-        arr = read_tensor(f)
-        if f.read(1):
-            raise FormatError("trailing bytes after tensor record")
+    """Read a file of one LWT1 record; a format error names the file."""
+    try:
+        with open(path, "rb") as f:
+            arr = read_tensor(f)
+            if f.read(1):
+                raise FormatError("trailing bytes after tensor record")
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return arr
 
 
 def save_checkpoint(path, named_arrays, meta=None):
-    """Write an ordered name -> array mapping plus optional JSON metadata."""
+    """Write an ordered name -> array mapping plus optional JSON metadata.
+    Every record is checked, and a refused one named, before the file opens."""
     meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
+    records = []
+    for name, arr in named_arrays.items():
+        encoded = name.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise FormatError(f"record name too long: {name[:40]}...")
+        try:
+            records.append((encoded, _storable(arr)))
+        except FormatError as exc:
+            raise FormatError(f"record '{name}': {exc}") from None
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<H", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(meta_bytes)))
-        f.write(meta_bytes)
-        f.write(struct.pack("<I", len(named_arrays)))
-        for name, arr in named_arrays.items():
-            encoded = name.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise FormatError(f"record name too long: {name[:40]}...")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            write_tensor(f, arr)
+        f.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(meta_bytes)))
+        f.write(meta_bytes + struct.pack("<I", len(records)))
+        for encoded, record in records:
+            f.write(struct.pack("<H", len(encoded)) + encoded)
+            _write_record(f, *record)
 
 
 def load_checkpoint(path):

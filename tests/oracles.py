@@ -256,3 +256,12 @@ def predict_param_count(config):
             total += d * tcn.channels[0] + tcn.channels[0]
     total += tcn.channels[-1] * config.classifier.num_classes + config.classifier.num_classes
     return total
+
+
+def lwt_record(array):
+    """An LWT1 tensor record of a float32 or float64 array, laid out by hand
+    from the format description, so it may hold values the writers refuse."""
+    a = np.asarray(array)
+    code = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}[a.dtype]
+    return (b"LWT1" + bytes([code, a.ndim]) + b"".join(d.to_bytes(4, "little") for d in a.shape)
+            + a.astype(a.dtype.newbyteorder("<")).tobytes())

@@ -12,7 +12,7 @@ import pytest
 from tempconv import build_model, frontend, load_config_file, lwt
 from tempconv.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
-from oracles import RETIRED_KIND_NAMES
+from oracles import RETIRED_KIND_NAMES, lwt_record
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 TOY_CFG = os.path.join(ROOT, "configs", "toy.cfg")
@@ -252,7 +252,7 @@ class TestExitCodes:
             writer.join(timeout=10)
         assert not writer.is_alive()
         assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("tempconv.FormatError: truncated stream")
+        assert capsys.readouterr().err.startswith(f"tempconv.FormatError: {fifo}: truncated stream")
 
 
 class TestDescribe:
@@ -380,11 +380,19 @@ class TestInfer:
         clip = np.zeros((1, 12, 8, 8), dtype=np.float32)
         clip[0, 3, 2, 5] = np.nan
         p = tmp_path / "nan.lwt"
-        lwt.save_tensor(p, clip)
+        p.write_bytes(lwt_record(clip))
         assert main(["infer", "--config", TOY_CFG, "--input", str(p),
                      "--crop-size", "8"]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(
-            "tempconv.FormatError: payload holds non-finite values")
+            f"tempconv.FormatError: {p}: payload holds non-finite values")
+
+    def test_truncated_input_names_the_file(self, tmp_path, capsys):
+        p = tmp_path / "cut.lwt"
+        p.write_bytes(lwt.dumps_tensor(np.zeros((1, 12, 8, 8), dtype=np.float32))[:-1])
+        assert main(["infer", "--config", TOY_CFG, "--input", str(p),
+                     "--crop-size", "8"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            f"tempconv.FormatError: {p}: truncated stream while reading payload")
 
     def test_non_finite_checkpoint_names_the_record(self, tmp_path, capsys):
         p = tmp_path / "clip.lwt"
@@ -392,9 +400,13 @@ class TestInfer:
         model = build_model(load_config_file(TOY_CFG), seed=0)
         state = model.state_dict()
         name = next(iter(state))
-        state[name].flat[0] = np.inf
         ck = tmp_path / "inf.lwtc"
         lwt.save_checkpoint(ck, state, meta={"config_hash": model.config_hash})
+        finite = lwt_record(state[name])
+        state[name].flat[0] = np.inf
+        blob = ck.read_bytes()
+        assert blob.count(finite) == 1
+        ck.write_bytes(blob.replace(finite, lwt_record(state[name])))
         code = main(["infer", "--config", TOY_CFG, "--input", str(p),
                      "--checkpoint", str(ck), "--crop-size", "8"])
         assert code == EXIT_VALIDATION

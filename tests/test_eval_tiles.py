@@ -17,7 +17,10 @@ forward holds a whole expanded tensor.
 The cases come from the fixed ``fastpath`` hypothesis profile (see
 ``conftest.py``), so every run draws the same ones.
 """
+import contextlib
+import importlib
 import os
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -28,7 +31,7 @@ from test_fastpath import _close, _is_channels_last, _randomize_norms, _to_chann
 
 import tempconv as tc
 from tempconv import layers, ops
-from tempconv.blocks import make_block
+from tempconv.blocks import TemporalBlock, make_block
 from tempconv.frontend import ExtractorSpec, ReferenceExtractor, _SpatialBottleneck
 from tempconv.layers import conv_norm
 from tempconv.tensor import GradTape, Tensor
@@ -135,6 +138,63 @@ def test_star_tiles_match_whole(mode, data, kind, dilation, batch, seed):
         each = [block._pointwise(Tensor(h[..., i:i + per_tile])).data
                 for i in range(0, frames, per_tile)]
     np.testing.assert_array_equal(mixed[0], np.concatenate(each, axis=2))
+
+
+def _conv_calls(monkeypatch):
+    """(spec, input shape) of every ``ops.conv`` call, in order."""
+    calls, conv = [], ops.conv
+
+    def spy(x, weight, bias=None, spec=None):
+        calls.append((spec, x.shape))
+        return conv(x, weight, bias, spec)
+
+    monkeypatch.setattr(ops, "conv", spy)
+    return calls
+
+
+def _never_tiled(name, rng):
+    """A block that tiles at any budget in eval with no tape, its input, the
+    axis it tiles and the conv its tiles start with."""
+    if name == "bottleneck":
+        block = _SpatialBottleneck(4, 4, 1, 2.0).init_parameters(rng)
+        assert block.residual
+        return block, rng.standard_normal((3, 4, 5, 5)), 0, next(iter(block.body))
+    block = make_block(name, 4, 2, experimental=True).init_parameters(rng)
+    return block, rng.standard_normal((2, 4, 6)), 2, block.branch1
+
+
+@pytest.mark.parametrize("name", ["bottleneck", "starv", "stariii"])
+def test_training_and_tape_never_tile(name, monkeypatch):
+    """With one index per tile, training without a tape and eval under a
+    tape call each conv once on the whole input; eval without a tape tiles."""
+    block, x, axis, first = _never_tiled(name, np.random.default_rng(0))
+    x = x.astype(np.float32)
+    convs = [m.spec for m in block.modules() if isinstance(m, tc.Conv)]
+    monkeypatch.setattr(layers, "_EVAL_TILE_BYTES", 1)
+    calls = _conv_calls(monkeypatch)
+    for training, tape in [(True, contextlib.nullcontext()), (False, GradTape())]:
+        block.train(training)
+        calls.clear()
+        with tape:
+            block(Tensor(x))
+        assert sorted(map(id, (spec for spec, _ in calls))) == sorted(map(id, convs))
+        assert all(shape[axis] == x.shape[axis] for _, shape in calls)
+    block.eval()
+    calls.clear()
+    block(Tensor(x))
+    tiles = [shape for spec, shape in calls if spec is first.spec]
+    assert [shape[axis] for shape in tiles] == [1] * x.shape[axis]
+
+
+def test_fast_eval_has_one_owner():
+    """``layers.fast_eval`` is the one reader of the tape stack that picks
+    the eval fast path: no other module binds ``active_tape``, and no block
+    keeps a gate of its own."""
+    binders = [name for _, name, _ in pkgutil.iter_modules(tc.__path__)
+               if hasattr(importlib.import_module(f"tempconv.{name}"), "active_tape")]
+    assert sorted(binders) == ["layers", "tensor"]
+    assert not hasattr(tc, "active_tape")
+    assert not hasattr(TemporalBlock, "_in_place")
 
 
 def _peak_mib(fn):

@@ -1,5 +1,6 @@
 """Binary tensor/checkpoint formats: round-trips, layout, corruption handling."""
 import io
+import re
 import struct
 import tracemalloc
 
@@ -19,6 +20,8 @@ from tempconv.lwt import (
     save_tensor,
     write_tensor,
 )
+
+from oracles import lwt_record
 
 FIXED = settings.get_profile("fastpath")
 
@@ -108,9 +111,34 @@ class TestTensorFormat:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_refused(self, dtype, bad):
         a = np.ones((2, 3), dtype=dtype)
+        assert lwt_record(a) == dumps_tensor(a)
         a[1, 2] = bad
         with pytest.raises(FormatError, match=r"payload holds non-finite values \(NaN or Inf\)"):
-            loads_tensor(dumps_tensor(a))
+            loads_tensor(lwt_record(a))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_not_written(self, tmp_path, dtype, bad):
+        """Each writer refuses what the reader would, before any byte."""
+        a = np.ones((2, 3), dtype=dtype)
+        a[1, 2] = bad
+        buf, p = io.BytesIO(), tmp_path / "t.lwt"
+        for write in (lambda: write_tensor(buf, a), lambda: dumps_tensor(a),
+                      lambda: save_tensor(p, a)):
+            with pytest.raises(FormatError, match=r"^payload holds non-finite values \(NaN or Inf\)"):
+                write()
+        assert buf.getvalue() == b""
+        assert not p.exists()
+
+    def test_load_errors_name_the_file(self, tmp_path):
+        blob = dumps_tensor(np.ones(5, dtype=np.float32))
+        p = tmp_path / "t.lwt"
+        for bad, message in [(blob[:-3], "truncated stream while reading payload"),
+                             (blob + b"x", "trailing bytes after tensor record"),
+                             (lwt_record(np.full(5, np.nan, np.float32)), "payload holds non-finite")]:
+            p.write_bytes(bad)
+            with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: {message}"):
+                load_tensor(p)
 
 
 class _Unseekable(io.RawIOBase):
@@ -205,10 +233,23 @@ class TestCheckpointFormat:
     def test_non_finite_record_named(self, tmp_path):
         p = tmp_path / "c.lwtc"
         arrays = self._arrays()
-        arrays["head.fc.bias"][4] = np.nan
         save_checkpoint(p, arrays)
+        finite = lwt_record(arrays["head.fc.bias"])
+        arrays["head.fc.bias"][4] = np.nan
+        blob = p.read_bytes()
+        assert blob.count(finite) == 1
+        p.write_bytes(blob.replace(finite, lwt_record(arrays["head.fc.bias"])))
         with pytest.raises(FormatError, match="^record 'head.fc.bias': payload holds non-finite"):
             load_checkpoint(p)
+
+    def test_non_finite_record_not_written(self, tmp_path):
+        """The last record is refused by name before the file is opened."""
+        p = tmp_path / "c.lwtc"
+        arrays = self._arrays()
+        arrays["norm.running_var"][2] = -np.inf
+        with pytest.raises(FormatError, match="^record 'norm.running_var': payload holds non-finite"):
+            save_checkpoint(p, arrays)
+        assert not p.exists()
 
     def test_duplicate_names_rejected(self, tmp_path):
         p = tmp_path / "c.lwtc"
