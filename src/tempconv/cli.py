@@ -18,10 +18,10 @@ import sys
 import numpy as np
 
 from . import complexity, lwt
-from .augment import center_crop
+from .augment import augment
 from .config import (TrainConfig, config_to_dict, parse_config, parse_toy_spec, parse_train_config,
                      read_config_text)
-from .errors import ConfigError, FormatError, NumericError, ShapeError, TapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError, TapeError, located
 from .model import build_model, describe, receptive_field
 from .tensor import Tensor
 from .train import evaluate, lr_schedule, train_loop
@@ -108,8 +108,6 @@ def build_parser():
                        help="classify one stored tensor")
     p.add_argument("--input", required=True, help="tensor file to classify")
     p.add_argument("--checkpoint", help="trained weights; omitted = fresh seeded model")
-    p.add_argument("--crop-size", type=int, default=88,
-                   help="center-crop larger inputs to this edge")
 
     p = sub.add_parser("gradcheck", parents=[seed, output()],
                        help="finite-difference check of block gradients")
@@ -203,23 +201,24 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_infer(args):
-    config = _load_model_config(args)
-    seed = _resolve_seed(args) or 0
-    model = build_model(config, seed=seed)
+    text, overrides = _read_text(args), args.set or []
+    tcfg = parse_train_config(text, overrides)  # the clip is prepared as evaluate prepares it
+    model = build_model(parse_config(text, overrides), seed=_resolve_seed(args) or 0)
     if args.checkpoint:
         state, meta = lwt.load_checkpoint(args.checkpoint)
-        if meta.get("config_hash") and meta["config_hash"] != model.config_hash:
-            raise FormatError(
-                f"checkpoint was trained on config {meta['config_hash']}, "
-                f"current config is {model.config_hash}"
-            )
-        model.load_state_dict(state)
+        with located(args.checkpoint):
+            if meta.get("config_hash") and meta["config_hash"] != model.config_hash:
+                raise FormatError(
+                    f"checkpoint was trained on config {meta['config_hash']}, "
+                    f"current config is {model.config_hash}"
+                )
+            model.load_state_dict(state)
     model.eval()
     arr = lwt.load_tensor(args.input)
     if model.has_frontend:
         if arr.ndim != 4:
             raise ShapeError(f"expected a (C, T, H, W) tensor, got rank {arr.ndim}")
-        arr = center_crop(arr, args.crop_size)
+        arr, _ = augment(arr, None, False, tcfg.crop_size, crop=tcfg.crop)
     elif arr.ndim != 2:
         raise ShapeError(f"frontend-less model expects a (C, T) tensor, got rank {arr.ndim}")
     probs = model.predict_proba(Tensor(arr.astype(np.float32))).data

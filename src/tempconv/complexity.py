@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 
 from .blocks import TemporalBlock
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, located
 from .layers import Conv
 from .model import Model
 
@@ -163,27 +163,28 @@ def verify_report(report, fixture_row):
 
 
 def load_fixture(path):
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            fixture = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"fixture is not valid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"fixture is not UTF-8: {exc.reason} at byte {exc.start}") from None
-    if "rows" not in fixture or not isinstance(fixture["rows"], list):
-        raise FormatError("fixture must contain a 'rows' list")
-    seen = set()
-    for row in fixture["rows"]:
-        if "id" not in row or "config" not in row:
-            raise FormatError("every fixture row needs 'id' and 'config'")
-        if row["id"] in seen:
-            raise FormatError(f"duplicate fixture row id '{row['id']}'")
-        seen.add(row["id"])
-        for key in ("tcn_params_m", "tcn_gmacs"):
-            tol_key = "tol_params" if key.endswith("_m") else "tol_macs"
-            if key in row and tol_key not in row:
-                raise FormatError(f"fixture row '{row['id']}' has {key} but no {tol_key}")
-    return fixture
+    with located(path):
+        with open(path, "r", encoding="utf-8") as f:
+            try:
+                fixture = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"fixture is not valid JSON: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"fixture is not UTF-8: {exc.reason} at byte {exc.start}") from None
+        if "rows" not in fixture or not isinstance(fixture["rows"], list):
+            raise FormatError("fixture must contain a 'rows' list")
+        seen = set()
+        for row in fixture["rows"]:
+            if "id" not in row or "config" not in row:
+                raise FormatError("every fixture row needs 'id' and 'config'")
+            if row["id"] in seen:
+                raise FormatError(f"duplicate fixture row id '{row['id']}'")
+            seen.add(row["id"])
+            for key in ("tcn_params_m", "tcn_gmacs"):
+                tol_key = "tol_params" if key.endswith("_m") else "tol_macs"
+                if key in row and tol_key not in row:
+                    raise FormatError(f"fixture row '{row['id']}' has {key} but no {tol_key}")
+        return fixture
 
 
 def verify_fixture(path, row_ids=None):
@@ -191,7 +192,7 @@ def verify_fixture(path, row_ids=None):
 
     Config paths in the fixture are relative to the fixture's directory.
     """
-    from .config import load_config_file
+    from .config import parse_config, read_config_text
     from .model import build_model
 
     fixture = load_fixture(path)
@@ -202,10 +203,11 @@ def verify_fixture(path, row_ids=None):
         if row_ids is not None and row["id"] not in row_ids:
             continue
         config_path = os.path.normpath(os.path.join(base, row["config"]))
-        config = load_config_file(config_path)
-        graph = build_model(config, init=False)
-        shape = input_shape if graph.has_frontend else graph.input_shape(frames=input_shape[1])
-        report = audit(graph, shape)
+        text = read_config_text(config_path)  # outside the row: its errors name the path already
+        with located(f"row '{row['id']}' ({config_path})"):
+            graph = build_model(parse_config(text), init=False)
+            shape = input_shape if graph.has_frontend else graph.input_shape(frames=input_shape[1])
+            report = audit(graph, shape)
         results.extend(verify_report(report, row))
     if row_ids is not None:
         missing = set(row_ids) - {r["id"] for r in fixture["rows"]}

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library, and the rule that names where one happened."""
+from contextlib import contextmanager
 
 
 class TempconvError(Exception):
@@ -23,3 +24,12 @@ class ConfigError(TempconvError):
 
 class FormatError(TempconvError):
     """Malformed tensor file, checkpoint, or fixture document."""
+
+
+@contextmanager
+def located(where):
+    """Re-raise a library error from the block as its own class, ``where: `` first."""
+    try:
+        yield
+    except TempconvError as exc:
+        raise type(exc)(f"{where}: {exc}") from None

@@ -28,7 +28,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, located
 
 TENSOR_MAGIC = b"LWT1"
 CHECKPOINT_MAGIC = b"LWTC"
@@ -79,7 +79,7 @@ def _storable(array):
     """(dtype code, array) of a record the reader accepts; every writer
     checks its records before it writes a byte."""
     arr = np.asarray(array)
-    code = _KIND_TO_CODE.get(np.dtype(arr.dtype))
+    code = _KIND_TO_CODE.get(arr.dtype.newbyteorder("="))
     if code is None:
         raise FormatError(f"dtype {arr.dtype} is not storable; use float32 or float64")
     if arr.ndim > _MAX_RANK:
@@ -127,13 +127,10 @@ def save_tensor(path, array):
 
 def load_tensor(path):
     """Read a file of one LWT1 record; a format error names the file."""
-    try:
-        with open(path, "rb") as f:
-            arr = read_tensor(f)
-            if f.read(1):
-                raise FormatError("trailing bytes after tensor record")
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    with located(path), open(path, "rb") as f:
+        arr = read_tensor(f)
+        if f.read(1):
+            raise FormatError("trailing bytes after tensor record")
     return arr
 
 
@@ -146,10 +143,8 @@ def save_checkpoint(path, named_arrays, meta=None):
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise FormatError(f"record name too long: {name[:40]}...")
-        try:
+        with located(f"record '{name}'"):
             records.append((encoded, _storable(arr)))
-        except FormatError as exc:
-            raise FormatError(f"record '{name}': {exc}") from None
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(meta_bytes)))
         f.write(meta_bytes + struct.pack("<I", len(records)))
@@ -159,8 +154,8 @@ def save_checkpoint(path, named_arrays, meta=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (OrderedDict name -> array, meta dict)."""
-    with open(path, "rb") as f:
+    """(OrderedDict name -> array, meta dict) of a checkpoint; errors name the file and record."""
+    with located(path), open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
@@ -182,10 +177,8 @@ def load_checkpoint(path):
                 raise FormatError(f"record name is not UTF-8: {exc}") from exc
             if name in records:
                 raise FormatError(f"duplicate record name '{name}'")
-            try:
+            with located(f"record '{name}'"):
                 records[name] = read_tensor(f)
-            except FormatError as exc:
-                raise FormatError(f"record '{name}': {exc}") from None
         if f.read(1):
             raise FormatError("trailing bytes after final record")
     return records, meta

@@ -16,7 +16,7 @@ import numpy as np
 
 from .augment import augment, mixup
 from .config import TrainConfig
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, located
 from .tensor import GradTape, Tensor
 from . import ops
 
@@ -102,7 +102,7 @@ def train_loop(model, dataset, tcfg, log_stream=None):
 
     History is one record per epoch: {"epoch", "lr", "train_loss",
     "val_acc"}, also written to ``log_stream`` as JSON lines when given.
-    A non-finite loss aborts with the offending epoch/step in the error.
+    An error inside a training step names its epoch and step.
     """
     if model.head.num_classes != dataset.spec.num_classes:
         raise ConfigError(
@@ -128,16 +128,12 @@ def train_loop(model, dataset, tcfg, log_stream=None):
                 pair = rng.permutation(len(idx))
                 x, y, _ = mixup(x, x[pair], y, y[pair], tcfg.mixup_alpha, rng)
                 lens = np.maximum(lens, lens[pair])  # pool over the union extent
-            try:
+            with located(f"epoch {epoch}, step {step}"):
                 model.zero_grad()
                 with GradTape() as tape:
                     loss = _forward_loss(model, x, y, lens)
                 tape.backward(loss)
                 sgd_step(model.parameters(), lr, tcfg.weight_decay, tcfg.decoupled_decay)
-            except NumericError as exc:
-                raise NumericError(
-                    f"training diverged at epoch {epoch}, step {step}: {exc}"
-                ) from exc
             losses.append(float(loss.data))
         val_acc = evaluate(model, dataset, "val", tcfg)
         record = {

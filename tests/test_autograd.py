@@ -113,6 +113,12 @@ class TestOpGradients:
                 ops.linear(xt, wt, bt), Tensor(targets)),
             [x, w, b])
 
+    def test_softmax(self):
+        rng = np.random.default_rng(8)
+        x, w = rng.standard_normal((2, 3, 4)), Tensor(rng.standard_normal((2, 3, 4)))
+        check_against_oracle(
+            lambda xt: ops.tensor_sum(ops.hadamard(ops.softmax(xt, axis=1), w)), [x])
+
     def test_concat_and_narrow(self):
         rng = np.random.default_rng(7)
         a, b = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 2, 4))

@@ -85,6 +85,7 @@ class TestExitCodes:
         ["schedule", "--seed", "1"],
         ["gradcheck", "--config", TOY_CFG],
         ["gradcheck", "--set", "tcn.stages=1"],
+        ["infer", "--crop-size", "8", "--input", "clip.lwt"],
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_flag_the_command_ignores(self, argv, capsys):
         """A flag the command would not read is a usage error, not a silent no-op."""
@@ -325,26 +326,46 @@ class TestInfer:
         p = tmp_path / "clip.lwt"
         lwt.save_tensor(p, clip)
         assert main(["infer", "--config", TOY_CFG, "--input", str(p),
-                     "--crop-size", "8", "--format", "json"]) == EXIT_OK
+                     "--format", "json"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["top5"]) == 5
         assert doc["prob_sum"] == pytest.approx(1.0, abs=1e-5)
 
     @pytest.mark.parametrize("size", ["-2", "0"])
     def test_empty_crop_refused(self, size, tmp_path, capsys):
-        """A crop edge below 1 would slice an empty frame; the crop rule names it."""
+        """A crop edge below 1 would slice an empty frame; the [train] section refuses it."""
         p = tmp_path / "clip.lwt"
         lwt.save_tensor(p, np.zeros((1, 12, 8, 8), dtype=np.float32))
         assert main(["infer", "--config", TOY_CFG, "--input", str(p),
-                     "--crop-size", size]) == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith(f"tempconv.ShapeError: crop {size} must lie in 1..8")
+                     "--set", f"train.crop_size={size}"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"tempconv.ConfigError: crop_size must be ≥ 1, got {size}")
+
+    def test_crop_beyond_the_frame_refused(self, tmp_path, capsys):
+        p = tmp_path / "clip.lwt"
+        lwt.save_tensor(p, np.zeros((1, 12, 8, 8), dtype=np.float32))
+        assert main(["infer", "--config", TOY_CFG, "--input", str(p), "--set", "train.crop=true",
+                     "--set", "train.crop_size=9"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("tempconv.ShapeError: crop 9 must lie in 1..8")
+
+    def test_crop_follows_the_train_section(self, tmp_path, capsys):
+        """A crop the document turns on center-crops the clip, as evaluate does."""
+        clip = np.random.default_rng(2).standard_normal((1, 12, 11, 11)).astype(np.float32)
+        whole, cropped = tmp_path / "whole.lwt", tmp_path / "cropped.lwt"
+        lwt.save_tensor(whole, clip)
+        lwt.save_tensor(cropped, clip[..., 1:9, 1:9])
+
+        def infer(path, *overrides):
+            assert main(["infer", "--config", TOY_CFG, "--input", str(path), "--format", "json",
+                         *overrides]) == EXIT_OK
+            return json.loads(capsys.readouterr().out)
+
+        assert infer(whole, "--set", "train.crop=true") == infer(cropped)
 
     def test_wrong_channel_count_rejected(self, tmp_path, capsys):
         """The stem owns the input-channel rule; infer reports its error."""
         p = tmp_path / "rgb.lwt"
         lwt.save_tensor(p, np.zeros((3, 12, 8, 8), dtype=np.float32))
-        assert main(["infer", "--config", TOY_CFG, "--input", str(p),
-                     "--crop-size", "8"]) == EXIT_VALIDATION
+        assert main(["infer", "--config", TOY_CFG, "--input", str(p)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(
             "tempconv.ShapeError: stem expects 1 input channels, got 3")
 
@@ -360,9 +381,10 @@ class TestInfer:
         lwt.save_checkpoint(ck, {"w": np.zeros(1, dtype=np.float32)},
                             meta={"config_hash": "deadbeef0000"})
         code = main(["infer", "--config", TOY_CFG, "--input", str(p),
-                     "--checkpoint", str(ck), "--crop-size", "8"])
+                     "--checkpoint", str(ck)])
         assert code == EXIT_VALIDATION
-        assert "deadbeef0000" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"tempconv.FormatError: {ck}: checkpoint was trained on config deadbeef0000")
 
 
     def test_checkpoint_name_not_utf8(self, tmp_path, capsys):
@@ -372,25 +394,23 @@ class TestInfer:
         lwt.save_checkpoint(ck, {"ab": np.zeros(1, dtype=np.float32)})
         ck.write_bytes(ck.read_bytes().replace(b"ab", b"\xff\xfe"))
         code = main(["infer", "--config", TOY_CFG, "--input", str(p),
-                     "--checkpoint", str(ck), "--crop-size", "8"])
+                     "--checkpoint", str(ck)])
         assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("tempconv.FormatError: record name is not UTF-8")
+        assert capsys.readouterr().err.startswith(f"tempconv.FormatError: {ck}: record name is not UTF-8")
 
     def test_non_finite_input_refused(self, tmp_path, capsys):
         clip = np.zeros((1, 12, 8, 8), dtype=np.float32)
         clip[0, 3, 2, 5] = np.nan
         p = tmp_path / "nan.lwt"
         p.write_bytes(lwt_record(clip))
-        assert main(["infer", "--config", TOY_CFG, "--input", str(p),
-                     "--crop-size", "8"]) == EXIT_VALIDATION
+        assert main(["infer", "--config", TOY_CFG, "--input", str(p)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(
             f"tempconv.FormatError: {p}: payload holds non-finite values")
 
     def test_truncated_input_names_the_file(self, tmp_path, capsys):
         p = tmp_path / "cut.lwt"
         p.write_bytes(lwt.dumps_tensor(np.zeros((1, 12, 8, 8), dtype=np.float32))[:-1])
-        assert main(["infer", "--config", TOY_CFG, "--input", str(p),
-                     "--crop-size", "8"]) == EXIT_VALIDATION
+        assert main(["infer", "--config", TOY_CFG, "--input", str(p)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(
             f"tempconv.FormatError: {p}: truncated stream while reading payload")
 
@@ -408,10 +428,53 @@ class TestInfer:
         assert blob.count(finite) == 1
         ck.write_bytes(blob.replace(finite, lwt_record(state[name])))
         code = main(["infer", "--config", TOY_CFG, "--input", str(p),
-                     "--checkpoint", str(ck), "--crop-size", "8"])
+                     "--checkpoint", str(ck)])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(
-            f"tempconv.FormatError: record '{name}': payload holds non-finite values")
+            f"tempconv.FormatError: {ck}: record '{name}': payload holds non-finite values")
+
+
+class TestWhereItFailed:
+    """Each error names the file, record or row it happened in, once."""
+
+    def _infer_checkpoint(self, tmp_path, capsys, ck):
+        p = tmp_path / "clip.lwt"
+        lwt.save_tensor(p, np.zeros((1, 12, 8, 8), dtype=np.float32))
+        assert main(["infer", "--config", TOY_CFG, "--input", str(p),
+                     "--checkpoint", str(ck)]) == EXIT_VALIDATION
+        return capsys.readouterr().err
+
+    def test_truncated_checkpoint(self, tmp_path, capsys):
+        ck = tmp_path / "cut.lwtc"
+        lwt.save_checkpoint(ck, {"a": np.ones(3, dtype=np.float32)})
+        ck.write_bytes(ck.read_bytes()[:-2])
+        assert self._infer_checkpoint(tmp_path, capsys, ck) == (
+            f"tempconv.FormatError: {ck}: record 'a': truncated stream while reading payload "
+            "(10/12 bytes)\n")
+
+    def test_bad_checkpoint_magic(self, tmp_path, capsys):
+        ck = tmp_path / "magic.lwtc"
+        lwt.save_checkpoint(ck, {"a": np.ones(3, dtype=np.float32)})
+        ck.write_bytes(b"XXXX" + ck.read_bytes()[4:])
+        assert self._infer_checkpoint(tmp_path, capsys, ck) == (
+            f"tempconv.FormatError: {ck}: bad checkpoint magic b'XXXX', expected b'LWTC'\n")
+
+    def test_verify_names_the_row_and_its_config(self, tmp_path, capsys):
+        cfg, fixture = tmp_path / "broken.cfg", tmp_path / "fixture.json"
+        cfg.write_text("[tcn]\nstages = four\n")
+        fixture.write_text(json.dumps({"rows": [{"id": "broken", "config": "broken.cfg",
+                                                 "tcn_params_m": 1.0, "tol_params": 0.05}]}))
+        assert main(["verify", "--fixture", str(fixture)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            f"tempconv.ConfigError: row 'broken' ({cfg}): [tcn] stages = 'four' is not valid: ")
+
+    def test_truncated_fixture(self, tmp_path, capsys):
+        fixture = tmp_path / "cut.json"
+        with open(FIXTURE, encoding="utf-8") as f:
+            fixture.write_text(f.read()[:-2])
+        assert main(["verify", "--fixture", str(fixture)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            f"tempconv.FormatError: {fixture}: fixture is not valid JSON: ")
 
 
 class TestGradcheckCommand:
@@ -458,7 +521,7 @@ class TestSeedResolution:
             else:
                 monkeypatch.setenv("TEMPCONV_SEED", seed_env)
             assert main(["infer", "--config", TOY_CFG, "--input", str(clip),
-                         "--crop-size", "8", "--format", "json"]) == EXIT_OK
+                         "--format", "json"]) == EXIT_OK
             return json.loads(capsys.readouterr().out)["top5"]
 
         assert top1("12345") == top1("12345")  # env seed honored and stable

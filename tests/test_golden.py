@@ -81,8 +81,7 @@ def documents():
 def infer_documents():
     rng = np.random.default_rng(7)
     cases = {
-        "infer toy.cfg clip text": (["--config", os.path.join(ROOT, "configs", "toy.cfg"),
-                                     "--crop-size", "8"],
+        "infer toy.cfg clip text": (["--config", os.path.join(ROOT, "configs", "toy.cfg")],
                                     rng.standard_normal((1, 12, 8, 8))),
         "infer starv nofrontend seq text": (SEQ_MODEL, rng.standard_normal((8, 12))),
     }

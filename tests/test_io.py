@@ -130,6 +130,21 @@ class TestTensorFormat:
         assert buf.getvalue() == b""
         assert not p.exists()
 
+    @pytest.mark.parametrize("dtype", [">f4", ">f8"])
+    def test_big_endian_round_trip(self, tmp_path, dtype):
+        """The writer stores little-endian whatever order it is handed."""
+        a = np.arange(6, dtype=dtype).reshape(2, 3)
+        p = tmp_path / "t.lwt"
+        save_tensor(p, a)
+        back = load_tensor(p)
+        assert back.dtype == np.dtype(dtype).newbyteorder("=")
+        np.testing.assert_array_equal(back, a)
+        assert dumps_tensor(a) == dumps_tensor(a.astype(back.dtype))
+
+    def test_other_dtypes_refused(self):
+        with pytest.raises(FormatError, match="^dtype float16 is not storable; use float32 or float64$"):
+            dumps_tensor(np.ones(3, dtype=np.float16))
+
     def test_load_errors_name_the_file(self, tmp_path):
         blob = dumps_tensor(np.ones(5, dtype=np.float32))
         p = tmp_path / "t.lwt"
@@ -239,7 +254,7 @@ class TestCheckpointFormat:
         blob = p.read_bytes()
         assert blob.count(finite) == 1
         p.write_bytes(blob.replace(finite, lwt_record(arrays["head.fc.bias"])))
-        with pytest.raises(FormatError, match="^record 'head.fc.bias': payload holds non-finite"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: record 'head.fc.bias': payload holds non-finite"):
             load_checkpoint(p)
 
     def test_non_finite_record_not_written(self, tmp_path):

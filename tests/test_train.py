@@ -135,6 +135,13 @@ class TestAugment:
             for i in range(5) for j in range(5))
         assert found
 
+    def test_train_mode_crop_is_a_random_window(self):
+        """crop = true, the paper recipe's default: train mode draws the window random_crop draws."""
+        x = np.arange(200, dtype=np.float32).reshape(1, 2, 10, 10)
+        out, k = augment(x, np.random.default_rng(5), True, 6, flip=False, varlen=False)
+        np.testing.assert_array_equal(out, random_crop(x, 6, np.random.default_rng(5)))
+        assert out.shape == (1, 2, 6, 6) and k == 2
+
     def test_variable_length_pads_right(self):
         rng = np.random.default_rng(3)
         x = np.ones((1, 12, 4, 4), dtype=np.float32)
@@ -273,6 +280,12 @@ class TestLoop:
         r1 = train_loop(*self._tiny())
         r2 = train_loop(*self._tiny())
         assert r1.history == r2.history
+
+    def test_step_error_names_epoch_and_step(self):
+        model, ds, tcfg = self._tiny()
+        model.parameters()[0].data.flat[0] = np.nan
+        with pytest.raises(NumericError, match="^epoch 0, step 0: "):
+            train_loop(model, ds, tcfg)
 
     def test_class_count_mismatch_rejected(self):
         model, ds, tcfg = self._tiny()
