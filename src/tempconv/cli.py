@@ -34,15 +34,6 @@ EXIT_NUMERIC = 3
 _FORMATS = ("text", "json")  # count alone adds markdown
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures on exit code 1 instead of 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
 def _resolve_seed(args):
     seed = args.seed
     env = os.environ.get("TEMPCONV_SEED")
@@ -57,7 +48,10 @@ def _resolve_seed(args):
 
 
 def _read_text(args):
-    return read_config_text(args.config) if args.config else ""
+    if not args.config:
+        return ""
+    with located(args.config):
+        return read_config_text(args.config)
 
 
 def _load_model_config(args):
@@ -74,22 +68,22 @@ def _emit(args, document):
 
 def build_parser():
     # each command takes only the flag groups it reads
-    config = _Parser(add_help=False)
+    config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="path to a config document")
     config.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                         help="override one config key (repeatable, last wins)")
-    seed = _Parser(add_help=False)
+    seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, help="seed (fallback: TEMPCONV_SEED, then 0)")
 
     def output(*formats):
-        p = _Parser(add_help=False)
+        p = argparse.ArgumentParser(add_help=False)
         p.add_argument("--format", choices=_FORMATS + formats, default="text")
         p.add_argument("--out", help="write the output document to this path")
         return p
 
-    parser = _Parser(prog="tempconv",
-                     description="causal temporal-convolution model toolkit")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="tempconv",
+                                     description="causal temporal-convolution model toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("describe", parents=[config, output()],
                    help="build a model and print its structure")
@@ -215,12 +209,9 @@ def _cmd_infer(args):
             model.load_state_dict(state)
     model.eval()
     arr = lwt.load_tensor(args.input)
-    if model.has_frontend:
-        if arr.ndim != 4:
-            raise ShapeError(f"expected a (C, T, H, W) tensor, got rank {arr.ndim}")
+    if model.has_frontend and arr.ndim == 4:  # a clip of another rank is refused uncropped
         arr, _ = augment(arr, None, False, tcfg.crop_size, crop=tcfg.crop)
-    elif arr.ndim != 2:
-        raise ShapeError(f"frontend-less model expects a (C, T) tensor, got rank {arr.ndim}")
+    model.check_input(arr.shape)
     probs = model.predict_proba(Tensor(arr.astype(np.float32))).data
     order = np.argsort(-probs, kind="stable")
     top5 = [(int(i), float(probs[i])) for i in order[:5]]
@@ -326,7 +317,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse's usage error exits 2; here usage is 1
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)

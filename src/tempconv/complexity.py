@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 
 from .blocks import TemporalBlock
-from .errors import ConfigError, FormatError, ShapeError, located
+from .errors import ConfigError, FormatError, located
 from .layers import Conv
 from .model import Model
 
@@ -95,22 +95,11 @@ def audit(model, input_shape=None):
         rows.append(ComplexityRow(group, name, part.param_count(), repeat * macs))
         return sizes
 
+    model.check_input(shape)
+    t = shape[1]
     if model.has_frontend:
-        if len(shape) != 4:
-            raise ShapeError(f"frontend model audits a (C, T, H, W) input, got {shape}")
-        # each walk runs before its check, so a conv's size error is the one raised
         t, h, w = row("stem", "stem", model.stem, shape[1:])
-        model.stem._check(shape)
         row("extractor", "extractor", model.extractor, (h, w), repeat=t)
-        model.extractor._check_spatial(h, w)
-    else:
-        if len(shape) != 2:
-            raise ShapeError(f"frontend-less model audits a (C, T) input, got {shape}")
-        if shape[0] != model.tcn.in_channels:
-            raise ShapeError(
-                f"input has {shape[0]} channels, temporal stack expects {model.tcn.in_channels}"
-            )
-        t = shape[1]
     sizes = (t,)
     stage = 0
     for layer in model.tcn.body:
@@ -146,20 +135,16 @@ def _check(row_id, metric, computed, expected, tolerance):
                         deviation, abs(deviation) <= tolerance)
 
 
+# a fixture row's expectation key: (metric, its tolerance key, report attribute, unit)
+EXPECTATIONS = {"tcn_params_m": ("params", "tol_params", "tcn_params", 1e6),
+                "tcn_gmacs": ("macs", "tol_macs", "tcn_macs", 1e9)}
+
+
 def verify_report(report, fixture_row):
     """Check one report against one fixture row; returns per-metric results."""
-    results = []
-    if "tcn_params_m" in fixture_row:
-        results.append(_check(fixture_row["id"], "params", report.tcn_params,
-                              fixture_row["tcn_params_m"] * 1e6,
-                              fixture_row["tol_params"]))
-    if "tcn_gmacs" in fixture_row:
-        results.append(_check(fixture_row["id"], "macs", report.tcn_macs,
-                              fixture_row["tcn_gmacs"] * 1e9,
-                              fixture_row["tol_macs"]))
-    if not results:
-        raise FormatError(f"fixture row '{fixture_row.get('id')}' has no expectations")
-    return results
+    return [_check(fixture_row["id"], metric, getattr(report, attr), fixture_row[key] * unit,
+                   fixture_row[tol_key])
+            for key, (metric, tol_key, attr, unit) in EXPECTATIONS.items() if key in fixture_row]
 
 
 def load_fixture(path):
@@ -180,9 +165,12 @@ def load_fixture(path):
             if row["id"] in seen:
                 raise FormatError(f"duplicate fixture row id '{row['id']}'")
             seen.add(row["id"])
-            for key in ("tcn_params_m", "tcn_gmacs"):
-                tol_key = "tol_params" if key.endswith("_m") else "tol_macs"
-                if key in row and tol_key not in row:
+            keys = [key for key in EXPECTATIONS if key in row]
+            if not keys:
+                raise FormatError(f"fixture row '{row['id']}' has no expectations")
+            for key in keys:
+                tol_key = EXPECTATIONS[key][1]
+                if tol_key not in row:
                     raise FormatError(f"fixture row '{row['id']}' has {key} but no {tol_key}")
         return fixture
 
@@ -203,9 +191,8 @@ def verify_fixture(path, row_ids=None):
         if row_ids is not None and row["id"] not in row_ids:
             continue
         config_path = os.path.normpath(os.path.join(base, row["config"]))
-        text = read_config_text(config_path)  # outside the row: its errors name the path already
         with located(f"row '{row['id']}' ({config_path})"):
-            graph = build_model(parse_config(text), init=False)
+            graph = build_model(parse_config(read_config_text(config_path)), init=False)
             shape = input_shape if graph.has_frontend else graph.input_shape(frames=input_shape[1])
             report = audit(graph, shape)
         results.extend(verify_report(report, row))

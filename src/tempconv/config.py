@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 from .blocks import (PLAIN_KERNEL, STAR_DW_KERNEL, block_width, canonical_kind, check_kernels,
                      checked_kind, expanded_width)
-from .errors import ConfigError
+from .errors import ConfigError, located
 from .frontend import ExtractorSpec, StemSpec
 from .layers import PARAM_BUDGET_CAP
 
@@ -276,16 +276,18 @@ def parse_toy_spec(text, overrides=()):
 
 
 def read_config_text(path):
-    """The text of a config document; bytes that are not UTF-8 raise ConfigError."""
+    """The text of a config document; non-UTF-8 bytes raise a ConfigError the caller locates."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             return f.read()
         except UnicodeDecodeError as exc:
-            raise ConfigError(f"config {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+            raise ConfigError(f"config is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def load_config_file(path, overrides=()):
-    return parse_config(read_config_text(path), overrides)
+    with located(path):
+        text = read_config_text(path)
+    return parse_config(text, overrides)
 
 
 def config_to_dict(config):

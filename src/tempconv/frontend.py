@@ -59,9 +59,6 @@ class Stem(Module):
             raise ShapeError(f"spatial size must be even, got {h}x{w}")
 
     def forward(self, x):
-        if x.ndim != 5:
-            raise ShapeError(f"stem expects (N, C, T, H, W) input of rank 5, got rank {x.ndim}")
-        self._check(tuple(x.shape[1:]))
         return conv_norm(self.conv, self.bn, x, relu=True)
 
 
@@ -167,7 +164,6 @@ class ReferenceExtractor(Module):
         if x.ndim != 5:
             raise ShapeError(f"extractor expects (N, C, T, H, W) input of rank 5, got rank {x.ndim}")
         n, c, t, h, w = x.shape
-        self._check_spatial(h, w)
         # one copy at any batch size (ops.reshape returns C order), landing
         # channels-last: the (N·T, C, H, W) view of (N·T, H, W, C)
         frames = ops.moveaxis(ops.reshape(ops.moveaxis(x, 1, -1), (n * t, h, w, c)), 3, 1)

@@ -74,11 +74,19 @@ class Model(Module):
     def has_frontend(self):
         return self.extractor is not None
 
-    def features(self, x):
-        """Everything before the classifier; returns an (N, C, T) sequence."""
+    def check_input(self, shape):
+        """Refuse one ``(C, *S)`` sample the model cannot run: the one owner of
+        the input rules that ``forward``, ``complexity.audit`` and ``infer`` apply."""
+        expect = 4 if self.has_frontend else 2
+        if len(shape) != expect:
+            raise ShapeError(f"model expects a sample of rank {expect}, got rank {len(shape)}")
         if self.has_frontend:
-            x = self.extractor(self.stem(x))
-        return self.tcn(x)
+            self.stem._check(shape)
+            _, h, w = self.stem.conv.spec.out_sizes(shape[1:])
+            self.extractor._check_spatial(h, w)
+        elif shape[0] != self.tcn.in_channels:
+            raise ShapeError(f"input has {shape[0]} channels, "
+                             f"temporal stack expects {self.tcn.in_channels}")
 
     def forward(self, x, valid_len=None):
         """Logits (N, K); the one module that also takes a single sample, giving (K,)."""
@@ -89,7 +97,10 @@ class Model(Module):
         if x.ndim != expect + 1:
             raise ShapeError(f"model expects rank {expect} (single) or {expect + 1} (batched) "
                              f"input, got rank {x.ndim}")
-        return self.head(self.features(x), valid_len=valid_len)
+        self.check_input(tuple(x.shape[1:]))
+        if self.has_frontend:
+            x = self.extractor(self.stem(x))
+        return self.head(self.tcn(x), valid_len=valid_len)
 
     def predict_proba(self, x, valid_len=None):
         return ops.softmax(self.forward(x, valid_len=valid_len), axis=-1)

@@ -370,9 +370,22 @@ class TestInfer:
             "tempconv.ShapeError: stem expects 1 input channels, got 3")
 
     def test_wrong_rank_rejected(self, tmp_path, capsys):
-        p = tmp_path / "flat.lwt"
-        lwt.save_tensor(p, np.zeros((3, 5), dtype=np.float32))
-        assert main(["infer", "--config", TOY_CFG, "--input", str(p)]) == EXIT_VALIDATION
+        """The model's sample-rank rule refuses a clip of another rank, before any crop."""
+        p = tmp_path / "clip.lwt"
+        for shape in [(3, 5), (1, 1, 12, 8, 8), (5,), ()]:
+            lwt.save_tensor(p, np.zeros(shape, dtype=np.float32))
+            assert main(["infer", "--config", TOY_CFG, "--input", str(p),
+                         "--set", "train.crop=true"]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == (
+                f"tempconv.ShapeError: model expects a sample of rank 4, got rank {len(shape)}\n")
+
+    def test_count_and_infer_report_the_same_error(self, tmp_path, capsys):
+        p = tmp_path / "empty.lwt"
+        lwt.save_tensor(p, np.zeros((1, 0, 8, 8), dtype=np.float32))
+        for argv in (["count", "--config", TOY_CFG, "--frames", "0", "--size", "8"],
+                     ["infer", "--config", TOY_CFG, "--input", str(p)]):
+            assert main(argv) == EXIT_VALIDATION
+            assert capsys.readouterr().err == "tempconv.ShapeError: need at least 3 frames, got 0\n"
 
     def test_checkpoint_config_mismatch(self, tmp_path, capsys):
         p = tmp_path / "clip.lwt"
@@ -475,6 +488,25 @@ class TestWhereItFailed:
         assert main(["verify", "--fixture", str(fixture)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(
             f"tempconv.FormatError: {fixture}: fixture is not valid JSON: ")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg, fixture = tmp_path / "latin.cfg", tmp_path / "fixture.json"
+        cfg.write_bytes("[tcn]\nblock_kind = baseline # \u00e9\n".encode("latin-1"))
+        fixture.write_text(json.dumps({"rows": [{"id": "latin", "config": "latin.cfg",
+                                                 "tcn_params_m": 1.0, "tol_params": 0.05}]}))
+        reason = "config is not UTF-8: invalid continuation byte at byte 30\n"
+        assert main(["describe", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"tempconv.ConfigError: {cfg}: {reason}"
+        assert main(["verify", "--fixture", str(fixture)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"tempconv.ConfigError: row 'latin' ({cfg}): {reason}"
+
+    def test_fixture_row_without_expectations(self, tmp_path, capsys):
+        """A format rule of the fixture: refused by name before any model is built."""
+        fixture = tmp_path / "bare.json"
+        fixture.write_text(json.dumps({"rows": [{"id": "bare", "config": "missing.cfg"}]}))
+        assert main(["verify", "--fixture", str(fixture)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"tempconv.FormatError: {fixture}: fixture row 'bare' has no expectations\n")
 
 
 class TestGradcheckCommand:

@@ -1,7 +1,9 @@
 """Parameter/MAC auditing: row accounting, fixture verification, emitters."""
+import ast
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -170,9 +172,9 @@ class TestFixtureFormat:
 
     def test_duplicate_ids_rejected(self, tmp_path):
         p = tmp_path / "f.json"
-        row = {"id": "x", "config": "c.cfg"}
+        row = {"id": "x", "config": "c.cfg", "tcn_params_m": 1.0, "tol_params": 0.05}
         p.write_text(json.dumps({"rows": [row, row]}))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="duplicate fixture row id 'x'"):
             load_fixture(p)
 
     def test_invalid_json_rejected(self, tmp_path):
@@ -210,3 +212,66 @@ class TestEmitters:
         assert "starv" in txt and "pass" in txt
         blob = json.loads(emit_verify(results, fmt="json"))
         assert all(entry["passed"] for entry in blob["rows"])
+
+
+class TestWhatAModelAccepts:
+    """``Model.check_input`` is the one owner of the input rules: the audit
+    and a forward refuse the same sample with the same error."""
+
+    MODELS = {
+        "toy": pathlib.Path(CONFIGS, "toy.cfg").read_text(encoding="utf-8"),
+        "starv-3-stages": ("[stem]\nout_channels = 4\n[extractor]\nwidths = 4, 8, 8\n"
+                           "[tcn]\nblock_kind = starv\nchannels = 8\nstages = 1\n"
+                           "[classifier]\nnum_classes = 4\n"),
+        "starv-frontendless": ("[model]\nfrontend = false\n[tcn]\nblock_kind = starv\n"
+                               "channels = 8, 16\nstages = 2\n[classifier]\nnum_classes = 4\n"),
+    }
+
+    @staticmethod
+    def _shapes(model):
+        if model.has_frontend:
+            sides = [(s, s) for s in (0, 2, 4, 6, 7, 8, 16)] + [(8, 10)]
+            return [(c, t, h, w) for c in (1, 3) for t in (0, 1, 2, 3, 5) for h, w in sides]
+        right = model.tcn.in_channels
+        return [(c, t) for c in (right - 1, right) for t in (0, 1, 2, 5)]
+
+    @staticmethod
+    def _outcome(run):
+        try:
+            run()
+        except tc.TempconvError as exc:
+            return type(exc).__name__, str(exc)
+        return "ok"
+
+    @pytest.fixture(params=list(MODELS))
+    def model(self, request):
+        return tc.build_model(tc.parse_config(self.MODELS[request.param]), seed=0).eval()
+
+    def test_audit_and_forward_agree(self, model):
+        disagree = []
+        for shape in self._shapes(model):
+            audited = self._outcome(lambda: audit(model, shape))
+            ran = self._outcome(lambda: model(Tensor(np.zeros(shape, np.float32))))
+            if audited != ran:
+                disagree.append((shape, audited, ran))
+        assert disagree == []
+
+    def test_wrong_rank_refused_by_both(self, model):
+        shape = model.input_shape(frames=5, size=8)[:-1]
+        with pytest.raises(tc.ShapeError):
+            audit(model, shape)
+        with pytest.raises(tc.ShapeError):
+            model(Tensor(np.zeros(shape, np.float32)))
+
+    @pytest.mark.parametrize("module", ["complexity.py", "cli.py"])
+    def test_input_rules_have_one_owner(self, module):
+        """Neither the audit nor the CLI writes a shape rule of its own."""
+        def raised(node):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            return getattr(exc, "id", getattr(exc, "attr", None))
+
+        tree = ast.parse(pathlib.Path(tc.__file__).with_name(module).read_text(encoding="utf-8"))
+        offenders = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Raise) and node.exc is not None
+                     and raised(node) == "ShapeError"]
+        assert offenders == []
