@@ -47,15 +47,11 @@ def _resolve_seed(args):
     return seed
 
 
-def _read_text(args):
-    if not args.config:
-        return ""
+def _document(args):
+    """The parse functions' ``(text, overrides, source)`` from ``--config`` and ``--set``."""
     with located(args.config):
-        return read_config_text(args.config)
-
-
-def _load_model_config(args):
-    return parse_config(_read_text(args), args.set or [])
+        text = read_config_text(args.config) if args.config else ""
+    return text, args.set or [], args.config
 
 
 def _emit(args, document):
@@ -125,7 +121,7 @@ def build_parser():
 # -- command bodies --------------------------------------------------------
 
 def _cmd_describe(args):
-    config = _load_model_config(args)
+    config = parse_config(*_document(args))
     model = build_model(config, init=False)
     if args.format == "json":
         doc = json.dumps({
@@ -142,7 +138,7 @@ def _cmd_describe(args):
 
 
 def _cmd_count(args):
-    config = _load_model_config(args)
+    config = parse_config(*_document(args))
     model = build_model(config, init=False)
     report = complexity.audit(model, model.input_shape(args.frames, args.size))
     _emit(args, complexity.emit_report(report, args.format))
@@ -195,9 +191,9 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_infer(args):
-    text, overrides = _read_text(args), args.set or []
-    tcfg = parse_train_config(text, overrides)  # the clip is prepared as evaluate prepares it
-    model = build_model(parse_config(text, overrides), seed=_resolve_seed(args) or 0)
+    doc = _document(args)
+    tcfg = parse_train_config(*doc)  # the clip is prepared as evaluate prepares it
+    model = build_model(parse_config(*doc), seed=_resolve_seed(args) or 0)
     if args.checkpoint:
         state, meta = lwt.load_checkpoint(args.checkpoint)
         with located(args.checkpoint):
@@ -230,11 +226,10 @@ def _cmd_infer(args):
 
 
 def _cmd_train_toy(args):
-    text = _read_text(args)
-    overrides = args.set or []
-    config = parse_config(text, overrides)
-    tcfg = parse_train_config(text, overrides)
-    toy = parse_toy_spec(text, overrides)
+    doc = _document(args)
+    config = parse_config(*doc)
+    tcfg = parse_train_config(*doc)
+    toy = parse_toy_spec(*doc)
     seed = _resolve_seed(args)
     if seed is not None:
         from dataclasses import replace
@@ -280,7 +275,7 @@ def _cmd_train_toy(args):
 def _cmd_gen_data(args):
     from .toydata import gen_toy_dataset
 
-    toy = parse_toy_spec(_read_text(args), args.set or [])
+    toy = parse_toy_spec(*_document(args))
     dataset = gen_toy_dataset(toy)
     arrays = {}
     counts = {}

@@ -19,6 +19,7 @@ section like any other.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import hashlib
 import json
 import math
@@ -168,51 +169,6 @@ class ToyDatasetSpec:
 
 _SECTIONS = {"stem": StemSpec, "extractor": ExtractorSpec, "tcn": TCNConfig,
              "classifier": ClassifierConfig, "train": TrainConfig, "toy": ToyDatasetSpec}
-_KNOWN_KEYS = {
-    "model": {"frontend"} | {f.name for f in fields(ModelConfig) if f.name not in _SECTIONS},
-    **{name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()},
-}
-
-
-def _load_sections(text, overrides=()):
-    # a default_section no header can spell: [DEFAULT] is then an ordinary,
-    # unknown section instead of silently feeding every other section
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True,
-                                   interpolation=None, default_section="\n")
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config document: {exc}") from exc
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override '{item}' is not of the form section.key=value")
-        path, value = item.split("=", 1)
-        if "." not in path:
-            raise ConfigError(f"override path '{path}' needs a section, like tcn.stages")
-        section, key = path.strip().rsplit(".", 1)
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, key, value.strip())
-    sections = {}
-    for section in cp.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        body = dict(cp.items(section))
-        unknown = set(body) - _KNOWN_KEYS[section]
-        if unknown:
-            raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
-        sections[section] = body
-    return sections
-
-
-def _get(sections, section, key, default, cast):
-    raw = sections.get(section, {}).get(key)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"[{section}] {key} = '{raw}' is not valid: {exc}") from exc
 
 
 def _bool(raw):
@@ -241,10 +197,55 @@ _CASTS = {bool: _bool, int: int, float: _float, str: str, tuple: _int_list,
           type(None): _optional_float}
 
 
-def _read(cls, sections, section, **given):
-    """Build a section's dataclass: each field not given parsed by its default's type."""
-    return cls(**given, **{f.name: _get(sections, section, f.name, f.default, _CASTS[type(f.default)])
-                           for f in fields(cls) if f.name not in given})
+# every key of every section, with the parser its field's default implies
+_KNOWN_KEYS = {name: {f.name: _CASTS[type(f.default)] for f in fields(cls) if f.name not in _SECTIONS}
+               for name, cls in {"model": ModelConfig, **_SECTIONS}.items()}
+_KNOWN_KEYS["model"]["frontend"] = _bool
+
+
+def _parsed(section, items):
+    """A section's ``(key, raw)`` items as field values; an unknown name is refused first."""
+    if section not in _KNOWN_KEYS:
+        raise ConfigError(f"unknown config section [{section}]")
+    unknown = {key for key, _ in items} - set(_KNOWN_KEYS[section])
+    if unknown:
+        raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
+    values = {}
+    for key, raw in items:
+        try:
+            values[key] = _KNOWN_KEYS[section][key](raw)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"[{section}] {key} = '{raw}' is not valid: {exc}") from exc
+    return values
+
+
+def _load_sections(text, overrides=(), source=None):
+    """Each section's values, parsed as read, an override's in place of the
+    document's. Errors in ``text`` name ``source``, its file, if given."""
+    # a default_section no header can spell: [DEFAULT] is then an ordinary,
+    # unknown section instead of silently feeding every other section
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True,
+                                   interpolation=None, default_section="\n")
+    patches = {}
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(f"override '{item}' is not of the form section.key=value")
+        path, value = item.split("=", 1)
+        if "." not in path:
+            raise ConfigError(f"override path '{path}' needs a section, like tcn.stages")
+        section, key = path.strip().rsplit(".", 1)
+        patches.setdefault(section, {})[cp.optionxform(key)] = value.strip()
+    with located(source) if source else contextlib.nullcontext():
+        try:
+            cp.read_string(text, str(source or "<string>"))
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config document: {exc}") from exc
+        sections = {section: _parsed(section, [(key, raw) for key, raw in cp.items(section)
+                                               if key not in patches.get(section, {})])
+                    for section in cp.sections()}
+    for section, raws in patches.items():  # not in the file, so not located in it
+        sections.setdefault(section, {}).update(_parsed(section, list(raws.items())))
+    return sections
 
 
 def _write(section, spec):
@@ -253,26 +254,27 @@ def _write(section, spec):
     return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
-def parse_config(text, overrides=()):
+def parse_config(text, overrides=(), source=None):
     """Parse and validate a model config; defaults fill every gap."""
-    sections = _load_sections(text, overrides)
+    sections = _load_sections(text, overrides, source)
+    model = sections.pop("model", {})
     stem = extractor = None
-    if _get(sections, "model", "frontend", True, _bool):
-        stem = _read(StemSpec, sections, "stem")
-        extractor = _read(ExtractorSpec, sections, "extractor")
+    if model.pop("frontend", True):
+        stem = StemSpec(**sections.get("stem", {}))
+        extractor = ExtractorSpec(**sections.get("extractor", {}))
     elif sections.get("stem") or sections.get("extractor"):
         raise ConfigError("stem/extractor sections present but model.frontend is false")
-    return _read(ModelConfig, sections, "model", stem=stem, extractor=extractor,
-                 tcn=_read(TCNConfig, sections, "tcn"),
-                 classifier=_read(ClassifierConfig, sections, "classifier"))
+    return ModelConfig(**model, stem=stem, extractor=extractor,
+                       tcn=TCNConfig(**sections.get("tcn", {})),
+                       classifier=ClassifierConfig(**sections.get("classifier", {})))
 
 
-def parse_train_config(text, overrides=()):
-    return _read(TrainConfig, _load_sections(text, overrides), "train")
+def parse_train_config(text, overrides=(), source=None):
+    return TrainConfig(**_load_sections(text, overrides, source).get("train", {}))
 
 
-def parse_toy_spec(text, overrides=()):
-    return _read(ToyDatasetSpec, _load_sections(text, overrides), "toy")
+def parse_toy_spec(text, overrides=(), source=None):
+    return ToyDatasetSpec(**_load_sections(text, overrides, source).get("toy", {}))
 
 
 def read_config_text(path):
@@ -287,7 +289,7 @@ def read_config_text(path):
 def load_config_file(path, overrides=()):
     with located(path):
         text = read_config_text(path)
-    return parse_config(text, overrides)
+    return parse_config(text, overrides, path)
 
 
 def config_to_dict(config):

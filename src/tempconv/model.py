@@ -15,7 +15,8 @@ from .blocks import TemporalBlock, make_block
 from .config import ModelConfig, config_hash, config_to_dict
 from .errors import ConfigError, ShapeError
 from .frontend import ClassifierHead, ReferenceExtractor, Stem
-from .layers import PARAM_BUDGET_CAP, Conv1d, Module, Sequential
+from .layers import PARAM_BUDGET_CAP, Conv1d, Module, Sequential, fast_eval
+from .tensor import unchecked
 
 BUILD_VERSION = "0.1.0"
 
@@ -89,10 +90,20 @@ class Model(Module):
                              f"temporal stack expects {self.tcn.in_channels}")
 
     def forward(self, x, valid_len=None):
-        """Logits (N, K); the one module that also takes a single sample, giving (K,)."""
+        """Logits (N, K); the one module that also takes a single sample, giving (K,).
+        In fast eval only the logits are checked for finiteness, and a failure re-runs
+        the forward with per-op checks to name the op: fast eval writes only fresh
+        arrays, so the re-run sees the same input and weights."""
+        if not all(map(fast_eval, self.modules())):
+            return self._forward(x, valid_len)
+        with unchecked():
+            logits = self._forward(x, valid_len)
+        return logits if np.isfinite(logits.data).all() else self._forward(x, valid_len)
+
+    def _forward(self, x, valid_len):
         expect = 4 if self.has_frontend else 2
         if x.ndim == expect:  # a batch of one; valid_len passes through unchanged
-            logits = self.forward(ops.reshape(x, (1,) + tuple(x.shape)), valid_len)
+            logits = self._forward(ops.reshape(x, (1,) + tuple(x.shape)), valid_len)
             return ops.reshape(logits, tuple(logits.shape[1:]))
         if x.ndim != expect + 1:
             raise ShapeError(f"model expects rank {expect} (single) or {expect + 1} (batched) "

@@ -1,13 +1,15 @@
 """Dense float tensors with optional reverse-mode gradient recording.
 
 Values are numpy arrays in float32 (default) or float64 (used for gradient
-checking). Every tensor is validated to be finite on creation so that NaN/Inf
-never propagates silently; a diverging computation fails at the op that
-produced it.
+checking), validated finite on creation so that a computation fails at the op
+that made a NaN/Inf. A fast-eval ``Model.forward`` (eval, no tape) checks only its
+logits and re-runs with per-op checks on a failure, to name the op; there a ±inf
+that an eval ReLU or ReLU6 clamps to its limit (0 or 6) no longer raises.
 """
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -17,7 +19,7 @@ FLOAT_DTYPES = (np.float32, np.float64)
 
 
 class Tensor:
-    """A shaped, immutable-by-convention array of float32/float64 values.
+    """A shaped, immutable-by-convention float32/float64 array, finite unless :func:`unchecked`.
 
     ``requires_grad`` marks leaf parameters; intermediate results inherit it
     from their inputs. Gradients accumulate additively into ``.grad`` across
@@ -32,7 +34,7 @@ class Tensor:
             arr = arr.astype(dtype, copy=False)
         elif arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float32)
-        if not np.isfinite(arr).all():
+        if not getattr(_state, "unchecked", False) and not np.isfinite(arr).all():
             where = _op if _op is not None else "tensor construction"
             raise NumericError(f"non-finite values produced by {where}")
         self.data = arr
@@ -72,6 +74,16 @@ class _TapeNode:
 
 
 _state = threading.local()
+
+
+@contextmanager
+def unchecked():
+    """Create Tensors on this thread without the finite check."""
+    _state.unchecked = True
+    try:
+        yield
+    finally:
+        _state.unchecked = False
 
 
 def _tape_stack():

@@ -2,6 +2,7 @@
 import errno
 import json
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 
 from tempconv import build_model, frontend, load_config_file, lwt
 from tempconv.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from tempconv.errors import ConfigError
 
 from oracles import RETIRED_KIND_NAMES, lwt_record
 
@@ -499,6 +501,42 @@ class TestWhereItFailed:
         assert capsys.readouterr().err == f"tempconv.ConfigError: {cfg}: {reason}"
         assert main(["verify", "--fixture", str(fixture)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"tempconv.ConfigError: row 'latin' ({cfg}): {reason}"
+
+    @pytest.mark.parametrize("command", ["describe", "count", "infer", "train-toy", "gen-data"])
+    def test_config_value_names_the_file(self, tmp_path, capsys, command):
+        """A value of [model], [train] or [toy] that does not parse names its
+        file, in every command that reads a config."""
+        reason = "'four' is not valid: invalid literal for int() with base 10: 'four'\n"
+        extra = {"infer": ["--input", str(tmp_path / "clip.lwt")],
+                 "train-toy": ["--run-dir", str(tmp_path / "run")],
+                 "gen-data": ["--out", str(tmp_path / "toy.npz")]}.get(command, [])
+        for section, key in (("tcn", "stages"), ("train", "epochs"), ("toy", "seq_len")):
+            cfg = tmp_path / "four.cfg"
+            cfg.write_text(f"[{section}]\n{key} = four\n")
+            assert main([command, "--config", str(cfg), *extra]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == (
+                f"tempconv.ConfigError: {cfg}: [{section}] {key} = {reason}")
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(cfg))}: "):
+                load_config_file(cfg)
+
+    def test_malformed_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "header.cfg"
+        cfg.write_text("stages = 4\n")
+        assert main(["describe", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"tempconv.ConfigError: {cfg}: malformed config document: File contains no section "
+            f"headers.\nfile: '{cfg}', line: 1\n'stages = 4\\n'\n")
+
+    def test_override_errors_name_no_file(self, tmp_path, capsys):
+        """A value set by --set is not in the file; one may still replace a
+        file value that does not parse."""
+        cfg = tmp_path / "four.cfg"
+        cfg.write_text("[tcn]\nstages = four\n")
+        assert main(["describe", "--config", str(cfg), "--set", "tcn.stages=five"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == ("tempconv.ConfigError: [tcn] stages = 'five' is not "
+                                           "valid: invalid literal for int() with base 10: 'five'\n")
+        assert main(["describe", "--config", str(cfg), "--set", "tcn.stages=2"]) == EXIT_OK
+        assert "    stages = 2\n" in capsys.readouterr().out
 
     def test_fixture_row_without_expectations(self, tmp_path, capsys):
         """A format rule of the fixture: refused by name before any model is built."""
