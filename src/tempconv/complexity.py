@@ -192,7 +192,8 @@ def verify_fixture(path, row_ids=None):
             continue
         config_path = os.path.normpath(os.path.join(base, row["config"]))
         with located(f"row '{row['id']}' ({config_path})"):
-            graph = build_model(parse_config(read_config_text(config_path)), init=False)
+            graph = build_model(parse_config(read_config_text(config_path), source=config_path),
+                                init=False)
             shape = input_shape if graph.has_frontend else graph.input_shape(frames=input_shape[1])
             report = audit(graph, shape)
         results.extend(verify_report(report, row))

@@ -221,7 +221,9 @@ def _parsed(section, items):
 
 def _load_sections(text, overrides=(), source=None):
     """Each section's values, parsed as read, an override's in place of the
-    document's. Errors in ``text`` name ``source``, its file, if given."""
+    document's, and ``rules(*sections)``: where a rule over those sections'
+    values failed. Errors in ``text`` name ``source``, its file, if given;
+    so does a broken rule, unless an override touched one of its sections."""
     # a default_section no header can spell: [DEFAULT] is then an ordinary,
     # unknown section instead of silently feeding every other section
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True,
@@ -245,7 +247,12 @@ def _load_sections(text, overrides=(), source=None):
                     for section in cp.sections()}
     for section, raws in patches.items():  # not in the file, so not located in it
         sections.setdefault(section, {}).update(_parsed(section, list(raws.items())))
-    return sections
+
+    def rules(*names):
+        in_file = source and not patches.keys() & set(names)
+        return located(source) if in_file else contextlib.nullcontext()
+
+    return sections, rules
 
 
 def _write(section, spec):
@@ -256,25 +263,35 @@ def _write(section, spec):
 
 def parse_config(text, overrides=(), source=None):
     """Parse and validate a model config; defaults fill every gap."""
-    sections = _load_sections(text, overrides, source)
+    sections, rules = _load_sections(text, overrides, source)
     model = sections.pop("model", {})
     stem = extractor = None
     if model.pop("frontend", True):
-        stem = StemSpec(**sections.get("stem", {}))
-        extractor = ExtractorSpec(**sections.get("extractor", {}))
+        with rules("stem"):
+            stem = StemSpec(**sections.get("stem", {}))
+        with rules("extractor"):
+            extractor = ExtractorSpec(**sections.get("extractor", {}))
     elif sections.get("stem") or sections.get("extractor"):
-        raise ConfigError("stem/extractor sections present but model.frontend is false")
-    return ModelConfig(**model, stem=stem, extractor=extractor,
-                       tcn=TCNConfig(**sections.get("tcn", {})),
-                       classifier=ClassifierConfig(**sections.get("classifier", {})))
+        with rules("model", "stem", "extractor"):
+            raise ConfigError("stem/extractor sections present but model.frontend is false")
+    with rules("tcn"):
+        tcn = TCNConfig(**sections.get("tcn", {}))
+    with rules("classifier"):
+        classifier = ClassifierConfig(**sections.get("classifier", {}))
+    with rules("model", "stem", "extractor", "tcn"):
+        return ModelConfig(**model, stem=stem, extractor=extractor, tcn=tcn, classifier=classifier)
 
 
 def parse_train_config(text, overrides=(), source=None):
-    return TrainConfig(**_load_sections(text, overrides, source).get("train", {}))
+    sections, rules = _load_sections(text, overrides, source)
+    with rules("train"):
+        return TrainConfig(**sections.get("train", {}))
 
 
 def parse_toy_spec(text, overrides=(), source=None):
-    return ToyDatasetSpec(**_load_sections(text, overrides, source).get("toy", {}))
+    sections, rules = _load_sections(text, overrides, source)
+    with rules("toy"):
+        return ToyDatasetSpec(**sections.get("toy", {}))
 
 
 def read_config_text(path):

@@ -12,7 +12,8 @@ and backward alike:
   every position of the batch, its result channels-last;
 - ``DEPTHWISE`` (groups = C_in = C_out > 1): one einsum per cache-sized
   tile of whole samples, over a read-only view of the tile's tap windows,
-  into one preallocated channels-last output;
+  into one preallocated channels-last output; its backward runs per kernel
+  tap on the same tiles, over only the positions each tap reads;
 - ``GEMM`` (every other conv, any groups): im2col, one column block per
   kernel tap, then one ``matmul`` per sample and group.
 
@@ -20,6 +21,8 @@ Every route is tested against the reference conv in ``tests/oracles.py``.
 
 Eval-mode batch norm is one multiply-add per element; the layers fold it
 into the conv before it when no tape records (``layers.conv_norm``).
+Training-mode batch norm reduces over a copy-free (A, C, B) view of a
+channels-last or channels-first input.
 
 Layout convention: every op takes and returns the logical shape (N, C, *S),
 batched and channels-first. Memory may be channels-last: an array that is
@@ -122,18 +125,12 @@ class ConvSpec:
                 * (self.in_channels // self.groups) * math.prod(self.kernel))
 
 
-def _padded(xd, spec, dtype, channels_last=False):
-    """Zero-padded copy of an (N, C, *S) input, channels moved last if asked.
-
-    The input is written once, straight into the padded buffer.
-    """
+def _padded(xd, spec, dtype):
+    """Zero-padded copy of an (N, C, *S) input, written once, straight into
+    the padded buffer."""
     n, c, *sizes = xd.shape
-    padded = [s + lo + hi for s, (lo, hi) in zip(sizes, spec.pad_pairs())]
-    buf = np.zeros([n, *padded, c] if channels_last else [n, c, *padded], dtype)
-    if channels_last:
-        buf[_interior(spec, 1)] = np.moveaxis(xd, 1, -1)
-    else:
-        buf[_interior(spec, 2)] = xd
+    buf = np.zeros([n, c, *(s + lo + hi for s, (lo, hi) in zip(sizes, spec.pad_pairs()))], dtype)
+    buf[_interior(spec, 2)] = xd
     return buf
 
 
@@ -221,6 +218,31 @@ def _gemm_backward(up, wd, spec, saved, need_x, need_w):
 _DEPTHWISE_CHUNK_BYTES = 1 << 20
 
 
+def _samples_per_tile(xshape, padded, out_sizes, dtype):
+    """Whole samples per depthwise tile: as many as fit the chunk with their
+    ``padded`` input and their output, and at least one."""
+    n, c = xshape[:2]
+    sample = dtype.itemsize * c * (math.prod(padded) + math.prod(out_sizes))
+    return min(n, max(1, _DEPTHWISE_CHUNK_BYTES // sample))
+
+
+def _tap_reach(tap, spec, in_sizes, out_sizes):
+    """Indices, spatial axes at 1, of the outputs whose kernel ``tap`` reads
+    inside the unpadded input and of the input they read; None when the tap
+    reads only padding."""
+    outs, ins = [], []
+    for t, d, s, o, size, (lo, _) in zip(tap, spec.dilation, spec.stride, out_sizes,
+                                         in_sizes, spec.pad_pairs()):
+        first = max(0, -((t * d - lo) // s))  # first output reading input ≥ 0
+        last = min(o - 1, (size - 1 + lo - t * d) // s)
+        if last < first:
+            return None
+        start = first * s + t * d - lo
+        outs.append(slice(first, last + 1))
+        ins.append(slice(start, start + (last - first) * s + 1, s))
+    return (slice(None), *outs), (slice(None), *ins)
+
+
 def _windows(xp, spec):
     """Read-only (N, *S_out, C, *k) view of a channels-last padded buffer:
     the input each output position reads through each kernel tap."""
@@ -239,8 +261,7 @@ def _depthwise_forward(xd, wd, bd, spec, out_sizes):
     dtype = np.result_type(xd, wd, *([] if bd is None else [bd]))
     taps = np.ascontiguousarray(np.moveaxis(wd.reshape(c, *spec.kernel), 0, -1))  # (*k, C)
     padded = [s + lo + hi for s, (lo, hi) in zip(xd.shape[2:], spec.pad_pairs())]
-    sample = dtype.itemsize * c * (math.prod(padded) + math.prod(out_sizes))
-    step = min(n, max(1, _DEPTHWISE_CHUNK_BYTES // sample))
+    step = _samples_per_tile(xd.shape, padded, out_sizes, dtype)
     buf = np.zeros((step, *padded, c), dtype)  # its padding stays zero
     y = np.empty((n, *out_sizes, c), dtype)
     o, k = "abc"[:spec.rank], "ijk"[:spec.rank]  # output and kernel axes; z: channels
@@ -256,19 +277,33 @@ def _depthwise_forward(xd, wd, bd, spec, out_sizes):
 
 
 def _depthwise_backward(up, wd, spec, xd, need_x, need_w):
-    xp = _padded(xd, spec, up.dtype, True)
+    """Per kernel tap, on the forward's tiles of whole samples, over only the
+    outputs whose tap reads inside the input, so no padded buffer is made:
+    ``up·w_tap`` is added into the channels-last input gradient where the tap
+    read, and the tap's weight gradient is one einsum of ``up`` with the
+    input it read. Each input-gradient element sums its taps in kernel order."""
+    n, c = xd.shape[:2]
+    out_sizes = up.shape[2:]
+    padded = [s + lo + hi for s, (lo, hi) in zip(xd.shape[2:], spec.pad_pairs())]
+    step = _samples_per_tile(xd.shape, padded, out_sizes, up.dtype)
     upl = np.ascontiguousarray(np.moveaxis(up, 1, -1))
-    gx = gw = None
-    if need_x:
-        taps, tmp = np.ascontiguousarray(wd.reshape(spec.in_channels, -1).T), np.empty_like(upl)
-        gxp = np.zeros(xp.shape, upl.dtype)
-        for t, tap in enumerate(np.ndindex(*spec.kernel)):
-            gxp[_tap_index(tap, spec, up.shape[2:], 1)] += np.multiply(upl, taps[t], out=tmp)
-        gx = np.moveaxis(np.ascontiguousarray(gxp[_interior(spec, 1)]), -1, 1)
-    if need_w:
-        o, k = "abc"[:spec.rank], "ijk"[:spec.rank]
-        gw = np.einsum(f"n{o}z{k},n{o}z->z{k}", _windows(xp, spec), upl).reshape(wd.shape)
-    return gx, gw
+    xl = np.moveaxis(xd, 1, -1)
+    taps = np.ascontiguousarray(wd.reshape(c, -1).T)  # (taps, C)
+    reach = [(t, r) for t, r in enumerate(_tap_reach(tap, spec, xd.shape[2:], out_sizes)
+                                          for tap in np.ndindex(*spec.kernel)) if r]
+    gx = np.zeros(xl.shape, up.dtype) if need_x else None
+    gw = np.zeros(taps.shape, up.dtype) if need_w else None
+    tmp = np.empty((step, *out_sizes, c), up.dtype)
+    o = "abc"[:spec.rank]
+    for n0 in range(0, n, step):
+        upt = upl[n0:n0 + step]
+        for t, (outs, ins) in reach:
+            if need_x:
+                gx[n0:n0 + step][ins] += np.multiply(upt[outs], taps[t], out=tmp[:len(upt)][outs])
+            if need_w:
+                gw[t] += np.einsum(f"n{o}z,n{o}z->z", upt[outs], xl[n0:n0 + step][ins])
+    return (None if gx is None else np.moveaxis(gx, -1, 1),
+            None if gw is None else gw.T.reshape(wd.shape))
 
 
 _Route = namedtuple("_Route", "name forward backward")
@@ -346,6 +381,23 @@ def batch_norm_affine(gamma, beta, mean, var, eps, dtype):
     return scale, beta.astype(dtype) - mean.astype(dtype) * scale
 
 
+def _channel_view(a, channels_last):
+    """The (A, C, B) view of an (N, C, *S) array, reduced over axes (0, 2):
+    (N·S, C, 1) for channels-last memory, (N, C, S) for channels-first. An
+    array in neither layout, or in the other one, is copied into it."""
+    c = a.shape[1]
+    if channels_last:
+        return np.moveaxis(a, 1, -1).reshape(-1, c, 1)
+    return a.reshape(a.shape[0], c, -1)
+
+
+def _from_channel_view(a3, shape, channels_last):
+    """The (N, C, *S) array of ``shape`` whose :func:`_channel_view` is ``a3``."""
+    if channels_last:
+        return np.moveaxis(a3.reshape(shape[:1] + shape[2:] + shape[1:2]), -1, 1)
+    return a3.reshape(shape)
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
                momentum=0.1, training=False):
     """Per-channel batch normalization over a batched (N, C, *S) input.
@@ -353,7 +405,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
     Training mode normalizes with batch statistics and updates the running
     arrays in place (plain ndarrays, not tensors); inference mode is one
     multiply-add with the running statistics. ``gamma``/``beta`` are the
-    affine parameters.
+    affine parameters. The output keeps the input's memory layout.
     """
     if x.ndim < 2:
         raise ShapeError("batch_norm expects a batched (N, C, ...) input")
@@ -363,60 +415,78 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
             raise ShapeError(f"{name} length {p.shape} does not match {c} channels")
     if running_mean.shape != (c,) or running_var.shape != (c,):
         raise ShapeError("running statistics length does not match channel count")
+    if training:
+        return _batch_norm_training(x, gamma, beta, running_mean, running_var, eps, momentum)
 
     axes = (0,) + tuple(range(2, x.ndim))
     bshape = (1, c) + (1,) * (x.ndim - 2)
-    m = x.size // c
-
-    if training:
-        mu = x.data.mean(axis=axes)
-        xhat = x.data - mu.reshape(bshape)  # centred here, normalized in place below
-        var = (xhat * xhat).mean(axis=axes)  # the steps of np.var, without its second mean
-        unbias = m / (m - 1) if m > 1 else 1.0
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * unbias
-        denom = var + eps
-        if np.any(denom <= 0):
-            raise NumericError("batch_norm variance estimate is non-positive after eps")
-        inv = 1.0 / np.sqrt(denom)
-        xhat *= inv.reshape(bshape)
-        y = gamma.data.reshape(bshape) * xhat
-        y += beta.data.reshape(bshape)
-        scale = gamma.data * inv
-    else:
-        scale, shift = batch_norm_affine(gamma.data, beta.data, running_mean, running_var,
-                                         eps, x.dtype)
-        y = x.data * scale.reshape(bshape)
-        y += shift.reshape(bshape)
+    scale, shift = batch_norm_affine(gamma.data, beta.data, running_mean, running_var,
+                                     eps, x.dtype)
+    y = x.data * scale.reshape(bshape)
+    y += shift.reshape(bshape)
 
     def make_backward():
-        if not training:  # only the gamma gradient needs the normalized input
-            mu = running_mean.astype(x.dtype)
-            inv = 1.0 / np.sqrt(running_var.astype(x.dtype) + eps)
-        sums = training and x.requires_grad
+        mu = running_mean.astype(x.dtype)
+        inv = 1.0 / np.sqrt(running_var.astype(x.dtype) + eps)
 
         def bwd(up):
-            gb = up.sum(axis=axes) if beta.requires_grad or sums else None
+            gb = up.sum(axis=axes) if beta.requires_grad else None
             gg = None
-            if gamma.requires_grad or sums:
-                xn = xhat if training else (x.data - mu.reshape(bshape)) * inv.reshape(bshape)
-                gg = (up * xn).sum(axis=axes)
+            if gamma.requires_grad:  # only the gamma gradient needs the normalized input
+                gg = (up * ((x.data - mu.reshape(bshape)) * inv.reshape(bshape))).sum(axis=axes)
+            gx = scale.reshape(bshape) * up if x.requires_grad else None
+            return gx, gg, gb
+
+        return bwd
+
+    return apply_op("batch_norm", (x, gamma, beta), y, make_backward)
+
+
+def _batch_norm_training(x, gamma, beta, running_mean, running_var, eps, momentum):
+    """Training-mode batch norm on the input's (A, C, B) channel view, with no
+    copy for channels-last or channels-first memory. It keeps the centred
+    input ``xc`` for the backward, where ``x̂ = xc·inv``; the variance and
+    ``Σ up·xc`` are einsums, so no squared temporary is made."""
+    channels_last = not x.data.flags.c_contiguous and np.moveaxis(x.data, 1, -1).flags.c_contiguous
+    x3 = _channel_view(x.data, channels_last)
+    m = x3.shape[0] * x3.shape[2]
+    mu = x3.mean(axis=(0, 2))
+    xc = x3 - mu[:, None]
+    var = np.einsum("acb,acb->c", xc, xc) / m
+    unbias = m / (m - 1) if m > 1 else 1.0
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var * unbias
+    denom = var + eps
+    if np.any(denom <= 0):
+        raise NumericError("batch_norm variance estimate is non-positive after eps")
+    inv = 1.0 / np.sqrt(denom)
+    scale = gamma.data * inv
+    y3 = xc * scale[:, None]
+    y3 += beta.data[:, None]
+
+    def make_backward():
+        def bwd(up):
+            up3 = _channel_view(up, channels_last)
+            gb = up3.sum(axis=(0, 2)) if beta.requires_grad or x.requires_grad else None
+            gg = None
+            if gamma.requires_grad or x.requires_grad:
+                gg = np.einsum("acb,acb->c", up3, xc) * inv  # Σ up·x̂
             gx = None
-            if x.requires_grad:
-                if training:
-                    mean_up = (gb / m).reshape(bshape)
-                    mean_up_xhat = (gg / m).reshape(bshape)
-                    gx = scale.reshape(bshape) * (up - mean_up - xhat * mean_up_xhat)
-                else:
-                    gx = scale.reshape(bshape) * up
+            if x.requires_grad:  # scale·(up − Σup/m − x̂·Σup·x̂/m), in one buffer
+                gx = np.multiply(xc, (gg * inv / -m)[:, None])
+                gx -= (gb / m)[:, None]
+                gx += up3
+                gx *= scale[:, None]
+                gx = _from_channel_view(gx, x.shape, channels_last)
             return (gx, gg if gamma.requires_grad else None,
                     gb if beta.requires_grad else None)
 
         return bwd
 
-    return apply_op("batch_norm", (x, gamma, beta), y, make_backward)
+    return apply_op("batch_norm", (x, gamma, beta), _from_channel_view(y3, x.shape, channels_last),
+                    make_backward)
 
 
 def relu(x):

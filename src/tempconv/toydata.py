@@ -9,6 +9,7 @@ destroys the label signal.
 
 Every sample is a pure function of (spec, split, index): regenerating is
 cheap and bitwise reproducible, and splits are disjoint by construction.
+A dataset generates each split once, on the first batch drawn from it.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ class ToyDataset:
             raise ConfigError("ToyDataset expects a ToyDatasetSpec")
         self.spec = spec
         self.motifs = np.stack([self._motif(c) for c in range(spec.num_classes)])
+        self._splits = {}  # split -> (videos, labels), generated on first use
 
     def _motif(self, cls):
         s = self.spec.frame_size
@@ -70,16 +72,30 @@ class ToyDataset:
         return video, label
 
     def batch(self, split, indices):
-        videos = []
-        labels = []
-        for i in indices:
-            v, y = self.sample(split, int(i))
-            videos.append(v)
-            labels.append(y)
-        return np.stack(videos), np.asarray(labels, dtype=np.int64)
+        """(videos (len, 1, T, H, W), labels int64) of ``indices``, bitwise the
+        stacked :meth:`sample` of each: a fresh copy out of the split, which
+        is generated once, on first use."""
+        videos, labels = self._split(split)
+        idx = np.asarray(indices, dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= len(labels))]
+        if bad.size:
+            raise ConfigError(f"index {bad[0]} out of range for {split} split of {len(labels)}")
+        return videos[idx], labels[idx]
+
+    def _split(self, split):
+        if split not in self._splits:
+            size = self.split_size(split)
+            videos = np.empty((size, 1, self.spec.seq_len) + self.motifs.shape[1:], np.float32)
+            labels = np.empty(size, np.int64)
+            for i in range(size):
+                videos[i], labels[i] = self.sample(split, i)
+            videos.flags.writeable = labels.flags.writeable = False
+            self._splits[split] = videos, labels
+        return self._splits[split]
 
     def all_of(self, split):
-        return self.batch(split, range(self.split_size(split)))
+        """The whole split's (videos, labels), read-only: the generated arrays, not a copy."""
+        return self._split(split)
 
 
 def gen_toy_dataset(spec):

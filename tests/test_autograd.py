@@ -79,6 +79,39 @@ class TestOpGradients:
 
         check_against_oracle(build, [x, gamma, beta], rtol=1e-5)
 
+    @pytest.mark.parametrize("channels_last", [False, True])
+    @pytest.mark.parametrize("shape", [
+        (3, 2, 4), (2, 3, 2, 3), (2, 2, 2, 1, 3),  # rank 3, 4, 5
+        (1, 2, 1), (1, 2, 1, 1), (1, 2, 1, 1, 1),  # N·S = 1
+        (2, 2, 1), (1, 2, 2, 1), (1, 2, 1, 2, 1),  # N·S = 2
+    ])
+    def test_batch_norm_training_in_either_layout(self, shape, channels_last):
+        """Training-mode gradients match finite differences for input memory
+        laid out channels-first or channels-last, and the float32 gradients
+        match the float64 ones."""
+        rng = np.random.default_rng(shape[0] + len(shape))
+        c = shape[1]
+        x, gamma, beta = rng.standard_normal(shape), rng.uniform(0.5, 1.5, c), rng.standard_normal(c)
+        probe = rng.standard_normal(shape)
+
+        def build(xt, gt, bt):
+            if channels_last:  # a taped copy of xt whose memory is (N, *S, C)
+                moved = ops.moveaxis(xt, 1, -1)
+                xt = ops.moveaxis(ops.reshape(moved, moved.shape), -1, 1)
+            y = ops.batch_norm(xt, gt, bt, np.zeros(c), np.ones(c), training=True)
+            return ops.tensor_sum(ops.hadamard(y, Tensor(probe, dtype=y.dtype)))
+
+        check_against_oracle(build, [x, gamma, beta], rtol=1e-5)
+        grads = {}
+        for dtype in (np.float32, np.float64):
+            leaves = [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gamma, beta)]
+            with GradTape() as tape:
+                loss = build(*leaves)
+            grads[dtype] = [tape.backward(loss)[lf] for lf in leaves]
+        for g32, g64 in zip(grads[np.float32], grads[np.float64], strict=True):
+            assert g32.dtype == np.float32
+            np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-4)
+
     def test_relu_kink_free_points(self):
         x = np.array([[-1.5, -0.3, 0.4, 2.0]])
         check_against_oracle(lambda xt: ops.tensor_sum(ops.relu(xt)), [x])

@@ -538,6 +538,56 @@ class TestWhereItFailed:
         assert main(["describe", "--config", str(cfg), "--set", "tcn.stages=2"]) == EXIT_OK
         assert "    stages = 2\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command,section,text,reason,other", [
+        *((command, "tcn", "stages = 40", "stages must be ≤ 32, got 40", "tcn.dropout=0.1")
+          for command in ("describe", "count", "infer", "train-toy")),
+        *((command, "train", "epochs = 0", "epochs must be ≥ 1, got 0", "train.seed=1")
+          for command in ("infer", "train-toy")),
+        *((command, "toy", "seed = -1", "toy seed must be ≥ 0, got -1", "toy.noise=0.1")
+          for command in ("train-toy", "gen-data")),
+    ])
+    def test_config_rule_names_the_file(self, tmp_path, capsys, command, section, text, reason,
+                                        other):
+        """A rule over a section's values, broken by the file alone, names
+        the file in every command that reads the section; a --set value in
+        that section leaves it unnamed, one in another section does not."""
+        extra = {"infer": ["--input", str(tmp_path / "clip.lwt")],
+                 "train-toy": ["--run-dir", str(tmp_path / "run")],
+                 "gen-data": ["--out", str(tmp_path / "toy.npz")]}.get(command, [])
+        cfg = tmp_path / "rules.cfg"
+        cfg.write_text(f"[{section}]\n{text}\n")
+        for overrides, where in (([], f"{cfg}: "), (["--set", other], ""),
+                                 (["--set", "classifier.num_classes=10"], f"{cfg}: ")):
+            assert main([command, "--config", str(cfg), *overrides, *extra]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == f"tempconv.ConfigError: {where}{reason}\n"
+
+    def test_model_rule_names_the_file(self, tmp_path, capsys):
+        """A [model] rule spans sections: a --set value in any of them leaves
+        the file unnamed."""
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("[model]\nfrontend = false\n[stem]\nout_channels = 8\n")
+        reason = "stem/extractor sections present but model.frontend is false"
+        assert main(["describe", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"tempconv.ConfigError: {cfg}: {reason}\n"
+        assert main(["describe", "--config", str(cfg), "--set", "stem.out_channels=4"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"tempconv.ConfigError: {reason}\n"
+        cfg.write_text("[model]\nin_channels = 2\n")
+        reason = "in_channels must be 1 or 3, got 2"
+        assert main(["describe", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"tempconv.ConfigError: {cfg}: {reason}\n"
+        assert main(["describe", "--config", str(cfg), "--set", "extractor.expansion=2"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"tempconv.ConfigError: {reason}\n"
+
+    def test_verify_names_a_malformed_row_config_once(self, tmp_path, capsys):
+        cfg, fixture = tmp_path / "hdr.cfg", tmp_path / "fixture.json"
+        cfg.write_text("stages = 4\n")
+        fixture.write_text(json.dumps({"rows": [{"id": "hdr", "config": "hdr.cfg",
+                                                 "tcn_params_m": 1.0, "tol_params": 0.05}]}))
+        assert main(["verify", "--fixture", str(fixture)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"tempconv.ConfigError: row 'hdr' ({cfg}): malformed config document: File contains "
+            f"no section headers.\nfile: '{cfg}', line: 1\n'stages = 4\\n'\n")
+
     def test_fixture_row_without_expectations(self, tmp_path, capsys):
         """A format rule of the fixture: refused by name before any model is built."""
         fixture = tmp_path / "bare.json"

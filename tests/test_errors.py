@@ -33,6 +33,17 @@ def test_located_prefixes_and_keeps_the_class():
             raise KeyError("not a library error")
 
 
+def test_located_names_a_where_once():
+    """A block whose where an enclosing block already names adds nothing."""
+    with pytest.raises(NumericError) as info:
+        with located("row 'r' (a.cfg)"), located("a.cfg"), located("conv"):
+            raise NumericError("non-finite output")
+    assert str(info.value) == "row 'r' (a.cfg): conv: non-finite output"
+    with pytest.raises(NumericError, match="^a.cfg: non-finite output$"):
+        with located("a.cfg"):
+            raise NumericError("non-finite output")
+
+
 def test_located_is_the_one_catch_and_reraise():
     """No handler outside ``errors.py`` that names a library error raises
     again; ``cli.main``, which prints and returns, is not one."""

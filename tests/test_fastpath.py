@@ -372,15 +372,21 @@ def _depthwise_case(rng, spec, shape, dtype=np.float32):
 
 def _tile_sizes(monkeypatch):
     """Samples per forward tile of the depthwise route, one entry per call
-    of its window view (the weight gradient adds one for the whole batch)."""
-    sizes, windows = [], ops._windows
+    of its window view, and the samples per tile that the forward and the
+    backward each chose."""
+    sizes, steps, windows, per_tile = [], [], ops._windows, ops._samples_per_tile
 
     def spy(xp, spec):
         sizes.append(len(xp))
         return windows(xp, spec)
 
+    def step_spy(*args):
+        steps.append(per_tile(*args))
+        return steps[-1]
+
     monkeypatch.setattr(ops, "_windows", spy)
-    return sizes
+    monkeypatch.setattr(ops, "_samples_per_tile", step_spy)
+    return sizes, steps
 
 
 def _sample_bytes(spec, shape, dtype):
@@ -394,9 +400,10 @@ def _check_depthwise_tiles(spec, shape, per_tile, x, w, b, probe, monkeypatch):
     """The depthwise route runs tiles of ``per_tile`` samples, the last one
     partial, and matches the oracle run on C-order copies."""
     want = _run(EINSUM, spec, *(np.ascontiguousarray(a) for a in (x, w, b, probe)))
-    sizes = _tile_sizes(monkeypatch)
+    sizes, steps = _tile_sizes(monkeypatch)
     got = _run(ops.DEPTHWISE, spec, x, w, b, probe)
-    assert sizes[:-1] == [min(per_tile, shape[0] - i) for i in range(0, shape[0], per_tile)]
+    assert sizes == [min(per_tile, shape[0] - i) for i in range(0, shape[0], per_tile)]
+    assert steps == [per_tile, per_tile]
     for g, r in zip(got, want, strict=True):
         assert g.shape == r.shape and g.dtype == r.dtype
         _close(g, r)
@@ -443,7 +450,8 @@ def test_depthwise_windows_are_tap_slices(shape, conv):
     c = shape[1]
     spec = ops.ConvSpec(c, c, groups=c, **conv)
     out = spec.out_sizes(shape[2:])
-    xp = ops._padded(np.random.default_rng(0).standard_normal(shape), spec, np.float64, True)
+    x = np.moveaxis(np.random.default_rng(0).standard_normal(shape), 1, -1)
+    xp = np.pad(x, ((0, 0), *spec.pad_pairs(), (0, 0)))  # channels-last, zero-padded
     windows = ops._windows(xp, spec)
     assert windows.shape == (shape[0], *out, c, *spec.kernel)
     assert not windows.flags.writeable
@@ -485,6 +493,61 @@ def test_depthwise_tiles_match_einsum(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ops, "_DEPTHWISE_CHUNK_BYTES", per_tile * _sample_bytes(spec, shape, dtype))
         _check_depthwise_tiles(spec, shape, per_tile, x, w, b, probe, patch)
+
+
+# (input shape, ConvSpec keywords, samples per tile): each puts a tile
+# boundary mid-batch; 0 makes the chunk half a sample, so each sample is a
+# tile of its own, larger than the chunk
+@pytest.mark.parametrize("shape,conv,per_tile", [
+    ((3, 2, 9), dict(kernel=(3,), dilation=(2,), causal=True), 0),
+    ((5, 3, 8), dict(kernel=(3,), causal=True), 2),
+    ((5, 2, 11), dict(kernel=(3,), stride=(2,)), 2),
+    ((4, 3, 13), dict(kernel=(5,), stride=(2,), dilation=(3,), padding=(4,)), 3),
+    ((5, 2, 6, 7), dict(kernel=(3, 3)), 2),
+    ((3, 3, 4, 4), dict(kernel=(3, 3), stride=(2, 2)), 2),
+    ((5, 2, 5, 6), dict(kernel=(3, 2), stride=(2, 1), dilation=(2, 3), padding=(3, 1)), 3),
+])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels_last", [False, True])
+def test_tiled_depthwise_backward_matches_untiled_scatter(shape, conv, per_tile, dtype,
+                                                          channels_last, monkeypatch):
+    """Tiled by samples, the depthwise backward gives the oracle's untiled
+    per-tap scatter bitwise as its input gradient, and its weight gradient."""
+    c = shape[1]
+    spec = ops.ConvSpec(c, c, groups=c, **conv)
+    x, w, _, up = _depthwise_case(np.random.default_rng(per_tile), spec, shape, dtype)
+    want_gx, want_gw = EINSUM.backward(
+        up, w, spec, EINSUM.forward(x, w, None, spec, up.shape[2:])[1], True, True)
+    sample = _sample_bytes(spec, shape, dtype)
+    monkeypatch.setattr(ops, "_DEPTHWISE_CHUNK_BYTES", per_tile * sample or sample // 2)
+    _, steps = _tile_sizes(monkeypatch)
+    if channels_last:
+        x, up = _to_channels_last(x), _to_channels_last(up)
+    gx, gw = ops._depthwise_backward(up, w, spec, x, True, True)
+    assert steps == [max(1, per_tile)]
+    assert gx.dtype == gw.dtype == dtype and gw.shape == w.shape
+    assert np.ascontiguousarray(gx).tobytes() == np.ascontiguousarray(want_gx).tobytes()
+    _close(gw, want_gw)
+    only_x, only_w = ops._depthwise_backward(up, w, spec, x, True, False), \
+        ops._depthwise_backward(up, w, spec, x, False, True)
+    assert only_x[1] is None and only_w[0] is None
+    np.testing.assert_array_equal(only_x[0], gx)
+    np.testing.assert_array_equal(only_w[1], gw)
+
+
+def test_tiled_depthwise_gradcheck(monkeypatch):
+    """A strided, dilated 2-D depthwise conv on tiles of two samples, the
+    last one partial, against central differences."""
+    spec = ops.ConvSpec(3, 3, (3, 3), stride=(2, 1), dilation=(1, 2), groups=3)
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(ops, "_DEPTHWISE_CHUNK_BYTES", 2 * _sample_bytes(spec, (5, 3, 6, 7), np.float64))
+    x = Tensor(rng.standard_normal((5, 3, 6, 7)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 1, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    probe = Tensor(rng.standard_normal((5, 3) + spec.out_sizes((6, 7))))
+    result = grad_check(lambda: ops.tensor_sum(ops.hadamard(ops.conv(x, w, b, spec), probe)),
+                        [x, w, b], coords_per_param=12)
+    assert result.ok, result
 
 
 def _randomize_norms(module, rng):

@@ -123,6 +123,37 @@ class TestBatchNorm:
         np.testing.assert_allclose(rm, 0.1 * batch_mean, rtol=1e-9)
         np.testing.assert_allclose(rv, 0.9 + 0.1 * unbiased, rtol=1e-9)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels_last", [False, True])
+    @pytest.mark.parametrize("shape", [
+        (4, 3, 7), (3, 4, 2, 5), (2, 3, 4, 2, 3),  # rank 3, 4, 5
+        (1, 3, 1), (1, 3, 1, 1), (1, 3, 1, 1, 1),  # N·S = 1
+        (2, 3, 1), (1, 3, 1, 2), (1, 3, 2, 1, 1),  # N·S = 2
+    ])
+    def test_training_in_either_layout(self, shape, channels_last, dtype):
+        """Training mode matches the oracle, keeps the input's memory layout
+        and updates the running statistics by the momentum rule."""
+        rng = np.random.default_rng(len(shape) + shape[0])
+        x = (rng.standard_normal(shape) * 2 + 1).astype(dtype)
+        if channels_last:
+            x = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1)
+        c = shape[1]
+        gamma, beta = rng.uniform(0.5, 1.5, c), rng.standard_normal(c)
+        rm0, rv0 = rng.standard_normal(c).astype(dtype), rng.uniform(0.5, 2, c).astype(dtype)
+        rm, rv = rm0.copy(), rv0.copy()
+        y = ops.batch_norm(t(x, dtype), t(gamma, dtype), t(beta, dtype), rm, rv,
+                           momentum=0.1, training=True).data
+        assert y.dtype == dtype and y.strides == x.strides
+        tol = dict(rtol=1e-5, atol=1e-5) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(y, batchnorm_oracle(x, gamma.astype(dtype), beta.astype(dtype)),
+                                   **tol)
+        x64 = x.astype(np.float64)
+        m = x.size // c
+        unbiased = x64.var(axis=(0,) + tuple(range(2, x.ndim))) * (m / (m - 1) if m > 1 else 1.0)
+        np.testing.assert_allclose(rm, 0.9 * rm0 + 0.1 * x64.mean(axis=(0,) + tuple(range(2, x.ndim))),
+                                   **tol)
+        np.testing.assert_allclose(rv, 0.9 * rv0 + 0.1 * unbiased, **tol)
+
     def test_eval_uses_running_stats(self):
         x = np.arange(12, dtype=np.float64).reshape(2, 2, 3)
         rm = np.array([1.0, 2.0])

@@ -207,6 +207,33 @@ class TestToyData:
         np.testing.assert_array_equal(va, vb)
         assert la == lb
 
+    def test_batch_is_stacked_samples(self):
+        """A batch is bitwise the stacked samples of its indices, shuffled or
+        repeated, and a fresh array: writing into it changes no later batch.
+        ``all_of`` gives the split itself, read-only."""
+        ds = ToyDataset(ToyDatasetSpec())
+        for split, idx in (("train", np.random.default_rng(0).permutation(200)[:32]),
+                           ("val", [7, 3, 7, 7, 0, 49]), ("test", range(50))):
+            videos, labels = ds.batch(split, idx)
+            want = [ds.sample(split, int(i)) for i in idx]
+            assert videos.dtype == np.float32 and labels.dtype == np.int64
+            assert videos.tobytes() == np.stack([v for v, _ in want]).tobytes()
+            assert labels.tolist() == [y for _, y in want]
+            videos[...] = np.nan
+            labels[...] = -1
+            again, again_labels = ds.batch(split, idx)
+            assert again.tobytes() == np.stack([v for v, _ in want]).tobytes()
+            assert again_labels.tolist() == [y for _, y in want]
+        videos, labels = ds.all_of("val")
+        assert not videos.flags.writeable and not labels.flags.writeable
+        assert videos.tobytes() == ds.batch("val", range(50))[0].tobytes()
+        with pytest.raises(ConfigError, match="index 200 out of range for train split of 200"):
+            ds.batch("train", [3, 200])
+        with pytest.raises(ConfigError, match="index -1 out of range"):
+            ds.batch("val", [-1])
+        with pytest.raises(ConfigError, match="unknown split"):
+            ds.batch("dev", [0])
+
     def test_splits_differ(self):
         ds = ToyDataset(ToyDatasetSpec())
         v1, _ = ds.sample("train", 0)
