@@ -10,7 +10,7 @@
 import os
 
 import tempconv as tc
-from tempconv.toydata import gen_toy_dataset
+from tempconv.toydata import ToyDataset
 from tempconv.train import evaluate, train_loop
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -20,7 +20,7 @@ config = tc.parse_config(text)
 tcfg = tc.parse_train_config(text, overrides=["train.epochs=8"])  # short demo
 toy = tc.parse_toy_spec(text)
 
-dataset = gen_toy_dataset(toy)
+dataset = ToyDataset(toy)
 model = tc.build_model(config, seed=tcfg.seed)
 
 print(f"model: {model.param_count():,} parameters, "

@@ -25,7 +25,7 @@ from .train import (cosine_lr, lr_schedule, sgd_step, one_hot, train_loop,
                     evaluate, TrainResult)
 from .augment import (augment, mixup, random_crop, center_crop,
                       horizontal_flip, variable_length)
-from .toydata import ToyDataset, gen_toy_dataset
+from .toydata import ToyDataset
 from . import lwt
 
 __version__ = "0.1.0"
@@ -47,5 +47,5 @@ __all__ = [
     "emit_report", "emit_verify", "load_fixture", "cosine_lr", "lr_schedule",
     "sgd_step", "one_hot", "train_loop", "evaluate", "TrainResult", "augment",
     "mixup", "random_crop", "center_crop", "horizontal_flip",
-    "variable_length", "ToyDataset", "gen_toy_dataset", "lwt",
+    "variable_length", "ToyDataset", "lwt",
 ]

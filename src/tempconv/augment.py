@@ -1,10 +1,11 @@
 """Data augmentation on raw (C, T, H, W) arrays, pre-tensor.
 
-Training: random spatial crop, horizontal flip with p=0.5, and a random
-contiguous sub-sequence (the retained length becomes the sample's valid
-length; the tail is zero-padded so batches stay rectangular). Evaluation:
-deterministic center crop, full length. All randomness comes from the
-caller's generator, drawn in a fixed order.
+Training always applies one recipe: random spatial crop, horizontal flip
+with p=0.5, and a random contiguous window of ceil(T/2)..T frames (the
+retained length becomes the sample's valid length; the tail is zero-padded
+so batches stay rectangular). Evaluation: deterministic center crop, full
+length. The crop alone can be switched off. All randomness comes from the
+caller's generator, drawn in a fixed order: crop, flip, length.
 """
 from __future__ import annotations
 
@@ -36,40 +37,34 @@ def center_crop(frames, size):
     return _crop(frames, size, lambda dh, dw: (dh // 2, dw // 2))
 
 
-def variable_length(seq, rng, t_min=None):
+def variable_length(seq, rng):
     """Keep a random contiguous window, right-pad with zeros.
 
     Returns (padded sequence of the original length, valid length k) with
-    k drawn uniformly from {t_min .. T}; t_min defaults to ceil(T/2).
+    k drawn uniformly from {ceil(T/2) .. T}.
     """
     t = seq.shape[1]
-    if t_min is None:
-        t_min = (t + 1) // 2
-    if not 1 <= t_min <= t:
-        raise ShapeError(f"t_min {t_min} out of range for length {t}")
-    k = int(rng.integers(t_min, t + 1))
+    k = int(rng.integers((t + 1) // 2, t + 1))
     start = int(rng.integers(0, t - k + 1))
     out = np.zeros_like(seq)
     out[:, :k] = seq[:, start:start + k]
     return out, k
 
 
-def augment(seq, rng, train_mode, crop_size, flip=True, crop=True, varlen=True):
+def augment(seq, rng, train_mode, crop_size, crop=True):
     """Full per-sample pipeline; returns (augmented sequence, valid_len)."""
     if train_mode:
         if crop:
             seq = random_crop(seq, crop_size, rng)
-        if flip and rng.random() < 0.5:
+        if rng.random() < 0.5:
             seq = horizontal_flip(seq)
-        if varlen:
-            return variable_length(seq, rng)
-        return seq, seq.shape[1]
+        return variable_length(seq, rng)
     if crop:
         seq = center_crop(seq, crop_size)
     return seq, seq.shape[1]
 
 
-def mixup(batch_a, batch_b, labels_a, labels_b, alpha=0.4, rng=None):
+def mixup(batch_a, batch_b, labels_a, labels_b, alpha, rng):
     """Convex pairwise combination with one Beta(alpha, alpha) weight per pair.
 
     Labels must already be dense (one-hot or soft); the same weight mixes
@@ -79,8 +74,6 @@ def mixup(batch_a, batch_b, labels_a, labels_b, alpha=0.4, rng=None):
         raise ConfigError(f"mixup alpha must be positive, got {alpha}")
     if batch_a.shape != batch_b.shape or labels_a.shape != labels_b.shape:
         raise ShapeError("mixup inputs must have matching shapes")
-    if rng is None:
-        raise ConfigError("mixup needs an explicit random generator")
     n = batch_a.shape[0]
     lam = rng.beta(alpha, alpha, size=n).astype(batch_a.dtype)
     lx = lam.reshape((n,) + (1,) * (batch_a.ndim - 1))

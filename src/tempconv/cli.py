@@ -4,7 +4,8 @@ Commands: describe, count, verify, infer, gradcheck, schedule, train-toy,
 gen-data. Exit codes: 0 success, 1 usage, 2 validation/config/format
 error, 3 numeric failure (divergence, failed verification or gradcheck).
 Each command accepts only the flags it reads. ``--seed`` (infer, gradcheck,
-train-toy) falls back to the TEMPCONV_SEED environment variable, then 0.
+train-toy) must be ≥ 0; without it infer and gradcheck use 0 and train-toy
+uses ``train.seed``.
 An unreadable path (missing, a directory, no permission) exits 2 with the
 path and the OS reason.
 """
@@ -36,12 +37,6 @@ _FORMATS = ("text", "json")  # count alone adds markdown
 
 def _resolve_seed(args):
     seed = args.seed
-    env = os.environ.get("TEMPCONV_SEED")
-    if seed is None and env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"TEMPCONV_SEED='{env}' is not an integer") from None
     if seed is not None and seed < 0:
         raise ConfigError(f"seed must be ≥ 0, got {seed}")
     return seed
@@ -69,7 +64,7 @@ def build_parser():
     config.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                         help="override one config key (repeatable, last wins)")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, help="seed (fallback: TEMPCONV_SEED, then 0)")
+    seed.add_argument("--seed", type=int, help="seed, ≥ 0 (default: train.seed for train-toy, else 0)")
 
     def output(*formats):
         p = argparse.ArgumentParser(add_help=False)
@@ -235,8 +230,8 @@ def _cmd_train_toy(args):
         from dataclasses import replace
         tcfg = replace(tcfg, seed=seed)
 
-    from .toydata import gen_toy_dataset
-    dataset = gen_toy_dataset(toy)
+    from .toydata import ToyDataset
+    dataset = ToyDataset(toy)
     model = build_model(config, seed=tcfg.seed)
     os.makedirs(args.run_dir, exist_ok=True)
     history_path = os.path.join(args.run_dir, "history.jsonl")
@@ -273,10 +268,10 @@ def _cmd_train_toy(args):
 
 
 def _cmd_gen_data(args):
-    from .toydata import gen_toy_dataset
+    from .toydata import ToyDataset
 
     toy = parse_toy_spec(*_document(args))
-    dataset = gen_toy_dataset(toy)
+    dataset = ToyDataset(toy)
     arrays = {}
     counts = {}
     for split in ("train", "val", "test"):

@@ -110,10 +110,7 @@ class TrainConfig:
     batch_size: int = 32
     mixup_alpha: float = 0.4
     crop: bool = True
-    flip: bool = True
-    variable_length: bool = True
     crop_size: int = 88
-    decoupled_decay: bool = False
     seed: int = 0
 
     def __post_init__(self):

@@ -591,7 +591,8 @@ def narrow(x, axis, start, stop):
 def global_average_pool(x, axes, valid_len=None):
     """Mean over ``axes``; with ``valid_len``, only the leading valid positions
     of the single reduced axis contribute. ``valid_len`` is one length for
-    every sample or a shape (N,) array with one length per sample."""
+    every sample or a shape (N,) array with one length per sample, of an
+    integer type: a bool or a float is refused, not truncated."""
     axes = (axes,) if isinstance(axes, int) else tuple(axes)
     if any(a < 0 or a >= x.ndim for a in axes):
         raise ShapeError(f"axes {axes} out of range for rank {x.ndim}")
@@ -612,11 +613,14 @@ def global_average_pool(x, axes, valid_len=None):
         raise ShapeError("valid_len masking applies to exactly one axis")
     axis = axes[0]
     t = x.shape[axis]
-    lens = np.asarray(valid_len, dtype=np.int64)
+    lens = np.asarray(valid_len, dtype=object)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in lens.flat):
+        raise ShapeError(f"valid lengths must be integers, got {valid_len!r}")
     if lens.ndim and lens.shape != x.shape[:1]:
         raise ShapeError(f"valid lengths must be a scalar or of shape ({x.shape[0]},), got {lens.shape}")
-    if np.any(lens <= 0) or np.any(lens > t):
+    if np.any(lens <= 0) or np.any(lens > t):  # before the int64 cast, which a huge int overflows
         raise ShapeError(f"valid lengths must lie in 1..{t}, got {lens}")
+    lens = lens.astype(np.int64)
     # mask broadcast over the reduced axis, per batch entry when lens is a vector
     pos = np.arange(t).reshape((1,) * axis + (t,) + (1,) * (x.ndim - axis - 1))
     lshape = ((-1,) + (1,) * (x.ndim - 1)) if lens.ndim else lens.shape
@@ -715,10 +719,10 @@ def cross_entropy(logits, targets):
 
 def dropout(x, p, rng, training):
     """Inverted dropout: scales kept units by 1/(1-p) during training only."""
-    if not training or p == 0.0:
-        return x
     if not 0.0 <= p < 1.0:
         raise ShapeError(f"dropout rate must lie in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return x
     keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
 
     def make_backward():

@@ -96,7 +96,3 @@ class ToyDataset:
     def all_of(self, split):
         """The whole split's (videos, labels), read-only: the generated arrays, not a copy."""
         return self._split(split)
-
-
-def gen_toy_dataset(spec):
-    return ToyDataset(spec)

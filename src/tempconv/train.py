@@ -2,9 +2,8 @@
 crop/flip/variable-length augmentation, and best-checkpoint selection.
 
 The schedule is exact: rate(e) = base_lr * (1 + cos(pi * e / total)) / 2,
-evaluated per epoch. Weight decay is coupled by default (it enters the
-update as lr * (g + wd * w)); the decoupled variant subtracts wd * w at a
-rate independent of the annealed lr, for comparison runs.
+evaluated per epoch. Weight decay is coupled: it enters the update as
+lr * (g + wd * w), so it anneals with the rate.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ def lr_schedule(total_epochs=TrainConfig.epochs, base_lr=TrainConfig.base_lr):
     return [cosine_lr(e, total_epochs, base_lr) for e in range(total_epochs + 1)]
 
 
-def sgd_step(params, lr, weight_decay=TrainConfig.weight_decay, decoupled=False):
+def sgd_step(params, lr, weight_decay=TrainConfig.weight_decay):
     """In-place descent step over all params that received gradients."""
     for p in params:
         g = p.grad
@@ -42,14 +41,11 @@ def sgd_step(params, lr, weight_decay=TrainConfig.weight_decay, decoupled=False)
             continue
         if not np.isfinite(g).all():
             raise NumericError("non-finite gradient encountered in sgd_step")
-        if decoupled:
-            p.data = p.data - lr * g - weight_decay * p.data
-        else:
-            p.data = p.data - lr * (g + weight_decay * p.data)
+        p.data = p.data - lr * (g + weight_decay * p.data)
 
 
-def one_hot(labels, num_classes, dtype=np.float32):
-    out = np.zeros((len(labels), num_classes), dtype=dtype)
+def one_hot(labels, num_classes):
+    out = np.zeros((len(labels), num_classes), dtype=np.float32)
     out[np.arange(len(labels)), labels] = 1.0
     return out
 
@@ -66,8 +62,7 @@ def _augment_batch(videos, rng, train_mode, tcfg):
     out = []
     lens = []
     for clip in videos:
-        a, k = augment(clip, rng, train_mode, tcfg.crop_size,
-                       flip=tcfg.flip, crop=tcfg.crop, varlen=tcfg.variable_length)
+        a, k = augment(clip, rng, train_mode, tcfg.crop_size, crop=tcfg.crop)
         out.append(a)
         lens.append(k)
     return np.stack(out), np.asarray(lens, dtype=np.int64)
@@ -133,7 +128,7 @@ def train_loop(model, dataset, tcfg, log_stream=None):
                 with GradTape() as tape:
                     loss = _forward_loss(model, x, y, lens)
                 tape.backward(loss)
-                sgd_step(model.parameters(), lr, tcfg.weight_decay, tcfg.decoupled_decay)
+                sgd_step(model.parameters(), lr, tcfg.weight_decay)
             losses.append(float(loss.data))
         val_acc = evaluate(model, dataset, "val", tcfg)
         record = {

@@ -30,7 +30,7 @@ from tempconv.blocks import BLOCK_KINDS, STAR_DW_KERNEL, make_block
 from tempconv.complexity import audit, emit_verify, verify_fixture
 from tempconv.gradcheck import block_suite
 from tempconv.model import receptive_field
-from tempconv.toydata import gen_toy_dataset
+from tempconv.toydata import ToyDataset
 from tempconv.train import cosine_lr, evaluate, train_loop
 
 from oracles import conv_oracle, cosine_rate_oracle
@@ -219,7 +219,7 @@ def _run_toy_recipe():
     config = tc.parse_config(text)
     tcfg = tc.parse_train_config(text)
     toy = tc.parse_toy_spec(text)
-    dataset = gen_toy_dataset(toy)
+    dataset = ToyDataset(toy)
     model = tc.build_model(config, seed=tcfg.seed)
     acc_before = evaluate(model, dataset, "val", tcfg)
     stream = io.StringIO()

@@ -630,31 +630,33 @@ class TestScheduleCommand:
 
 
 class TestSeedResolution:
-    def test_env_fallback(self, tmp_path, capsys, monkeypatch):
+    def test_environment_is_not_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("TEMPCONV_SEED", "not-an-int")
+        # --seed is the only seed source, so the environment value is never parsed
+        assert main(["gradcheck", "--kind", "head"]) == EXIT_OK
+
+    def test_seed_flag_is_stable(self, tmp_path, capsys):
         clip = tmp_path / "clip.lwt"
         lwt.save_tensor(clip, np.random.default_rng(1).standard_normal(
             (1, 12, 8, 8)).astype(np.float32))
 
-        def top1(seed_env):
-            if seed_env is None:
-                monkeypatch.delenv("TEMPCONV_SEED", raising=False)
-            else:
-                monkeypatch.setenv("TEMPCONV_SEED", seed_env)
+        def top5(seed):
             assert main(["infer", "--config", TOY_CFG, "--input", str(clip),
-                         "--format", "json"]) == EXIT_OK
+                         "--seed", seed, "--format", "json"]) == EXIT_OK
             return json.loads(capsys.readouterr().out)["top5"]
 
-        assert top1("12345") == top1("12345")  # env seed honored and stable
-        assert top1(None) == top1(None)
+        assert top5("12345") == top5("12345")
 
-    def test_env_seed_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("TEMPCONV_SEED", "three")
-        assert main(["gradcheck", "--kind", "head"]) == EXIT_VALIDATION
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TEMPCONV_SEED", "not-an-int")
-        # an explicit --seed wins, so the broken env value is never parsed
-        assert main(["gradcheck", "--kind", "head", "--seed", "3"]) == EXIT_OK
+class TestRemovedRecipeToggles:
+    @pytest.mark.parametrize("key", ["flip", "variable_length", "decoupled_decay"])
+    def test_set_is_refused_as_unknown(self, key, tmp_path, capsys):
+        code = main(["train-toy", "--config", TOY_CFG, "--set", f"train.{key}=false",
+                     "--run-dir", str(tmp_path / "run")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"tempconv.ConfigError: unknown key(s) in [train]: {key}\n")
+        assert not (tmp_path / "run").exists()
 
 
 class TestTrainToy:

@@ -84,8 +84,10 @@ class TestConfigValidation:
             cfg("[optimizer]\nlr = 1\n")
         with pytest.raises(ConfigError):
             cfg("[tcn]\nwidth = 64\n")
-        with pytest.raises(ConfigError):
-            cfg("[train]\ndropout = 0.1\n")
+        for key in ("dropout = 0.1", "flip = true", "variable_length = true",
+                    "decoupled_decay = false"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                cfg(f"[train]\n{key}\n")
 
     def test_frontendless_rejects_stem_section(self):
         with pytest.raises(ConfigError):

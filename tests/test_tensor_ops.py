@@ -227,6 +227,11 @@ class TestPooling:
             ops.global_average_pool(x, axes=(2,), valid_len=np.array([3, 3, 3]))
         with pytest.raises(ShapeError):
             ops.global_average_pool(x, axes=(2,), valid_len=np.array([5]))
+        with pytest.raises(ShapeError, match="1..6"):
+            ops.global_average_pool(x, axes=(2,), valid_len=2**70)
+        for fractional in ([2.7, 3], [True, 3], 2.7, True):
+            with pytest.raises(ShapeError, match="integers"):
+                ops.global_average_pool(x, axes=(2,), valid_len=fractional)
 
 
 class TestDropout:
@@ -234,6 +239,13 @@ class TestDropout:
         x = t(np.ones((4, 4)))
         out = ops.dropout(x, 0.5, np.random.default_rng(0), training=False)
         assert out is x
+
+    def test_rate_checked_in_every_mode(self):
+        x = t(np.ones((4, 4)))
+        for p in (1.5, -0.1, 1.0, float("nan")):
+            for training in (False, True):
+                with pytest.raises(ShapeError, match="dropout rate"):
+                    ops.dropout(x, p, np.random.default_rng(0), training=training)
 
     def test_zero_rate_identity(self):
         x = t(np.ones((4, 4)))

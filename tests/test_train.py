@@ -70,19 +70,12 @@ class TestSgd:
                                               + 0.01 * np.array([1.0, -2.0]))
         np.testing.assert_allclose(p.data, want, rtol=1e-15)
 
-    def test_decoupled_decay_formula(self):
-        p = self._param([1.0, -2.0], [0.5, 0.25])
-        sgd_step([p], lr=0.1, weight_decay=0.01, decoupled=True)
-        want = (np.array([1.0, -2.0]) - 0.1 * np.array([0.5, 0.25])
-                - 0.01 * np.array([1.0, -2.0]))
-        np.testing.assert_allclose(p.data, want, rtol=1e-15)
-
-    def test_decoupled_rate_independent_of_lr(self):
-        """At zero gradient the decay shrinkage must not vary with lr."""
-        for lr in (0.1, 0.001):
+    def test_coupled_decay_scales_with_lr(self):
+        """At zero gradient the decay shrinkage is lr * weight_decay * p."""
+        for lr, want in ((0.1, 3.9), (0.001, 3.999)):
             p = self._param([4.0], [0.0])
-            sgd_step([p], lr=lr, weight_decay=0.25, decoupled=True)
-            np.testing.assert_allclose(p.data, [3.0], rtol=1e-15)
+            sgd_step([p], lr=lr, weight_decay=0.25)
+            np.testing.assert_allclose(p.data, [want], rtol=1e-15)
 
     def test_skips_unused_params(self):
         p = self._param([1.0], [1.0])
@@ -136,11 +129,19 @@ class TestAugment:
         assert found
 
     def test_train_mode_crop_is_a_random_window(self):
-        """crop = true, the paper recipe's default: train mode draws the window random_crop draws."""
-        x = np.arange(200, dtype=np.float32).reshape(1, 2, 10, 10)
-        out, k = augment(x, np.random.default_rng(5), True, 6, flip=False, varlen=False)
-        np.testing.assert_array_equal(out, random_crop(x, 6, np.random.default_rng(5)))
-        assert out.shape == (1, 2, 6, 6) and k == 2
+        """The training recipe: a crop window, flipped or not, cut to a valid
+        length in ceil(T/2)..T, with zero frames after it."""
+        t_len = 7
+        x = np.arange(t_len * 100, dtype=np.float32).reshape(1, t_len, 10, 10) + 1
+        for seed in range(20):
+            out, k = augment(x, np.random.default_rng(seed), True, 6)
+            assert out.shape == (1, t_len, 6, 6)
+            assert (t_len + 1) // 2 <= k <= t_len
+            assert np.all(out[:, k:] == 0)
+            windows = [view[:, s:s + k, i:i + 6, j:j + 6]
+                       for view in (x, x[..., ::-1])
+                       for s in range(t_len - k + 1) for i in range(5) for j in range(5)]
+            assert any(np.array_equal(w, out[:, :k]) for w in windows)
 
     def test_variable_length_pads_right(self):
         rng = np.random.default_rng(3)
@@ -150,12 +151,27 @@ class TestAugment:
         assert 6 <= k <= 12
         assert np.all(seq[:, :k] != 0) and np.all(seq[:, k:] == 0)
 
+    def test_variable_length_covers_half_to_full(self):
+        """Valid lengths are drawn from exactly ceil(T/2)..T."""
+        for t_len in (1, 2, 7, 12):
+            x = np.ones((1, t_len, 2, 2), dtype=np.float32)
+            rng = np.random.default_rng(t_len)
+            seen = {variable_length(x, rng)[1] for _ in range(400)}
+            assert seen == set(range((t_len + 1) // 2, t_len + 1))
+
     def test_eval_augment_is_deterministic(self):
         x = np.random.default_rng(4).standard_normal((1, 5, 10, 10)).astype(np.float32)
         a, la = augment(x, np.random.default_rng(0), train_mode=False, crop_size=8)
         b, lb = augment(x, np.random.default_rng(99), train_mode=False, crop_size=8)
         np.testing.assert_array_equal(a, b)
         assert la == lb == 5
+
+
+class TestOneHot:
+    def test_float32_rows(self):
+        y = one_hot(np.array([2, 0, 2]), 3)
+        assert y.dtype == np.float32
+        np.testing.assert_array_equal(y, [[0, 0, 1], [1, 0, 0], [0, 0, 1]])
 
 
 class TestMixup:
@@ -194,8 +210,6 @@ class TestMixup:
         y = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(ConfigError):
             mixup(a, a, y, y, alpha=0.0, rng=np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            mixup(a, a, y, y, alpha=0.4, rng=None)
 
 
 class TestToyData:
