@@ -11,7 +11,7 @@ WIDTH = 512
 print(f"{'kind':<18} {'expansion':>9} {'params @512':>12}  taps")
 print("-" * 52)
 for kind in BLOCK_KINDS:
-    blk = make_block(kind, WIDTH, dilation=1, dropout=0.0, experimental=True)
+    blk = make_block(kind, WIDTH, dilation=1, dropout=0.0)
     e = DEFAULT_EXPANSION.get(kind)
     taps = blk.rf_taps()
     print(f"{kind:<18} {str(e) if e else '-':>9} "
@@ -23,7 +23,7 @@ for kind in BLOCK_KINDS:
 print("\ncausality (bitwise, eval mode):")
 rng = np.random.default_rng(0)
 for kind in BLOCK_KINDS:
-    blk = make_block(kind, 16, dilation=2, dropout=0.0, experimental=True)
+    blk = make_block(kind, 16, dilation=2, dropout=0.0)
     blk.init_parameters(np.random.default_rng(1))
     blk.eval()
     x = rng.standard_normal((1, 16, 12)).astype(np.float32)

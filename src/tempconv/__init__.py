@@ -9,8 +9,7 @@ from .ops import ConvSpec
 from .gradcheck import grad_check, GradCheckResult, block_suite
 from .layers import (Module, Conv, Conv1d, Conv2d, Conv3d, BatchNorm, ReLU,
                      Dropout, Linear, Sequential)
-from .blocks import (BLOCK_KINDS, EXPERIMENTAL_KINDS, DEFAULT_EXPANSION,
-                     make_block, canonical_kind)
+from .blocks import BLOCK_KINDS, DEFAULT_EXPANSION, make_block, canonical_kind
 from .frontend import (StemSpec, Stem, ExtractorSpec, ReferenceExtractor,
                        ClassifierHead)
 from .config import (ModelConfig, TCNConfig, ClassifierConfig, TrainConfig,
@@ -35,7 +34,7 @@ __all__ = [
     "FormatError", "Tensor", "GradTape", "ConvSpec", "grad_check",
     "GradCheckResult", "block_suite", "Module", "Conv", "Conv1d", "Conv2d",
     "Conv3d", "BatchNorm", "ReLU", "Dropout", "Linear",
-    "Sequential", "BLOCK_KINDS", "EXPERIMENTAL_KINDS", "DEFAULT_EXPANSION",
+    "Sequential", "BLOCK_KINDS", "DEFAULT_EXPANSION",
     "make_block", "canonical_kind", "StemSpec", "Stem",
     "ExtractorSpec", "ReferenceExtractor", "ClassifierHead", "ModelConfig",
     "TCNConfig", "ClassifierConfig", "TrainConfig", "ToyDatasetSpec",

@@ -8,8 +8,8 @@ norm carry no bias; the plain two-conv block keeps its biases, giving it
 
 The built module tree is the only description of a block: parameter
 counts, MACs and receptive-field taps are read from it. Plain stacks come
-from the ``_BODIES`` table, star blocks from ``StarBlock``; each kind names
-one structure, and "stariii" is "starv" plus a pointwise stage.
+from the ``_BODIES`` table, "starv" from ``StarBlock``; each kind names one
+structure. The seven kinds are the seven rows of the paper fixture.
 """
 from __future__ import annotations
 
@@ -21,12 +21,9 @@ from .layers import (BatchNorm, Conv, Conv1d, Dropout, Module, ReLU, Sequential,
                      eval_tiles, fast_eval, residual)
 from .tensor import Tensor
 
-STAR_KINDS = ("starv", "stariii")
-EXPERIMENTAL_KINDS = ("stariii",)
-
 DEFAULT_EXPANSION = {
     "fusedmb": 3.5, "invertedresidual": 2.0, "cib": 2.0, "uib": 4.0,
-    **dict.fromkeys(STAR_KINDS, 4.0),
+    "starv": 4.0,
 }
 
 PLAIN_KERNEL = 3
@@ -38,17 +35,6 @@ def canonical_kind(name):
     if key not in BLOCK_KINDS:
         raise ConfigError(f"unknown block kind '{name}'; choose from {', '.join(BLOCK_KINDS)}")
     return key
-
-
-def checked_kind(name, experimental):
-    """The canonical kind; an experimental kind needs the flag."""
-    kind = canonical_kind(name)
-    if kind in EXPERIMENTAL_KINDS and not experimental:
-        raise ConfigError(
-            f"block kind '{kind}' is experimental; pass experimental=True "
-            "(CLI/config: experimental = true) to use it"
-        )
-    return kind
 
 
 def expanded_width(channels, expansion):
@@ -72,9 +58,9 @@ def block_width(kind, channels, expansion):
 
 
 def check_kernels(kind, kernel, dw_kernel):
-    """Refuse a setting the canonical kind never reads: ``kernel`` on the
-    star kinds, ``dw_kernel`` on the plain ones."""
-    unread, value, default = (("kernel", kernel, PLAIN_KERNEL) if kind in STAR_KINDS
+    """Refuse a setting the canonical kind never reads: ``kernel`` on
+    "starv", ``dw_kernel`` on the plain kinds."""
+    unread, value, default = (("kernel", kernel, PLAIN_KERNEL) if kind == "starv"
                               else ("dw_kernel", dw_kernel, STAR_DW_KERNEL))
     if value != default:
         raise ConfigError(f"block kind '{kind}' never reads {unread}; leave it at {default}")
@@ -146,7 +132,7 @@ _BODIES = {
     ],
 }
 
-BLOCK_KINDS = tuple(_BODIES) + STAR_KINDS
+BLOCK_KINDS = (*_BODIES, "starv")
 
 
 class SequentialBlock(TemporalBlock):
@@ -164,9 +150,7 @@ class StarBlock(TemporalBlock):
     """Multiplicative mixing: two pointwise branches joined elementwise.
 
     Body: dw(K) + norm -> branches x1, x2 (pointwise C->E, biased) ->
-    relu6(x1) * x2 -> pointwise E->C + norm -> dw(K, biased). The
-    experimental "stariii" inserts one extra pointwise E->E + norm after the
-    product.
+    relu6(x1) * x2 -> pointwise E->C + norm -> dw(K, biased).
 
     In eval with no tape, the pointwise section between the two depthwise
     convs reaches no other frame, so it runs on tiles of time steps with no
@@ -180,38 +164,32 @@ class StarBlock(TemporalBlock):
         self.bn_in = BatchNorm(c)
         self.branch1 = _pw(c, e, bias=True)
         self.branch2 = _pw(c, e, bias=True)
-        self.mid = None
-        if kind == "stariii":
-            self.mid = _pw(e, e)
-            self.bn_mid = BatchNorm(e)
         self.project = _pw(e, c)
         self.bn_out = BatchNorm(c)
         self.dw_out = _dw(c, kk, d, bias=True)
 
     def _body(self, x):
         h = conv_norm(self.dw_in, self.bn_in, x)
-        pairs = ([] if self.mid is None else [(self.mid, self.bn_mid)]) + [(self.project, self.bn_out)]
         expanded = h.shape[0] * 2 * self.branch1.spec.out_channels  # both branches, per frame
-        return self.dw_out(eval_tiles(h, 2, h.data.itemsize * expanded, pairs, self._pointwise))
+        return self.dw_out(eval_tiles(h, 2, h.data.itemsize * expanded,
+                                      [(self.project, self.bn_out)], self._pointwise))
 
-    def _pointwise(self, h, folds=(None, None)):
-        """The branches, their gate, ``mid`` and ``project`` with its norm;
-        ``folds`` are the folded (mid, project) convs of a run of tiles."""
+    def _pointwise(self, h, folds):
+        """The branches, their gate and ``project`` with its norm; ``folds``
+        holds the folded ``project`` of a run of tiles."""
         if fast_eval(self):  # gate the fresh branch1 output where it lies
             gate = self.branch1(h).data
             np.clip(gate, 0, 6, out=gate)
             mixed = Tensor(np.multiply(gate, self.branch2(h).data, out=gate), _op="hadamard")
         else:
             mixed = ops.hadamard(ops.relu6(self.branch1(h)), self.branch2(h))
-        if self.mid is not None:
-            mixed = conv_norm(self.mid, self.bn_mid, mixed, fold=folds[0])
-        return conv_norm(self.project, self.bn_out, mixed, fold=folds[-1])
+        return conv_norm(self.project, self.bn_out, mixed, fold=folds[0])
 
 
 def make_block(kind, channels, dilation, expansion=None, kernel=PLAIN_KERNEL,
-               dw_kernel=STAR_DW_KERNEL, dropout=0.2, experimental=False):
-    """Construct one temporal block; experimental kinds need the flag."""
-    kind = checked_kind(kind, experimental)
+               dw_kernel=STAR_DW_KERNEL, dropout=0.2):
+    """Construct one temporal block of a registered kind."""
+    kind = canonical_kind(kind)
     width = block_width(kind, channels, expansion)
     check_kernels(kind, kernel, dw_kernel)
     if kind in _BODIES:

@@ -16,6 +16,7 @@ its weight's size.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -147,7 +148,23 @@ def verify_report(report, fixture_row):
             for key, (metric, tol_key, attr, unit) in EXPECTATIONS.items() if key in fixture_row]
 
 
+def _check_number(row, key, name):
+    """Refuse a row value that is not a finite non-bool number, negative, or
+    a zero expectation (a deviation divides by it)."""
+    value = row[key]
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    floor = "> 0" if key in EXPECTATIONS else "≥ 0"
+    if not finite or value < 0 or (value == 0 and key in EXPECTATIONS):
+        raise FormatError(f"{name} {key} must be a finite number {floor}, got {value!r}")
+
+
 def load_fixture(path):
+    """The fixture document, its ``input_shape`` defaulting to one 29-frame
+    88×88 clip, with every value that ``verify_fixture`` reads checked; a
+    refusal names the file and the row."""
     with located(path):
         with open(path, "r", encoding="utf-8") as f:
             try:
@@ -156,22 +173,31 @@ def load_fixture(path):
                 raise FormatError(f"fixture is not valid JSON: {exc}") from exc
             except UnicodeDecodeError as exc:
                 raise FormatError(f"fixture is not UTF-8: {exc.reason} at byte {exc.start}") from None
-        if "rows" not in fixture or not isinstance(fixture["rows"], list):
-            raise FormatError("fixture must contain a 'rows' list")
+        if not isinstance(fixture, dict) or not isinstance(fixture.get("rows"), list):
+            raise FormatError("fixture must be an object with a 'rows' list")
+        shape = fixture.setdefault("input_shape", [1, 29, 88, 88])
+        if not (isinstance(shape, list) and len(shape) == 4
+                and all(type(d) is int and d > 0 for d in shape)):
+            raise FormatError(f"fixture input_shape must be 4 positive ints (C, T, H, W), got {shape!r}")
         seen = set()
-        for row in fixture["rows"]:
-            if "id" not in row or "config" not in row:
-                raise FormatError("every fixture row needs 'id' and 'config'")
+        for index, row in enumerate(fixture["rows"]):
+            if not isinstance(row, dict):
+                raise FormatError(f"fixture row {index} is not an object, got {row!r}")
+            if not (isinstance(row.get("id"), str) and isinstance(row.get("config"), str)):
+                raise FormatError(f"fixture row {index} needs string 'id' and 'config'")
+            name = f"fixture row '{row['id']}'"
             if row["id"] in seen:
                 raise FormatError(f"duplicate fixture row id '{row['id']}'")
             seen.add(row["id"])
             keys = [key for key in EXPECTATIONS if key in row]
             if not keys:
-                raise FormatError(f"fixture row '{row['id']}' has no expectations")
+                raise FormatError(f"{name} has no expectations")
             for key in keys:
                 tol_key = EXPECTATIONS[key][1]
                 if tol_key not in row:
-                    raise FormatError(f"fixture row '{row['id']}' has {key} but no {tol_key}")
+                    raise FormatError(f"{name} has {key} but no {tol_key}")
+                _check_number(row, key, name)
+                _check_number(row, tol_key, name)
         return fixture
 
 
@@ -185,7 +211,7 @@ def verify_fixture(path, row_ids=None):
 
     fixture = load_fixture(path)
     base = os.path.dirname(os.path.abspath(path))
-    input_shape = tuple(fixture.get("input_shape", (1, 29, 88, 88)))
+    input_shape = tuple(fixture["input_shape"])
     results = []
     for row in fixture["rows"]:
         if row_ids is not None and row["id"] not in row_ids:

@@ -1,6 +1,6 @@
 """Config parsing: INI-style documents with dotted-path overrides.
 
-Sections: [model] (frontend on/off, input channels, experimental flag),
+Sections: [model] (frontend on/off, input channels),
 [stem], [extractor], [tcn], [classifier], [train], [toy]. Every key has a
 default; an empty document parses to the stock 4-stage, 512-channel,
 kernel-3 network with a 500-class head. ``--set tcn.stages=6`` style
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .blocks import (PLAIN_KERNEL, STAR_DW_KERNEL, block_width, canonical_kind, check_kernels,
-                     checked_kind, expanded_width)
+                     expanded_width)
 from .errors import ConfigError, located
 from .frontend import ExtractorSpec, StemSpec
 from .layers import PARAM_BUDGET_CAP
@@ -85,7 +85,6 @@ class ModelConfig:
     stem: StemSpec = None           # None in TCN-only mode
     extractor: ExtractorSpec = None  # None in TCN-only mode
     in_channels: int = 1
-    experimental: bool = False
     tcn: TCNConfig = field(default_factory=TCNConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
@@ -99,7 +98,6 @@ class ModelConfig:
                 expanded_width(cin, self.extractor.expansion)
         elif self.in_channels != 1:
             raise ConfigError(f"in_channels must be 1 without a frontend, got {self.in_channels}")
-        checked_kind(self.tcn.block_kind, self.experimental)
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,7 @@ def _block_case(kind, seed, channels=8, t=7, batch=2):
     from .blocks import make_block
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
-    block = make_block(kind, channels, dilation=2, dropout=0.0, experimental=True)
+    block = make_block(kind, channels, dilation=2, dropout=0.0)
     block.init_parameters(rng)
     block.astype(np.float64)
     block.train()  # exercise the batch-statistics normalization backward

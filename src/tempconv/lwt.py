@@ -134,10 +134,18 @@ def load_tensor(path):
     return arr
 
 
+def _checked_meta(meta):
+    if not isinstance(meta, dict):
+        raise FormatError(f"checkpoint metadata must be a JSON object, got {type(meta).__name__}")
+    return meta
+
+
 def save_checkpoint(path, named_arrays, meta=None):
     """Write an ordered name -> array mapping plus optional JSON metadata.
-    Every record is checked, and a refused one named, before the file opens."""
-    meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
+    The metadata and every record are checked, and a refused record named,
+    before the file opens."""
+    meta = _checked_meta({} if meta is None else meta)
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     records = []
     for name, arr in named_arrays.items():
         encoded = name.encode("utf-8")
@@ -167,6 +175,7 @@ def load_checkpoint(path):
             meta = json.loads(_read_exact(f, meta_len, "metadata").decode("utf-8")) if meta_len else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"corrupt checkpoint metadata: {exc}") from exc
+        _checked_meta(meta)
         (count,) = struct.unpack("<I", _read_exact(f, 4, "record count"))
         records = OrderedDict()
         for _ in range(count):
@@ -182,17 +191,3 @@ def load_checkpoint(path):
         if f.read(1):
             raise FormatError("trailing bytes after final record")
     return records, meta
-
-
-def dumps_tensor(array):
-    buf = io.BytesIO()
-    write_tensor(buf, array)
-    return buf.getvalue()
-
-
-def loads_tensor(blob):
-    buf = io.BytesIO(blob)
-    arr = read_tensor(buf)
-    if buf.read(1):
-        raise FormatError("trailing bytes after tensor record")
-    return arr

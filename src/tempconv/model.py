@@ -29,7 +29,7 @@ class TCN(Module):
     the input (the extractor's output, say) has another width.
     """
 
-    def __init__(self, cfg, in_channels, experimental=False):
+    def __init__(self, cfg, in_channels):
         super().__init__()
         self.in_channels = in_channels
         items = []
@@ -39,8 +39,7 @@ class TCN(Module):
                 items.append(Conv1d(prev, width, 1, causal=True, bias=True))
             items.append(make_block(
                 cfg.block_kind, width, 2 ** i, expansion=cfg.expansion,
-                kernel=cfg.kernel, dw_kernel=cfg.dw_kernel,
-                dropout=cfg.dropout, experimental=experimental,
+                kernel=cfg.kernel, dw_kernel=cfg.dw_kernel, dropout=cfg.dropout,
             ))
             prev = width
         self.body = Sequential(*items)
@@ -68,7 +67,7 @@ class Model(Module):
         else:
             self.stem = self.extractor = None
             width = tcn_cfg.channels[0]
-        self.tcn = TCN(tcn_cfg, width, experimental=config.experimental)
+        self.tcn = TCN(tcn_cfg, width)
         self.head = ClassifierHead(tcn_cfg.channels[-1], config.classifier.num_classes)
 
     @property
@@ -144,7 +143,7 @@ def receptive_field(config):
     1 + sum over blocks of (kernel - 1) * dilation per temporal conv;
     the stem's temporal kernel widens it further when the frontend is present.
     """
-    blocks = TCN(config.tcn, config.tcn.channels[0], experimental=config.experimental).blocks()
+    blocks = TCN(config.tcn, config.tcn.channels[0]).blocks()
     rf = 1 + sum((k - 1) * d for block in blocks for k, d in block.rf_taps())
     if config.extractor is not None:
         rf += config.stem.kernel[0] - 1

@@ -209,14 +209,11 @@ PARAM_FORMS = {
     "cib": lambda c, e=2.0, k=3, K=None: 2 * c * _e(c, e) + (k + 4) * _e(c, e) + (2 * k + 6) * c,
     "uib": lambda c, e=4.0, k=3, K=None: 2 * c * _e(c, e) + (k + 4) * _e(c, e) + (k + 4) * c,
     "starv": lambda c, e=4.0, k=3, K=7: 3 * c * _e(c, e) + 2 * _e(c, e) + (2 * K + 5) * c,
-    "stariii": lambda c, e=4.0, k=3, K=7: (
-        3 * c * _e(c, e) + 2 * _e(c, e) + (2 * K + 5) * c + _e(c, e) ** 2 + 2 * _e(c, e)
-    ),
 }
 
-# names that build no block: former copies of starv, and former aliases of
-# baseline, invertedresidual and starv
-RETIRED_KIND_NAMES = ("stari", "starii", "stariv",
+# names that build no block: former copies and the former variant of starv,
+# and former aliases of baseline, invertedresidual and starv
+RETIRED_KIND_NAMES = ("stari", "starii", "stariii", "stariv",
                       "baselinetcn", "invres", "inverted_residual", "star", "star-v")
 
 

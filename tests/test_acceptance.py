@@ -107,15 +107,14 @@ def _causality_cases(seed, n_cases=50):
         y[:, :, cut:] += rng.standard_normal(
             (1, channels, t_len - cut)).astype(np.float32)
         if i < n_cases // 2:
-            net = make_block(kind, channels, dilation=int(rng.integers(1, 5)),
-                             dropout=0.0, experimental=True)
+            net = make_block(kind, channels, dilation=int(rng.integers(1, 5)), dropout=0.0)
             net.init_parameters(np.random.default_rng(int(rng.integers(1 << 30))))
             net.eval()
             fwd = net
         else:
             stages = int(rng.integers(1, 4))
             c = tc.parse_config(
-                "[model]\nfrontend = false\nexperimental = true\n"
+                "[model]\nfrontend = false\n"
                 + f"[tcn]\nblock_kind = {kind}\nchannels = {channels}\n"
                 + f"stages = {stages}\ndropout = 0\n")
             model = tc.build_model(c, seed=int(rng.integers(1 << 30))).eval()

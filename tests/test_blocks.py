@@ -7,8 +7,6 @@ import pytest
 from tempconv import Tensor, ops, parse_config
 from tempconv.blocks import (
     BLOCK_KINDS,
-    DEFAULT_EXPANSION,
-    EXPERIMENTAL_KINDS,
     STAR_DW_KERNEL,
     canonical_kind,
     expanded_width,
@@ -19,7 +17,7 @@ from tempconv.frontend import ClassifierHead, ReferenceExtractor, Stem
 
 from oracles import PARAM_FORMS, RETIRED_KIND_NAMES, block_param_form
 
-ALL_KINDS = tuple(BLOCK_KINDS)  # experimental kinds included
+ALL_KINDS = tuple(BLOCK_KINDS)
 
 
 def param_count(module):
@@ -27,8 +25,7 @@ def param_count(module):
 
 
 def fresh(kind, channels=16, dilation=2, dropout=0.0):
-    blk = make_block(kind, channels, dilation=dilation, dropout=dropout,
-                     experimental=True)
+    blk = make_block(kind, channels, dilation=dilation, dropout=dropout)
     blk.init_parameters(np.random.default_rng(0))
     return blk
 
@@ -36,26 +33,20 @@ def fresh(kind, channels=16, dilation=2, dropout=0.0):
 class TestRegistry:
     def test_kind_lists_complete(self):
         assert BLOCK_KINDS == ("baseline", "linear", "fusedmb", "invertedresidual", "cib",
-                               "uib", "starv", "stariii")
-        assert EXPERIMENTAL_KINDS == ("stariii",)
+                               "uib", "starv")
         assert canonical_kind(" StarV ") == "starv"  # case and spaces fold
 
     def test_retired_names_refused(self):
-        """One name per structure: the copies of starv and the aliases are unknown kinds."""
+        """One name per structure: the copies and the variant of starv and the aliases
+        are unknown kinds."""
         for name in RETIRED_KIND_NAMES:
             message = re.escape(f"unknown block kind '{name}'; choose from {', '.join(BLOCK_KINDS)}")
             with pytest.raises(ConfigError, match=message):
                 canonical_kind(name)
             with pytest.raises(ConfigError, match=message):
-                parse_config("[model]\nexperimental = true\n", [f"tcn.block_kind={name}"])
+                parse_config("", [f"tcn.block_kind={name}"])
             with pytest.raises(ConfigError, match=message):
-                make_block(name, 8, dilation=1, experimental=True)
-
-    def test_experimental_gate(self):
-        with pytest.raises(ConfigError):
-            make_block("stariii", 8, dilation=1, dropout=0.0)
-        blk = make_block("stariii", 8, dilation=1, dropout=0.0, experimental=True)
-        assert blk.kind == "stariii"
+                make_block(name, 8, dilation=1)
 
     def test_expanded_width_integrality(self):
         assert expanded_width(16, 3.5) == 56
@@ -78,11 +69,6 @@ class TestParamClosedForms:
         # two full convs with bias + two norms at width 512
         want = 2 * (512 * 512 * 3 + 512) + 4 * 512
         assert block_param_form("baseline", 512) == want == 1_575_936
-
-    def test_star_variants_share_shape_except_iii(self):
-        base = block_param_form("starv", 32)
-        e = expanded_width(32, DEFAULT_EXPANSION["starv"])
-        assert block_param_form("stariii", 32) == base + e * e + 2 * e
 
     def test_forms_cover_every_kind(self):
         assert set(PARAM_FORMS) == set(ALL_KINDS)
@@ -200,7 +186,7 @@ class TestStarMixer:
 class TestReceptiveTaps:
     @pytest.mark.parametrize("kind,count", [
         ("baseline", 2), ("linear", 2), ("fusedmb", 1), ("invertedresidual", 1),
-        ("cib", 3), ("uib", 2), ("starv", 2), ("stariii", 2)])
+        ("cib", 3), ("uib", 2), ("starv", 2)])
     def test_tap_counts(self, kind, count):
         d = 2
         taps = fresh(kind, dilation=d).rf_taps()

@@ -23,8 +23,8 @@ def cases(draw):
     widths = [draw(st.sampled_from([4, 8])) for _ in range(stages)]
     frames = draw(st.sampled_from([3, 5, 9]))
     seed = draw(st.integers(0, 2**16))
-    overrides = [f"tcn.block_kind={kind}", "model.experimental=true",
-                 f"tcn.stages={stages}", f"tcn.channels={','.join(map(str, widths))}",
+    overrides = [f"tcn.block_kind={kind}", f"tcn.stages={stages}",
+                 f"tcn.channels={','.join(map(str, widths))}",
                  f"classifier.num_classes={CLASSES}"]
     if frontend:
         # extractor output 8 differs from a first tcn width of 4: a leading transition

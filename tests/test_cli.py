@@ -321,6 +321,29 @@ class TestVerify:
     def test_missing_fixture(self, capsys):
         assert main(["verify", "--fixture", "/nope.json"]) == EXIT_VALIDATION
 
+    _ROW = {"id": "x", "config": "c.cfg", "tcn_params_m": 1.0, "tol_params": 0.05}
+
+    @pytest.mark.parametrize("doc,message", [
+        (None, "fixture must be an object with a 'rows' list"),
+        ({"rows": [5]}, "fixture row 0 is not an object, got 5"),
+        ({"rows": [{**_ROW, "id": [1]}]}, "fixture row 0 needs string 'id' and 'config'"),
+        ({"rows": [{**_ROW, "config": 3}]}, "fixture row 0 needs string 'id' and 'config'"),
+        ({"rows": [{**_ROW, "tcn_params_m": "many"}]},
+         "fixture row 'x' tcn_params_m must be a finite number > 0, got 'many'"),
+        ({"rows": [{**_ROW, "tol_params": "x"}]},
+         "fixture row 'x' tol_params must be a finite number ≥ 0, got 'x'"),
+        ({"rows": [_ROW], "input_shape": 5},
+         "fixture input_shape must be 4 positive ints (C, T, H, W), got 5"),
+    ], ids=["null", "row-not-object", "id-list", "config-int", "expectation-string",
+            "tolerance-string", "shape-int"])
+    def test_wrongly_typed_fixture_is_a_validation_error(self, doc, message, tmp_path, capsys):
+        """A fixture value of the wrong type ends verify with exit 2 and one
+        line naming the file, not a traceback."""
+        fixture = tmp_path / "typed.json"
+        fixture.write_text(json.dumps(doc))
+        assert main(["verify", "--fixture", str(fixture)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"tempconv.FormatError: {fixture}: {message}\n"
+
 
 class TestInfer:
     def test_round_trip_and_formats(self, tmp_path, capsys):
@@ -402,6 +425,17 @@ class TestInfer:
             f"tempconv.FormatError: {ck}: checkpoint was trained on config deadbeef0000")
 
 
+    def test_checkpoint_metadata_not_an_object(self, tmp_path, capsys):
+        p = tmp_path / "clip.lwt"
+        lwt.save_tensor(p, np.zeros((1, 12, 8, 8), dtype=np.float32))
+        ck = tmp_path / "list_meta.lwtc"
+        ck.write_bytes(b"LWTC" + struct.pack("<HI", 1, 5) + b"[1,2]" + struct.pack("<I", 0))
+        code = main(["infer", "--config", TOY_CFG, "--input", str(p),
+                     "--checkpoint", str(ck)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"tempconv.FormatError: {ck}: checkpoint metadata must be a JSON object, got list\n")
+
     def test_checkpoint_name_not_utf8(self, tmp_path, capsys):
         p = tmp_path / "clip.lwt"
         lwt.save_tensor(p, np.zeros((1, 12, 8, 8), dtype=np.float32))
@@ -424,7 +458,8 @@ class TestInfer:
 
     def test_truncated_input_names_the_file(self, tmp_path, capsys):
         p = tmp_path / "cut.lwt"
-        p.write_bytes(lwt.dumps_tensor(np.zeros((1, 12, 8, 8), dtype=np.float32))[:-1])
+        lwt.save_tensor(p, np.zeros((1, 12, 8, 8), dtype=np.float32))
+        p.write_bytes(p.read_bytes()[:-1])
         assert main(["infer", "--config", TOY_CFG, "--input", str(p)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(
             f"tempconv.FormatError: {p}: truncated stream while reading payload")
@@ -608,8 +643,7 @@ class TestGradcheckCommand:
     def test_retired_kind_names_refused(self, capsys):
         """Neither a config override nor --kind accepts a name that builds no block."""
         for name in RETIRED_KIND_NAMES:
-            for argv in (["describe", "--config", STARV_CFG, "--set", "model.experimental=true",
-                          "--set", f"tcn.block_kind={name}"],
+            for argv in (["describe", "--config", STARV_CFG, "--set", f"tcn.block_kind={name}"],
                          ["gradcheck", "--kind", name]):
                 assert main(argv) == EXIT_VALIDATION
                 assert capsys.readouterr().err.startswith(
@@ -657,6 +691,16 @@ class TestRemovedRecipeToggles:
         assert capsys.readouterr().err == (
             f"tempconv.ConfigError: unknown key(s) in [train]: {key}\n")
         assert not (tmp_path / "run").exists()
+
+
+class TestRetiredModelKey:
+    @pytest.mark.parametrize("command", ["describe", "count"])
+    def test_set_experimental_is_refused_as_unknown(self, command, capsys):
+        """[model] has no experimental key: every kind builds without a gate."""
+        code = main([command, "--config", STARV_CFG, "--set", "model.experimental=true"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "tempconv.ConfigError: unknown key(s) in [model]: experimental\n")
 
 
 class TestTrainToy:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ class TestAudit:
 
 
 JOIN_CASES = {
-    **{kind: ("[model]\nfrontend = false\nexperimental = true\n"
+    **{kind: ("[model]\nfrontend = false\n"
               f"[tcn]\nblock_kind = {kind}\nchannels = 8,16\nstages = 2\n", (2, 8, 7))
        for kind in BLOCK_KINDS},
     "frontend": ("[stem]\nout_channels = 4\n"
@@ -152,6 +153,14 @@ class TestVerify:
         results = verify_report(rep, row)
         assert all(not r.passed for r in results)
 
+    def test_block_zoo_is_the_audited_kinds(self):
+        """Every registered kind is a fixture row and a shipped config, and
+        nothing else is: an unaudited kind cannot join the zoo unnoticed."""
+        rows = {row["id"] for row in load_fixture(FIXTURE)["rows"]}
+        shipped = {tc.load_config_file(path).tcn.block_kind
+                   for path in pathlib.Path(CONFIGS).glob("*.cfg")}
+        assert set(BLOCK_KINDS) == rows == shipped
+
     def test_tolerance_is_relative(self):
         model, _ = small_model(frontend=False)
         rep = audit(model, model.input_shape(frames=8))
@@ -175,6 +184,44 @@ class TestFixtureFormat:
         row = {"id": "x", "config": "c.cfg", "tcn_params_m": 1.0, "tol_params": 0.05}
         p.write_text(json.dumps({"rows": [row, row]}))
         with pytest.raises(FormatError, match="duplicate fixture row id 'x'"):
+            load_fixture(p)
+
+    GOOD_ROW = {"id": "x", "config": "c.cfg", "tcn_params_m": 1.0, "tol_params": 0.05}
+
+    @pytest.mark.parametrize("doc,message", [
+        (None, "fixture must be an object with a 'rows' list"),
+        ({"rows": [5]}, "fixture row 0 is not an object, got 5"),
+        ({"rows": [{**GOOD_ROW, "id": [1]}]}, "fixture row 0 needs string 'id' and 'config'"),
+        ({"rows": [{**GOOD_ROW, "config": 3}]}, "fixture row 0 needs string 'id' and 'config'"),
+        ({"rows": [{**GOOD_ROW, "tcn_params_m": "many"}]},
+         "fixture row 'x' tcn_params_m must be a finite number > 0, got 'many'"),
+        ({"rows": [{**GOOD_ROW, "tcn_params_m": None}]},
+         "fixture row 'x' tcn_params_m must be a finite number > 0, got None"),
+        ({"rows": [{**GOOD_ROW, "tcn_params_m": [1]}]},
+         "fixture row 'x' tcn_params_m must be a finite number > 0, got [1]"),
+        ({"rows": [{**GOOD_ROW, "tcn_params_m": 0}]},
+         "fixture row 'x' tcn_params_m must be a finite number > 0, got 0"),
+        ({"rows": [{**GOOD_ROW, "tol_params": "x"}]},
+         "fixture row 'x' tol_params must be a finite number ≥ 0, got 'x'"),
+        ({"rows": [{**GOOD_ROW, "tol_params": True}]},
+         "fixture row 'x' tol_params must be a finite number ≥ 0, got True"),
+        ({"rows": [{**GOOD_ROW, "tol_params": -0.1}]},
+         "fixture row 'x' tol_params must be a finite number ≥ 0, got -0.1"),
+        ({"rows": [{**GOOD_ROW, "tol_params": math.inf}]},
+         "fixture row 'x' tol_params must be a finite number ≥ 0, got inf"),
+        ({"rows": [GOOD_ROW], "input_shape": 5},
+         "fixture input_shape must be 4 positive ints (C, T, H, W), got 5"),
+        ({"rows": [GOOD_ROW], "input_shape": [1, 29.0, 88, 88]},
+         "fixture input_shape must be 4 positive ints (C, T, H, W), got [1, 29.0, 88, 88]"),
+    ], ids=["null", "row-not-object", "id-list", "config-int", "expectation-string",
+            "expectation-null", "expectation-list", "expectation-zero", "tolerance-string",
+            "tolerance-bool", "tolerance-negative", "tolerance-infinite", "shape-int",
+            "shape-float"])
+    def test_wrongly_typed_values_refused(self, tmp_path, doc, message):
+        """Each value verify_fixture reads is checked at load, by file and row."""
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
             load_fixture(p)
 
     def test_invalid_json_rejected(self, tmp_path):

@@ -575,7 +575,7 @@ def _fold_matches_unfolded(module, x):
 @given(dilation=st.sampled_from([1, 2, 4]), frames=st.integers(1, 9), seed=st.integers(0, 2**16))
 def test_eval_fold_matches_unfolded_block(kind, dilation, frames, seed):
     rng = np.random.default_rng(seed)
-    block = make_block(kind, 8, dilation, experimental=True)
+    block = make_block(kind, 8, dilation)
     block.init_parameters(rng)
     _randomize_norms(block, rng)
     _fold_matches_unfolded(block, rng.standard_normal((2, 8, frames)).astype(np.float32))
@@ -599,7 +599,7 @@ def test_eval_fold_matches_unfolded_frontend(stride, size, seed):
 def test_eval_block_leaves_input_and_parameters(kind):
     """The in-place eval paths write only into arrays their own ops made."""
     rng = np.random.default_rng(0)
-    block = make_block(kind, 8, 2, experimental=True)
+    block = make_block(kind, 8, 2)
     block.init_parameters(rng)
     _randomize_norms(block, rng)
     block.eval()
@@ -616,7 +616,7 @@ def test_eval_block_leaves_input_and_parameters(kind):
     ("linear", "body.5.beta", "add"),
 ])
 def test_forced_overflow_names_the_op(kind, bias, want, recorded):
-    block = make_block(kind, 4, 1, experimental=True).init_parameters(np.random.default_rng(0))
+    block = make_block(kind, 4, 1).init_parameters(np.random.default_rng(0))
     for name, p in block.named_parameters():
         if name.endswith(("weight", "bias", "beta")):
             p.data[...] = 0.0

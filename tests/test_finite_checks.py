@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import tempconv as tc
-from tempconv.blocks import BLOCK_KINDS, STAR_KINDS
+from tempconv.blocks import BLOCK_KINDS
 from tempconv.config import load_config_file, parse_config
 from tempconv.errors import NumericError
 from tempconv.layers import BatchNorm
@@ -35,17 +35,17 @@ FINITE = None  # an infinite variance folds its channel to zero: no error
 WEIGHT, BIAS, STAT = (FOLD, FOLD, FOLD), (FOLD, FOLD, FOLD), (FOLD, FINITE, VARIANCE)
 INJECTIONS = {
     **{(kind, f"tcn.body.0.{name}"): want for kind, name, want in [
-        *[(kind, "body.0.weight", WEIGHT) for kind in BLOCK_KINDS if kind not in STAR_KINDS],
+        *[(kind, "body.0.weight", WEIGHT) for kind in BLOCK_KINDS if kind != "starv"],
         ("baseline", "body.4.beta", BIAS),
         ("linear", "body.5.beta", BIAS),
         ("fusedmb", "body.4.beta", BIAS),
         ("invertedresidual", "body.7.beta", BIAS),
         ("cib", "body.9.beta", BIAS),
         ("uib", "body.8.beta", BIAS),
-        *[(kind, "body.1.running_var", STAT) for kind in BLOCK_KINDS if kind not in STAR_KINDS],
-        *[(kind, name, want) for kind in STAR_KINDS for name, want in [
-            ("dw_in.weight", WEIGHT), ("dw_out.bias", (CONV, CONV, CONV)),
-            ("bn_in.running_var", STAT)]],
+        *[(kind, "body.1.running_var", STAT) for kind in BLOCK_KINDS if kind != "starv"],
+        ("starv", "dw_in.weight", WEIGHT),
+        ("starv", "dw_out.bias", (CONV, CONV, CONV)),
+        ("starv", "bn_in.running_var", STAT),
     ]},
     **{("frontend", name): want for name, want in [
         ("stem.conv.weight", WEIGHT),
@@ -70,7 +70,7 @@ def _model(name):
         text = ("[stem]\nout_channels = 4\n[extractor]\nwidths = 8, 8\n"
                 "[tcn]\nstages = 1\nchannels = 8\n")
     else:
-        text = (f"[model]\nfrontend = false\nexperimental = true\n"
+        text = (f"[model]\nfrontend = false\n"
                 f"[tcn]\nblock_kind = {name}\nstages = 2\nchannels = 8\n")
     model = build_model(parse_config(text + "[classifier]\nnum_classes = 4\n"), seed=0)
     rng = np.random.default_rng(1)

@@ -1,10 +1,10 @@
 """Golden outputs: CLI documents and seeded weights must not drift.
 
 Every shipped config is rendered through ``describe`` (text, json) and
-``count`` (text, json, markdown), with and without the frontend; every
-experimental kind through ``describe``; the paper fixture through
-``verify --format json``; ``infer --format text`` on a seeded clip through
-the toy config and on a seeded sequence through a frontend-less model. Weights are pinned by a sha256 over each
+``count`` (text, json, markdown), with and without the frontend; the
+paper fixture through ``verify --format json``; ``infer --format text`` on
+a seeded clip through the toy config and on a seeded sequence through a
+frontend-less model. Weights are pinned by a sha256 over each
 ``state_dict`` (entry names, order, dtypes, shapes and bytes), for seeded
 and uninitialized models of every config and for one block of every kind.
 
@@ -26,7 +26,7 @@ import tempfile
 import numpy as np
 
 import tempconv as tc
-from tempconv.blocks import BLOCK_KINDS, EXPERIMENTAL_KINDS, make_block
+from tempconv.blocks import BLOCK_KINDS, make_block
 from tempconv.cli import main
 from tempconv.lwt import save_tensor
 
@@ -67,12 +67,6 @@ def documents():
                 docs[f"describe {name} {tag} {fmt}"] = run_cli(["describe"] + base + ["--format", fmt])
             for fmt in ("text", "json", "markdown"):
                 docs[f"count {name} {tag} {fmt}"] = run_cli(["count"] + base + ["--format", fmt])
-    for kind in EXPERIMENTAL_KINDS:
-        for fmt in ("text", "json"):
-            docs[f"describe {kind} experimental {fmt}"] = run_cli(
-                ["describe", "--config", os.path.join(ROOT, "configs", "starv.cfg"),
-                 "--set", "model.experimental=true", "--set", f"tcn.block_kind={kind}",
-                 "--format", fmt])
     docs["verify json"] = run_cli(["verify", "--fixture", FIXTURE, "--format", "json"])
     docs.update(infer_documents())
     return docs
@@ -108,8 +102,8 @@ def model_hashes():
 def block_hashes():
     hashes = {}
     for kind in BLOCK_KINDS:
-        hashes[f"{kind} raw"] = state_hash(make_block(kind, 16, 2, experimental=True))
-        seeded = make_block(kind, 16, 2, experimental=True)
+        hashes[f"{kind} raw"] = state_hash(make_block(kind, 16, 2))
+        seeded = make_block(kind, 16, 2)
         seeded.init_parameters(np.random.default_rng(3))
         hashes[f"{kind} seed=3"] = state_hash(seeded)
     return hashes
@@ -145,7 +139,7 @@ def test_block_state_hashes_unchanged():
 
 def test_each_kind_builds_its_own_structure():
     """Two kinds with one raw state are two names for one structure."""
-    raw = {kind: state_hash(make_block(kind, 16, 2, experimental=True)) for kind in BLOCK_KINDS}
+    raw = {kind: state_hash(make_block(kind, 16, 2)) for kind in BLOCK_KINDS}
     assert len(set(raw.values())) == len(raw), raw
 
 

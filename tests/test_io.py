@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from tempconv.errors import FormatError
 from tempconv.lwt import (
-    dumps_tensor,
     load_checkpoint,
     load_tensor,
-    loads_tensor,
     read_tensor,
     save_checkpoint,
     save_tensor,
@@ -26,19 +24,31 @@ from oracles import lwt_record
 FIXED = settings.get_profile("fastpath")
 
 
+def _record(array):
+    """The LWT1 record ``write_tensor`` writes for ``array``."""
+    buf = io.BytesIO()
+    write_tensor(buf, array)
+    return buf.getvalue()
+
+
+def _read(blob):
+    """``read_tensor`` over an in-memory record."""
+    return read_tensor(io.BytesIO(blob))
+
+
 class TestTensorFormat:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(), (5,), (3, 4), (2, 3, 4, 5)])
     def test_round_trip(self, dtype, shape):
         rng = np.random.default_rng(0)
         a = rng.standard_normal(shape).astype(dtype)
-        back = loads_tensor(dumps_tensor(a))
+        back = _read(_record(a))
         assert back.dtype == dtype and back.shape == shape
         np.testing.assert_array_equal(back, a)
 
     def test_layout_is_documented_little_endian(self):
         a = np.arange(6, dtype=np.float32).reshape(2, 3)
-        blob = dumps_tensor(a)
+        blob = _record(a)
         assert blob[:4] == b"LWT1"
         dtype_code, rank = blob[4], blob[5]
         assert dtype_code == 0 and rank == 2
@@ -65,12 +75,12 @@ class TestTensorFormat:
 
     def test_bad_magic(self):
         with pytest.raises(FormatError):
-            loads_tensor(b"NOPE" + b"\x00" * 10)
+            _read(b"NOPE" + b"\x00" * 10)
 
     def test_truncated_payload(self):
-        blob = dumps_tensor(np.ones(5, dtype=np.float32))
+        blob = _record(np.ones(5, dtype=np.float32))
         with pytest.raises(FormatError):
-            loads_tensor(blob[:-3])
+            _read(blob[:-3])
 
     # 20-byte files whose headers declare 64 MiB: a 4096 x 4096 float32
     # payload, or a checkpoint's metadata block
@@ -90,31 +100,32 @@ class TestTensorFormat:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_trailing_garbage_rejected(self):
-        blob = dumps_tensor(np.ones(2, dtype=np.float32))
-        with pytest.raises(FormatError):
-            loads_tensor(blob + b"x")
+    def test_trailing_garbage_rejected(self, tmp_path):
+        p = tmp_path / "t.lwt"
+        p.write_bytes(_record(np.ones(2, dtype=np.float32)) + b"x")
+        with pytest.raises(FormatError, match="trailing bytes after tensor record"):
+            load_tensor(p)
 
     def test_unknown_dtype_code(self):
-        blob = bytearray(dumps_tensor(np.ones(2, dtype=np.float32)))
+        blob = bytearray(_record(np.ones(2, dtype=np.float32)))
         blob[4] = 9
         with pytest.raises(FormatError):
-            loads_tensor(bytes(blob))
+            _read(bytes(blob))
 
     def test_rank_cap(self):
-        blob = bytearray(dumps_tensor(np.ones(2, dtype=np.float32)))
+        blob = bytearray(_record(np.ones(2, dtype=np.float32)))
         blob[5] = 9
         with pytest.raises(FormatError):
-            loads_tensor(bytes(blob))
+            _read(bytes(blob))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_refused(self, dtype, bad):
         a = np.ones((2, 3), dtype=dtype)
-        assert lwt_record(a) == dumps_tensor(a)
+        assert lwt_record(a) == _record(a)
         a[1, 2] = bad
         with pytest.raises(FormatError, match=r"payload holds non-finite values \(NaN or Inf\)"):
-            loads_tensor(lwt_record(a))
+            _read(lwt_record(a))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -123,8 +134,7 @@ class TestTensorFormat:
         a = np.ones((2, 3), dtype=dtype)
         a[1, 2] = bad
         buf, p = io.BytesIO(), tmp_path / "t.lwt"
-        for write in (lambda: write_tensor(buf, a), lambda: dumps_tensor(a),
-                      lambda: save_tensor(p, a)):
+        for write in (lambda: write_tensor(buf, a), lambda: save_tensor(p, a)):
             with pytest.raises(FormatError, match=r"^payload holds non-finite values \(NaN or Inf\)"):
                 write()
         assert buf.getvalue() == b""
@@ -139,14 +149,14 @@ class TestTensorFormat:
         back = load_tensor(p)
         assert back.dtype == np.dtype(dtype).newbyteorder("=")
         np.testing.assert_array_equal(back, a)
-        assert dumps_tensor(a) == dumps_tensor(a.astype(back.dtype))
+        assert _record(a) == _record(a.astype(back.dtype))
 
     def test_other_dtypes_refused(self):
         with pytest.raises(FormatError, match="^dtype float16 is not storable; use float32 or float64$"):
-            dumps_tensor(np.ones(3, dtype=np.float16))
+            write_tensor(io.BytesIO(), np.ones(3, dtype=np.float16))
 
     def test_load_errors_name_the_file(self, tmp_path):
-        blob = dumps_tensor(np.ones(5, dtype=np.float32))
+        blob = _record(np.ones(5, dtype=np.float32))
         p = tmp_path / "t.lwt"
         for bad, message in [(blob[:-3], "truncated stream while reading payload"),
                              (blob + b"x", "trailing bytes after tensor record"),
@@ -177,13 +187,14 @@ class _Unseekable(io.RawIOBase):
 class TestUnseekableStream:
     """A stream that cannot be sized is read in bounded chunks."""
 
-    BLOB = dumps_tensor(np.random.default_rng(4).standard_normal(5000).astype(np.float32))
+    ARRAY = np.random.default_rng(4).standard_normal(5000).astype(np.float32)
+    BLOB = _record(ARRAY)
 
     @pytest.mark.parametrize("most", [None, 1, 3, 4096])
     def test_round_trip(self, most):
         """Reads shorter than asked are not a truncation."""
         f = _Unseekable(self.BLOB, most)
-        np.testing.assert_array_equal(read_tensor(f), loads_tensor(self.BLOB))
+        np.testing.assert_array_equal(read_tensor(f), self.ARRAY)
         assert f.read(1) == b""
 
     def test_every_truncation_refused(self):
@@ -236,6 +247,28 @@ class TestCheckpointFormat:
         p.write_bytes(b"WRNG" + b"\x00" * 20)
         with pytest.raises(FormatError):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("meta,message", [
+        (b"[1,2]", "checkpoint metadata must be a JSON object, got list"),
+        (b'"abc"', "checkpoint metadata must be a JSON object, got str"),
+        (b"null", "checkpoint metadata must be a JSON object, got NoneType"),
+        (b"NaN", "checkpoint metadata must be a JSON object, got float"),
+        (b"{nope", "corrupt checkpoint metadata: Expecting property name"),
+        (b"\xff{}", "corrupt checkpoint metadata: 'utf-8' codec can't decode"),
+    ], ids=["list", "string", "null", "nan", "invalid-json", "not-utf8"])
+    def test_bad_metadata_refused(self, tmp_path, meta, message):
+        p = tmp_path / "c.lwtc"
+        p.write_bytes(b"LWTC" + struct.pack("<HI", 1, len(meta)) + meta + struct.pack("<I", 0))
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{p}: {message}')}"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("meta", [[1, 2], "abc", float("nan")], ids=["list", "string", "nan"])
+    def test_non_object_metadata_not_written(self, tmp_path, meta):
+        """The writer refuses metadata the reader would, before the file opens."""
+        p = tmp_path / "c.lwtc"
+        with pytest.raises(FormatError, match="^checkpoint metadata must be a JSON object, got "):
+            save_checkpoint(p, {"x": np.ones(2, dtype=np.float32)}, meta=meta)
+        assert not p.exists()
 
     def test_truncated_record(self, tmp_path):
         p = tmp_path / "c.lwtc"
@@ -303,9 +336,9 @@ class TestDamagedInput:
     @settings(FIXED)
     @given(array=arrays)
     def test_tensor_record(self, array):
-        for blob in _damaged(dumps_tensor(array)):
+        for blob in _damaged(_record(array)):
             try:
-                loads_tensor(blob)
+                _read(blob)
             except FormatError:
                 pass
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import tempconv as tc
 from tempconv import Tensor
-from tempconv.blocks import BLOCK_KINDS, EXPERIMENTAL_KINDS
+from tempconv.blocks import BLOCK_KINDS
 from tempconv.complexity import audit
 from tempconv.config import _KNOWN_KEYS
 from tempconv.errors import ConfigError, ShapeError
@@ -41,11 +41,9 @@ def render(doc):
     return "\n".join(lines) + "\n"
 
 
-def shipped_and_experimental():
-    """Every shipped config and each experimental kind, frontend on and off."""
+def shipped():
+    """Every shipped config, frontend on and off."""
     cases = {os.path.basename(path): tc.load_config_file(path) for path in CONFIGS}
-    cases.update({kind: cfg("[model]\nexperimental = true\n", [f"tcn.block_kind={kind}"])
-                  for kind in EXPERIMENTAL_KINDS})
     for name, c in list(cases.items()):
         cases[f"{name}-tcn-only"] = replace(c, stem=None, extractor=None)
     return cases
@@ -88,6 +86,8 @@ class TestConfigValidation:
                     "decoupled_decay = false"):
             with pytest.raises(ConfigError, match="unknown key"):
                 cfg(f"[train]\n{key}\n")
+        with pytest.raises(ConfigError, match=r"^unknown key\(s\) in \[model\]: experimental$"):
+            cfg("[model]\nexperimental = true\n")
 
     def test_frontendless_rejects_stem_section(self):
         with pytest.raises(ConfigError):
@@ -116,7 +116,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="rates"):
             replace(tc.TrainConfig(), base_lr=float("nan"))
 
-    @pytest.mark.parametrize("name,config", sorted(shipped_and_experimental().items()))
+    @pytest.mark.parametrize("name,config", sorted(shipped().items()))
     def test_writer_and_reader_agree(self, name, config):
         """config_to_dict writes a document that parses back to the same config."""
         assert cfg(render(tc.config_to_dict(config))) == config
@@ -135,7 +135,7 @@ class TestConfigValidation:
 
 
 WIDTH_RULE = "block kind 'baseline' has no expanded width"
-KIND_RULE = "block kind 'stariii' is experimental"
+KIND_RULE = "unknown block kind 'stariii'"
 KERNEL_RULE = "block kind 'starv' never reads kernel; leave it at 3"
 DW_KERNEL_RULE = "block kind 'baseline' never reads dw_kernel; leave it at 7"
 
@@ -144,7 +144,6 @@ DW_KERNEL_RULE = "block kind 'baseline' never reads dw_kernel; leave it at 7"
 def documents(draw):
     kind = draw(st.sampled_from(BLOCK_KINDS))
     overrides = [f"tcn.block_kind={kind}",
-                 f"model.experimental={draw(st.booleans())}",
                  f"model.in_channels={draw(st.integers(0, 4))}",
                  f"tcn.stages={draw(st.integers(1, 2))}",
                  f"tcn.channels={draw(st.sampled_from(['1', '3', '4', '5', '4,6', '8,3']))}",
@@ -185,10 +184,10 @@ class TestModelRules:
         (lambda: cfg("", ["tcn.dw_kernel=5"]), DW_KERNEL_RULE),
         (lambda: tc.make_block("baseline", 8, 1, dw_kernel=5), DW_KERNEL_RULE),
     ], ids=["expansion-whole-on-baseline", "expansion-ignored-on-baseline",
-            "make-block-expansion-on-baseline", "experimental-kind-parse",
-            "experimental-kind-make-block", "in-channels-2", "in-channels-without-frontend",
+            "make-block-expansion-on-baseline", "retired-kind-parse",
+            "retired-kind-make-block", "in-channels-2", "in-channels-without-frontend",
             "stem-width-fractional-expansion", "stem-without-extractor",
-            "experimental-kind-replace", "kernel-on-star-parse", "kernel-on-star-make-block",
+            "retired-kind-replace", "kernel-on-star-parse", "kernel-on-star-make-block",
             "dw-kernel-on-plain-parse", "dw-kernel-on-plain-make-block"])
     def test_refused_where_the_rule_lives(self, make, match):
         with pytest.raises(ConfigError, match=match):
