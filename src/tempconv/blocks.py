@@ -26,8 +26,8 @@ DEFAULT_EXPANSION = {
     "starv": 4.0,
 }
 
-PLAIN_KERNEL = 3
-STAR_DW_KERNEL = 7
+PLAIN_KERNEL = 3    # every temporal conv of the plain kinds
+STAR_DW_KERNEL = 7  # the two depthwise convs of "starv"
 
 
 def canonical_kind(name):
@@ -47,23 +47,11 @@ def expanded_width(channels, expansion):
     return e
 
 
-def block_width(kind, channels, expansion):
-    """Expanded width of a canonical kind at ``channels``; None for a kind
-    without one, which refuses an expansion it would ignore."""
+def block_width(kind, channels):
+    """Expanded width of a canonical kind at ``channels``; None for a kind without one."""
     if kind not in DEFAULT_EXPANSION:
-        if expansion is not None:
-            raise ConfigError(f"block kind '{kind}' has no expanded width; leave expansion unset")
         return None
-    return expanded_width(channels, DEFAULT_EXPANSION[kind] if expansion is None else expansion)
-
-
-def check_kernels(kind, kernel, dw_kernel):
-    """Refuse a setting the canonical kind never reads: ``kernel`` on
-    "starv", ``dw_kernel`` on the plain kinds."""
-    unread, value, default = (("kernel", kernel, PLAIN_KERNEL) if kind == "starv"
-                              else ("dw_kernel", dw_kernel, STAR_DW_KERNEL))
-    if value != default:
-        raise ConfigError(f"block kind '{kind}' never reads {unread}; leave it at {default}")
+    return expanded_width(channels, DEFAULT_EXPANSION[kind])
 
 
 class TemporalBlock(Module):
@@ -88,11 +76,11 @@ class TemporalBlock(Module):
                 for m in self.modules() if isinstance(m, Conv) and m.spec.kernel[0] > 1]
 
 
-def _full(a, b, k, d, bias=False):
-    return Conv1d(a, b, k, dilation=d, causal=True, bias=bias)
+def _full(a, b, d, bias=False):
+    return Conv1d(a, b, PLAIN_KERNEL, dilation=d, causal=True, bias=bias)
 
 
-def _dw(c, k, d, bias=False):
+def _dw(c, d, k=PLAIN_KERNEL, bias=False):
     return Conv1d(c, c, k, dilation=d, groups=c, causal=True, bias=bias)
 
 
@@ -100,34 +88,34 @@ def _pw(a, b, bias=False):
     return Conv1d(a, b, 1, causal=True, bias=bias)
 
 
-# body layer list per plain kind: (channels, expanded width, kernel, dilation)
+# body layer list per plain kind: (channels, expanded width, dilation)
 _BODIES = {
     # two full causal convolutions, each followed by norm and relu
-    "baseline": lambda c, e, k, d: [
-        _full(c, c, k, d, bias=True), BatchNorm(c), ReLU(),
-        _full(c, c, k, d, bias=True), BatchNorm(c), ReLU(),
+    "baseline": lambda c, e, d: [
+        _full(c, c, d, bias=True), BatchNorm(c), ReLU(),
+        _full(c, c, d, bias=True), BatchNorm(c), ReLU(),
     ],
     # depthwise, pointwise, depthwise; norms only, no activation
-    "linear": lambda c, e, k, d: [
-        _dw(c, k, d), BatchNorm(c), _pw(c, c), BatchNorm(c), _dw(c, k, d), BatchNorm(c),
+    "linear": lambda c, e, d: [
+        _dw(c, d), BatchNorm(c), _pw(c, c), BatchNorm(c), _dw(c, d), BatchNorm(c),
     ],
     # full conv expands the width, pointwise projects back
-    "fusedmb": lambda c, e, k, d: [
-        _full(c, e, k, d), BatchNorm(e), ReLU(), _pw(e, c), BatchNorm(c),
+    "fusedmb": lambda c, e, d: [
+        _full(c, e, d), BatchNorm(e), ReLU(), _pw(e, c), BatchNorm(c),
     ],
     # pointwise expand, depthwise, pointwise project
-    "invertedresidual": lambda c, e, k, d: [
-        _pw(c, e), BatchNorm(e), ReLU(), _dw(e, k, d), BatchNorm(e), ReLU(),
+    "invertedresidual": lambda c, e, d: [
+        _pw(c, e), BatchNorm(e), ReLU(), _dw(e, d), BatchNorm(e), ReLU(),
         _pw(e, c), BatchNorm(c),
     ],
     # compact inverted bottleneck: dw / pw-expand / dw / pw-project / dw
-    "cib": lambda c, e, k, d: [
-        _dw(c, k, d), BatchNorm(c), _pw(c, e), BatchNorm(e), _dw(e, k, d), BatchNorm(e),
-        _pw(e, c), BatchNorm(c), _dw(c, k, d), BatchNorm(c),
+    "cib": lambda c, e, d: [
+        _dw(c, d), BatchNorm(c), _pw(c, e), BatchNorm(e), _dw(e, d), BatchNorm(e),
+        _pw(e, c), BatchNorm(c), _dw(c, d), BatchNorm(c),
     ],
     # extra-depthwise universal bottleneck: dw / pw-expand / dw / pw-project
-    "uib": lambda c, e, k, d: [
-        _dw(c, k, d), BatchNorm(c), _pw(c, e), BatchNorm(e), ReLU(), _dw(e, k, d),
+    "uib": lambda c, e, d: [
+        _dw(c, d), BatchNorm(c), _pw(c, e), BatchNorm(e), ReLU(), _dw(e, d),
         BatchNorm(e), _pw(e, c), BatchNorm(c),
     ],
 }
@@ -138,9 +126,9 @@ BLOCK_KINDS = (*_BODIES, "starv")
 class SequentialBlock(TemporalBlock):
     """Body is the plain layer stack ``_BODIES[kind]`` builds."""
 
-    def __init__(self, kind, channels, dilation, width, kernel, dropout):
+    def __init__(self, kind, channels, dilation, width, dropout):
         super().__init__(kind, channels, dilation, dropout)
-        self.body = Sequential(*_BODIES[kind](channels, width, kernel, dilation))
+        self.body = Sequential(*_BODIES[kind](channels, width, dilation))
 
     def _body(self, x):
         return self.body(x)
@@ -157,16 +145,16 @@ class StarBlock(TemporalBlock):
     halo (``layers.eval_tiles``), and no E-wide tensor exists whole.
     """
 
-    def __init__(self, kind, channels, dilation, width, dw_kernel, dropout):
+    def __init__(self, kind, channels, dilation, width, dropout):
         super().__init__(kind, channels, dilation, dropout)
-        c, d, kk, e = channels, dilation, dw_kernel, width
-        self.dw_in = _dw(c, kk, d)
+        c, d, e = channels, dilation, width
+        self.dw_in = _dw(c, d, STAR_DW_KERNEL)
         self.bn_in = BatchNorm(c)
         self.branch1 = _pw(c, e, bias=True)
         self.branch2 = _pw(c, e, bias=True)
         self.project = _pw(e, c)
         self.bn_out = BatchNorm(c)
-        self.dw_out = _dw(c, kk, d, bias=True)
+        self.dw_out = _dw(c, d, STAR_DW_KERNEL, bias=True)
 
     def _body(self, x):
         h = conv_norm(self.dw_in, self.bn_in, x)
@@ -186,12 +174,8 @@ class StarBlock(TemporalBlock):
         return conv_norm(self.project, self.bn_out, mixed, fold=folds[0])
 
 
-def make_block(kind, channels, dilation, expansion=None, kernel=PLAIN_KERNEL,
-               dw_kernel=STAR_DW_KERNEL, dropout=0.2):
+def make_block(kind, channels, dilation, dropout=0.2):
     """Construct one temporal block of a registered kind."""
     kind = canonical_kind(kind)
-    width = block_width(kind, channels, expansion)
-    check_kernels(kind, kernel, dw_kernel)
-    if kind in _BODIES:
-        return SequentialBlock(kind, channels, dilation, width, kernel, dropout)
-    return StarBlock(kind, channels, dilation, width, dw_kernel, dropout)
+    block = SequentialBlock if kind in _BODIES else StarBlock
+    return block(kind, channels, dilation, block_width(kind, channels), dropout)

@@ -1,9 +1,9 @@
 """Config parsing: INI-style documents with dotted-path overrides.
 
-Sections: [model] (frontend on/off, input channels),
+Sections: [model] (frontend on/off),
 [stem], [extractor], [tcn], [classifier], [train], [toy]. Every key has a
-default; an empty document parses to the stock 4-stage, 512-channel,
-kernel-3 network with a 500-class head. ``--set tcn.stages=6`` style
+default; an empty document parses to the stock 4-stage, 512-channel
+network with a 500-class head. ``--set tcn.stages=6`` style
 overrides patch the document before validation, last one wins.
 
 Every section is its frozen dataclass: a field is a key, with its name,
@@ -11,7 +11,7 @@ its default and, by the default's type, its parser; the writer emits the
 same fields. Fields that hold another section are not keys.
 ``__post_init__`` holds the section's rules, so ``replace()`` and direct
 construction are checked like parsing; [model]'s rules span its sections.
-Only [model]'s ``frontend`` key is read by hand: it decides whether [stem]
+[model]'s one key, ``frontend``, is read by hand: it decides whether [stem]
 and [extractor] exist, and the writer derives it from the extractor.
 Numbers must be finite, ``%`` is literal, and [DEFAULT] is an unknown
 section like any other.
@@ -24,16 +24,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
-from .blocks import (PLAIN_KERNEL, STAR_DW_KERNEL, block_width, canonical_kind, check_kernels,
-                     expanded_width)
+from .blocks import block_width, canonical_kind, expanded_width
 from .errors import ConfigError, located
 from .frontend import ExtractorSpec, StemSpec
-from .layers import PARAM_BUDGET_CAP
-
-# Stage i dilates by 2**i and LWT1 stores under 2**32 frames, so every
-# dilated tap of a 33rd stage would read only padding.
-MAX_STAGES = 32
+from .layers import MAX_STAGES, PARAM_BUDGET_CAP
 
 
 @dataclass(frozen=True)
@@ -41,10 +37,7 @@ class TCNConfig:
     block_kind: str = "baseline"
     stages: int = 4
     channels: tuple = (512,)  # one width is broadcast to every stage
-    kernel: int = PLAIN_KERNEL
     dropout: float = 0.2
-    expansion: float = None  # None -> the kind's default
-    dw_kernel: int = STAR_DW_KERNEL
 
     def __post_init__(self):
         object.__setattr__(self, "block_kind", canonical_kind(self.block_kind))
@@ -58,17 +51,10 @@ class TCNConfig:
             raise ConfigError(f"channels list has {len(self.channels)} entries for {self.stages} stages")
         if any(c < 1 for c in self.channels):
             raise ConfigError("channels must be ≥ 1")
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ConfigError(f"kernel must be odd and positive, got {self.kernel}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.expansion is not None and not 0 < self.expansion < math.inf:
-            raise ConfigError(f"expansion must be positive, got {self.expansion}")
-        if self.dw_kernel < 1 or self.dw_kernel % 2 == 0:
-            raise ConfigError(f"dw_kernel must be odd and positive, got {self.dw_kernel}")
         for c in self.channels:  # the builder's width rule, at parse time
-            block_width(self.block_kind, c, self.expansion)
-        check_kernels(self.block_kind, self.kernel, self.dw_kernel)
+            block_width(self.block_kind, c)
 
 
 @dataclass(frozen=True)
@@ -84,7 +70,7 @@ class ClassifierConfig:
 class ModelConfig:
     stem: StemSpec = None           # None in TCN-only mode
     extractor: ExtractorSpec = None  # None in TCN-only mode
-    in_channels: int = 1
+    in_channels: ClassVar[int] = StemSpec.in_channels  # a clip's channels, with a frontend
     tcn: TCNConfig = field(default_factory=TCNConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
@@ -92,12 +78,8 @@ class ModelConfig:
         if (self.stem is None) != (self.extractor is None):
             raise ConfigError("stem and extractor must both be set (frontend) or both be None (TCN only)")
         if self.extractor is not None:
-            if self.in_channels not in (1, 3):
-                raise ConfigError(f"in_channels must be 1 or 3, got {self.in_channels}")
-            for cin, _, _ in self.extractor.bottlenecks(self.stem.out_channels):
+            for cin, _ in self.extractor.bottlenecks(self.stem.out_channels):
                 expanded_width(cin, self.extractor.expansion)
-        elif self.in_channels != 1:
-            raise ConfigError(f"in_channels must be 1 without a frontend, got {self.in_channels}")
 
 
 @dataclass(frozen=True)
@@ -184,12 +166,7 @@ def _int_list(raw):
     return tuple(int(part.strip()) for part in str(raw).split(",") if part.strip())
 
 
-def _optional_float(raw):
-    return None if raw.strip().lower() in ("", "none", "default") else _float(raw)
-
-
-_CASTS = {bool: _bool, int: int, float: _float, str: str, tuple: _int_list,
-          type(None): _optional_float}
+_CASTS = {bool: _bool, int: int, float: _float, str: str, tuple: _int_list}
 
 
 # every key of every section, with the parser its field's default implies
@@ -259,9 +236,8 @@ def _write(section, spec):
 def parse_config(text, overrides=(), source=None):
     """Parse and validate a model config; defaults fill every gap."""
     sections, rules = _load_sections(text, overrides, source)
-    model = sections.pop("model", {})
     stem = extractor = None
-    if model.pop("frontend", True):
+    if sections.get("model", {}).get("frontend", True):
         with rules("stem"):
             stem = StemSpec(**sections.get("stem", {}))
         with rules("extractor"):
@@ -274,7 +250,7 @@ def parse_config(text, overrides=(), source=None):
     with rules("classifier"):
         classifier = ClassifierConfig(**sections.get("classifier", {}))
     with rules("model", "stem", "extractor", "tcn"):
-        return ModelConfig(**model, stem=stem, extractor=extractor, tcn=tcn, classifier=classifier)
+        return ModelConfig(stem=stem, extractor=extractor, tcn=tcn, classifier=classifier)
 
 
 def parse_train_config(text, overrides=(), source=None):
@@ -306,7 +282,7 @@ def load_config_file(path, overrides=()):
 
 def config_to_dict(config):
     """Canonical nested dict; basis for hashing and describe output."""
-    out = {"model": {"frontend": config.extractor is not None, **_write("model", config)}}
+    out = {"model": {"frontend": config.extractor is not None}}
     for section in ("tcn", "classifier", "stem", "extractor"):
         spec = getattr(config, section)
         if spec is not None:

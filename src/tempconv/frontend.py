@@ -20,13 +20,14 @@ from typing import ClassVar
 from . import ops
 from .blocks import expanded_width
 from .errors import ConfigError, ShapeError
-from .layers import (BatchNorm, Conv2d, Conv3d, Linear, Module, ReLU, Sequential, conv_norm,
-                     eval_tiles, residual)
+from .layers import (MAX_STAGES, BatchNorm, Conv2d, Conv3d, Linear, Module, ReLU, Sequential,
+                     conv_norm, eval_tiles)
 
 
 @dataclass(frozen=True)
 class StemSpec:
     out_channels: int = 32
+    in_channels: ClassVar[int] = 1
     # Stride 1 and symmetric padding in time keep T: causality and
     # receptive_field rely on the stem preserving temporal length.
     kernel: ClassVar[tuple] = (3, 5, 5)
@@ -41,18 +42,17 @@ class StemSpec:
 class Stem(Module):
     """conv3d -> norm -> relu over (N, C, T, H, W); keeps T, halves H and W."""
 
-    def __init__(self, spec=None, in_channels=1):
+    def __init__(self, spec=None):
         super().__init__()
         self.spec = spec if spec is not None else StemSpec()
-        self.in_channels = in_channels
-        self.conv = Conv3d(in_channels, self.spec.out_channels, self.spec.kernel,
+        self.conv = Conv3d(self.spec.in_channels, self.spec.out_channels, self.spec.kernel,
                            stride=self.spec.stride, padding=self.spec.padding, bias=True)
         self.bn = BatchNorm(self.spec.out_channels)
 
     def _check(self, shape):
         c, t, h, w = shape
-        if c != self.in_channels:
-            raise ShapeError(f"stem expects {self.in_channels} input channels, got {c}")
+        if c != self.spec.in_channels:
+            raise ShapeError(f"stem expects {self.spec.in_channels} input channels, got {c}")
         if t < self.spec.kernel[0]:
             raise ShapeError(f"need at least {self.spec.kernel[0]} frames, got {t}")
         if h % 2 or w % 2:
@@ -62,31 +62,21 @@ class Stem(Module):
         return conv_norm(self.conv, self.bn, x, relu=True)
 
 
-# A stride-1 repeat widens the receptive field by two pixels of its stage's
-# map, at least 8 input pixels behind the stride-2 stem and the first
-# stride-2 stage, so 32 repeats already span a 256-pixel frame, about three
-# times the paper's 88; more only cost build time and memory (20,000 per
-# stage of width 4 took 10.8 s and 411 MiB, and no other check refused them).
-MAX_BLOCKS_PER_STAGE = 32
-
-
 @dataclass(frozen=True)
 class ExtractorSpec:
-    """Reference extractor layout: one downsampling stage per width.
+    """Reference extractor layout: one downsampling bottleneck per width.
 
     The input width is the stem's, given when the bottlenecks are laid out.
     """
 
     widths: tuple = (64, 128, 256, 512)
-    blocks_per_stage: int = 1
     expansion: float = 4.0
 
     def __post_init__(self):
         if not self.widths or any(w < 1 for w in self.widths):
             raise ConfigError("extractor widths must be a nonempty list of positive ints")
-        if not 1 <= self.blocks_per_stage <= MAX_BLOCKS_PER_STAGE:
-            raise ConfigError(f"extractor blocks_per_stage must lie in 1..{MAX_BLOCKS_PER_STAGE}, "
-                              f"got {self.blocks_per_stage}")
+        if len(self.widths) > MAX_STAGES:
+            raise ConfigError(f"extractor widths must be ≤ {MAX_STAGES} stages, got {len(self.widths)}")
         if not 0 < self.expansion < math.inf:
             raise ConfigError("extractor expansion must be positive")
 
@@ -95,27 +85,22 @@ class ExtractorSpec:
         return self.widths[-1]
 
     def bottlenecks(self, cin):
-        """(in width, out width, stride) of every bottleneck fed ``cin``
-        channels, in build order: each stage downsamples once, then repeats
-        at its own width."""
+        """(in width, out width) of every bottleneck fed ``cin`` channels, in build order."""
         for width in self.widths:
-            yield cin, width, 2
-            for _ in range(self.blocks_per_stage - 1):
-                yield width, width, 1
+            yield cin, width
             cin = width
 
 
 class _SpatialBottleneck(Module):
-    """2-D inverted bottleneck; residual only when shape-preserving. One
-    body runs every mode: in eval with no tape, on tiles of frames."""
+    """2-D inverted bottleneck that halves H and W, so it has no residual.
+    One body runs every mode: in eval with no tape, on tiles of frames."""
 
-    def __init__(self, cin, cout, stride, expansion):
+    def __init__(self, cin, cout, expansion):
         super().__init__()
         e = expanded_width(cin, expansion)
-        self.residual = stride == 1 and cin == cout
         self.body = Sequential(
             Conv2d(cin, e, 1, bias=False), BatchNorm(e), ReLU(),
-            Conv2d(e, e, 3, stride=stride, groups=e, bias=False), BatchNorm(e), ReLU(),
+            Conv2d(e, e, 3, stride=2, groups=e, bias=False), BatchNorm(e), ReLU(),
             Conv2d(e, cout, 1, bias=False), BatchNorm(cout),
         )
 
@@ -130,8 +115,7 @@ class _SpatialBottleneck(Module):
         expand, bn1, _, dw, bn2, _, project, bn3 = self.body
         h = conv_norm(expand, bn1, x, relu=True, fold=folds[0])
         h = conv_norm(dw, bn2, h, relu=True, fold=folds[1])
-        y = conv_norm(project, bn3, h, fold=folds[2])
-        return residual(self, y, x) if self.residual else y
+        return conv_norm(project, bn3, h, fold=folds[2])
 
 
 class ReferenceExtractor(Module):
@@ -146,18 +130,19 @@ class ReferenceExtractor(Module):
         super().__init__()
         self.spec = spec if spec is not None else ExtractorSpec()
         self.out_dim = self.spec.out_dim
-        self.stages = Sequential(*(_SpatialBottleneck(cin, cout, stride, self.spec.expansion)
-                                   for cin, cout, stride in self.spec.bottlenecks(in_channels)))
+        self.stages = Sequential(*(_SpatialBottleneck(cin, cout, self.spec.expansion)
+                                   for cin, cout in self.spec.bottlenecks(in_channels)))
 
-    def _check_spatial(self, h, w):
-        sizes, firsts = (h, w), list(self.stages)[::self.spec.blocks_per_stage]
-        for stage, block in enumerate(firsts[:-1], 1):
+    def _check_spatial(self, sizes, sample):
+        """Refuse the (H, W) ``sizes`` it is fed if they collapse to 1 before
+        the last stage; the message names ``sample``, the (H, W) of the clip."""
+        for stage, block in enumerate(list(self.stages)[:-1], 1):
             _, _, _, dw, *_ = block.body  # the stage's downsampling conv
             sizes = dw.spec.out_sizes(sizes)
             if min(sizes) <= 1:
                 raise ShapeError(
-                    f"spatial input {h}x{w} collapses before the final stage "
-                    f"(stage {stage} of {len(firsts)})"
+                    f"spatial input {sample[0]}x{sample[1]} collapses before the final stage "
+                    f"(stage {stage} of {len(self.stages)})"
                 )
 
     def forward(self, x):

@@ -170,6 +170,12 @@ class Module:
 # refuse configs whose parameter total would not fit in desk-scale memory
 PARAM_BUDGET_CAP = 1_000_000_000
 
+# Stages of the temporal stack and of the extractor. LWT1 stores sizes under
+# 2**32: temporal stage i dilates by 2**i, so every dilated tap of a 33rd one
+# reads only padding, and each extractor stage halves the frame, so a 33rd one
+# could never run.
+MAX_STAGES = 32
+
 
 def _declare(shape, fill=0.0):
     """A float32 parameter known by shape; it holds ``fill`` until allocated.

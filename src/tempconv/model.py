@@ -37,10 +37,7 @@ class TCN(Module):
         for i, width in enumerate(cfg.channels):
             if width != prev:
                 items.append(Conv1d(prev, width, 1, causal=True, bias=True))
-            items.append(make_block(
-                cfg.block_kind, width, 2 ** i, expansion=cfg.expansion,
-                kernel=cfg.kernel, dw_kernel=cfg.dw_kernel, dropout=cfg.dropout,
-            ))
+            items.append(make_block(cfg.block_kind, width, 2 ** i, dropout=cfg.dropout))
             prev = width
         self.body = Sequential(*items)
 
@@ -61,7 +58,7 @@ class Model(Module):
         self.build_version = BUILD_VERSION
         tcn_cfg = config.tcn
         if config.extractor is not None:
-            self.stem = Stem(config.stem, in_channels=config.in_channels)
+            self.stem = Stem(config.stem)
             self.extractor = ReferenceExtractor(config.extractor, config.stem.out_channels)
             width = self.extractor.out_dim
         else:
@@ -82,8 +79,7 @@ class Model(Module):
             raise ShapeError(f"model expects a sample of rank {expect}, got rank {len(shape)}")
         if self.has_frontend:
             self.stem._check(shape)
-            _, h, w = self.stem.conv.spec.out_sizes(shape[1:])
-            self.extractor._check_spatial(h, w)
+            self.extractor._check_spatial(self.stem.conv.spec.out_sizes(shape[1:])[1:], shape[2:])
         elif shape[0] != self.tcn.in_channels:
             raise ShapeError(f"input has {shape[0]} channels, "
                              f"temporal stack expects {self.tcn.in_channels}")
@@ -122,7 +118,11 @@ class Model(Module):
 
 
 def build_model(config, seed=0, init=True):
-    """Construct the network; parameters are a pure function of the seed."""
+    """Construct the network; parameters are a pure function of the seed.
+
+    With ``init=False`` the parameters stay declared by shape, holding no
+    storage: enough to count, describe and audit. A caller that writes
+    weights in place calls ``allocate()`` first, as ``load_state_dict`` does."""
     if not isinstance(config, ModelConfig):
         raise ConfigError("build_model expects a parsed ModelConfig")
     model = Model(config)  # parameters are declared by shape, not yet allocated
@@ -132,9 +132,7 @@ def build_model(config, seed=0, init=True):
             f"config implies {total:,} parameters, over the "
             f"{PARAM_BUDGET_CAP:,} budget cap"
         )
-    if init:
-        return model.init_parameters(np.random.default_rng(seed))
-    return model.allocate()
+    return model.init_parameters(np.random.default_rng(seed)) if init else model
 
 
 def receptive_field(config):

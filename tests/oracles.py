@@ -192,23 +192,25 @@ def template_predict(dataset, split, index):
 
 
 # -- closed-form parameter counts ------------------------------------------
-# One formula per block kind (c = width, e = expansion ratio, k = conv
-# kernel, K = depthwise kernel of the star family), written from the block
-# descriptions rather than from the built modules. Expanded widths are
-# rounded the way the constructors round them.
+# One formula per block kind (c = width, e = expansion ratio), written from
+# the block descriptions rather than from the built modules. Expanded widths
+# are rounded the way the constructors round them.
+
+K_PLAIN, K_STAR = 3, 7  # every conv kernel of the plain kinds; starv's depthwise kernel
+
 
 def _e(c, e):
     return int(round(e * c))
 
 
 PARAM_FORMS = {
-    "baseline": lambda c, e=None, k=3, K=None: 2 * (k * c * c + c) + 4 * c,
-    "linear": lambda c, e=None, k=3, K=None: c * c + (2 * k + 6) * c,
-    "fusedmb": lambda c, e=3.5, k=3, K=None: (k + 1) * c * _e(c, e) + 2 * _e(c, e) + 2 * c,
-    "invertedresidual": lambda c, e=2.0, k=3, K=None: 2 * c * _e(c, e) + (k + 4) * _e(c, e) + 2 * c,
-    "cib": lambda c, e=2.0, k=3, K=None: 2 * c * _e(c, e) + (k + 4) * _e(c, e) + (2 * k + 6) * c,
-    "uib": lambda c, e=4.0, k=3, K=None: 2 * c * _e(c, e) + (k + 4) * _e(c, e) + (k + 4) * c,
-    "starv": lambda c, e=4.0, k=3, K=7: 3 * c * _e(c, e) + 2 * _e(c, e) + (2 * K + 5) * c,
+    "baseline": lambda c: 2 * (K_PLAIN * c * c + c) + 4 * c,
+    "linear": lambda c: c * c + (2 * K_PLAIN + 6) * c,
+    "fusedmb": lambda c, e=3.5: (K_PLAIN + 1) * c * _e(c, e) + 2 * _e(c, e) + 2 * c,
+    "invertedresidual": lambda c, e=2.0: 2 * c * _e(c, e) + (K_PLAIN + 4) * _e(c, e) + 2 * c,
+    "cib": lambda c, e=2.0: 2 * c * _e(c, e) + (K_PLAIN + 4) * _e(c, e) + (2 * K_PLAIN + 6) * c,
+    "uib": lambda c, e=4.0: 2 * c * _e(c, e) + (K_PLAIN + 4) * _e(c, e) + (K_PLAIN + 4) * c,
+    "starv": lambda c, e=4.0: 3 * c * _e(c, e) + 2 * _e(c, e) + (2 * K_STAR + 5) * c,
 }
 
 # names that build no block: former copies and the former variant of starv,
@@ -217,12 +219,9 @@ RETIRED_KIND_NAMES = ("stari", "starii", "stariii", "stariv",
                       "baselinetcn", "invres", "inverted_residual", "star", "star-v")
 
 
-def block_param_form(kind, channels, expansion=None, kernel=3, dw_kernel=7):
-    """Closed-form parameters of one block; ``expansion=None`` is the kind's default."""
-    form = PARAM_FORMS[kind]
-    if expansion is None:
-        return form(channels, k=kernel, K=dw_kernel)
-    return form(channels, expansion, kernel, dw_kernel)
+def block_param_form(kind, channels):
+    """Closed-form parameters of one block."""
+    return PARAM_FORMS[kind](channels)
 
 
 def predict_param_count(config):
@@ -231,8 +230,7 @@ def predict_param_count(config):
     total = 0
     prev = tcn.channels[0]
     for width in tcn.channels:
-        total += block_param_form(tcn.block_kind, width, tcn.expansion,
-                                  tcn.kernel, tcn.dw_kernel)
+        total += block_param_form(tcn.block_kind, width)
         if width != prev:
             total += prev * width + width
         prev = width
@@ -243,10 +241,8 @@ def predict_param_count(config):
         cin = stem.out_channels
         e_ratio = config.extractor.expansion
         for width in config.extractor.widths:
-            chain = [(cin, width)] + [(width, width)] * (config.extractor.blocks_per_stage - 1)
-            for a, b in chain:
-                e = int(round(a * e_ratio))
-                total += a * e + 2 * e + 9 * e + 2 * e + e * b + 2 * b
+            e = int(round(cin * e_ratio))
+            total += cin * e + 2 * e + 9 * e + 2 * e + e * width + 2 * width
             cin = width
         d = config.extractor.widths[-1]
         if d != tcn.channels[0]:

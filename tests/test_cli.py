@@ -13,6 +13,7 @@ import pytest
 from tempconv import build_model, frontend, load_config_file, lwt
 from tempconv.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from tempconv.errors import ConfigError
+from tempconv.layers import MAX_STAGES
 
 from oracles import RETIRED_KIND_NAMES, lwt_record
 
@@ -117,12 +118,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,doc", [
         (["describe", "--set", "tcn.block_kind=50%"], None),
-        (["describe"], "[tcn]\nkernel = 3%\n"),
+        (["describe"], "[tcn]\nstages = 3%\n"),
         (["describe"], "[tcn]\nblock_kind = base%(x)s\n"),
         (["describe", "--set", "DEFAULT.seed=3"], None),
         (["describe"], "[DEFAULT]\nnum_classes = 7\n"),
-        (["describe", "--set", "tcn.expansion=nan"], None),
-        (["describe", "--set", "tcn.expansion=inf"], None),
+        (["describe", "--set", "tcn.dropout=nan"], None),
+        (["describe", "--set", "tcn.dropout=inf"], None),
         (["describe", "--set", "extractor.expansion=inf"], None),
         (["describe", "--set", "tcn.stages=33"], None),
         (["schedule", "--epochs", "1", "--base-lr", "nan"], None),
@@ -141,11 +142,10 @@ class TestExitCodes:
         (["describe", "--set", "extractor.widths=100000000000000000000"], None),
         (["describe", "--set", "stem.out_channels=100000000000000000000"], None),
         (["describe", "--set", "extractor.expansion=1e30"], None),
-        (["describe", "--set", "tcn.kernel=10000000000000000001"], None),
+        (["describe", "--set", "classifier.num_classes=10000000000000000001"], None),
         (["describe", "--set", "extractor.expansion=1.01"], None),
         (["describe", "--set", "extractor.in_channels=8"], None),
         (["describe", "--set", "stem.kernel=3"], None),
-        (["describe", "--set", "model.frontend=false", "--set", "model.in_channels=-5"], None),
         (["describe", "--set", "extractor.stage_widths=8"], None),
         # sizes whose arrays no machine holds, so they fail at once wherever they are not refused
         (["train-toy", "--config", TOY_CFG, "--set", "toy.train_size=1000000000000",
@@ -155,15 +155,14 @@ class TestExitCodes:
         (["gen-data", "--set", "toy.frame_size=10000000", "--set", "toy.num_classes=2",
           "--out", "{tmp}/toy.npz"], None),
     ], ids=["percent-override", "percent-doc", "interpolation-doc", "default-override",
-            "default-doc", "tcn-expansion-nan", "tcn-expansion-inf", "extractor-expansion-inf",
+            "default-doc", "tcn-dropout-nan", "tcn-dropout-inf", "extractor-expansion-inf",
             "stages-33", "schedule-lr-nan", "schedule-lr-negative", "train-lr-nan",
             "toy-frame-size-negative", "toy-seed-negative", "train-seed-negative",
             "seed-flag-negative", "gradcheck-seed-negative", "crop-size-negative",
             "tcn-channels-huge", "extractor-widths-huge", "stem-out-channels-huge",
-            "extractor-expansion-huge", "tcn-kernel-huge", "extractor-expansion-fraction",
-            "extractor-in-channels-key", "stem-kernel-key", "in-channels-without-frontend",
-            "extractor-stage-widths-key", "toy-train-size-huge", "toy-seq-len-huge",
-            "toy-frame-size-huge"])
+            "extractor-expansion-huge", "num-classes-huge", "extractor-expansion-fraction",
+            "extractor-in-channels-key", "stem-kernel-key", "extractor-stage-widths-key",
+            "toy-train-size-huge", "toy-seq-len-huge", "toy-frame-size-huge"])
     def test_bad_config_input(self, argv, doc, tmp_path, capsys):
         """Exit 2 with a ConfigError message: no traceback, no silent no-op."""
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -177,7 +176,7 @@ class TestExitCodes:
     def test_refused_width_allocates_nothing(self, capsys):
         """Norm buffers are declared by shape, so a refused width costs no memory."""
         argv = ["describe", "--set", "model.frontend=false", "--set", "tcn.block_kind=linear",
-                "--set", "tcn.kernel=1", "--set", "tcn.channels=5000000"]
+                "--set", "tcn.channels=5000000"]
         main(argv)  # the first call pays for one-time imports
         tracemalloc.start()
         try:
@@ -205,23 +204,22 @@ class TestExitCodes:
         return built
 
     def test_deep_extractor_refused_before_building(self, built, capsys):
-        """A huge blocks_per_stage is refused with the config, before any
-        bottleneck is built (10^9 never finished)."""
-        argv = ["describe", "--config", STARV_CFG, "--set", "extractor.blocks_per_stage=1000000000"]
+        """A 33rd extractor stage is refused with the config, before any
+        bottleneck is built: its frame could not be halved again."""
+        argv = ["describe", "--config", STARV_CFG, "--set", "extractor.widths=" + ",".join(["4"] * 33)]
         assert main(argv) == EXIT_VALIDATION
-        assert "blocks_per_stage must lie in 1..32" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "tempconv.ConfigError: extractor widths must be ≤ 32 stages, got 33\n")
         assert built == []
+        assert len(frontend.ExtractorSpec((4,) * MAX_STAGES).widths) == MAX_STAGES
 
-    def test_many_small_extractor_repeats_refused(self, built, capsys):
-        """Repeats too small to reach the parameter cap are bounded too
-        (20,000 per stage of width 4 built for 10.8 s, then exited 0)."""
-        argv = ["describe", "--config", STARV_CFG, "--set", "extractor.widths=4",
-                "--set", "extractor.blocks_per_stage=20000"]
+    def test_many_small_extractor_stages_refused(self, built, capsys):
+        """Stages too small to reach the parameter cap are bounded too
+        (20,000 of width 4 built for 11.8 s, then exited 0)."""
+        argv = ["describe", "--config", STARV_CFG, "--set", "extractor.widths=" + ",".join(["4"] * 20000)]
         assert main(argv) == EXIT_VALIDATION
         assert "ConfigError" in capsys.readouterr().err
         assert built == []
-        limit = frontend.MAX_BLOCKS_PER_STAGE
-        assert frontend.ExtractorSpec((4,), blocks_per_stage=limit).blocks_per_stage == limit
 
     def test_bad_input_tensor(self, tmp_path, capsys):
         p = tmp_path / "bad.lwt"
@@ -287,7 +285,7 @@ class TestCount:
 
     @pytest.mark.parametrize("flags,message", [
         (["--frames", "2"], "need at least 3 frames, got 2"),
-        (["--size", "6"], "spatial input 3x3 collapses before the final stage (stage 2 of 4)"),
+        (["--size", "6"], "spatial input 6x6 collapses before the final stage (stage 2 of 4)"),
         (["--size", "7"], "spatial size must be even, got 7x7"),
         (["--size", "0"], "input size 0 too small for kernel 5 with dilation 1"),
         (["--set", "model.frontend=false", "--frames", "0"],
@@ -606,11 +604,11 @@ class TestWhereItFailed:
         assert capsys.readouterr().err == f"tempconv.ConfigError: {cfg}: {reason}\n"
         assert main(["describe", "--config", str(cfg), "--set", "stem.out_channels=4"]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"tempconv.ConfigError: {reason}\n"
-        cfg.write_text("[model]\nin_channels = 2\n")
-        reason = "in_channels must be 1 or 3, got 2"
+        cfg.write_text("[stem]\nout_channels = 3\n[extractor]\nexpansion = 1.5\n")
+        reason = "expansion 1.5 does not give a whole width at 3 channels"
         assert main(["describe", "--config", str(cfg)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"tempconv.ConfigError: {cfg}: {reason}\n"
-        assert main(["describe", "--config", str(cfg), "--set", "extractor.expansion=2"]) == EXIT_VALIDATION
+        assert main(["describe", "--config", str(cfg), "--set", "tcn.stages=2"]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"tempconv.ConfigError: {reason}\n"
 
     def test_verify_names_a_malformed_row_config_once(self, tmp_path, capsys):
@@ -701,6 +699,29 @@ class TestRetiredModelKey:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == (
             "tempconv.ConfigError: unknown key(s) in [model]: experimental\n")
+
+
+class TestRetiredStructureKeys:
+    """Each block kind and the frontend have one structure: its kernels,
+    expansion, extractor depth and input channels are no keys, even at the
+    values they always had."""
+
+    KEYS = [("tcn", "kernel", "3"), ("tcn", "dw_kernel", "7"), ("tcn", "expansion", "4"),
+            ("extractor", "blocks_per_stage", "1"), ("model", "in_channels", "1")]
+
+    @pytest.mark.parametrize("section,key,value", KEYS, ids=[k for _, k, _ in KEYS])
+    @pytest.mark.parametrize("command", ["describe", "count", "train-toy"])
+    def test_refused_as_unknown(self, command, section, key, value, tmp_path, capsys):
+        run = tmp_path / "run"
+        extra = ["--run-dir", str(run)] if command == "train-toy" else []
+        cfg = tmp_path / "retired.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        reason = f"unknown key(s) in [{section}]: {key}"
+        for argv, where in ((["--config", str(cfg)], f"{cfg}: "),
+                            (["--config", TOY_CFG, "--set", f"{section}.{key}={value}"], "")):
+            assert main([command, *argv, *extra]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == f"tempconv.ConfigError: {where}{reason}\n"
+        assert not run.exists()
 
 
 class TestTrainToy:

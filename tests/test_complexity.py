@@ -89,7 +89,7 @@ JOIN_CASES = {
               f"[tcn]\nblock_kind = {kind}\nchannels = 8,16\nstages = 2\n", (2, 8, 7))
        for kind in BLOCK_KINDS},
     "frontend": ("[stem]\nout_channels = 4\n"
-                 "[extractor]\nwidths = 8, 16\nblocks_per_stage = 2\n"
+                 "[extractor]\nwidths = 8, 16\n"
                  "[tcn]\nblock_kind = starv\nchannels = 8\nstages = 2\n", (2, 1, 5, 16, 16)),
 }
 
@@ -142,10 +142,10 @@ class TestVerify:
         assert {r.row_id for r in results} == {"starv"}
         assert len(results) == 2  # params + macs
 
-    def test_negative_control_catches_wrong_expansion(self):
-        """Doubling the expansion ratio must blow every tolerance."""
+    def test_negative_control_catches_wrong_width(self):
+        """Doubling the temporal width must blow every tolerance."""
         text = open(os.path.join(CONFIGS, "starv.cfg")).read()
-        c = tc.parse_config(text, overrides=["tcn.expansion=8"])
+        c = tc.parse_config(text, overrides=["tcn.channels=1024"])
         model = tc.build_model(c, init=False)
         rep = audit(model, (1, 29, 88, 88))
         fixture = load_fixture(FIXTURE)

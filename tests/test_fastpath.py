@@ -199,7 +199,7 @@ def test_routes_take_channels_last_arrays(case):
 def test_eval_extractor_matches_channels_first_run(monkeypatch):
     """At batch 1 too, where a reshape could return a strided view."""
     rng = np.random.default_rng(0)
-    extractor = ReferenceExtractor(ExtractorSpec((8, 16), blocks_per_stage=2, expansion=2.0), 4)
+    extractor = ReferenceExtractor(ExtractorSpec((8, 16, 16), expansion=2.0), 4)
     extractor.init_parameters(rng)
     _randomize_norms(extractor, rng)
     extractor.eval()
@@ -213,7 +213,7 @@ def test_eval_extractor_matches_channels_first_run(monkeypatch):
 
     monkeypatch.setattr(ops, "conv", spy)
     got = [extractor(Tensor(x)).data for x in xs]
-    assert len(layouts) == 24 and all(layouts)  # every 2-D conv read a channels-last input
+    assert len(layouts) == 18 and all(layouts)  # every 2-D conv read a channels-last input
 
     apply_op = ops.apply_op  # every op's result copied to C order: a channels-first run
     monkeypatch.setattr(ops, "apply_op", lambda op, inputs, data, make_backward: apply_op(
@@ -582,10 +582,10 @@ def test_eval_fold_matches_unfolded_block(kind, dilation, frames, seed):
 
 
 @FIXED
-@given(stride=st.sampled_from([1, 2]), size=st.integers(1, 9), seed=st.integers(0, 2**16))
-def test_eval_fold_matches_unfolded_frontend(stride, size, seed):
+@given(cout=st.sampled_from([4, 8]), size=st.integers(1, 9), seed=st.integers(0, 2**16))
+def test_eval_fold_matches_unfolded_frontend(cout, size, seed):
     rng = np.random.default_rng(seed)
-    bottleneck = _SpatialBottleneck(4, 4 * stride, stride, 2.0)
+    bottleneck = _SpatialBottleneck(4, cout, 2.0)
     bottleneck.init_parameters(rng)
     _randomize_norms(bottleneck, rng)
     _fold_matches_unfolded(bottleneck, rng.standard_normal((3, 4, size, size)).astype(np.float32))
