@@ -20,7 +20,6 @@ import math
 import os
 from dataclasses import dataclass
 
-from .blocks import TemporalBlock
 from .errors import ConfigError, FormatError, located
 from .layers import Conv
 from .model import Model
@@ -102,14 +101,8 @@ def audit(model, input_shape=None):
         t, h, w = row("stem", "stem", model.stem, shape[1:])
         row("extractor", "extractor", model.extractor, (h, w), repeat=t)
     sizes = (t,)
-    stage = 0
-    for layer in model.tcn.body:
-        if isinstance(layer, TemporalBlock):
-            name = f"tcn[{stage}] {layer.kind} d={layer.dilation}"
-            stage += 1
-        else:
-            name = f"tcn transition {layer.spec.in_channels}->{layer.spec.out_channels}"
-        sizes = row("tcn", name, layer, sizes)
+    for stage, block in enumerate(model.tcn.body):
+        sizes = row("tcn", f"tcn[{stage}] {block.kind} d={block.dilation}", block, sizes)
     rows.append(ComplexityRow("classifier", "classifier",
                               model.head.param_count(), model.head.fc.weight.size))
     report = ComplexityReport(model.config_hash, shape, tuple(rows))

@@ -36,7 +36,7 @@ from .layers import MAX_STAGES, PARAM_BUDGET_CAP
 class TCNConfig:
     block_kind: str = "baseline"
     stages: int = 4
-    channels: tuple = (512,)  # one width is broadcast to every stage
+    channels: int = 512  # every stage's width
     dropout: float = 0.2
 
     def __post_init__(self):
@@ -45,16 +45,11 @@ class TCNConfig:
             raise ConfigError("stages must be ≥ 1")
         if self.stages > MAX_STAGES:
             raise ConfigError(f"stages must be ≤ {MAX_STAGES}, got {self.stages}")
-        if len(self.channels) == 1:
-            object.__setattr__(self, "channels", tuple(self.channels) * self.stages)
-        if len(self.channels) != self.stages:
-            raise ConfigError(f"channels list has {len(self.channels)} entries for {self.stages} stages")
-        if any(c < 1 for c in self.channels):
+        if self.channels < 1:
             raise ConfigError("channels must be ≥ 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        for c in self.channels:  # the builder's width rule, at parse time
-            block_width(self.block_kind, c)
+        block_width(self.block_kind, self.channels)  # the builder's width rule, at parse time
 
 
 @dataclass(frozen=True)
@@ -80,6 +75,9 @@ class ModelConfig:
         if self.extractor is not None:
             for cin, _ in self.extractor.bottlenecks(self.stem.out_channels):
                 expanded_width(cin, self.extractor.expansion)
+            if self.tcn.channels != self.extractor.out_dim:
+                raise ConfigError(f"[tcn] channels {self.tcn.channels} must equal the extractor's "
+                                  f"output width, widths[-1] = {self.extractor.out_dim}")
 
 
 @dataclass(frozen=True)

@@ -11,41 +11,28 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .blocks import TemporalBlock, make_block
+from .blocks import make_block
 from .config import ModelConfig, config_hash, config_to_dict
 from .errors import ConfigError, ShapeError
 from .frontend import ClassifierHead, ReferenceExtractor, Stem
-from .layers import PARAM_BUDGET_CAP, Conv1d, Module, Sequential, fast_eval
+from .layers import PARAM_BUDGET_CAP, Module, Sequential, fast_eval
 from .tensor import unchecked
 
 BUILD_VERSION = "0.1.0"
 
 
 class TCN(Module):
-    """Stack of temporal blocks with dilation doubled at every stage.
+    """``cfg.stages`` temporal blocks of one width, ``cfg.channels``, with
+    dilation doubled at every stage."""
 
-    A biased pointwise transition is inserted wherever the incoming width
-    differs from a stage's: between stages, and before the first stage when
-    the input (the extractor's output, say) has another width.
-    """
-
-    def __init__(self, cfg, in_channels):
+    def __init__(self, cfg):
         super().__init__()
-        self.in_channels = in_channels
-        items = []
-        prev = in_channels
-        for i, width in enumerate(cfg.channels):
-            if width != prev:
-                items.append(Conv1d(prev, width, 1, causal=True, bias=True))
-            items.append(make_block(cfg.block_kind, width, 2 ** i, dropout=cfg.dropout))
-            prev = width
-        self.body = Sequential(*items)
+        self.in_channels = cfg.channels
+        self.body = Sequential(*(make_block(cfg.block_kind, cfg.channels, 2 ** i, dropout=cfg.dropout)
+                                 for i in range(cfg.stages)))
 
     def forward(self, x):
         return self.body(x)
-
-    def blocks(self):
-        return [layer for layer in self.body if isinstance(layer, TemporalBlock)]
 
 
 class Model(Module):
@@ -56,16 +43,13 @@ class Model(Module):
         self.config = config
         self.config_hash = config_hash(config)
         self.build_version = BUILD_VERSION
-        tcn_cfg = config.tcn
         if config.extractor is not None:
             self.stem = Stem(config.stem)
             self.extractor = ReferenceExtractor(config.extractor, config.stem.out_channels)
-            width = self.extractor.out_dim
         else:
             self.stem = self.extractor = None
-            width = tcn_cfg.channels[0]
-        self.tcn = TCN(tcn_cfg, width)
-        self.head = ClassifierHead(tcn_cfg.channels[-1], config.classifier.num_classes)
+        self.tcn = TCN(config.tcn)
+        self.head = ClassifierHead(config.tcn.channels, config.classifier.num_classes)
 
     @property
     def has_frontend(self):
@@ -141,8 +125,7 @@ def receptive_field(config):
     1 + sum over blocks of (kernel - 1) * dilation per temporal conv;
     the stem's temporal kernel widens it further when the frontend is present.
     """
-    blocks = TCN(config.tcn, config.tcn.channels[0]).blocks()
-    rf = 1 + sum((k - 1) * d for block in blocks for k, d in block.rf_taps())
+    rf = 1 + sum((k - 1) * d for block in TCN(config.tcn).body for k, d in block.rf_taps())
     if config.extractor is not None:
         rf += config.stem.kernel[0] - 1
     return rf
@@ -166,7 +149,6 @@ def describe(model):
             lines.append(f"    {key} = {value}")
     lines.append("")
     lines.append("modules:")
-    tcn = config.tcn
     if model.has_frontend:
         stem = model.stem
         lines.append(
@@ -179,26 +161,17 @@ def describe(model):
             f"  extractor   {len(ext.spec.widths)} stage(s) widths {ext.spec.widths}  "
             f"params {_fmt(ext.param_count())}"
         )
-    stage = 0
-    for layer in model.tcn.body:
-        if isinstance(layer, TemporalBlock):
-            lines.append(
-                f"  tcn[{stage}]      {layer.kind} C={layer.channels} d={layer.dilation}  "
-                f"params {_fmt(layer.param_count())}"
-            )
-            stage += 1
-        else:
-            source = stage - 1 if stage else "in"
-            lines.append(
-                f"  tcn[{source}->{stage}] transition pw {layer.spec.in_channels}->"
-                f"{layer.spec.out_channels}  params {_fmt(layer.param_count())}"
-            )
+    for stage, block in enumerate(model.tcn.body):
+        lines.append(
+            f"  tcn[{stage}]      {block.kind} C={block.channels} d={block.dilation}  "
+            f"params {_fmt(block.param_count())}"
+        )
     lines.append(
-        f"  classifier  {tcn.channels[-1]}->{config.classifier.num_classes}  "
+        f"  classifier  {config.tcn.channels}->{config.classifier.num_classes}  "
         f"params {_fmt(model.head.param_count())}"
     )
     lines.append("")
-    lines.append(f"dilations: {[block.dilation for block in model.tcn.blocks()]}")
+    lines.append(f"dilations: {[block.dilation for block in model.tcn.body]}")
     lines.append(f"receptive field: {receptive_field(config)} frame(s)")
     lines.append(f"total parameters: {_fmt(model.param_count())}")
     return "\n".join(lines)

@@ -73,9 +73,8 @@ def _forward_loss(model, x, targets, valid_len):
     return ops.cross_entropy(logits, Tensor(targets))
 
 
-def evaluate(model, dataset, split, tcfg=None):
-    """Top-1 accuracy on a split: eval mode, center crop, full lengths."""
-    tcfg = tcfg if tcfg is not None else TrainConfig()
+def evaluate(model, dataset, split, tcfg):
+    """Top-1 accuracy on a split in ``tcfg``'s batches: eval mode, center crop, full lengths."""
     n = dataset.split_size(split)
     if n < 1:
         raise ConfigError(f"cannot evaluate empty split '{split}'")

@@ -227,13 +227,7 @@ def block_param_form(kind, channels):
 def predict_param_count(config):
     """Closed-form parameter total for a parsed config, without building it."""
     tcn = config.tcn
-    total = 0
-    prev = tcn.channels[0]
-    for width in tcn.channels:
-        total += block_param_form(tcn.block_kind, width)
-        if width != prev:
-            total += prev * width + width
-        prev = width
+    total = tcn.stages * block_param_form(tcn.block_kind, tcn.channels)
     if config.extractor is not None:
         stem = config.stem
         total += config.in_channels * stem.out_channels * math.prod(stem.kernel)
@@ -244,10 +238,7 @@ def predict_param_count(config):
             e = int(round(cin * e_ratio))
             total += cin * e + 2 * e + 9 * e + 2 * e + e * width + 2 * width
             cin = width
-        d = config.extractor.widths[-1]
-        if d != tcn.channels[0]:
-            total += d * tcn.channels[0] + tcn.channels[0]
-    total += tcn.channels[-1] * config.classifier.num_classes + config.classifier.num_classes
+    total += tcn.channels * config.classifier.num_classes + config.classifier.num_classes
     return total
 
 

@@ -43,10 +43,10 @@ def test_tracer_resolves_every_patch_point():
 def test_traced_forwards_join_the_audit_macs():
     spans = _load_spans()
     config = tc.parse_config("", ["stem.out_channels=4", "extractor.widths=8,16",
-                                  "tcn.channels=8", "tcn.stages=1", "classifier.num_classes=5"])
+                                  "tcn.channels=16", "tcn.stages=1", "classifier.num_classes=5"])
     model = tc.build_model(config, seed=0)
     tcn = tc.build_model(tc.parse_config("", [
-        "model.frontend=false", "tcn.block_kind=starv", "tcn.stages=2", "tcn.channels=8,16",
+        "model.frontend=false", "tcn.block_kind=starv", "tcn.stages=2", "tcn.channels=8",
         "classifier.num_classes=5"]), seed=0)
     shape, tcn_shape = model.input_shape(5, 16), tcn.input_shape(12)
     audit = {"small": complexity.audit(model, shape).total_macs,
@@ -74,10 +74,10 @@ def test_traced_tiles_join_the_audit_macs(monkeypatch):
     convs of every tile add up to the audit's MACs, each counted once."""
     spans = _load_spans()
     model = tc.build_model(tc.parse_config("", [
-        "stem.out_channels=4", "extractor.widths=8,16", "tcn.block_kind=starv", "tcn.channels=8",
+        "stem.out_channels=4", "extractor.widths=8,16", "tcn.block_kind=starv", "tcn.channels=16",
         "tcn.stages=1", "classifier.num_classes=5"]), seed=0).eval()
     tcn = tc.build_model(tc.parse_config("", [
-        "model.frontend=false", "tcn.block_kind=starv", "tcn.stages=2", "tcn.channels=8,16",
+        "model.frontend=false", "tcn.block_kind=starv", "tcn.stages=2", "tcn.channels=8",
         "classifier.num_classes=5"]), seed=0).eval()
     shape, tcn_shape = model.input_shape(5, 16), tcn.input_shape(12)
     audit = {"small": complexity.audit(model, shape).total_macs,

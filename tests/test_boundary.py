@@ -20,15 +20,14 @@ def cases(draw):
     kind = draw(st.sampled_from(BLOCK_KINDS))
     frontend = draw(st.booleans())
     stages = draw(st.integers(1, 2))
-    widths = [draw(st.sampled_from([4, 8])) for _ in range(stages)]
+    width = draw(st.sampled_from([4, 8]))
     frames = draw(st.sampled_from([3, 5, 9]))
     seed = draw(st.integers(0, 2**16))
     overrides = [f"tcn.block_kind={kind}", f"tcn.stages={stages}",
-                 f"tcn.channels={','.join(map(str, widths))}",
+                 f"tcn.channels={width}",
                  f"classifier.num_classes={CLASSES}"]
     if frontend:
-        # extractor output 8 differs from a first tcn width of 4: a leading transition
-        overrides += ["stem.out_channels=4", "extractor.widths=4,8"]
+        overrides += ["stem.out_channels=4", f"extractor.widths=4,{width}"]
     else:
         overrides.append("model.frontend=false")
     config = tc.parse_config("", overrides)

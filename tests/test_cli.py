@@ -147,6 +147,8 @@ class TestExitCodes:
         (["describe", "--set", "extractor.in_channels=8"], None),
         (["describe", "--set", "stem.kernel=3"], None),
         (["describe", "--set", "extractor.stage_widths=8"], None),
+        (["describe", "--set", "tcn.channels=8,16"], None),
+        (["describe", "--set", "extractor.widths=8,16", "--set", "tcn.channels=8"], None),
         # sizes whose arrays no machine holds, so they fail at once wherever they are not refused
         (["train-toy", "--config", TOY_CFG, "--set", "toy.train_size=1000000000000",
           "--run-dir", "{tmp}/run"], None),
@@ -162,6 +164,7 @@ class TestExitCodes:
             "tcn-channels-huge", "extractor-widths-huge", "stem-out-channels-huge",
             "extractor-expansion-huge", "num-classes-huge", "extractor-expansion-fraction",
             "extractor-in-channels-key", "stem-kernel-key", "extractor-stage-widths-key",
+            "tcn-channels-list", "tcn-width-unlike-extractor",
             "toy-train-size-huge", "toy-seq-len-huge", "toy-frame-size-huge"])
     def test_bad_config_input(self, argv, doc, tmp_path, capsys):
         """Exit 2 with a ConfigError message: no traceback, no silent no-op."""
@@ -171,7 +174,9 @@ class TestExitCodes:
             path.write_text(doc)
             argv = argv + ["--config", str(path)]
         assert main(argv) == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("tempconv.ConfigError: ")
+        err = capsys.readouterr().err
+        assert err.startswith("tempconv.ConfigError: ")
+        assert err.count("\n") == 1, err
 
     def test_refused_width_allocates_nothing(self, capsys):
         """Norm buffers are declared by shape, so a refused width costs no memory."""
@@ -574,6 +579,9 @@ class TestWhereItFailed:
     @pytest.mark.parametrize("command,section,text,reason,other", [
         *((command, "tcn", "stages = 40", "stages must be ≤ 32, got 40", "tcn.dropout=0.1")
           for command in ("describe", "count", "infer", "train-toy")),
+        *((command, "tcn", "channels = 8\n[extractor]\nwidths = 8, 16",
+           "[tcn] channels 8 must equal the extractor's output width, widths[-1] = 16",
+           "tcn.dropout=0.1") for command in ("describe", "count")),
         *((command, "train", "epochs = 0", "epochs must be ≥ 1, got 0", "train.seed=1")
           for command in ("infer", "train-toy")),
         *((command, "toy", "seed = -1", "toy seed must be ≥ 0, got -1", "toy.noise=0.1")

@@ -86,11 +86,11 @@ class TestAudit:
 
 JOIN_CASES = {
     **{kind: ("[model]\nfrontend = false\n"
-              f"[tcn]\nblock_kind = {kind}\nchannels = 8,16\nstages = 2\n", (2, 8, 7))
+              f"[tcn]\nblock_kind = {kind}\nchannels = 8\nstages = 2\n", (2, 8, 7))
        for kind in BLOCK_KINDS},
     "frontend": ("[stem]\nout_channels = 4\n"
                  "[extractor]\nwidths = 8, 16\n"
-                 "[tcn]\nblock_kind = starv\nchannels = 8\nstages = 2\n", (2, 1, 5, 16, 16)),
+                 "[tcn]\nblock_kind = starv\nchannels = 16\nstages = 2\n", (2, 1, 5, 16, 16)),
 }
 
 
@@ -145,9 +145,9 @@ class TestVerify:
     def test_negative_control_catches_wrong_width(self):
         """Doubling the temporal width must blow every tolerance."""
         text = open(os.path.join(CONFIGS, "starv.cfg")).read()
-        c = tc.parse_config(text, overrides=["tcn.channels=1024"])
+        c = tc.parse_config(text, overrides=["model.frontend=false", "tcn.channels=1024"])
         model = tc.build_model(c, init=False)
-        rep = audit(model, (1, 29, 88, 88))
+        rep = audit(model, model.input_shape(frames=29))
         fixture = load_fixture(FIXTURE)
         row = next(r for r in fixture["rows"] if r["id"] == "starv")
         results = verify_report(rep, row)
@@ -271,7 +271,7 @@ class TestWhatAModelAccepts:
                            "[tcn]\nblock_kind = starv\nchannels = 8\nstages = 1\n"
                            "[classifier]\nnum_classes = 4\n"),
         "starv-frontendless": ("[model]\nfrontend = false\n[tcn]\nblock_kind = starv\n"
-                               "channels = 8, 16\nstages = 2\n[classifier]\nnum_classes = 4\n"),
+                               "channels = 8\nstages = 2\n[classifier]\nnum_classes = 4\n"),
     }
 
     @staticmethod

@@ -259,10 +259,9 @@ def test_eval_tcn_keeps_channels_last(kind, monkeypatch):
 
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))
-# the shipped stacks at small widths; a TCN width of 6 against the extractor's
-# 8 keeps the leading pointwise transition
+# the shipped stacks at small widths
 SMALL = ["stem.out_channels=4", "extractor.widths=4,8", "extractor.expansion=2",
-         "tcn.channels=6", "classifier.num_classes=3"]
+         "tcn.channels=8", "classifier.num_classes=3"]
 
 
 def _shape_class_route(spec):

@@ -117,7 +117,7 @@ def _overflowing(kind):
     all-ones input: to -inf under the baseline ReLU, to +inf under the star
     gate's ReLU6."""
     model, _ = _model(kind)
-    block = model.tcn.blocks()[0]
+    block = next(iter(model.tcn.body))
     if kind == "baseline":
         list(block.body)[0].weight.data[0] = -1e38
     else:

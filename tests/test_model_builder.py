@@ -53,7 +53,7 @@ class TestConfigValidation:
     def test_defaults(self):
         c = cfg("")
         assert c.tcn.stages == 4
-        assert c.tcn.channels == (512,) * 4
+        assert c.tcn.channels == 512
         assert c.tcn.dropout == 0.2
         assert c.in_channels == 1
         assert c.classifier.num_classes == 500
@@ -63,15 +63,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="stages must be ≥ 1"):
             cfg("[tcn]\nstages = 0\n")
         # past 32 stages every dilated tap of an LWT1-sized input reads padding
-        assert cfg("[tcn]\nstages = 32\nchannels = 8\n").tcn.channels == (8,) * 32
+        assert cfg(TCN_ONLY + "[tcn]\nstages = 32\nchannels = 8\n").tcn.stages == 32
         with pytest.raises(ConfigError, match="stages must be ≤ 32"):
             cfg("[tcn]\nstages = 33\n")
-
-    def test_channel_list_length(self):
-        c = cfg("[tcn]\nstages = 3\nchannels = 64, 128, 256\n")
-        assert c.tcn.channels == (64, 128, 256)
-        with pytest.raises(ConfigError):
-            cfg("[tcn]\nstages = 3\nchannels = 64, 128\n")
 
     def test_unknown_section_and_key(self):
         with pytest.raises(ConfigError):
@@ -91,11 +85,11 @@ class TestConfigValidation:
 
     def test_fractional_expansion_must_hit_whole_width(self):
         with pytest.raises(ConfigError, match=WIDTH_RULE):
-            cfg("[tcn]\nblock_kind = fusedmb\nchannels = 10, 5\nstages = 2\n")
+            cfg("[tcn]\nblock_kind = fusedmb\nchannels = 5\nstages = 2\n")
 
     def test_set_overrides(self):
-        c = cfg("[tcn]\nstages = 4\n", overrides=["tcn.stages=2", "tcn.channels=32"])
-        assert c.tcn.stages == 2 and c.tcn.channels == (32, 32)
+        c = cfg(TCN_ONLY + "[tcn]\nstages = 4\n", overrides=["tcn.stages=2", "tcn.channels=32"])
+        assert c.tcn.stages == 2 and c.tcn.channels == 32
 
     def test_bad_override_value(self):
         with pytest.raises(ConfigError):
@@ -132,6 +126,7 @@ class TestConfigValidation:
 
 WIDTH_RULE = "expansion 3.5 does not give a whole width at 5 channels"
 KIND_RULE = "unknown block kind 'stariii'"
+TCN_WIDTH_RULE = r"\[tcn\] channels 256 must equal the extractor's output width, widths\[-1\] = 512"
 
 
 @st.composite
@@ -142,9 +137,12 @@ def documents(draw):
                  f"tcn.channels={draw(st.sampled_from(['1', '3', '4', '5', '4,6', '8,3']))}",
                  "classifier.num_classes=3"]
     if draw(st.booleans()):
+        widths = draw(st.sampled_from(['2', '4,6', '3,4,5']))
         overrides += [f"stem.out_channels={draw(st.integers(1, 6))}",
-                      f"extractor.widths={draw(st.sampled_from(['2', '4,6', '3,4,5']))}",
+                      f"extractor.widths={widths}",
                       f"extractor.expansion={draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))}"]
+        if draw(st.booleans()):  # the one [tcn] width a frontend admits
+            overrides.append(f"tcn.channels={widths.split(',')[-1]}")
     else:
         overrides.append("model.frontend=false")
     return overrides
@@ -163,11 +161,14 @@ class TestModelRules:
          "expansion 1.5 does not give a whole width at 3 channels"),
         (lambda: replace(cfg(""), stem=None), "must both be set"),
         (lambda: replace(cfg(TCN_ONLY), tcn=tc.TCNConfig(block_kind="stariii")), KIND_RULE),
-        (lambda: replace(cfg(TCN_ONLY), tcn=tc.TCNConfig(block_kind="fusedmb", channels=(5,))),
+        (lambda: replace(cfg(TCN_ONLY), tcn=tc.TCNConfig(block_kind="fusedmb", channels=5)),
          WIDTH_RULE),
+        (lambda: cfg("", ["tcn.channels=256"]), TCN_WIDTH_RULE),
+        (lambda: replace(cfg(""), tcn=tc.TCNConfig(channels=256)), TCN_WIDTH_RULE),
     ], ids=["fractional-width-parse", "fractional-width-make-block", "retired-kind-parse",
             "retired-kind-make-block", "stem-width-fractional-expansion", "stem-without-extractor",
-            "retired-kind-replace", "fractional-width-replace"])
+            "retired-kind-replace", "fractional-width-replace", "tcn-width-parse",
+            "tcn-width-replace"])
     def test_refused_where_the_rule_lives(self, make, match):
         with pytest.raises(ConfigError, match=match):
             make()
@@ -199,17 +200,10 @@ class TestParamPrediction:
         assert predict_param_count(c) == model.param_count()
 
     def test_full_model_prediction(self):
-        c = cfg("[tcn]\nchannels = 128\nstages = 2\n[classifier]\nnum_classes = 12\n")
+        c = cfg("[extractor]\nwidths = 64, 128\n[tcn]\nchannels = 128\nstages = 2\n"
+                "[classifier]\nnum_classes = 12\n")
         model = tc.build_model(c, init=False)
         assert predict_param_count(c) == model.param_count()
-
-    def test_per_stage_widths_add_transitions(self):
-        uniform = cfg(TCN_ONLY + "[tcn]\nstages = 2\nchannels = 64\n")
-        mixed = cfg(TCN_ONLY + "[tcn]\nstages = 2\nchannels = 64, 96\n")
-        m_uniform = tc.build_model(uniform, init=False)
-        m_mixed = tc.build_model(mixed, init=False)
-        assert m_mixed.param_count() != m_uniform.param_count()
-        assert predict_param_count(mixed) == m_mixed.param_count()
 
     def test_budget_cap_enforced(self):
         """Over-budget configs fail on declared shapes, before any weight is
@@ -335,15 +329,6 @@ class TestDescribe:
         assert "receptive field" in text.lower()
         assert tc.config_hash(c) in text
         assert f"{predict_param_count(c):,}" in text
-
-    def test_describe_names_the_leading_transition(self):
-        """An extractor width unlike the first TCN width gets the TCN's own
-        transition, named for the input it reads."""
-        c = cfg("[stem]\nout_channels = 4\n[extractor]\nwidths = 4, 16\n"
-                "[tcn]\nchannels = 8\nstages = 2\n[classifier]\nnum_classes = 3\n")
-        text = tc.describe(tc.build_model(c, init=False))
-        assert "  tcn[in->0] transition pw 16->8  params 136" in text
-        assert "tcn[-1" not in text
 
     def test_describe_deterministic(self):
         c = cfg(TCN_ONLY + "[tcn]\nchannels = 16\n")
