@@ -14,22 +14,31 @@ and backward alike:
   tile of whole samples, over a read-only view of the tile's tap windows,
   into one preallocated channels-last output; its backward runs per kernel
   tap on the same tiles, over only the positions each tap reads;
-- ``GEMM`` (every other conv, any groups): im2col, one column block per
-  kernel tap, then one ``matmul`` per sample and group.
+- ``GEMM`` (every other conv, any groups): im2col, then GEMMs over the
+  whole batch, in one of two column layouts picked by shape alone
+  (:func:`_frame_columns`). A conv with one input channel and stride 1 on
+  its first axis (the 3-D stem) writes one im2col per padded frame over
+  the other axes' taps, reads each first-axis tap as a shifted view of it
+  and accumulates one GEMM per such tap, channels-first. Every other conv
+  gathers channels-last columns, (N·S_out, C/G·taps) per group, from a
+  channels-last padded copy and runs GEMMs per group over blocks of those
+  rows, its result channels-last. Either way the weight's plain reshape is
+  the GEMM operand.
 
 Every route is tested against the reference conv in ``tests/oracles.py``.
 
 Eval-mode batch norm is one multiply-add per element; the layers fold it
 into the conv before it when no tape records (``layers.conv_norm``).
-Training-mode batch norm reduces over a copy-free (A, C, B) view of a
-channels-last or channels-first input.
+Training-mode batch norm reduces over a copy-free (rows, C) view of a
+channels-last input or an (N, C, S) view of a channels-first one.
 
 Layout convention: every op takes and returns the logical shape (N, C, *S),
 batched and channels-first. Memory may be channels-last: an array that is
 the (N, C, *S) view of a C-order (N, *S, C) array. The depthwise and the
-pointwise routes return that layout at every rank, elementwise and
-normalization ops keep the layout their inputs share, and every op accepts
-either. Only :class:`~tempconv.model.Model` also accepts a single sample.
+pointwise routes, and the GEMM route on channels-last columns, return that
+layout at every rank, elementwise and normalization ops keep the layout
+their inputs share, and every op accepts either. Only
+:class:`~tempconv.model.Model` also accepts a single sample.
 """
 from __future__ import annotations
 
@@ -126,11 +135,11 @@ class ConvSpec:
 
 
 def _padded(xd, spec, dtype):
-    """Zero-padded copy of an (N, C, *S) input, written once, straight into
-    the padded buffer."""
+    """Zero-padded channels-last (N, *P, C) copy of an (N, C, *S) input,
+    written once, straight into the padded buffer."""
     n, c, *sizes = xd.shape
-    buf = np.zeros([n, c, *(s + lo + hi for s, (lo, hi) in zip(sizes, spec.pad_pairs()))], dtype)
-    buf[_interior(spec, 2)] = xd
+    buf = np.zeros([n, *(s + lo + hi for s, (lo, hi) in zip(sizes, spec.pad_pairs())), c], dtype)
+    buf[_interior(spec, 1)] = np.moveaxis(xd, 1, -1)
     return buf
 
 
@@ -174,38 +183,128 @@ def _pointwise_backward(up, wd, spec, xl, need_x, need_w):
     return gx, gw
 
 
+# Rows of channels-last columns per forward GEMM call. OpenBLAS packs the
+# rows of one call, up to its own block size, into a buffer whose touched
+# pages stay resident, so a taller call raises peak RSS: the (2048 × 1536)
+# @ (1536 × 512) GEMM of a `long_seq` baseline k3 conv touched 2.7 MiB
+# more in one call than the per-sample GEMMs it replaced, and 0.1 MiB more
+# in 512-row calls, for +10 % GEMM time (14.5 → 15.9 ms, 2 vCPUs).
+_GEMM_ROWS = 512
+
+# Columns per cache-sized block of the channels-last gather. Each kernel
+# tap writes every taps-th column element, so a block of the first output
+# axis takes all its taps while it is in cache: on the `long_seq` baseline
+# forward (eight k3 convs over 2 × 1024 frames of 512 channels) the gather
+# took 21 ms in blocks of about this size against 36 ms unblocked.
+_GATHER_BYTES = 1 << 20
+
+
 def _gemm_forward(xd, wd, bd, spec, out_sizes):
-    """im2col, one (N, C, S_out) column block per kernel tap, then one batched
-    ``matmul`` of each group's (O/G, C/G·taps) weight against its columns."""
-    n, c = xd.shape[:2]
-    g = spec.groups
+    """im2col and GEMMs over the whole batch, on per-frame columns where
+    :func:`_frame_columns` says so. Otherwise the (N·S_out, C·taps) columns
+    are gathered channels-last from a channels-last padded copy, one strided
+    write per kernel tap and block of ``_GATHER_BYTES``, in the (C, taps)
+    order of the weight's rows; GEMMs over ``_GEMM_ROWS`` of them at a time,
+    the groups as a batch axis, write the channels-last output."""
     dtype = np.result_type(xd, wd)
-    taps = math.prod(spec.kernel)
+    if _frame_columns(spec):
+        return _frame_forward(xd, wd, bd, spec, out_sizes, dtype)
+    n, c = xd.shape[:2]
+    g, o, taps = spec.groups, spec.out_channels, math.prod(spec.kernel)
     xp = _padded(xd, spec, dtype)
-    cols = np.empty((n, c, taps) + out_sizes, dtype)
-    for t, tap in enumerate(np.ndindex(*spec.kernel)):
-        cols[:, :, t] = xp[_tap_index(tap, spec, out_sizes, 2)]
-    cols = cols.reshape(n, g, c // g * taps, -1)
-    y = np.matmul(wd.reshape(g, spec.out_channels // g, -1), cols)
-    return _biased(y.reshape((n, spec.out_channels) + out_sizes), bd), (xp.shape, cols)
+    cols = np.empty((n, *out_sizes, c, taps), dtype)
+    s, reach = spec.stride[0], (spec.kernel[0] - 1) * spec.dilation[0]
+    step = max(1, _GATHER_BYTES // cols[:, :1].nbytes)
+    for a in range(0, out_sizes[0], step):
+        block = (min(step, out_sizes[0] - a),) + out_sizes[1:]
+        src = xp[:, a * s:(a + block[0] - 1) * s + reach + 1]
+        for t, tap in enumerate(np.ndindex(*spec.kernel)):
+            cols[:, a:a + block[0], ..., t] = src[_tap_index(tap, spec, block, 1)]
+    cols = cols.reshape(-1, g, c // g * taps)  # (N·S_out, G, C/G·taps)
+    y = np.empty((n, *out_sizes, o), dtype)
+    yg, cg = y.reshape(-1, g, o // g).transpose(1, 0, 2), cols.transpose(1, 0, 2)
+    wg = wd.reshape(g, o // g, -1).transpose(0, 2, 1)
+    for r in range(0, len(cols), _GEMM_ROWS):
+        np.matmul(cg[:, r:r + _GEMM_ROWS], wg, out=yg[:, r:r + _GEMM_ROWS])
+    return _biased(np.moveaxis(y, -1, 1), bd), (xp.shape, cols)
 
 
 def _gemm_backward(up, wd, spec, saved, need_x, need_w):
+    if _frame_columns(spec):
+        return _frame_backward(up, wd, spec, saved, need_x, need_w)
     padded_shape, cols = saved
-    n, g = up.shape[0], spec.groups
-    up4 = up.reshape(n, g, spec.out_channels // g, -1)
+    g, o = spec.groups, spec.out_channels
+    upg = np.moveaxis(up, 1, -1).reshape(-1, g, o // g).transpose(1, 0, 2)  # (G, N·S_out, O/G)
     gx = gw = None
     if need_x:
-        # col2im: add each tap's column block back where it was read
-        wt = wd.reshape(g, spec.out_channels // g, -1).transpose(0, 2, 1)
-        gcols = np.matmul(wt, up4).reshape((n, spec.in_channels, -1) + up.shape[2:])
+        # col2im: add each tap's columns back, channels-last, where it read
+        gcols = np.empty(cols.shape, np.result_type(up, wd))
+        np.matmul(upg, wd.reshape(g, o // g, -1), out=gcols.transpose(1, 0, 2))
+        gcols = gcols.reshape(up.shape[:1] + up.shape[2:] + (spec.in_channels, -1))
         gxp = np.zeros(padded_shape, gcols.dtype)
         for t, tap in enumerate(np.ndindex(*spec.kernel)):
-            gxp[_tap_index(tap, spec, up.shape[2:], 2)] += gcols[:, :, t]
-        gx = gxp[_interior(spec, 2)]
+            gxp[_tap_index(tap, spec, up.shape[2:], 1)] += gcols[..., t]
+        gx = np.moveaxis(gxp[_interior(spec, 1)], -1, 1)
     if need_w:
-        gw = np.concatenate([np.tensordot(up4[:, i], cols[:, i], axes=([0, 2], [0, 2]))
-                             for i in range(g)]).reshape(wd.shape)
+        gw = np.matmul(upg.transpose(0, 2, 1), cols.transpose(1, 0, 2)).reshape(wd.shape)
+    return gx, gw
+
+
+def _frame_columns(spec):
+    """Whether a GEMM-route conv takes per-frame columns: one input channel
+    and stride 1 on the first axis, as in the 3-D stem."""
+    return spec.in_channels == 1 and spec.stride[0] == 1
+
+
+def _frame_taps(spec, cols, out_sizes):
+    """The (N, taps, S_out) views of (N, taps, P·R) per-frame columns, R
+    output positions to a frame, that each first-axis kernel tap reads."""
+    r = math.prod(out_sizes[1:])
+    return [cols[:, :, i * spec.dilation[0] * r:(i * spec.dilation[0] + out_sizes[0]) * r]
+            for i in range(spec.kernel[0])]
+
+
+def _frame_forward(xd, wd, bd, spec, out_sizes, dtype):
+    """C_in = 1, stride 1 on the first axis: an im2col of every padded frame
+    over the other axes' taps, written once and read by each first-axis tap
+    as a shifted view; one accumulating batch GEMM per first-axis tap, its
+    result channels-first."""
+    n, o = xd.shape[0], spec.out_channels
+    xp = _padded(xd, spec, dtype)[..., 0]  # (N, *P)
+    frames = (xp.shape[1],) + out_sizes[1:]  # every padded frame, the outputs within one
+    cols = np.empty((n, math.prod(spec.kernel[1:])) + frames, dtype)
+    for j, tap in enumerate(np.ndindex(*spec.kernel[1:])):
+        cols[:, j] = xp[_tap_index((0,) + tap, spec, frames, 1)]
+    cols = cols.reshape(n, cols.shape[1], -1)
+    w3 = wd.reshape(o, spec.kernel[0], -1)  # (O, first-axis taps, other taps)
+    views = _frame_taps(spec, cols, out_sizes)
+    y = np.matmul(w3[:, 0], views[0])
+    part = np.empty_like(y)
+    for i in range(1, len(views)):
+        y += np.matmul(w3[:, i], views[i], out=part)
+    return _biased(y.reshape((n, o) + out_sizes), bd), (xp.shape, cols)
+
+
+def _frame_backward(up, wd, spec, saved, need_x, need_w):
+    padded_shape, cols = saved
+    n, o = up.shape[:2]
+    up3 = up.reshape(n, o, -1)
+    w3 = wd.reshape(o, spec.kernel[0], -1)
+    gx = gw = None
+    if need_x:
+        # each first-axis tap's column gradient added where it read, then col2im
+        gcols = np.zeros(cols.shape, np.result_type(up, wd))
+        for i, view in enumerate(_frame_taps(spec, gcols, up.shape[2:])):
+            view += np.matmul(w3[:, i].T, up3)
+        frames = (padded_shape[1],) + up.shape[3:]
+        gcols = gcols.reshape(gcols.shape[:2] + frames)
+        gxp = np.zeros(padded_shape, gcols.dtype)
+        for j, tap in enumerate(np.ndindex(*spec.kernel[1:])):
+            gxp[_tap_index((0,) + tap, spec, frames, 1)] += gcols[:, j]
+        gx = gxp[_interior(spec, 1)][:, None]
+    if need_w:
+        gw = np.stack([np.matmul(up3, view.transpose(0, 2, 1)).sum(axis=0)
+                       for view in _frame_taps(spec, cols, up.shape[2:])], axis=1).reshape(wd.shape)
     return gx, gw
 
 
@@ -319,7 +418,7 @@ def _conv_route(spec, in_sizes, out_sizes):
     - pointwise (groups = 1, k = 1, no padding, output as large as the
       input): one GEMM over the batch, whatever the input's layout;
     - depthwise (groups = C_in = C_out > 1): one einsum over tap windows;
-    - every other conv, any groups: im2col + one batched GEMM per sample.
+    - every other conv, any groups: im2col + GEMMs over the whole batch.
     """
     if (spec.groups == 1 and math.prod(spec.kernel) == 1
             and not any(map(sum, spec.pad_pairs())) and out_sizes == in_sizes):
@@ -381,23 +480,6 @@ def batch_norm_affine(gamma, beta, mean, var, eps, dtype):
     return scale, beta.astype(dtype) - mean.astype(dtype) * scale
 
 
-def _channel_view(a, channels_last):
-    """The (A, C, B) view of an (N, C, *S) array, reduced over axes (0, 2):
-    (N·S, C, 1) for channels-last memory, (N, C, S) for channels-first. An
-    array in neither layout, or in the other one, is copied into it."""
-    c = a.shape[1]
-    if channels_last:
-        return np.moveaxis(a, 1, -1).reshape(-1, c, 1)
-    return a.reshape(a.shape[0], c, -1)
-
-
-def _from_channel_view(a3, shape, channels_last):
-    """The (N, C, *S) array of ``shape`` whose :func:`_channel_view` is ``a3``."""
-    if channels_last:
-        return np.moveaxis(a3.reshape(shape[:1] + shape[2:] + shape[1:2]), -1, 1)
-    return a3.reshape(shape)
-
-
 def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
                momentum=0.1, training=False):
     """Per-channel batch normalization over a batched (N, C, *S) input.
@@ -442,17 +524,36 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
     return apply_op("batch_norm", (x, gamma, beta), y, make_backward)
 
 
+def _channel_sums(a):
+    """Per-channel sums of a (rows, C) or an (N, C, S) array, as GEMVs with
+    a ones vector."""
+    if a.ndim == 2:
+        return np.ones(a.shape[0], a.dtype) @ a
+    return (a.reshape(-1, a.shape[2]) @ np.ones(a.shape[2], a.dtype)).reshape(a.shape[:2]).sum(axis=0)
+
+
 def _batch_norm_training(x, gamma, beta, running_mean, running_var, eps, momentum):
-    """Training-mode batch norm on the input's (A, C, B) channel view, with no
-    copy for channels-last or channels-first memory. It keeps the centred
-    input ``xc`` for the backward, where ``x̂ = xc·inv``; the variance and
-    ``Σ up·xc`` are einsums, so no squared temporary is made."""
+    """Training-mode batch norm on a (rows, C) view of channels-last input or
+    an (N, C, S) view of any other, copy-free for channels-first memory. It
+    keeps the centred input ``xc`` for the backward, where ``x̂ = xc·inv``;
+    the variance and ``Σ up·xc`` are einsums, so no squared temporary is made."""
+    n, c = x.shape[:2]
     channels_last = not x.data.flags.c_contiguous and np.moveaxis(x.data, 1, -1).flags.c_contiguous
-    x3 = _channel_view(x.data, channels_last)
-    m = x3.shape[0] * x3.shape[2]
-    mu = x3.mean(axis=(0, 2))
-    xc = x3 - mu[:, None]
-    var = np.einsum("acb,acb->c", xc, xc) / m
+    sub, col = ("rc", slice(None)) if channels_last else ("ncs", (slice(None), None))
+
+    def view(a):
+        return np.moveaxis(a, 1, -1).reshape(-1, c) if channels_last else a.reshape(n, c, -1)
+
+    def back(a):
+        if channels_last:
+            return np.moveaxis(a.reshape((n,) + x.shape[2:] + (c,)), -1, 1)
+        return a.reshape(x.shape)
+
+    xv = view(x.data)
+    m = xv.size // c
+    mu = _channel_sums(xv) / m
+    xc = xv - mu[col]
+    var = np.einsum(f"{sub},{sub}->c", xc, xc) / m
     unbias = m / (m - 1) if m > 1 else 1.0
     running_mean *= 1.0 - momentum
     running_mean += momentum * mu
@@ -463,30 +564,29 @@ def _batch_norm_training(x, gamma, beta, running_mean, running_var, eps, momentu
         raise NumericError("batch_norm variance estimate is non-positive after eps")
     inv = 1.0 / np.sqrt(denom)
     scale = gamma.data * inv
-    y3 = xc * scale[:, None]
-    y3 += beta.data[:, None]
+    yv = xc * scale[col]
+    yv += beta.data[col]
 
     def make_backward():
         def bwd(up):
-            up3 = _channel_view(up, channels_last)
-            gb = up3.sum(axis=(0, 2)) if beta.requires_grad or x.requires_grad else None
+            upv = view(up)
+            gb = _channel_sums(upv) if beta.requires_grad or x.requires_grad else None
             gg = None
             if gamma.requires_grad or x.requires_grad:
-                gg = np.einsum("acb,acb->c", up3, xc) * inv  # Σ up·x̂
+                gg = np.einsum(f"{sub},{sub}->c", upv, xc) * inv  # Σ up·x̂
             gx = None
             if x.requires_grad:  # scale·(up − Σup/m − x̂·Σup·x̂/m), in one buffer
-                gx = np.multiply(xc, (gg * inv / -m)[:, None])
-                gx -= (gb / m)[:, None]
-                gx += up3
-                gx *= scale[:, None]
-                gx = _from_channel_view(gx, x.shape, channels_last)
+                gx = np.multiply(xc, (gg * inv / -m)[col])
+                gx -= (gb / m)[col]
+                gx += upv
+                gx *= scale[col]
+                gx = back(gx)
             return (gx, gg if gamma.requires_grad else None,
                     gb if beta.requires_grad else None)
 
         return bwd
 
-    return apply_op("batch_norm", (x, gamma, beta), _from_channel_view(y3, x.shape, channels_last),
-                    make_backward)
+    return apply_op("batch_norm", (x, gamma, beta), back(yv), make_backward)
 
 
 def relu(x):

@@ -7,6 +7,7 @@ import pytest
 
 from tempconv import GradTape, Tensor, ops
 from tempconv.errors import TapeError
+from tempconv.frontend import Stem, StemSpec
 from tempconv.gradcheck import block_suite, grad_check
 
 from oracles import numeric_grad
@@ -259,3 +260,19 @@ class TestBuiltInChecker:
         assert len(kinds) == len(set(kinds)) >= 8
         for name, res in results:
             assert res.ok, f"{name}: {res}"
+
+    def test_stem_in_training(self):
+        """The 3-D stem (per-frame GEMM columns, then batch-statistics norm
+        and ReLU) in float64, input gradient included."""
+        rng = np.random.default_rng(4)
+        stem = Stem(StemSpec(out_channels=3)).init_parameters(rng)
+        stem.astype(np.float64)
+        stem.train()
+        x = leaf(rng.standard_normal((2, 1, 4, 6, 6)))
+        probe = Tensor(rng.standard_normal((2, 3, 4, 3, 3)))
+
+        def fn():
+            return ops.tensor_sum(ops.hadamard(stem(x), probe))
+
+        result = grad_check(fn, [x] + stem.parameters(), coords_per_param=8, rng=rng)
+        assert result.ok, result

@@ -5,9 +5,12 @@ einsum conv (``oracles.EINSUM``) is the oracle. Each route that accepts a
 drawn convolution (``GEMM`` accepts every one) must match it in the output
 and in both gradients, to float32 tolerance. Every route also takes
 channels-last arrays, inputs and upstream gradients alike, and must then
-match the oracle run on C-order copies; the eval extractor and the eval
-TCN, which keep their activations channels-last, must match the same inputs
-run channels-first. The depthwise route tiles the batch by whole samples;
+match the oracle run on C-order copies. The GEMM route's two column
+layouts each get explicit cases: per-frame columns (one input channel,
+stride 1 on the first axis, as in the stem), and channels-last columns,
+grouped too. The eval extractor and the eval TCN, which keep their
+activations channels-last, must match the same inputs run channels-first.
+The depthwise route tiles the batch by whole samples;
 it must match the oracle for every count of samples per tile, in both
 float dtypes and both layouts. Every shipped config, run at small widths
 in eval and in a taped training step, sends each conv to the route of its
@@ -31,7 +34,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import EINSUM
 
@@ -105,27 +108,49 @@ def _close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5 * scale)
 
 
+# C_in = 1 with stride 1 on the first axis, batch > 1: the GEMM route's
+# per-frame columns, the stem's shape first; then C_in = 1 with stride 2 on
+# the first axis, which takes the channels-last columns
+FRAME_CASES = [
+    (ops.ConvSpec(1, 4, (3, 5, 5), stride=(1, 2, 2), padding=(1, 2, 2)), (2, 1, 4, 6, 6), True, 0),
+    (ops.ConvSpec(1, 3, (2, 3, 2), stride=(1, 2, 1), dilation=(2, 1, 2), padding=(0, 1, 2)),
+     (3, 1, 5, 5, 4), False, 1),
+    (ops.ConvSpec(1, 2, (3, 1, 1)), (2, 1, 3, 2, 1), True, 2),
+    (ops.ConvSpec(1, 3, (3,), dilation=(2,), causal=True), (2, 1, 6), True, 3),
+    (ops.ConvSpec(1, 2, (3, 2, 2), stride=(2, 1, 1), padding=(1, 0, 1)), (2, 1, 5, 3, 3), True, 4),
+]
+
+
 @settings(FIXED, max_examples=400)
 @given(convolutions())
+@example(FRAME_CASES[0])
+@example(FRAME_CASES[1])
+@example(FRAME_CASES[2])
+@example(FRAME_CASES[3])
+@example(FRAME_CASES[4])
 def test_every_route_matches_einsum(case):
     spec, shape, with_bias, seed = case
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(shape).astype(np.float32)
-    w = rng.standard_normal((spec.out_channels, spec.in_channels // spec.groups)
-                            + spec.kernel).astype(np.float32)
-    b = rng.standard_normal(spec.out_channels).astype(np.float32) if with_bias else None
-    out = spec.out_sizes(shape[2:])
-    probe = rng.standard_normal((shape[0], spec.out_channels) + out).astype(np.float32)
+    with pytest.MonkeyPatch.context() as patch:
+        if seed % 2:  # GEMM: one output row per gather block, three rows per GEMM call
+            patch.setattr(ops, "_GATHER_BYTES", 1)
+            patch.setattr(ops, "_GEMM_ROWS", 3)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = rng.standard_normal((spec.out_channels, spec.in_channels // spec.groups)
+                                + spec.kernel).astype(np.float32)
+        b = rng.standard_normal(spec.out_channels).astype(np.float32) if with_bias else None
+        out = spec.out_sizes(shape[2:])
+        probe = rng.standard_normal((shape[0], spec.out_channels) + out).astype(np.float32)
 
-    want = _run(EINSUM, spec, x, w, b, probe)
-    for route in _routes(spec, x.shape[2:], out):
-        got = _run(route, spec, x, w, b, probe)
-        for g, r in zip(got, want):
-            assert g.shape == r.shape, route.name
-            _close(g, r)
-    # the public entry point takes the dispatched route
-    direct = ops.conv(Tensor(x), Tensor(w), None if b is None else Tensor(b), spec).data
-    _close(direct, want[0])
+        want = _run(EINSUM, spec, x, w, b, probe)
+        for route in _routes(spec, x.shape[2:], out):
+            got = _run(route, spec, x, w, b, probe)
+            for g, r in zip(got, want):
+                assert g.shape == r.shape, route.name
+                _close(g, r)
+        # the public entry point takes the dispatched route
+        direct = ops.conv(Tensor(x), Tensor(w), None if b is None else Tensor(b), spec).data
+        _close(direct, want[0])
 
 
 def _to_channels_last(a):
@@ -138,18 +163,28 @@ def _is_channels_last(a):
     return np.moveaxis(a, 1, -1).flags.c_contiguous
 
 
+def _runs_in_order(a):
+    """Whether memory runs in the axis order of ``a``, gaps allowed; size-1
+    axes play no part."""
+    strides = [s for s, n in zip(a.strides, a.shape) if n > 1]
+    return strides == sorted(strides, reverse=True)
+
+
 @st.composite
 def channels_last_convolutions(draw):
-    """A pointwise or depthwise conv of rank 1-3 and an input for it: stride
+    """A conv of rank 1-3, of each shape class, and an input for it: stride
     1-2 for rank 2-3; at rank 1, as in the TCN, causal or symmetric and
     dilation 1-2."""
     rank = draw(st.integers(1, 3))
-    if draw(st.booleans()):  # depthwise
+    shape_class = draw(st.sampled_from(["pointwise", "full", "depthwise", "grouped"]))
+    groups, cin, cout = 1, draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if shape_class == "depthwise":
         groups = cin = cout = draw(st.integers(1, 5))
-        kernel = tuple(draw(st.integers(1, 3)) for _ in range(rank))
-    else:
-        groups, cin, cout = 1, draw(st.integers(1, 5)), draw(st.integers(1, 5))
-        kernel = (1,) * rank
+    elif shape_class == "grouped":
+        groups = draw(st.integers(2, 3))
+        cin, cout = groups * draw(st.integers(1, 2)), groups * draw(st.integers(1, 2))
+    kernel = (1,) * rank if shape_class == "pointwise" else tuple(
+        draw(st.integers(1, 3)) for _ in range(rank))
     if rank == 1:
         stride, dilation, causal = (1,), (draw(st.integers(1, 2)),), draw(st.booleans())
     else:
@@ -172,8 +207,11 @@ def _conv_grads(route, spec, x, w, b, up):
     return [y.data, *node.backward_fn(up)]
 
 
-@settings(FIXED, max_examples=200)
+@settings(FIXED, max_examples=300)
 @given(channels_last_convolutions())
+@example(FRAME_CASES[0])
+@example(FRAME_CASES[4])
+@example((ops.ConvSpec(4, 6, (3, 2), stride=(2, 1), groups=2), (2, 4, 5, 4), True, 5))
 def test_routes_take_channels_last_arrays(case):
     spec, shape, with_bias, seed = case
     rng = np.random.default_rng(seed)
@@ -191,8 +229,13 @@ def test_routes_take_channels_last_arrays(case):
         for g, r in zip(got, want):
             assert g.shape == r.shape, route.name
             _close(g, r)
-        # output and input gradient stay channels-last
-        if route in (ops.POINTWISE, ops.DEPTHWISE):
+        # output and input gradient are channels-last, except from the GEMM
+        # route's per-frame columns; its input gradient is a view of a padded buffer
+        if route is ops.GEMM and ops._frame_columns(spec):
+            assert got[0].flags.c_contiguous and _runs_in_order(got[1])
+        elif route is ops.GEMM:
+            assert _is_channels_last(got[0]) and _runs_in_order(np.moveaxis(got[1], 1, -1))
+        elif route is not EINSUM:
             assert _is_channels_last(got[0]) and _is_channels_last(got[1]), route.name
 
 
@@ -225,10 +268,11 @@ def test_eval_extractor_matches_channels_first_run(monkeypatch):
         _close(g, w)
 
 
-@pytest.mark.parametrize("kind", ["starv", "linear", "invertedresidual", "cib", "uib"])
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
 def test_eval_tcn_keeps_channels_last(kind, monkeypatch):
     """Fed channels-last, every conv of an eval TCN reads channels-last
-    memory, depthwise ones included, and the logits match a channels-first run."""
+    memory, depthwise and full ones included, and the logits match a
+    channels-first run."""
     rng = np.random.default_rng(1)
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "starv.cfg")
     config = tc.load_config_file(path, ["model.frontend=false", f"tcn.block_kind={kind}",

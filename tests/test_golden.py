@@ -1,8 +1,9 @@
 """Golden outputs: CLI documents and seeded weights must not drift.
 
 Every shipped config is rendered through ``describe`` (text, json) and
-``count`` (text, json, markdown), with and without the frontend; the
-paper fixture through ``verify --format json``; ``infer --format text`` on
+``count`` (text, json, markdown), with and without the frontend (without
+it, from a copy of the config that drops its ``[stem]`` and ``[extractor]``
+sections, which a frontend-less model refuses); the paper fixture through ``verify --format json``; ``infer --format text`` on
 a seeded clip through the toy config and on a seeded sequence through a
 frontend-less model. Weights are pinned by a sha256 over each
 ``state_dict`` (entry names, order, dtypes, shapes and bytes), for seeded
@@ -35,6 +36,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "out
 CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
 FIXTURE = os.path.join(ROOT, "fixtures", "paper_tables.json")
 NO_FRONTEND = ["--set", "model.frontend=false"]
+FRONTEND_SECTIONS = ("[stem]", "[extractor]")
 # frontend-less two-stage starv stack of width 8, on (8, 12) sequences
 SEQ_MODEL = ["--set", "model.frontend=false", "--set", "tcn.block_kind=starv",
              "--set", "tcn.stages=2", "--set", "tcn.channels=8",
@@ -57,16 +59,32 @@ def state_hash(module):
     return h.hexdigest()
 
 
+def without_frontend_sections(path, tmp):
+    """A copy, in ``tmp``, of the config at ``path`` without its frontend sections."""
+    keep, lines = True, []
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("["):
+                keep = line.strip() not in FRONTEND_SECTIONS
+            if keep:
+                lines.append(line)
+    copy = os.path.join(tmp, os.path.basename(path))
+    with open(copy, "w", encoding="utf-8") as f:
+        f.writelines(lines)
+    return copy
+
+
 def documents():
     docs = {}
-    for path in CONFIGS:
-        name = os.path.basename(path)
-        for tag, extra in (("frontend", []), ("nofrontend", NO_FRONTEND)):
-            base = ["--config", path] + extra
-            for fmt in ("text", "json"):
-                docs[f"describe {name} {tag} {fmt}"] = run_cli(["describe"] + base + ["--format", fmt])
-            for fmt in ("text", "json", "markdown"):
-                docs[f"count {name} {tag} {fmt}"] = run_cli(["count"] + base + ["--format", fmt])
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in CONFIGS:
+            name = os.path.basename(path)
+            frontendless = ["--config", without_frontend_sections(path, tmp)] + NO_FRONTEND
+            for tag, base in (("frontend", ["--config", path]), ("nofrontend", frontendless)):
+                for fmt in ("text", "json"):
+                    docs[f"describe {name} {tag} {fmt}"] = run_cli(["describe"] + base + ["--format", fmt])
+                for fmt in ("text", "json", "markdown"):
+                    docs[f"count {name} {tag} {fmt}"] = run_cli(["count"] + base + ["--format", fmt])
     docs["verify json"] = run_cli(["verify", "--fixture", FIXTURE, "--format", "json"])
     docs.update(infer_documents())
     return docs
