@@ -3,9 +3,8 @@
 Commands: describe, count, verify, infer, gradcheck, schedule, train-toy,
 gen-data. Exit codes: 0 success, 1 usage, 2 validation/config/format
 error, 3 numeric failure (divergence, failed verification or gradcheck).
-Each command accepts only the flags it reads. ``--seed`` (infer, gradcheck,
-train-toy) must be ≥ 0; without it infer and gradcheck use 0 and train-toy
-uses ``train.seed``.
+Each command accepts only the flags it reads. ``--seed`` (infer, gradcheck)
+must be ≥ 0 and defaults to 0; train-toy takes its seed from ``train.seed``.
 An unreadable path (missing, a directory, no permission) exits 2 with the
 path and the OS reason.
 """
@@ -25,7 +24,7 @@ from .config import (TrainConfig, config_to_dict, parse_config, parse_toy_spec, 
 from .errors import ConfigError, FormatError, NumericError, ShapeError, TapeError, located
 from .model import build_model, describe, receptive_field
 from .tensor import Tensor
-from .train import evaluate, lr_schedule, train_loop
+from .train import BASE_LR, evaluate, lr_schedule, train_loop
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,10 +35,9 @@ _FORMATS = ("text", "json")  # count alone adds markdown
 
 
 def _resolve_seed(args):
-    seed = args.seed
-    if seed is not None and seed < 0:
-        raise ConfigError(f"seed must be ≥ 0, got {seed}")
-    return seed
+    if args.seed < 0:
+        raise ConfigError(f"seed must be ≥ 0, got {args.seed}")
+    return args.seed
 
 
 def _document(args):
@@ -64,7 +62,7 @@ def build_parser():
     config.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                         help="override one config key (repeatable, last wins)")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, help="seed, ≥ 0 (default: train.seed for train-toy, else 0)")
+    seed.add_argument("--seed", type=int, default=0, help="seed, ≥ 0 (default: 0)")
 
     def output(*formats):
         p = argparse.ArgumentParser(add_help=False)
@@ -101,9 +99,8 @@ def build_parser():
     p = sub.add_parser("schedule", parents=[output()],
                        help="print the annealed learning-rate table")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--base-lr", type=float, default=TrainConfig.base_lr)
 
-    p = sub.add_parser("train-toy", parents=[config, seed, output()],
+    p = sub.add_parser("train-toy", parents=[config, output()],
                        help="train on the synthetic task with the full recipe")
     p.add_argument("--run-dir", default="runs/toy",
                    help="directory for history, checkpoint and summary")
@@ -147,13 +144,12 @@ def _cmd_verify(args):
 
 
 def _cmd_schedule(args):
-    TrainConfig(epochs=args.epochs, base_lr=args.base_lr)  # validates both flags
-    rates = lr_schedule(args.epochs, args.base_lr)
+    rates = lr_schedule(args.epochs)  # refuses epochs < 1
     if args.format == "json":
-        doc = json.dumps({"base_lr": args.base_lr, "total_epochs": args.epochs,
+        doc = json.dumps({"base_lr": BASE_LR, "total_epochs": args.epochs,
                           "rates": rates}, indent=2)
     else:
-        lines = [f"cosine annealing: base {args.base_lr}, {args.epochs} epochs"]
+        lines = [f"cosine annealing: base {BASE_LR}, {args.epochs} epochs"]
         lines += [f"  epoch {e:>3}  lr {r:.10f}" for e, r in enumerate(rates)]
         doc = "\n".join(lines)
     _emit(args, doc)
@@ -163,8 +159,7 @@ def _cmd_schedule(args):
 def _cmd_gradcheck(args):
     from .gradcheck import block_suite
 
-    seed = _resolve_seed(args) or 0
-    results = block_suite(args.kind, seed=seed)
+    results = block_suite(args.kind, seed=_resolve_seed(args))
     passed = all(r.ok for _, r in results)
     if args.format == "json":
         doc = json.dumps({
@@ -188,7 +183,7 @@ def _cmd_gradcheck(args):
 def _cmd_infer(args):
     doc = _document(args)
     tcfg = parse_train_config(*doc)  # the clip is prepared as evaluate prepares it
-    model = build_model(parse_config(*doc), seed=_resolve_seed(args) or 0)
+    model = build_model(parse_config(*doc), seed=_resolve_seed(args))
     if args.checkpoint:
         state, meta = lwt.load_checkpoint(args.checkpoint)
         with located(args.checkpoint):
@@ -220,23 +215,31 @@ def _cmd_infer(args):
     return EXIT_OK
 
 
+class _History:
+    """The run's ``history.jsonl``, truncated at the first epoch record (a run
+    refused before one keeps an earlier history), then appended record by record."""
+
+    def __init__(self, run_dir):
+        self.path, self.mode = os.path.join(run_dir, "history.jsonl"), "w"
+
+    def write(self, text):
+        with open(self.path, self.mode, encoding="utf-8") as f:
+            f.write(text)
+        self.mode = "a"
+
+
 def _cmd_train_toy(args):
     doc = _document(args)
     config = parse_config(*doc)
     tcfg = parse_train_config(*doc)
     toy = parse_toy_spec(*doc)
-    seed = _resolve_seed(args)
-    if seed is not None:
-        from dataclasses import replace
-        tcfg = replace(tcfg, seed=seed)
 
     from .toydata import ToyDataset
     dataset = ToyDataset(toy)
     model = build_model(config, seed=tcfg.seed)
     os.makedirs(args.run_dir, exist_ok=True)
-    history_path = os.path.join(args.run_dir, "history.jsonl")
-    with open(history_path, "w", encoding="utf-8") as log:
-        result = train_loop(model, dataset, tcfg, log_stream=log)
+    log = _History(args.run_dir)
+    result = train_loop(model, dataset, tcfg, log_stream=log)
     test_acc = evaluate(model, dataset, "test", tcfg)
     ckpt_path = os.path.join(args.run_dir, "best.lwtc")
     lwt.save_checkpoint(ckpt_path, model.state_dict(), meta={
@@ -250,7 +253,7 @@ def _cmd_train_toy(args):
         "best_epoch": result.best_epoch,
         "best_val_acc": result.best_val_acc,
         "test_acc": test_acc,
-        "history": history_path,
+        "history": log.path,
         "checkpoint": ckpt_path,
     }
     if args.format == "json":
@@ -260,7 +263,7 @@ def _cmd_train_toy(args):
             f"trained {tcfg.epochs} epoch(s); best epoch {result.best_epoch} "
             f"with val acc {result.best_val_acc:.4f}",
             f"test acc {test_acc:.4f}",
-            f"history: {history_path}",
+            f"history: {log.path}",
             f"checkpoint: {ckpt_path}",
         ])
     _emit(args, doc)

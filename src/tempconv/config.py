@@ -83,10 +83,6 @@ class ModelConfig:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 80
-    base_lr: float = 0.02
-    weight_decay: float = 0.01
-    batch_size: int = 32
-    mixup_alpha: float = 0.4
     crop: bool = True
     crop_size: int = 88
     seed: int = 0
@@ -94,10 +90,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be ≥ 1, got {self.epochs}")
-        if not all(0 <= r < math.inf for r in (self.base_lr, self.weight_decay, self.mixup_alpha)):
-            raise ConfigError("rates must be finite and nonnegative")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be ≥ 1")
         if self.crop_size < 1:
             raise ConfigError(f"crop_size must be ≥ 1, got {self.crop_size}")
         if self.seed < 0:

@@ -220,13 +220,14 @@ def _gemm_forward(xd, wd, bd, spec, out_sizes):
         src = xp[:, a * s:(a + block[0] - 1) * s + reach + 1]
         for t, tap in enumerate(np.ndindex(*spec.kernel)):
             cols[:, a:a + block[0], ..., t] = src[_tap_index(tap, spec, block, 1)]
+    padded_shape, xp, src = xp.shape, None, None  # only the gather reads the padded copy
     cols = cols.reshape(-1, g, c // g * taps)  # (N·S_out, G, C/G·taps)
     y = np.empty((n, *out_sizes, o), dtype)
     yg, cg = y.reshape(-1, g, o // g).transpose(1, 0, 2), cols.transpose(1, 0, 2)
     wg = wd.reshape(g, o // g, -1).transpose(0, 2, 1)
     for r in range(0, len(cols), _GEMM_ROWS):
         np.matmul(cg[:, r:r + _GEMM_ROWS], wg, out=yg[:, r:r + _GEMM_ROWS])
-    return _biased(np.moveaxis(y, -1, 1), bd), (xp.shape, cols)
+    return _biased(np.moveaxis(y, -1, 1), bd), (padded_shape, cols)
 
 
 def _gemm_backward(up, wd, spec, saved, need_x, need_w):

@@ -19,8 +19,13 @@ from .errors import ConfigError, NumericError, located
 from .tensor import GradTape, Tensor
 from . import ops
 
+BASE_LR = 0.02
+WEIGHT_DECAY = 0.01
+BATCH_SIZE = 32  # training and evaluation batches
+MIXUP_ALPHA = 0.4
 
-def cosine_lr(epoch, total_epochs=TrainConfig.epochs, base_lr=TrainConfig.base_lr):
+
+def cosine_lr(epoch, total_epochs=TrainConfig.epochs, base_lr=BASE_LR):
     """Annealed rate at integer epoch e in 0..total_epochs."""
     if total_epochs < 1:
         raise ConfigError(f"total_epochs must be ≥ 1, got {total_epochs}")
@@ -29,11 +34,13 @@ def cosine_lr(epoch, total_epochs=TrainConfig.epochs, base_lr=TrainConfig.base_l
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def lr_schedule(total_epochs=TrainConfig.epochs, base_lr=TrainConfig.base_lr):
+def lr_schedule(total_epochs=TrainConfig.epochs, base_lr=BASE_LR):
+    if total_epochs < 1:  # an empty range would return no rates
+        raise ConfigError(f"total_epochs must be ≥ 1, got {total_epochs}")
     return [cosine_lr(e, total_epochs, base_lr) for e in range(total_epochs + 1)]
 
 
-def sgd_step(params, lr, weight_decay=TrainConfig.weight_decay):
+def sgd_step(params, lr, weight_decay=WEIGHT_DECAY):
     """In-place descent step over all params that received gradients."""
     for p in params:
         g = p.grad
@@ -68,21 +75,16 @@ def _augment_batch(videos, rng, train_mode, tcfg):
     return np.stack(out), np.asarray(lens, dtype=np.int64)
 
 
-def _forward_loss(model, x, targets, valid_len):
-    logits = model(Tensor(x), valid_len=valid_len)
-    return ops.cross_entropy(logits, Tensor(targets))
-
-
 def evaluate(model, dataset, split, tcfg):
-    """Top-1 accuracy on a split in ``tcfg``'s batches: eval mode, center crop, full lengths."""
+    """Top-1 accuracy on a split in batches of ``BATCH_SIZE``: eval mode, center crop, full lengths."""
     n = dataset.split_size(split)
     if n < 1:
         raise ConfigError(f"cannot evaluate empty split '{split}'")
     was_training = model.training
     model.eval()
     correct = 0
-    for start in range(0, n, tcfg.batch_size):
-        idx = range(start, min(start + tcfg.batch_size, n))
+    for start in range(0, n, BATCH_SIZE):
+        idx = range(start, min(start + BATCH_SIZE, n))
         videos, labels = dataset.batch(split, idx)
         x, lens = _augment_batch(videos, None, False, tcfg)
         logits = model(Tensor(x), valid_len=lens)
@@ -95,7 +97,8 @@ def train_loop(model, dataset, tcfg, log_stream=None):
     """Run the full recipe; leaves the model holding the best weights.
 
     History is one record per epoch: {"epoch", "lr", "train_loss",
-    "val_acc"}, also written to ``log_stream`` as JSON lines when given.
+    "val_acc"}, also passed to ``log_stream.write`` as one JSON line each
+    when given.
     An error inside a training step names its epoch and step.
     """
     if model.head.num_classes != dataset.spec.num_classes:
@@ -109,25 +112,24 @@ def train_loop(model, dataset, tcfg, log_stream=None):
     result = TrainResult()
 
     for epoch in range(tcfg.epochs):
-        lr = cosine_lr(epoch, tcfg.epochs, tcfg.base_lr)
+        lr = cosine_lr(epoch, tcfg.epochs)
         model.train()
         perm = rng.permutation(n_train)
         losses = []
-        for step, start in enumerate(range(0, n_train, tcfg.batch_size)):
-            idx = perm[start:start + tcfg.batch_size]
+        for step, start in enumerate(range(0, n_train, BATCH_SIZE)):
+            idx = perm[start:start + BATCH_SIZE]
             videos, labels = dataset.batch("train", idx)
             x, lens = _augment_batch(videos, rng, True, tcfg)
             y = one_hot(labels, num_classes)
-            if tcfg.mixup_alpha > 0:
-                pair = rng.permutation(len(idx))
-                x, y, _ = mixup(x, x[pair], y, y[pair], tcfg.mixup_alpha, rng)
-                lens = np.maximum(lens, lens[pair])  # pool over the union extent
+            pair = rng.permutation(len(idx))
+            x, y, _ = mixup(x, x[pair], y, y[pair], MIXUP_ALPHA, rng)
+            lens = np.maximum(lens, lens[pair])  # pool over the union extent
             with located(f"epoch {epoch}, step {step}"):
                 model.zero_grad()
                 with GradTape() as tape:
-                    loss = _forward_loss(model, x, y, lens)
+                    loss = ops.cross_entropy(model(Tensor(x), valid_len=lens), Tensor(y))
                 tape.backward(loss)
-                sgd_step(model.parameters(), lr, tcfg.weight_decay)
+                sgd_step(model.parameters(), lr)
             losses.append(float(loss.data))
         val_acc = evaluate(model, dataset, "val", tcfg)
         record = {
@@ -139,7 +141,6 @@ def train_loop(model, dataset, tcfg, log_stream=None):
         result.history.append(record)
         if log_stream is not None:
             log_stream.write(json.dumps(record) + "\n")
-            log_stream.flush()
         if val_acc > result.best_val_acc or result.best_epoch < 0:
             result.best_epoch = epoch
             result.best_val_acc = val_acc

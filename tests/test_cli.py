@@ -12,6 +12,7 @@ import pytest
 
 from tempconv import build_model, frontend, load_config_file, lwt
 from tempconv.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from tempconv.config import _KNOWN_KEYS
 from tempconv.errors import ConfigError
 from tempconv.layers import MAX_STAGES
 
@@ -28,7 +29,7 @@ TINY = ["--set", "extractor.widths=4,8", "--set", "tcn.channels=8",
         "--set", "toy.num_classes=4", "--set", "toy.train_size=16",
         "--set", "toy.val_size=8", "--set", "toy.test_size=8",
         "--set", "toy.seq_len=8",
-        "--set", "train.epochs=2", "--set", "train.batch_size=8"]
+        "--set", "train.epochs=2"]
 
 
 class TestExitCodes:
@@ -86,6 +87,8 @@ class TestExitCodes:
         ["schedule", "--config", TOY_CFG],
         ["schedule", "--set", "tcn.stages=1"],
         ["schedule", "--seed", "1"],
+        ["schedule", "--base-lr", "0.1"],
+        ["train-toy", "--seed", "1"],
         ["gradcheck", "--config", TOY_CFG],
         ["gradcheck", "--set", "tcn.stages=1"],
         ["infer", "--crop-size", "8", "--input", "clip.lwt"],
@@ -126,15 +129,11 @@ class TestExitCodes:
         (["describe", "--set", "tcn.dropout=inf"], None),
         (["describe", "--set", "extractor.expansion=inf"], None),
         (["describe", "--set", "tcn.stages=33"], None),
-        (["schedule", "--epochs", "1", "--base-lr", "nan"], None),
-        (["schedule", "--epochs", "1", "--base-lr", "-1"], None),
-        (["train-toy", "--config", TOY_CFG, *TINY, "--set", "train.base_lr=nan",
-          "--run-dir", "{tmp}/run"], None),
         (["gen-data", "--set", "toy.frame_size=-8", "--out", "{tmp}/toy.npz"], None),
         (["gen-data", "--set", "toy.seed=-1", "--out", "{tmp}/toy.npz"], None),
         (["train-toy", "--config", TOY_CFG, *TINY, "--set", "train.seed=-1",
           "--run-dir", "{tmp}/run"], None),
-        (["train-toy", "--config", TOY_CFG, *TINY, "--seed", "-1", "--run-dir", "{tmp}/run"], None),
+        (["infer", "--input", "{tmp}/missing.lwt", "--seed", "-1"], None),
         (["gradcheck", "--kind", "head", "--seed", "-1"], None),
         (["train-toy", "--config", TOY_CFG, *TINY, "--set", "train.crop=true",
           "--set", "train.crop_size=-1", "--run-dir", "{tmp}/run"], None),
@@ -158,8 +157,7 @@ class TestExitCodes:
           "--out", "{tmp}/toy.npz"], None),
     ], ids=["percent-override", "percent-doc", "interpolation-doc", "default-override",
             "default-doc", "tcn-dropout-nan", "tcn-dropout-inf", "extractor-expansion-inf",
-            "stages-33", "schedule-lr-nan", "schedule-lr-negative", "train-lr-nan",
-            "toy-frame-size-negative", "toy-seed-negative", "train-seed-negative",
+            "stages-33", "toy-frame-size-negative", "toy-seed-negative", "train-seed-negative",
             "seed-flag-negative", "gradcheck-seed-negative", "crop-size-negative",
             "tcn-channels-huge", "extractor-widths-huge", "stem-out-channels-huge",
             "extractor-expansion-huge", "num-classes-huge", "extractor-expansion-fraction",
@@ -658,15 +656,18 @@ class TestGradcheckCommand:
 
 class TestScheduleCommand:
     def test_endpoint_values(self, capsys):
-        assert main(["schedule", "--epochs", "4", "--base-lr", "0.1",
-                     "--format", "json"]) == EXIT_OK
+        """The one base rate's schedule: 0.02 annealed to half at mid-run, 0 at the end."""
+        assert main(["schedule", "--epochs", "4", "--format", "json"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert doc["rates"][0] == pytest.approx(0.1)
-        assert doc["rates"][2] == pytest.approx(0.05)
+        assert doc["base_lr"] == 0.02 and doc["total_epochs"] == 4
+        assert doc["rates"][0] == pytest.approx(0.02)
+        assert doc["rates"][2] == pytest.approx(0.01)
         assert doc["rates"][-1] == pytest.approx(0.0, abs=1e-15)
 
-    def test_bad_epochs(self, capsys):
-        assert main(["schedule", "--epochs", "0"]) == EXIT_VALIDATION
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_bad_epochs(self, epochs, capsys):
+        assert main(["schedule", "--epochs", epochs]) == EXIT_VALIDATION
+        assert f"total_epochs must be ≥ 1, got {epochs}" in capsys.readouterr().err
 
 
 class TestSeedResolution:
@@ -689,14 +690,31 @@ class TestSeedResolution:
 
 
 class TestRemovedRecipeToggles:
-    @pytest.mark.parametrize("key", ["flip", "variable_length", "decoupled_decay"])
-    def test_set_is_refused_as_unknown(self, key, tmp_path, capsys):
-        code = main(["train-toy", "--config", TOY_CFG, "--set", f"train.{key}=false",
-                     "--run-dir", str(tmp_path / "run")])
-        assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err == (
-            f"tempconv.ConfigError: unknown key(s) in [train]: {key}\n")
-        assert not (tmp_path / "run").exists()
+    """[train] holds only epochs, crop, crop_size and seed: the rest of the
+    recipe is constant, so its settings are no keys, even at the values
+    they always had."""
+
+    KEYS = [("flip", "false"), ("variable_length", "false"), ("decoupled_decay", "false"),
+            ("base_lr", "0.02"), ("weight_decay", "0.01"), ("batch_size", "32"),
+            ("mixup_alpha", "0.4")]
+
+    def test_train_keys_are_the_run_settings(self):
+        assert list(_KNOWN_KEYS["train"]) == ["epochs", "crop", "crop_size", "seed"]
+
+    @pytest.mark.parametrize("key,value", KEYS, ids=[k for k, _ in KEYS])
+    def test_set_is_refused_as_unknown(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "retired.cfg"
+        cfg.write_text(f"[train]\n{key} = {value}\n")
+        reason = f"unknown key(s) in [train]: {key}"
+        for command, extra in (("describe", []), ("count", []),
+                               ("infer", ["--input", str(tmp_path / "clip.lwt")]),
+                               ("train-toy", ["--run-dir", str(tmp_path / "run")]),
+                               ("gen-data", ["--out", str(tmp_path / "toy.npz")])):
+            for argv, where in ((["--config", str(cfg)], f"{cfg}: "),
+                                (["--config", TOY_CFG, "--set", f"train.{key}={value}"], "")):
+                assert main([command, *argv, *extra]) == EXIT_VALIDATION
+                assert capsys.readouterr().err == f"tempconv.ConfigError: {where}{reason}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["retired.cfg"]
 
 
 class TestRetiredModelKey:
@@ -747,6 +765,35 @@ class TestTrainToy:
         assert any(k.startswith("tcn.") for k in state)
         out = capsys.readouterr().out
         assert "best epoch" in out
+
+    @pytest.mark.parametrize("overrides,error", [
+        (["--set", "toy.num_classes=5"], "ConfigError: model has 4 classes, dataset has 5"),
+        (["--set", "train.crop=true", "--set", "train.crop_size=9"],
+         "ShapeError: crop 9 must lie in 1..8"),
+    ], ids=["class-count", "crop-size"])
+    def test_refused_run_leaves_the_run_dir_as_it_was(self, overrides, error, tmp_path, capsys):
+        """--run-dir is made up front, but no file in it is made or truncated
+        before the first epoch record."""
+        old, fresh = tmp_path / "old", tmp_path / "fresh"
+        old.mkdir()
+        (old / "history.jsonl").write_text('{"epoch": 0}\n')
+        for run in (old, fresh):
+            argv = ["train-toy", "--config", TOY_CFG, *TINY, *overrides, "--run-dir", str(run)]
+            assert main(argv) == EXIT_VALIDATION
+            assert error in capsys.readouterr().err
+        assert (old / "history.jsonl").read_text() == '{"epoch": 0}\n'
+        assert [p.name for p in old.iterdir()] == ["history.jsonl"]
+        assert list(fresh.iterdir()) == []
+
+    def test_run_dir_that_is_a_file_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the run directory was made")
+
+        monkeypatch.setattr("tempconv.cli.train_loop", no_training)
+        (tmp_path / "file").write_bytes(b"")
+        argv = ["train-toy", "--config", TOY_CFG, *TINY, "--run-dir", str(tmp_path / "file")]
+        assert main(argv) == EXIT_VALIDATION
+        assert os.strerror(errno.EEXIST) in capsys.readouterr().err
 
     def test_gen_data_writes_npz(self, tmp_path, capsys):
         dest = tmp_path / "toy.npz"

@@ -95,7 +95,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg("", overrides=["tcn.stages=soon"])
         with pytest.raises(ConfigError, match="finite"):
-            tc.parse_train_config("[train]\nmixup_alpha = nan\n")
+            tc.parse_toy_spec("[toy]\nnoise = nan\n")
 
     def test_rules_hold_for_replace(self):
         """A section's rules live in its dataclass, so replace() is checked too."""
@@ -103,8 +103,8 @@ class TestConfigValidation:
             replace(tc.TrainConfig(), epochs=0)
         with pytest.raises(ConfigError, match="noise"):
             replace(tc.ToyDatasetSpec(), noise=-1)
-        with pytest.raises(ConfigError, match="rates"):
-            replace(tc.TrainConfig(), base_lr=float("nan"))
+        with pytest.raises(ConfigError, match="crop_size"):
+            replace(tc.TrainConfig(), crop_size=0)
 
     @pytest.mark.parametrize("name,config", sorted(shipped().items()))
     def test_writer_and_reader_agree(self, name, config):

@@ -294,7 +294,7 @@ class TestLoop:
         model = tc.build_model(cfg, seed=0)
         spec = ToyDatasetSpec(num_classes=4, seq_len=8, frame_size=8,
                               train_size=16, val_size=8, test_size=8)
-        tcfg = TrainConfig(epochs=2, batch_size=8, crop=False, crop_size=8, seed=0)
+        tcfg = TrainConfig(epochs=2, crop=False, crop_size=8, seed=0)
         return model, ToyDataset(spec), tcfg
 
     def test_history_schema_and_log_stream(self):
@@ -305,9 +305,25 @@ class TestLoop:
         for i, row in enumerate(result.history):
             assert row["epoch"] == i
             assert set(row) == {"epoch", "lr", "train_loss", "val_acc"}
-            assert row["lr"] == pytest.approx(cosine_lr(i, tcfg.epochs, tcfg.base_lr))
+            assert row["lr"] == pytest.approx(cosine_lr(i, tcfg.epochs))
         logged = [json.loads(line) for line in stream.getvalue().splitlines()]
         assert logged == result.history
+
+    def test_every_step_mixes(self, monkeypatch):
+        """MixUp is part of the one recipe: every step mixes its whole batch,
+        the last, partial one too, at alpha 0.4."""
+        model, _, tcfg = self._tiny()
+        ds = ToyDataset(ToyDatasetSpec(num_classes=4, seq_len=8, frame_size=8,
+                                       train_size=40, val_size=8, test_size=8))
+        calls = []
+
+        def counted(a, b, ya, yb, alpha, rng):
+            calls.append((len(a), alpha))
+            return mixup(a, b, ya, yb, alpha, rng)
+
+        monkeypatch.setattr("tempconv.train.mixup", counted)
+        train_loop(model, ds, tcfg)
+        assert calls == [(32, 0.4), (8, 0.4)] * tcfg.epochs
 
     def test_best_checkpoint_restored(self):
         model, ds, tcfg = self._tiny()
