@@ -2,9 +2,9 @@
 
 Every block is residual (input added to the body output) and ends in
 dropout. All temporal convolutions are causal with the block's dilation,
-so a block never reads future frames. Convolutions directly followed by a
-norm carry no bias; the plain two-conv block keeps its biases, giving it
-2*(k*C^2 + C) + 4*C parameters.
+so a block never reads future frames. A convolution and its norm are one
+``layers.ConvNorm`` unit, and the convolution carries no bias; the plain
+two-conv block keeps its biases, giving it 2*(k*C^2 + C) + 4*C parameters.
 
 The built module tree is the only description of a block: parameter
 counts, MACs and receptive-field taps are read from it. Plain stacks come
@@ -17,8 +17,8 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError
-from .layers import (BatchNorm, Conv, Conv1d, Dropout, Module, ReLU, Sequential, conv_norm,
-                     eval_tiles, fast_eval, residual)
+from .layers import (Conv, Conv1d, ConvNorm, Dropout, Module, Sequential, eval_tiles, fast_eval,
+                     residual)
 from .tensor import Tensor
 
 DEFAULT_EXPANSION = {
@@ -88,43 +88,31 @@ def _pw(a, b, bias=False):
     return Conv1d(a, b, 1, causal=True, bias=bias)
 
 
-# body layer list per plain kind: (channels, expanded width, dilation)
+# body units per plain kind, each a conv with its norm: (channels, expanded width, dilation)
 _BODIES = {
     # two full causal convolutions, each followed by norm and relu
-    "baseline": lambda c, e, d: [
-        _full(c, c, d, bias=True), BatchNorm(c), ReLU(),
-        _full(c, c, d, bias=True), BatchNorm(c), ReLU(),
-    ],
+    "baseline": lambda c, e, d: [ConvNorm(_full(c, c, d, bias=True), relu=True),
+                                 ConvNorm(_full(c, c, d, bias=True), relu=True)],
     # depthwise, pointwise, depthwise; norms only, no activation
-    "linear": lambda c, e, d: [
-        _dw(c, d), BatchNorm(c), _pw(c, c), BatchNorm(c), _dw(c, d), BatchNorm(c),
-    ],
+    "linear": lambda c, e, d: [ConvNorm(_dw(c, d)), ConvNorm(_pw(c, c)), ConvNorm(_dw(c, d))],
     # full conv expands the width, pointwise projects back
-    "fusedmb": lambda c, e, d: [
-        _full(c, e, d), BatchNorm(e), ReLU(), _pw(e, c), BatchNorm(c),
-    ],
+    "fusedmb": lambda c, e, d: [ConvNorm(_full(c, e, d), relu=True), ConvNorm(_pw(e, c))],
     # pointwise expand, depthwise, pointwise project
-    "invertedresidual": lambda c, e, d: [
-        _pw(c, e), BatchNorm(e), ReLU(), _dw(e, d), BatchNorm(e), ReLU(),
-        _pw(e, c), BatchNorm(c),
-    ],
+    "invertedresidual": lambda c, e, d: [ConvNorm(_pw(c, e), relu=True),
+                                         ConvNorm(_dw(e, d), relu=True), ConvNorm(_pw(e, c))],
     # compact inverted bottleneck: dw / pw-expand / dw / pw-project / dw
-    "cib": lambda c, e, d: [
-        _dw(c, d), BatchNorm(c), _pw(c, e), BatchNorm(e), _dw(e, d), BatchNorm(e),
-        _pw(e, c), BatchNorm(c), _dw(c, d), BatchNorm(c),
-    ],
+    "cib": lambda c, e, d: [ConvNorm(_dw(c, d)), ConvNorm(_pw(c, e)), ConvNorm(_dw(e, d)),
+                            ConvNorm(_pw(e, c)), ConvNorm(_dw(c, d))],
     # extra-depthwise universal bottleneck: dw / pw-expand / dw / pw-project
-    "uib": lambda c, e, d: [
-        _dw(c, d), BatchNorm(c), _pw(c, e), BatchNorm(e), ReLU(), _dw(e, d),
-        BatchNorm(e), _pw(e, c), BatchNorm(c),
-    ],
+    "uib": lambda c, e, d: [ConvNorm(_dw(c, d)), ConvNorm(_pw(c, e), relu=True),
+                            ConvNorm(_dw(e, d)), ConvNorm(_pw(e, c))],
 }
 
 BLOCK_KINDS = (*_BODIES, "starv")
 
 
 class SequentialBlock(TemporalBlock):
-    """Body is the plain layer stack ``_BODIES[kind]`` builds."""
+    """Body is the plain unit stack ``_BODIES[kind]`` builds."""
 
     def __init__(self, kind, channels, dilation, width, dropout):
         super().__init__(kind, channels, dilation, dropout)
@@ -148,19 +136,17 @@ class StarBlock(TemporalBlock):
     def __init__(self, kind, channels, dilation, width, dropout):
         super().__init__(kind, channels, dilation, dropout)
         c, d, e = channels, dilation, width
-        self.dw_in = _dw(c, d, STAR_DW_KERNEL)
-        self.bn_in = BatchNorm(c)
+        self.dw_in = ConvNorm(_dw(c, d, STAR_DW_KERNEL))
         self.branch1 = _pw(c, e, bias=True)
         self.branch2 = _pw(c, e, bias=True)
-        self.project = _pw(e, c)
-        self.bn_out = BatchNorm(c)
+        self.project = ConvNorm(_pw(e, c))
         self.dw_out = _dw(c, d, STAR_DW_KERNEL, bias=True)
 
     def _body(self, x):
-        h = conv_norm(self.dw_in, self.bn_in, x)
+        h = self.dw_in(x)
         expanded = h.shape[0] * 2 * self.branch1.spec.out_channels  # both branches, per frame
-        return self.dw_out(eval_tiles(h, 2, h.data.itemsize * expanded,
-                                      [(self.project, self.bn_out)], self._pointwise))
+        return self.dw_out(eval_tiles(h, 2, h.data.itemsize * expanded, [self.project],
+                                      self._pointwise))
 
     def _pointwise(self, h, folds):
         """The branches, their gate and ``project`` with its norm; ``folds``
@@ -171,7 +157,7 @@ class StarBlock(TemporalBlock):
             mixed = Tensor(np.multiply(gate, self.branch2(h).data, out=gate), _op="hadamard")
         else:
             mixed = ops.hadamard(ops.relu6(self.branch1(h)), self.branch2(h))
-        return conv_norm(self.project, self.bn_out, mixed, fold=folds[0])
+        return self.project(mixed, fold=folds[0])
 
 
 def make_block(kind, channels, dilation, dropout=0.2):

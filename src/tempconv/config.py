@@ -153,7 +153,11 @@ def _float(raw):
 
 
 def _int_list(raw):
-    return tuple(int(part.strip()) for part in str(raw).split(",") if part.strip())
+    """Comma-separated ints; an empty value is the empty list, which the section's rule refuses."""
+    parts = str(raw).split(",") if str(raw).strip() else []
+    if not all(part.strip() for part in parts):
+        raise ValueError("a list entry is empty")
+    return tuple(map(int, parts))
 
 
 _CASTS = {bool: _bool, int: int, float: _float, str: str, tuple: _int_list}

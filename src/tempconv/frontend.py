@@ -1,11 +1,13 @@
 """Visual frontend: 3-D stem, per-frame feature extractor, classifier head.
 
 The stem mixes a short temporal window (kernel 3, stride 1) while halving
-both spatial axes; no pooling follows it. The extractor then processes
-each frame independently (it never mixes time): frames are folded into the
-batch axis, run through 2-D stages, spatially pooled, and unfolded back to
-an (N, D, T) feature sequence. Any module with the same mapping and an
-``out_dim`` attribute can replace the reference extractor.
+both spatial axes; no pooling follows it. It is one ``layers.ConvNorm``,
+and each extractor bottleneck three (expand, dw3×3, project). The
+extractor then processes each frame independently (it never mixes time):
+frames are folded into the batch axis, run through 2-D stages, spatially
+pooled, and unfolded back to an (N, D, T) feature sequence. Any module with
+the same mapping and an ``out_dim`` attribute can replace the reference
+extractor.
 
 No bottleneck mixes frames, so in eval with no tape each runs on tiles of
 whole frames (``layers.eval_tiles``) with no halo: its expanded tensor
@@ -20,8 +22,7 @@ from typing import ClassVar
 from . import ops
 from .blocks import expanded_width
 from .errors import ConfigError, ShapeError
-from .layers import (MAX_STAGES, BatchNorm, Conv2d, Conv3d, Linear, Module, ReLU, Sequential,
-                     conv_norm, eval_tiles)
+from .layers import MAX_STAGES, Conv2d, Conv3d, ConvNorm, Linear, Module, Sequential, eval_tiles
 
 
 @dataclass(frozen=True)
@@ -39,15 +40,14 @@ class StemSpec:
             raise ConfigError("stem out_channels must be ≥ 1")
 
 
-class Stem(Module):
+class Stem(ConvNorm):
     """conv3d -> norm -> relu over (N, C, T, H, W); keeps T, halves H and W."""
 
     def __init__(self, spec=None):
-        super().__init__()
-        self.spec = spec if spec is not None else StemSpec()
-        self.conv = Conv3d(self.spec.in_channels, self.spec.out_channels, self.spec.kernel,
-                           stride=self.spec.stride, padding=self.spec.padding, bias=True)
-        self.bn = BatchNorm(self.spec.out_channels)
+        spec = spec if spec is not None else StemSpec()
+        super().__init__(Conv3d(spec.in_channels, spec.out_channels, spec.kernel,
+                                stride=spec.stride, padding=spec.padding, bias=True), relu=True)
+        self.spec = spec
 
     def _check(self, shape):
         c, t, h, w = shape
@@ -57,9 +57,6 @@ class Stem(Module):
             raise ShapeError(f"need at least {self.spec.kernel[0]} frames, got {t}")
         if h % 2 or w % 2:
             raise ShapeError(f"spatial size must be even, got {h}x{w}")
-
-    def forward(self, x):
-        return conv_norm(self.conv, self.bn, x, relu=True)
 
 
 @dataclass(frozen=True)
@@ -99,23 +96,21 @@ class _SpatialBottleneck(Module):
         super().__init__()
         e = expanded_width(cin, expansion)
         self.body = Sequential(
-            Conv2d(cin, e, 1, bias=False), BatchNorm(e), ReLU(),
-            Conv2d(e, e, 3, stride=2, groups=e, bias=False), BatchNorm(e), ReLU(),
-            Conv2d(e, cout, 1, bias=False), BatchNorm(cout),
+            ConvNorm(Conv2d(cin, e, 1, bias=False), relu=True),
+            ConvNorm(Conv2d(e, e, 3, stride=2, groups=e, bias=False), relu=True),
+            ConvNorm(Conv2d(e, cout, 1, bias=False)),
         )
 
     def forward(self, x):
-        expand, bn1, _, dw, bn2, _, project, bn3 = self.body
+        expand, dw, _ = (unit.conv.spec for unit in self.body)
         sizes = x.shape[2:]
-        expanded = expand.spec.out_channels * (math.prod(sizes) + math.prod(dw.spec.out_sizes(sizes)))
-        return eval_tiles(x, 0, x.data.itemsize * expanded,
-                          [(expand, bn1), (dw, bn2), (project, bn3)], self._body)
+        expanded = expand.out_channels * (math.prod(sizes) + math.prod(dw.out_sizes(sizes)))
+        return eval_tiles(x, 0, x.data.itemsize * expanded, self.body, self._body)
 
     def _body(self, x, folds):
-        expand, bn1, _, dw, bn2, _, project, bn3 = self.body
-        h = conv_norm(expand, bn1, x, relu=True, fold=folds[0])
-        h = conv_norm(dw, bn2, h, relu=True, fold=folds[1])
-        return conv_norm(project, bn3, h, fold=folds[2])
+        for unit, fold in zip(self.body, folds):
+            x = unit(x, fold=fold)
+        return x
 
 
 class ReferenceExtractor(Module):
@@ -137,8 +132,8 @@ class ReferenceExtractor(Module):
         """Refuse the (H, W) ``sizes`` it is fed if they collapse to 1 before
         the last stage; the message names ``sample``, the (H, W) of the clip."""
         for stage, block in enumerate(list(self.stages)[:-1], 1):
-            _, _, _, dw, *_ = block.body  # the stage's downsampling conv
-            sizes = dw.spec.out_sizes(sizes)
+            _, dw, _ = block.body  # the stage's downsampling unit
+            sizes = dw.conv.spec.out_sizes(sizes)
             if min(sizes) <= 1:
                 raise ShapeError(
                     f"spatial input {sample[0]}x{sample[1]} collapses before the final stage "

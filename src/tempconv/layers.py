@@ -8,6 +8,9 @@ Layers declare their parameters and buffers by shape only: a declared
 array is a read-only broadcast of its fill value and takes no memory until
 ``init_parameters`` or ``allocate`` gives it storage, so a module tree can
 be counted (and refused) before any weight exists.
+
+A conv with a norm is one :class:`ConvNorm` unit, which folds the norm into
+the conv in :func:`fast_eval`; ``Sequential`` runs its layers in turn.
 """
 from __future__ import annotations
 
@@ -291,42 +294,6 @@ def residual(module, y, x):
     return Tensor(y.data, _op="add")
 
 
-def folded(conv, norm):
-    """The weight and bias Tensors of ``conv`` with eval-mode ``norm``
-    folded in: weight ``W·s`` and bias ``(b − μ)·s + β``,
-    ``s = γ/√(var + eps)``. None where no fold applies: ``norm`` not in
-    :func:`fast_eval`, or a width mismatch."""
-    if not fast_eval(norm) or norm.channels != conv.spec.out_channels:
-        return None
-    w = conv.weight.data
-    scale, shift = ops.batch_norm_affine(norm.gamma.data, norm.beta.data, norm.running_mean,
-                                         norm.running_var, norm.eps, w.dtype)
-    if conv.bias is not None:
-        shift = conv.bias.data * scale + shift
-    return Tensor(w * scale.reshape((-1,) + (1,) * (w.ndim - 1))), Tensor(shift)
-
-
-def conv_norm(conv, norm, x, relu=False, fold=None):
-    """``norm(conv(x))``, then ``relu`` if asked, with the norm folded into
-    the conv in eval mode.
-
-    Where :func:`folded` applies, one conv runs with the folded weight and
-    bias, and the ReLU clamps that conv's fresh output in place: one Tensor,
-    one finite check. The folded arrays are made per call from the current
-    parameters and running statistics, so nothing is cached and nothing
-    needs invalidating; a caller running one conv over many tiles passes
-    the ``fold`` it made once.
-    """
-    fold = fold or folded(conv, norm)
-    if fold is None:
-        y = norm(conv(x))  # a width mismatch raises its ShapeError there
-        return ops.relu(y) if relu else y
-    y = ops.conv(x, *fold, conv.spec)
-    if relu:
-        np.maximum(y.data, 0, out=y.data)
-    return y
-
-
 # Bytes of expanded activations that one tile of an eval expanding block
 # (an extractor bottleneck, a star block's pointwise section) holds at once.
 # 8 MiB tiles took the tracemalloc peak of a frontend-less starv forward at
@@ -336,15 +303,15 @@ def conv_norm(conv, norm, x, relu=False, fold=None):
 _EVAL_TILE_BYTES = 8 << 20
 
 
-def eval_tiles(x, axis, item_bytes, pairs, run):
+def eval_tiles(x, axis, item_bytes, units, run):
     """``run(x, folds)`` on tiles of ``x`` along ``axis`` of about
     ``_EVAL_TILE_BYTES`` at ``item_bytes`` per index, joined in one Tensor
-    laid out like the first; ``folds`` are the :func:`folded` ``pairs``, made
-    once. ``run`` must not mix across ``axis``. One run takes the whole ``x``
-    where a pair does not fold or one tile covers the axis."""
+    laid out like the first; ``folds`` are the :meth:`ConvNorm.fold` of
+    ``units``, made once. ``run`` must not mix across ``axis``. One run takes
+    the whole ``x`` where a unit does not fold or one tile covers the axis."""
     size = x.shape[axis]
     step = max(1, _EVAL_TILE_BYTES // item_bytes)
-    folds = [folded(conv, norm) for conv, norm in pairs]
+    folds = [unit.fold() for unit in units]
     if step >= size or None in folds:
         return run(x, folds)
     out = None
@@ -360,6 +327,45 @@ def eval_tiles(x, axis, item_bytes, pairs, run):
 class ReLU(Module):
     def forward(self, x):
         return ops.relu(x)
+
+
+class ConvNorm(Module):
+    """``conv``, then a :class:`BatchNorm` ``bn`` at its output width, then a
+    ReLU if ``relu``. In :func:`fast_eval` one conv runs with the :meth:`fold`
+    weight and bias, and the ReLU clamps its fresh output in place: one
+    Tensor, one finite check."""
+
+    def __init__(self, conv, relu=False):
+        super().__init__()
+        self.conv = conv
+        self.bn = BatchNorm(conv.spec.out_channels)
+        self.relu = relu
+
+    def fold(self):
+        """The conv's weight ``W·s`` and bias ``(b − μ)·s + β`` Tensors,
+        ``s = γ/√(var + eps)``, made per call from the current parameters and
+        running statistics, so nothing is cached; None outside :func:`fast_eval`."""
+        bn = self.bn
+        if not fast_eval(bn):
+            return None
+        w = self.conv.weight.data
+        scale, shift = ops.batch_norm_affine(bn.gamma.data, bn.beta.data, bn.running_mean,
+                                             bn.running_var, bn.eps, w.dtype)
+        if self.conv.bias is not None:
+            shift = self.conv.bias.data * scale + shift
+        return Tensor(w * scale.reshape((-1,) + (1,) * (w.ndim - 1))), Tensor(shift)
+
+    def forward(self, x, fold=None):
+        """The unit on ``x``; a caller running the conv over many tiles
+        passes the ``fold`` it made once."""
+        fold = fold or self.fold()
+        if fold is None:
+            y = self.bn(self.conv(x))
+            return ops.relu(y) if self.relu else y
+        y = ops.conv(x, *fold, self.conv.spec)
+        if self.relu:
+            np.maximum(y.data, 0, out=y.data)
+        return y
 
 
 class Dropout(Module):
@@ -418,17 +424,6 @@ class Sequential(Module):
         return len(self._modules)
 
     def forward(self, x):
-        """Each layer in turn; a Conv followed by a BatchNorm, and a ReLU
-        right after them, runs as one ``conv_norm``."""
-        layers = list(self)
-        i = 0
-        while i < len(layers):
-            if (i + 1 < len(layers) and isinstance(layers[i], Conv)
-                    and isinstance(layers[i + 1], BatchNorm)):
-                relu = i + 2 < len(layers) and isinstance(layers[i + 2], ReLU)
-                x = conv_norm(layers[i], layers[i + 1], x, relu)
-                i += 2 + relu
-            else:
-                x = layers[i](x)
-                i += 1
+        for layer in self:
+            x = layer(x)
         return x

@@ -27,8 +27,8 @@ and backward alike:
 
 Every route is tested against the reference conv in ``tests/oracles.py``.
 
-Eval-mode batch norm is one multiply-add per element; the layers fold it
-into the conv before it when no tape records (``layers.conv_norm``).
+Eval-mode batch norm is one multiply-add per element; a ``layers.ConvNorm``
+unit folds it into its conv when no tape records.
 Training-mode batch norm reduces over a copy-free (rows, C) view of a
 channels-last input or an (N, C, S) view of a channels-first one.
 
@@ -555,14 +555,16 @@ def _batch_norm_training(x, gamma, beta, running_mean, running_var, eps, momentu
     mu = _channel_sums(xv) / m
     xc = xv - mu[col]
     var = np.einsum(f"{sub},{sub}->c", xc, xc) / m
+    if not math.isfinite(var.max()):  # an inf would output β; NaN propagates through max
+        raise NumericError("batch_norm batch variance is not finite")
+    denom = var + eps
+    if np.any(denom <= 0):
+        raise NumericError("batch_norm variance estimate is non-positive after eps")
     unbias = m / (m - 1) if m > 1 else 1.0
     running_mean *= 1.0 - momentum
     running_mean += momentum * mu
     running_var *= 1.0 - momentum
     running_var += momentum * var * unbias
-    denom = var + eps
-    if np.any(denom <= 0):
-        raise NumericError("batch_norm variance estimate is non-positive after eps")
     inv = 1.0 / np.sqrt(denom)
     scale = gamma.data * inv
     yv = xc * scale[col]

@@ -179,7 +179,7 @@ class TestStarMixer:
 
     def test_depthwise_kernel_default(self):
         blk = fresh("starv", channels=8)
-        assert blk.dw_in.spec.kernel == (STAR_DW_KERNEL,)
+        assert blk.dw_in.conv.spec.kernel == (STAR_DW_KERNEL,)
         assert blk.dw_out.spec.kernel == (STAR_DW_KERNEL,)
 
 

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tempconv import build_model, frontend, load_config_file, lwt
+from tempconv import build_model, frontend, load_config_file, lwt, parse_config
 from tempconv.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from tempconv.config import _KNOWN_KEYS
 from tempconv.errors import ConfigError
@@ -147,6 +147,9 @@ class TestExitCodes:
         (["describe", "--set", "stem.kernel=3"], None),
         (["describe", "--set", "extractor.stage_widths=8"], None),
         (["describe", "--set", "tcn.channels=8,16"], None),
+        (["describe", "--set", "extractor.widths=8,,16", "--set", "tcn.channels=16"], None),
+        (["describe", "--set", "extractor.widths=8,16,", "--set", "tcn.channels=16"], None),
+        (["describe", "--set", "extractor.widths=,8,16", "--set", "tcn.channels=16"], None),
         (["describe", "--set", "extractor.widths=8,16", "--set", "tcn.channels=8"], None),
         # sizes whose arrays no machine holds, so they fail at once wherever they are not refused
         (["train-toy", "--config", TOY_CFG, "--set", "toy.train_size=1000000000000",
@@ -162,7 +165,8 @@ class TestExitCodes:
             "tcn-channels-huge", "extractor-widths-huge", "stem-out-channels-huge",
             "extractor-expansion-huge", "num-classes-huge", "extractor-expansion-fraction",
             "extractor-in-channels-key", "stem-kernel-key", "extractor-stage-widths-key",
-            "tcn-channels-list", "tcn-width-unlike-extractor",
+            "tcn-channels-list", "extractor-widths-inner-empty", "extractor-widths-trailing-empty",
+            "extractor-widths-leading-empty", "tcn-width-unlike-extractor",
             "toy-train-size-huge", "toy-seq-len-huge", "toy-frame-size-huge"])
     def test_bad_config_input(self, argv, doc, tmp_path, capsys):
         """Exit 2 with a ConfigError message: no traceback, no silent no-op."""
@@ -175,6 +179,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("tempconv.ConfigError: ")
         assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("widths", ["8,,16", "8,16,", ",8,16"])
+    def test_empty_list_entry_is_refused(self, widths, capsys):
+        argv = ["describe", "--set", f"extractor.widths={widths}", "--set", "tcn.channels=16"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"tempconv.ConfigError: [extractor] widths = '{widths}' is not valid: "
+            "a list entry is empty\n")
+
+    def test_empty_list_is_refused_by_its_rule(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("[extractor]\nwidths =\n")
+        assert main(["describe", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"tempconv.ConfigError: {cfg}: extractor widths must be a nonempty list of positive ints\n")
 
     def test_refused_width_allocates_nothing(self, capsys):
         """Norm buffers are declared by shape, so a refused width costs no memory."""
@@ -510,6 +529,31 @@ class TestWhereItFailed:
         assert self._infer_checkpoint(tmp_path, capsys, ck) == (
             f"tempconv.FormatError: {ck}: bad checkpoint magic b'XXXX', expected b'LWTC'\n")
 
+    def test_checkpoint_of_the_older_key_layout(self, tmp_path, capsys):
+        """A checkpoint saved while each norm sat beside its conv (a star
+        block's ``dw_in.weight``, ``bn_in.*``, ``project.weight``, ``bn_out.*``)
+        passes the config hash check and is refused by its keys."""
+        star = ["model.frontend=false", "tcn.block_kind=starv", "tcn.stages=1", "tcn.channels=8"]
+        model = build_model(parse_config("", star), seed=0)
+        older = {"dw_in.conv.": "dw_in.", "dw_in.bn.": "bn_in.",
+                 "project.conv.": "project.", "project.bn.": "bn_out."}
+        state = {}
+        for name, arr in model.state_dict().items():
+            for now, then in older.items():
+                name = name.replace(now, then)
+            state[name] = arr
+        ck, p = tmp_path / "older.lwtc", tmp_path / "seq.lwt"
+        lwt.save_checkpoint(ck, state, meta={"config_hash": model.config_hash})
+        lwt.save_tensor(p, np.zeros((8, 12), dtype=np.float32))
+        argv = ["infer", "--input", str(p), "--checkpoint", str(ck)]
+        for item in star:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_VALIDATION
+        missing = [f"tcn.body.0.dw_in.bn.{key}" for key in ("beta", "gamma", "running_mean",
+                                                             "running_var")]
+        assert capsys.readouterr().err.startswith(
+            f"tempconv.FormatError: {ck}: state mismatch; missing {missing}, unexpected ")
+
     def test_verify_names_the_row_and_its_config(self, tmp_path, capsys):
         cfg, fixture = tmp_path / "broken.cfg", tmp_path / "fixture.json"
         cfg.write_text("[tcn]\nstages = four\n")
@@ -784,6 +828,18 @@ class TestTrainToy:
         assert (old / "history.jsonl").read_text() == '{"epoch": 0}\n'
         assert [p.name for p in old.iterdir()] == ["history.jsonl"]
         assert list(fresh.iterdir()) == []
+
+    def test_overflowing_batch_variance_stops_the_first_step(self, tmp_path, capsys):
+        """Noise of 1e30 overflows the float32 batch variance of the first
+        training norm: the run stops there with exit 3 and writes no history
+        record or checkpoint."""
+        run = tmp_path / "run"
+        argv = ["train-toy", "--config", TOY_CFG, "--set", "train.epochs=2",
+                "--set", "toy.noise=1e30", "--run-dir", str(run)]
+        assert main(argv) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "tempconv.NumericError: epoch 0, step 0: batch_norm batch variance is not finite\n")
+        assert list(run.iterdir()) == []
 
     def test_run_dir_that_is_a_file_fails_before_training(self, tmp_path, monkeypatch, capsys):
         def no_training(*args, **kwargs):

@@ -2,7 +2,7 @@
 
 In eval with no tape, an extractor bottleneck runs expand → dw3×3 →
 project on tiles of whole frames, and a star block runs its pointwise
-section (both branches, the gate, ``mid`` and ``project``) on tiles of
+section (both branches, the gate and ``project``) on tiles of
 time steps; ``layers._EVAL_TILE_BYTES`` sizes the tiles. Forced to one
 frame or step per tile, to a partial last tile, or to one tile longer than
 the input, each block must match the taped path (which never tiles) to
@@ -33,7 +33,6 @@ import tempconv as tc
 from tempconv import layers, ops
 from tempconv.blocks import TemporalBlock, make_block
 from tempconv.frontend import ExtractorSpec, ReferenceExtractor, _SpatialBottleneck
-from tempconv.layers import conv_norm
 from tempconv.tensor import GradTape, Tensor
 
 FIXED = settings.get_profile("fastpath")
@@ -75,10 +74,10 @@ def _taped(module, x):
 
 def _bottleneck_item_bytes(block, x):
     """Bytes of one frame's expanded tensor and its depthwise output."""
-    expand, _, _, dw, *_ = block.body
+    expand, dw, _ = (unit.conv.spec for unit in block.body)
     sizes = x.shape[2:]
-    return x.itemsize * expand.spec.out_channels * (
-        int(np.prod(sizes)) + int(np.prod(dw.spec.out_sizes(sizes))))
+    return x.itemsize * expand.out_channels * (
+        int(np.prod(sizes)) + int(np.prod(dw.out_sizes(sizes))))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -98,7 +97,7 @@ def test_bottleneck_tiles_match_whole(mode, data, cout, channels_last, dtype, si
     per_tile = _per_tile(mode, frames)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(layers, "_EVAL_TILE_BYTES", per_tile * _bottleneck_item_bytes(block, x))
-        tiles = _spec_inputs(patch, next(iter(block.body)).spec)
+        tiles = _spec_inputs(patch, next(iter(block.body)).conv.spec)
         got = block(Tensor(x)).data
     assert [len(t) for t in tiles] == [min(per_tile, frames - i) for i in range(0, frames, per_tile)]
     assert got.dtype == dtype and (_is_channels_last(got) or not channels_last)
@@ -134,7 +133,7 @@ def test_star_tiles_match_whole(mode, data, dilation, batch, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(layers, "_EVAL_TILE_BYTES", WHOLE)
         _close(got, block(Tensor(x)).data)
-        h = conv_norm(block.dw_in, block.bn_in, Tensor(x)).data
+        h = block.dw_in(Tensor(x)).data
         each = [block._pointwise(Tensor(h[..., i:i + per_tile]), [None]).data
                 for i in range(0, frames, per_tile)]
     np.testing.assert_array_equal(mixed[0], np.concatenate(each, axis=2))
@@ -157,7 +156,7 @@ def _never_tiled(name, rng):
     axis it tiles and the conv its tiles start with."""
     if name == "bottleneck":
         block = _SpatialBottleneck(4, 4, 2.0).init_parameters(rng)
-        return block, rng.standard_normal((3, 4, 5, 5)), 0, next(iter(block.body))
+        return block, rng.standard_normal((3, 4, 5, 5)), 0, next(iter(block.body)).conv
     block = make_block(name, 4, 2).init_parameters(rng)
     return block, rng.standard_normal((2, 4, 6)), 2, block.branch1
 

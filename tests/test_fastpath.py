@@ -18,12 +18,12 @@ shape class, also when its eval bottlenecks and star blocks run one frame
 or time step per tile, and so do grouped and channel-multiplier convs
 built through the layers.
 
-In eval mode with no tape, a norm right after a conv is folded into the
+In eval mode with no tape, a ``ConvNorm`` unit folds its norm into its
 conv; a folded forward must match the unfolded one (run under a tape, which
 turns the fold off) for every block kind, the extractor bottleneck and the
-stem. A ReLU right after them then clamps the conv's output in place; that
-must equal the unfused layers, and under a tape or in training the ReLU
-must leave its input array as it was.
+stem. A unit's ReLU then clamps the conv's output in place; that must
+equal the conv, norm and ReLU layers run one by one, and under a tape or
+in training the ReLU must leave its input array as it was.
 
 The cases come from the fixed ``fastpath`` hypothesis profile (see
 ``conftest.py``), so every run draws the same ones.
@@ -44,7 +44,7 @@ from tempconv.blocks import BLOCK_KINDS, make_block
 from tempconv.errors import NumericError, ShapeError
 from tempconv.frontend import ExtractorSpec, ReferenceExtractor, Stem, StemSpec, _SpatialBottleneck
 from tempconv.gradcheck import grad_check
-from tempconv.layers import BatchNorm, Conv1d, Conv2d, ReLU, Sequential
+from tempconv.layers import BatchNorm, Conv1d, Conv2d, ConvNorm, ReLU, Sequential
 from tempconv.tensor import GradTape, Tensor
 from tempconv.train import one_hot
 
@@ -381,10 +381,10 @@ def _eval_and_train_step(net, x, probe):
     (Conv2d(4, 8, 3, stride=2, groups=4), (2, 4, 7, 7)),  # groups = C_in, two outputs each
 ], ids=["grouped", "channel-multiplier"])
 def test_grouped_layers_take_gemm(conv, shape, monkeypatch):
-    """Convs between groups = 1 and depthwise, each followed by a norm, run
-    on GEMM in eval (folded) and in training, and match the einsum conv."""
+    """Convs between groups = 1 and depthwise, each with a norm, run on GEMM
+    in eval (folded) and in training, and match the einsum conv."""
     rng = np.random.default_rng(5)
-    net = Sequential(conv, BatchNorm(conv.spec.out_channels)).init_parameters(rng)
+    net = ConvNorm(conv).init_parameters(rng)
     _randomize_norms(net, rng)
     x = rng.standard_normal(shape).astype(np.float32)
     probe = rng.standard_normal((shape[0], conv.spec.out_channels)
@@ -656,7 +656,7 @@ def test_eval_block_leaves_input_and_parameters(kind):
 @pytest.mark.parametrize("kind,bias,want", [
     ("starv", "branch2.bias", "hadamard"),  # relu6(6) * 3e38 overflows the gate
     ("starv", "dw_out.bias", "add"),        # 3e38 + 1e38 overflows the residual
-    ("linear", "body.5.beta", "add"),
+    ("linear", "body.2.bn.beta", "add"),
 ])
 def test_forced_overflow_names_the_op(kind, bias, want, recorded):
     block = make_block(kind, 4, 1).init_parameters(np.random.default_rng(0))
@@ -697,12 +697,12 @@ def test_eval_batch_norm_gradcheck():
 
 
 def _conv_norm_relu_cases(rng):
-    """A Conv→BatchNorm→ReLU Sequential and a Stem with non-trivial norms,
-    each with an input and its unfused layers."""
-    net = Sequential(Conv2d(3, 5, 3, stride=2), BatchNorm(5), ReLU())
+    """A ConvNorm with a ReLU and a Stem with non-trivial norms, each with an
+    input and its unfused layers."""
+    net = ConvNorm(Conv2d(3, 5, 3, stride=2), relu=True)
     stem = Stem(StemSpec(out_channels=4))
     cases = []
-    for module, layers, shape in ((net, list(net), (2, 3, 7, 7)),
+    for module, layers, shape in ((net, [net.conv, net.bn, ReLU()], (2, 3, 7, 7)),
                                   (stem, [stem.conv, stem.bn, ReLU()], (1, 1, 3, 8, 8))):
         module.init_parameters(rng)
         _randomize_norms(module, rng)

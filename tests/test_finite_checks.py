@@ -35,25 +35,25 @@ FINITE = None  # an infinite variance folds its channel to zero: no error
 WEIGHT, BIAS, STAT = (FOLD, FOLD, FOLD), (FOLD, FOLD, FOLD), (FOLD, FINITE, VARIANCE)
 INJECTIONS = {
     **{(kind, f"tcn.body.0.{name}"): want for kind, name, want in [
-        *[(kind, "body.0.weight", WEIGHT) for kind in BLOCK_KINDS if kind != "starv"],
-        ("baseline", "body.4.beta", BIAS),
-        ("linear", "body.5.beta", BIAS),
-        ("fusedmb", "body.4.beta", BIAS),
-        ("invertedresidual", "body.7.beta", BIAS),
-        ("cib", "body.9.beta", BIAS),
-        ("uib", "body.8.beta", BIAS),
-        *[(kind, "body.1.running_var", STAT) for kind in BLOCK_KINDS if kind != "starv"],
-        ("starv", "dw_in.weight", WEIGHT),
+        *[(kind, "body.0.conv.weight", WEIGHT) for kind in BLOCK_KINDS if kind != "starv"],
+        ("baseline", "body.1.bn.beta", BIAS),
+        ("linear", "body.2.bn.beta", BIAS),
+        ("fusedmb", "body.1.bn.beta", BIAS),
+        ("invertedresidual", "body.2.bn.beta", BIAS),
+        ("cib", "body.4.bn.beta", BIAS),
+        ("uib", "body.3.bn.beta", BIAS),
+        *[(kind, "body.0.bn.running_var", STAT) for kind in BLOCK_KINDS if kind != "starv"],
+        ("starv", "dw_in.conv.weight", WEIGHT),
         ("starv", "dw_out.bias", (CONV, CONV, CONV)),
-        ("starv", "bn_in.running_var", STAT),
+        ("starv", "dw_in.bn.running_var", STAT),
     ]},
     **{("frontend", name): want for name, want in [
         ("stem.conv.weight", WEIGHT),
         ("stem.conv.bias", BIAS),
         ("stem.bn.running_var", STAT),
-        ("extractor.stages.0.body.3.weight", WEIGHT),
-        ("extractor.stages.0.body.7.beta", BIAS),
-        ("extractor.stages.0.body.4.running_var", STAT),
+        ("extractor.stages.0.body.1.conv.weight", WEIGHT),
+        ("extractor.stages.0.body.2.bn.beta", BIAS),
+        ("extractor.stages.0.body.1.bn.running_var", STAT),
         ("head.fc.weight", (LINEAR, LINEAR, LINEAR)),
         ("head.fc.bias", (LINEAR, LINEAR, LINEAR)),
     ]},
@@ -61,7 +61,7 @@ INJECTIONS = {
 # a -inf that an eval ReLU clamps to 0 before the logits no longer raises in
 # fast eval, where per-op checks raised the table's message: the bias of the
 # norm before the baseline body's last ReLU, and the stem's
-SATURATED = {("baseline", "tcn.body.0.body.4.beta", -np.inf),
+SATURATED = {("baseline", "tcn.body.0.body.1.bn.beta", -np.inf),
              ("frontend", "stem.conv.bias", -np.inf)}
 
 
@@ -119,11 +119,12 @@ def _overflowing(kind):
     model, _ = _model(kind)
     block = next(iter(model.tcn.body))
     if kind == "baseline":
-        list(block.body)[0].weight.data[0] = -1e38
+        list(block.body)[0].conv.weight.data[0] = -1e38
     else:
-        block.dw_in.weight.data[...] = 1 / 7
-        block.bn_in.gamma.data[...], block.bn_in.beta.data[...] = 1.0, 0.0
-        block.bn_in.running_mean[...], block.bn_in.running_var[...] = 0.0, 1.0
+        dw_in = block.dw_in
+        dw_in.conv.weight.data[...] = 1 / 7
+        dw_in.bn.gamma.data[...], dw_in.bn.beta.data[...] = 1.0, 0.0
+        dw_in.bn.running_mean[...], dw_in.bn.running_var[...] = 0.0, 1.0
         block.branch1.weight.data[0] = block.branch1.bias.data[0] = 3e38
     return model, Tensor(np.ones((2, 8, 11), np.float32))
 

@@ -7,7 +7,10 @@ sections, which a frontend-less model refuses); the paper fixture through ``veri
 a seeded clip through the toy config and on a seeded sequence through a
 frontend-less model. Weights are pinned by a sha256 over each
 ``state_dict`` (entry names, order, dtypes, shapes and bytes), for seeded
-and uninitialized models of every config and for one block of every kind.
+and uninitialized models of every config and for one block of every kind,
+and again by one that leaves the names out (``model_values``,
+``block_values``): a change that only renames or regroups layers rewrites
+the first and must pass the second unchanged.
 
 The recorded values live in ``golden/outputs.json``. Regenerate them only
 for an intended change of output, and say why in the change log:
@@ -51,10 +54,12 @@ def run_cli(argv):
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
-def state_hash(module):
+def state_hash(module, names=True):
+    """sha256 over ``module.state_dict()`` in order: each entry's dtype,
+    shape and bytes, and its name unless ``names`` is false."""
     h = hashlib.sha256()
     for name, arr in module.state_dict().items():
-        h.update(f"{name}|{arr.dtype}|{arr.shape}\n".encode())
+        h.update(f"{name if names else ''}|{arr.dtype}|{arr.shape}\n".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
@@ -107,23 +112,23 @@ def infer_documents():
     return docs
 
 
-def model_hashes():
+def model_hashes(names=True):
     hashes = {}
     for path in CONFIGS:
         config = tc.load_config_file(path)
         name = os.path.basename(path)
-        hashes[f"{name} seed=3"] = state_hash(tc.build_model(config, seed=3))
-        hashes[f"{name} init=False"] = state_hash(tc.build_model(config, init=False))
+        hashes[f"{name} seed=3"] = state_hash(tc.build_model(config, seed=3), names)
+        hashes[f"{name} init=False"] = state_hash(tc.build_model(config, init=False), names)
     return hashes
 
 
-def block_hashes():
+def block_hashes(names=True):
     hashes = {}
     for kind in BLOCK_KINDS:
-        hashes[f"{kind} raw"] = state_hash(make_block(kind, 16, 2))
+        hashes[f"{kind} raw"] = state_hash(make_block(kind, 16, 2), names)
         seeded = make_block(kind, 16, 2)
         seeded.init_parameters(np.random.default_rng(3))
-        hashes[f"{kind} seed=3"] = state_hash(seeded)
+        hashes[f"{kind} seed=3"] = state_hash(seeded, names)
     return hashes
 
 
@@ -155,6 +160,14 @@ def test_block_state_hashes_unchanged():
     _compare(_load()["blocks"], block_hashes())
 
 
+def test_model_state_values_unchanged():
+    _compare(_load()["model_values"], model_hashes(names=False))
+
+
+def test_block_state_values_unchanged():
+    _compare(_load()["block_values"], block_hashes(names=False))
+
+
 def test_each_kind_builds_its_own_structure():
     """Two kinds with one raw state are two names for one structure."""
     raw = {kind: state_hash(make_block(kind, 16, 2)) for kind in BLOCK_KINDS}
@@ -167,5 +180,6 @@ if __name__ == "__main__":
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as f:
         json.dump({"documents": documents(), "models": model_hashes(),
-                   "blocks": block_hashes()}, f, indent=1, sort_keys=True)
+                   "blocks": block_hashes(), "model_values": model_hashes(names=False),
+                   "block_values": block_hashes(names=False)}, f, indent=1, sort_keys=True)
         f.write("\n")

@@ -154,6 +154,23 @@ class TestBatchNorm:
                                    **tol)
         np.testing.assert_allclose(rv, 0.9 * rv0 + 0.1 * unbiased, **tol)
 
+    @pytest.mark.parametrize("channels_last", [False, True])
+    def test_training_refuses_an_overflowing_variance(self, channels_last):
+        """±1e30 squares past the float32 range: unrefused, the batch variance
+        is inf, the output is β and the running variance becomes inf. It is
+        refused before the running statistics move."""
+        x = np.full((4, 3, 5), 1e30, np.float32)
+        x[::2] = -1e30
+        if channels_last:
+            x = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1)
+        rm, rv = np.zeros(3, np.float32), np.ones(3, np.float32)
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as info:
+            ops.batch_norm(t(x, np.float32), t(np.ones(3), np.float32), t(np.zeros(3), np.float32),
+                           rm, rv, training=True)
+        assert str(info.value) == "batch_norm batch variance is not finite"
+        np.testing.assert_array_equal(rm, np.zeros(3))
+        np.testing.assert_array_equal(rv, np.ones(3))
+
     def test_eval_uses_running_stats(self):
         x = np.arange(12, dtype=np.float64).reshape(2, 2, 3)
         rm = np.array([1.0, 2.0])
