@@ -8,7 +8,7 @@ from .tensor import Tensor, GradTape
 from .ops import ConvSpec
 from .gradcheck import grad_check, GradCheckResult, block_suite
 from .layers import (Module, Conv, Conv1d, Conv2d, Conv3d, BatchNorm, ConvNorm,
-                     ReLU, Dropout, Linear, Sequential)
+                     Dropout, Linear, Sequential)
 from .blocks import BLOCK_KINDS, DEFAULT_EXPANSION, make_block, canonical_kind
 from .frontend import (StemSpec, Stem, ExtractorSpec, ReferenceExtractor,
                        ClassifierHead)
@@ -33,7 +33,7 @@ __all__ = [
     "TempconvError", "ShapeError", "NumericError", "TapeError", "ConfigError",
     "FormatError", "Tensor", "GradTape", "ConvSpec", "grad_check",
     "GradCheckResult", "block_suite", "Module", "Conv", "Conv1d", "Conv2d",
-    "Conv3d", "BatchNorm", "ConvNorm", "ReLU", "Dropout", "Linear",
+    "Conv3d", "BatchNorm", "ConvNorm", "Dropout", "Linear",
     "Sequential", "BLOCK_KINDS", "DEFAULT_EXPANSION",
     "make_block", "canonical_kind", "StemSpec", "Stem",
     "ExtractorSpec", "ReferenceExtractor", "ClassifierHead", "ModelConfig",

@@ -144,8 +144,8 @@ class ReferenceExtractor(Module):
         if x.ndim != 5:
             raise ShapeError(f"extractor expects (N, C, T, H, W) input of rank 5, got rank {x.ndim}")
         n, c, t, h, w = x.shape
-        # one copy at any batch size (ops.reshape returns C order), landing
-        # channels-last: the (N·T, C, H, W) view of (N·T, H, W, C)
+        # the (N·T, C, H, W) view of (N·T, H, W, C): a view of the stem's
+        # channels-last output, a copy of any other layout (ops.reshape returns C order)
         frames = ops.moveaxis(ops.reshape(ops.moveaxis(x, 1, -1), (n * t, h, w, c)), 3, 1)
         pooled = ops.global_average_pool(self.stages(frames), axes=(2, 3))
         return ops.moveaxis(ops.reshape(pooled, (n, t, self.out_dim)), 1, 2)

@@ -324,11 +324,6 @@ def eval_tiles(x, axis, item_bytes, units, run):
     return Tensor(out, _op=y._op)
 
 
-class ReLU(Module):
-    def forward(self, x):
-        return ops.relu(x)
-
-
 class ConvNorm(Module):
     """``conv``, then a :class:`BatchNorm` ``bn`` at its output width, then a
     ReLU if ``relu``. In :func:`fast_eval` one conv runs with the :meth:`fold`

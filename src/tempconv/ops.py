@@ -9,36 +9,34 @@ three routes, chosen by shape class alone in :func:`_conv_route`, forward
 and backward alike:
 
 - ``POINTWISE`` (groups = 1, k = 1, stride 1, no padding): one GEMM over
-  every position of the batch, its result channels-last;
+  every position of the batch;
 - ``DEPTHWISE`` (groups = C_in = C_out > 1): one einsum per cache-sized
   tile of whole samples, over a read-only view of the tile's tap windows,
-  into one preallocated channels-last output; its backward runs per kernel
-  tap on the same tiles, over only the positions each tap reads;
+  into one preallocated output; its backward runs per kernel tap on the
+  same tiles, over only the positions each tap reads;
 - ``GEMM`` (every other conv, any groups): im2col, then GEMMs over the
-  whole batch, in one of two column layouts picked by shape alone
-  (:func:`_frame_columns`). A conv with one input channel and stride 1 on
-  its first axis (the 3-D stem) writes one im2col per padded frame over
-  the other axes' taps, reads each first-axis tap as a shifted view of it
-  and accumulates one GEMM per such tap, channels-first. Every other conv
+  whole batch in blocks of output rows, in one of two column layouts picked
+  by shape alone (:func:`_frame_columns`). A conv with one input channel
+  and stride 1 on its first axis (the 3-D stem) writes one im2col per
+  padded frame over the other axes' taps, reads each first-axis tap as a
+  shifted view of it and sums one GEMM per such tap. Every other conv
   gathers channels-last columns, (N·S_out, C/G·taps) per group, from a
-  channels-last padded copy and runs GEMMs per group over blocks of those
-  rows, its result channels-last. Either way the weight's plain reshape is
-  the GEMM operand.
+  channels-last padded copy and runs GEMMs per group. Either way the
+  weight's plain reshape is the GEMM operand.
 
 Every route is tested against the reference conv in ``tests/oracles.py``.
 
 Eval-mode batch norm is one multiply-add per element; a ``layers.ConvNorm``
-unit folds it into its conv when no tape records.
-Training-mode batch norm reduces over a copy-free (rows, C) view of a
-channels-last input or an (N, C, S) view of a channels-first one.
+unit folds it into its conv when no tape records. Training-mode batch norm
+reduces over the (rows, C) view of a channels-last input.
 
 Layout convention: every op takes and returns the logical shape (N, C, *S),
-batched and channels-first. Memory may be channels-last: an array that is
-the (N, C, *S) view of a C-order (N, *S, C) array. The depthwise and the
-pointwise routes, and the GEMM route on channels-last columns, return that
-layout at every rank, elementwise and normalization ops keep the layout
-their inputs share, and every op accepts either. Only
-:class:`~tempconv.model.Model` also accepts a single sample.
+batched and channels-first, and accepts any memory layout. Every conv route
+and training-mode batch norm write one layout at every rank, channels-last:
+the (N, C, *S) view of a C-order (N, *S, C) array. Elementwise ops and
+eval batch norm keep the layout their inputs share, so activations stay
+channels-last from the first conv on. Only :class:`~tempconv.model.Model`
+also accepts a single sample.
 """
 from __future__ import annotations
 
@@ -268,8 +266,9 @@ def _frame_taps(spec, cols, out_sizes):
 def _frame_forward(xd, wd, bd, spec, out_sizes, dtype):
     """C_in = 1, stride 1 on the first axis: an im2col of every padded frame
     over the other axes' taps, written once and read by each first-axis tap
-    as a shifted view; one accumulating batch GEMM per first-axis tap, its
-    result channels-first."""
+    as a shifted view; per block of ``_GEMM_ROWS`` output rows, one
+    (rows, taps) @ (taps, O) batch GEMM per first-axis tap, summed into the
+    channels-last output."""
     n, o = xd.shape[0], spec.out_channels
     xp = _padded(xd, spec, dtype)[..., 0]  # (N, *P)
     frames = (xp.shape[1],) + out_sizes[1:]  # every padded frame, the outputs within one
@@ -278,18 +277,21 @@ def _frame_forward(xd, wd, bd, spec, out_sizes, dtype):
         cols[:, j] = xp[_tap_index((0,) + tap, spec, frames, 1)]
     cols = cols.reshape(n, cols.shape[1], -1)
     w3 = wd.reshape(o, spec.kernel[0], -1)  # (O, first-axis taps, other taps)
-    views = _frame_taps(spec, cols, out_sizes)
-    y = np.matmul(w3[:, 0], views[0])
-    part = np.empty_like(y)
-    for i in range(1, len(views)):
-        y += np.matmul(w3[:, i], views[i], out=part)
-    return _biased(y.reshape((n, o) + out_sizes), bd), (xp.shape, cols)
+    views = [v.transpose(0, 2, 1) for v in _frame_taps(spec, cols, out_sizes)]  # (N, S_out, taps)
+    y = np.empty((n, math.prod(out_sizes), o), dtype)
+    part = np.empty((n, min(_GEMM_ROWS, y.shape[1]), o), dtype)
+    for r in range(0, y.shape[1], _GEMM_ROWS):
+        yr = y[:, r:r + _GEMM_ROWS]
+        np.matmul(views[0][:, r:r + _GEMM_ROWS], w3[:, 0].T, out=yr)
+        for i in range(1, len(views)):
+            yr += np.matmul(views[i][:, r:r + _GEMM_ROWS], w3[:, i].T, out=part[:, :yr.shape[1]])
+    return _biased(np.moveaxis(y.reshape((n,) + out_sizes + (o,)), -1, 1), bd), (xp.shape, cols)
 
 
 def _frame_backward(up, wd, spec, saved, need_x, need_w):
     padded_shape, cols = saved
     n, o = up.shape[:2]
-    up3 = up.reshape(n, o, -1)
+    up3 = up.reshape(n, o, -1)  # a view of a channels-last upstream gradient
     w3 = wd.reshape(o, spec.kernel[0], -1)
     gx = gw = None
     if need_x:
@@ -444,6 +446,8 @@ def conv(x, weight, bias=None, spec=None):
         raise ShapeError(f"conv rank {rank} expects (N, C, *S) input of rank {rank + 2}, got {x.ndim}")
     if x.shape[1] != spec.in_channels:
         raise ShapeError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
+    if x.shape[0] == 0:
+        raise ShapeError("conv input batch is empty (N = 0)")
     wshape = (spec.out_channels, spec.in_channels // spec.groups) + spec.kernel
     if weight.shape != wshape:
         raise ShapeError(f"weight shape {tuple(weight.shape)} does not match {wshape}")
@@ -488,7 +492,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
     Training mode normalizes with batch statistics and updates the running
     arrays in place (plain ndarrays, not tensors); inference mode is one
     multiply-add with the running statistics. ``gamma``/``beta`` are the
-    affine parameters. The output keeps the input's memory layout.
+    affine parameters. The output is channels-last in training and keeps
+    the input's memory layout in inference.
     """
     if x.ndim < 2:
         raise ShapeError("batch_norm expects a batched (N, C, ...) input")
@@ -525,36 +530,26 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
     return apply_op("batch_norm", (x, gamma, beta), y, make_backward)
 
 
-def _channel_sums(a):
-    """Per-channel sums of a (rows, C) or an (N, C, S) array, as GEMVs with
-    a ones vector."""
-    if a.ndim == 2:
-        return np.ones(a.shape[0], a.dtype) @ a
-    return (a.reshape(-1, a.shape[2]) @ np.ones(a.shape[2], a.dtype)).reshape(a.shape[:2]).sum(axis=0)
-
-
 def _batch_norm_training(x, gamma, beta, running_mean, running_var, eps, momentum):
-    """Training-mode batch norm on a (rows, C) view of channels-last input or
-    an (N, C, S) view of any other, copy-free for channels-first memory. It
-    keeps the centred input ``xc`` for the backward, where ``x̂ = xc·inv``;
-    the variance and ``Σ up·xc`` are einsums, so no squared temporary is made."""
+    """Training-mode batch norm on the (rows, C) view of a channels-last
+    input (a reshape of any other layout), returned channels-last. It keeps
+    the centred input ``xc``, C-order, for the backward, where ``x̂ = xc·inv``;
+    the per-channel sums are GEMVs with a ones vector, and the variance and
+    ``Σ up·xc`` are einsums, so no squared temporary is made."""
     n, c = x.shape[:2]
-    channels_last = not x.data.flags.c_contiguous and np.moveaxis(x.data, 1, -1).flags.c_contiguous
-    sub, col = ("rc", slice(None)) if channels_last else ("ncs", (slice(None), None))
 
-    def view(a):
-        return np.moveaxis(a, 1, -1).reshape(-1, c) if channels_last else a.reshape(n, c, -1)
+    def rows(a):
+        return np.moveaxis(a, 1, -1).reshape(-1, c)
 
     def back(a):
-        if channels_last:
-            return np.moveaxis(a.reshape((n,) + x.shape[2:] + (c,)), -1, 1)
-        return a.reshape(x.shape)
+        return np.moveaxis(a.reshape((n,) + x.shape[2:] + (c,)), -1, 1)
 
-    xv = view(x.data)
-    m = xv.size // c
-    mu = _channel_sums(xv) / m
-    xc = xv - mu[col]
-    var = np.einsum(f"{sub},{sub}->c", xc, xc) / m
+    xv = rows(x.data)
+    m = len(xv)
+    ones = np.ones(m, xv.dtype)
+    mu = ones @ xv / m
+    xc = np.subtract(xv, mu, order="C")  # also where the reshape viewed another layout
+    var = np.einsum("rc,rc->c", xc, xc) / m
     if not math.isfinite(var.max()):  # an inf would output β; NaN propagates through max
         raise NumericError("batch_norm batch variance is not finite")
     denom = var + eps
@@ -567,22 +562,22 @@ def _batch_norm_training(x, gamma, beta, running_mean, running_var, eps, momentu
     running_var += momentum * var * unbias
     inv = 1.0 / np.sqrt(denom)
     scale = gamma.data * inv
-    yv = xc * scale[col]
-    yv += beta.data[col]
+    yv = xc * scale
+    yv += beta.data
 
     def make_backward():
         def bwd(up):
-            upv = view(up)
-            gb = _channel_sums(upv) if beta.requires_grad or x.requires_grad else None
+            upv = rows(up)
+            gb = ones @ upv if beta.requires_grad or x.requires_grad else None
             gg = None
             if gamma.requires_grad or x.requires_grad:
-                gg = np.einsum(f"{sub},{sub}->c", upv, xc) * inv  # Σ up·x̂
+                gg = np.einsum("rc,rc->c", upv, xc) * inv  # Σ up·x̂
             gx = None
             if x.requires_grad:  # scale·(up − Σup/m − x̂·Σup·x̂/m), in one buffer
-                gx = np.multiply(xc, (gg * inv / -m)[col])
-                gx -= (gb / m)[col]
+                gx = np.multiply(xc, gg * inv / -m)
+                gx -= gb / m
                 gx += upv
-                gx *= scale[col]
+                gx *= scale
                 gx = back(gx)
             return (gx, gg if gamma.requires_grad else None,
                     gb if beta.requires_grad else None)

@@ -244,3 +244,14 @@ def test_clip_extractor_holds_no_whole_expanded_tensor():
     got, peak = _peak_mib(lambda: extractor(Tensor(x)).data)
     assert peak < 36, f"extractor forward peaked at {peak:.1f} MiB"
     np.testing.assert_array_equal(got, _eval_whole(extractor, x))
+
+
+def test_clip_forward_folds_frames_without_a_copy():
+    """One starv.cfg clip (1×29×88×88) in eval: the extractor's fold of the
+    stem's 6.9 MiB output into frames is a view only while the stem writes
+    channels-last; the copy it made of a channels-first stem output lived
+    through the extractor, for a 28.1 MiB peak."""
+    model = tc.build_model(tc.load_config_file(STARV), seed=0).eval()
+    x = np.random.default_rng(0).standard_normal((1,) + model.input_shape()).astype(np.float32)
+    _, peak = _peak_mib(lambda: model(Tensor(x)).data)
+    assert peak < 25, f"eval forward peaked at {peak:.1f} MiB"

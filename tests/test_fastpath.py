@@ -5,7 +5,8 @@ einsum conv (``oracles.EINSUM``) is the oracle. Each route that accepts a
 drawn convolution (``GEMM`` accepts every one) must match it in the output
 and in both gradients, to float32 tolerance. Every route also takes
 channels-last arrays, inputs and upstream gradients alike, and must then
-match the oracle run on C-order copies. The GEMM route's two column
+match the oracle run on C-order copies; from either input layout, every
+route's output is channels-last. The GEMM route's two column
 layouts each get explicit cases: per-frame columns (one input channel,
 stride 1 on the first axis, as in the stem), and channels-last columns,
 grouped too. The eval extractor and the eval TCN, which keep their
@@ -44,7 +45,7 @@ from tempconv.blocks import BLOCK_KINDS, make_block
 from tempconv.errors import NumericError, ShapeError
 from tempconv.frontend import ExtractorSpec, ReferenceExtractor, Stem, StemSpec, _SpatialBottleneck
 from tempconv.gradcheck import grad_check
-from tempconv.layers import BatchNorm, Conv1d, Conv2d, ConvNorm, ReLU, Sequential
+from tempconv.layers import BatchNorm, Conv1d, Conv2d, ConvNorm
 from tempconv.tensor import GradTape, Tensor
 from tempconv.train import one_hot
 
@@ -145,6 +146,7 @@ def test_every_route_matches_einsum(case):
         want = _run(EINSUM, spec, x, w, b, probe)
         for route in _routes(spec, x.shape[2:], out):
             got = _run(route, spec, x, w, b, probe)
+            assert _is_channels_last(got[0]), route.name  # from channels-first input too
             for g, r in zip(got, want):
                 assert g.shape == r.shape, route.name
                 _close(g, r)
@@ -229,14 +231,41 @@ def test_routes_take_channels_last_arrays(case):
         for g, r in zip(got, want):
             assert g.shape == r.shape, route.name
             _close(g, r)
-        # output and input gradient are channels-last, except from the GEMM
-        # route's per-frame columns; its input gradient is a view of a padded buffer
-        if route is ops.GEMM and ops._frame_columns(spec):
-            assert got[0].flags.c_contiguous and _runs_in_order(got[1])
-        elif route is ops.GEMM:
+        # output and input gradient are channels-last; the GEMM route's
+        # input gradient is a view of a padded buffer
+        if route is ops.GEMM:
             assert _is_channels_last(got[0]) and _runs_in_order(np.moveaxis(got[1], 1, -1))
         elif route is not EINSUM:
             assert _is_channels_last(got[0]) and _is_channels_last(got[1]), route.name
+
+
+@pytest.mark.parametrize("spec,route", [
+    (ops.ConvSpec(4, 6, (1, 1)), ops.POINTWISE),
+    (ops.ConvSpec(4, 4, (3, 3), stride=2, groups=4), ops.DEPTHWISE),
+    (ops.ConvSpec(4, 6, (3,), dilation=2, causal=True), ops.GEMM),  # channels-last columns
+    (FRAME_CASES[0][0], ops.GEMM),  # per-frame columns
+], ids=["pointwise", "depthwise", "gemm", "gemm-frames"])
+def test_conv_refuses_an_empty_batch(spec, route):
+    sizes = (6,) * spec.rank
+    assert ops._conv_route(spec, sizes, spec.out_sizes(sizes)) is route
+    x = Tensor(np.zeros((0, spec.in_channels) + sizes, np.float32))
+    w = Tensor(np.zeros((spec.out_channels, spec.in_channels // spec.groups) + spec.kernel, np.float32))
+    with pytest.raises(ShapeError, match="batch is empty"):
+        ops.conv(x, w, None, spec)
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+@pytest.mark.parametrize("frontend", [True, False], ids=["frontend", "nofrontend"])
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+def test_model_refuses_an_empty_batch(kind, frontend, training):
+    """Unchecked, an empty batch reached the stem's im2col, the depthwise
+    tiling or the GEMM gather's block size, each of which raised a raw numpy
+    or Python error."""
+    overrides = [f"tcn.block_kind={kind}", "tcn.channels=8", "classifier.num_classes=3"]
+    overrides += ["stem.out_channels=4", "extractor.widths=4,8"] if frontend else ["model.frontend=false"]
+    model = tc.build_model(tc.parse_config("", overrides), seed=0).train(training)
+    with pytest.raises(ShapeError, match="batch is empty"):
+        model(Tensor(np.zeros((0,) + model.input_shape(5, 16), np.float32)))
 
 
 def test_eval_extractor_matches_channels_first_run(monkeypatch):
@@ -673,13 +702,6 @@ def test_forced_overflow_names_the_op(kind, bias, want, recorded):
             block(x)
 
 
-def test_fold_keeps_width_mismatch_error():
-    net = Sequential(Conv1d(4, 8, 3), BatchNorm(6))
-    net.init_parameters(np.random.default_rng(0)).eval()
-    with pytest.raises(ShapeError, match="does not match 8 channels"):
-        net(Tensor(np.zeros((1, 4, 5), np.float32)))
-
-
 def test_eval_batch_norm_gradcheck():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
@@ -702,8 +724,8 @@ def _conv_norm_relu_cases(rng):
     net = ConvNorm(Conv2d(3, 5, 3, stride=2), relu=True)
     stem = Stem(StemSpec(out_channels=4))
     cases = []
-    for module, layers, shape in ((net, [net.conv, net.bn, ReLU()], (2, 3, 7, 7)),
-                                  (stem, [stem.conv, stem.bn, ReLU()], (1, 1, 3, 8, 8))):
+    for module, layers, shape in ((net, [net.conv, net.bn, ops.relu], (2, 3, 7, 7)),
+                                  (stem, [stem.conv, stem.bn, ops.relu], (1, 1, 3, 8, 8))):
         module.init_parameters(rng)
         _randomize_norms(module, rng)
         cases.append((module, layers, rng.standard_normal(shape).astype(np.float32)))

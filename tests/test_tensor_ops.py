@@ -4,6 +4,7 @@ import pytest
 
 from tempconv import Tensor, ops
 from tempconv.errors import NumericError, ShapeError
+from tempconv.layers import BatchNorm, Conv1d, Sequential
 
 from oracles import batchnorm_oracle, conv_oracle
 
@@ -131,8 +132,9 @@ class TestBatchNorm:
         (2, 3, 1), (1, 3, 1, 2), (1, 3, 2, 1, 1),  # N·S = 2
     ])
     def test_training_in_either_layout(self, shape, channels_last, dtype):
-        """Training mode matches the oracle, keeps the input's memory layout
-        and updates the running statistics by the momentum rule."""
+        """Training mode matches the oracle, returns channels-last memory
+        for either input layout and updates the running statistics by the
+        momentum rule."""
         rng = np.random.default_rng(len(shape) + shape[0])
         x = (rng.standard_normal(shape) * 2 + 1).astype(dtype)
         if channels_last:
@@ -143,7 +145,7 @@ class TestBatchNorm:
         rm, rv = rm0.copy(), rv0.copy()
         y = ops.batch_norm(t(x, dtype), t(gamma, dtype), t(beta, dtype), rm, rv,
                            momentum=0.1, training=True).data
-        assert y.dtype == dtype and y.strides == x.strides
+        assert y.dtype == dtype and np.moveaxis(y, 1, -1).flags.c_contiguous
         tol = dict(rtol=1e-5, atol=1e-5) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(y, batchnorm_oracle(x, gamma.astype(dtype), beta.astype(dtype)),
                                    **tol)
@@ -170,6 +172,12 @@ class TestBatchNorm:
         assert str(info.value) == "batch_norm batch variance is not finite"
         np.testing.assert_array_equal(rm, np.zeros(3))
         np.testing.assert_array_equal(rv, np.ones(3))
+
+    def test_module_refuses_an_input_of_another_width(self):
+        net = Sequential(Conv1d(4, 8, 3), BatchNorm(6))
+        net.init_parameters(np.random.default_rng(0)).eval()
+        with pytest.raises(ShapeError, match="does not match 8 channels"):
+            net(Tensor(np.zeros((1, 4, 5), np.float32)))
 
     def test_eval_uses_running_stats(self):
         x = np.arange(12, dtype=np.float64).reshape(2, 2, 3)
