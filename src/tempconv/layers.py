@@ -148,18 +148,17 @@ class Module:
             missing = sorted(expected - got)[:4]
             extra = sorted(got - expected)[:4]
             raise FormatError(f"state mismatch; missing {missing}, unexpected {extra}")
-        self.allocate()  # buffers are written in place
+        arrays = {k: np.asarray(state[k]) for k in expected}
+        for k, held in [*own.items(), *bufs.items()]:  # every shape before any write
+            if arrays[k].shape != held.shape:
+                raise ShapeError(f"state entry '{k}' has shape {arrays[k].shape}, "
+                                 f"expected {tuple(held.shape)}")
+        self.allocate()  # buffers are written in place, into their allocated storage
         for k, p in own.items():
-            arr = np.asarray(state[k])
-            if arr.shape != p.shape:
-                raise ShapeError(f"state entry '{k}' has shape {arr.shape}, expected {tuple(p.shape)}")
-            p.data = arr.astype(p.dtype, copy=True)
+            p.data = arrays[k].astype(p.dtype, copy=True)
             p.grad = None
-        for k in bufs:
-            arr = np.asarray(state[k])
-            if arr.shape != bufs[k].shape:
-                raise ShapeError(f"state entry '{k}' has shape {arr.shape}, expected {bufs[k].shape}")
-            bufs[k][...] = arr
+        for k, b in self.named_buffers():
+            b[...] = arrays[k]
 
     # -- forward and audit -------------------------------------------------
 

@@ -464,11 +464,14 @@ def _conv_via(route, x, weight, bias, spec, out_sizes):
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def make_backward():
+        wd, need_x, need_w = weight.data, x.requires_grad, weight.requires_grad
+        need_b = None if bias is None else bias.requires_grad
+
         def bwd(up):
-            gx, gw = route.backward(up, weight.data, spec, saved, x.requires_grad, weight.requires_grad)
-            if bias is None:
+            gx, gw = route.backward(up, wd, spec, saved, need_x, need_w)
+            if need_b is None:
                 return gx, gw
-            gb = up.sum(axis=(0,) + tuple(range(2, 2 + spec.rank))) if bias.requires_grad else None
+            gb = up.sum(axis=(0,) + tuple(range(2, 2 + spec.rank))) if need_b else None
             return gx, gw, gb
 
         return bwd
@@ -504,6 +507,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
     if running_mean.shape != (c,) or running_var.shape != (c,):
         raise ShapeError("running statistics length does not match channel count")
     if training:
+        if x.shape[0] == 0 or 0 in x.shape[2:]:
+            raise ShapeError(f"batch_norm training batch is empty: input {tuple(x.shape)} has no rows")
         return _batch_norm_training(x, gamma, beta, running_mean, running_var, eps, momentum)
 
     axes = (0,) + tuple(range(2, x.ndim))
@@ -516,13 +521,15 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
     def make_backward():
         mu = running_mean.astype(x.dtype)
         inv = 1.0 / np.sqrt(running_var.astype(x.dtype) + eps)
+        xd = x.data if gamma.requires_grad else None  # only the gamma gradient reads it
+        need_x, need_b = x.requires_grad, beta.requires_grad
 
         def bwd(up):
-            gb = up.sum(axis=axes) if beta.requires_grad else None
+            gb = up.sum(axis=axes) if need_b else None
             gg = None
-            if gamma.requires_grad:  # only the gamma gradient needs the normalized input
-                gg = (up * ((x.data - mu.reshape(bshape)) * inv.reshape(bshape))).sum(axis=axes)
-            gx = scale.reshape(bshape) * up if x.requires_grad else None
+            if xd is not None:
+                gg = (up * ((xd - mu.reshape(bshape)) * inv.reshape(bshape))).sum(axis=axes)
+            gx = scale.reshape(bshape) * up if need_x else None
             return gx, gg, gb
 
         return bwd
@@ -537,12 +544,13 @@ def _batch_norm_training(x, gamma, beta, running_mean, running_var, eps, momentu
     the per-channel sums are GEMVs with a ones vector, and the variance and
     ``Σ up·xc`` are einsums, so no squared temporary is made."""
     n, c = x.shape[:2]
+    last = x.shape[:1] + x.shape[2:] + (c,)  # the channels-last shape
 
     def rows(a):
         return np.moveaxis(a, 1, -1).reshape(-1, c)
 
     def back(a):
-        return np.moveaxis(a.reshape((n,) + x.shape[2:] + (c,)), -1, 1)
+        return np.moveaxis(a.reshape(last), -1, 1)
 
     xv = rows(x.data)
     m = len(xv)
@@ -566,21 +574,22 @@ def _batch_norm_training(x, gamma, beta, running_mean, running_var, eps, momentu
     yv += beta.data
 
     def make_backward():
+        need_x, need_g, need_b = x.requires_grad, gamma.requires_grad, beta.requires_grad
+
         def bwd(up):
             upv = rows(up)
-            gb = ones @ upv if beta.requires_grad or x.requires_grad else None
+            gb = ones @ upv if need_b or need_x else None
             gg = None
-            if gamma.requires_grad or x.requires_grad:
+            if need_g or need_x:
                 gg = np.einsum("rc,rc->c", upv, xc) * inv  # Σ up·x̂
             gx = None
-            if x.requires_grad:  # scale·(up − Σup/m − x̂·Σup·x̂/m), in one buffer
+            if need_x:  # scale·(up − Σup/m − x̂·Σup·x̂/m), in one buffer
                 gx = np.multiply(xc, gg * inv / -m)
                 gx -= gb / m
                 gx += upv
                 gx *= scale
                 gx = back(gx)
-            return (gx, gg if gamma.requires_grad else None,
-                    gb if beta.requires_grad else None)
+            return gx, gg if need_g else None, gb if need_b else None
 
         return bwd
 
@@ -617,10 +626,11 @@ def hadamard(a, b):
         raise ShapeError(f"hadamard shapes differ: {tuple(a.shape)} vs {tuple(b.shape)}")
 
     def make_backward():
+        ad = a.data if b.requires_grad else None
+        bd = b.data if a.requires_grad else None
+
         def bwd(up):
-            ga = up * b.data if a.requires_grad else None
-            gb = up * a.data if b.requires_grad else None
-            return ga, gb
+            return (None if bd is None else up * bd), (None if ad is None else up * ad)
 
         return bwd
 
@@ -632,8 +642,10 @@ def add(a, b):
         raise ShapeError(f"add shapes differ: {tuple(a.shape)} vs {tuple(b.shape)}")
 
     def make_backward():
+        need_a, need_b = a.requires_grad, b.requires_grad
+
         def bwd(up):
-            return (up if a.requires_grad else None, up if b.requires_grad else None)
+            return (up if need_a else None, up if need_b else None)
 
         return bwd
 
@@ -651,15 +663,17 @@ def concat(tensors, axis):
     sizes = [t.shape[axis] for t in tensors]
 
     def make_backward():
+        needs = [t.requires_grad for t in tensors]
+
         def bwd(up):
             grads = []
             start = 0
-            for t, s in zip(tensors, sizes):
+            for need, s in zip(needs, sizes):
                 index = tuple(
                     slice(start, start + s) if i == axis else slice(None)
                     for i in range(len(ref))
                 )
-                grads.append(up[index] if t.requires_grad else None)
+                grads.append(up[index] if need else None)
                 start += s
             return tuple(grads)
 
@@ -676,8 +690,10 @@ def narrow(x, axis, start, stop):
     index = tuple(slice(start, stop) if i == axis else slice(None) for i in range(x.ndim))
 
     def make_backward():
+        shape, dtype = x.shape, x.dtype
+
         def bwd(up):
-            g = np.zeros_like(x.data)
+            g = np.zeros(shape, dtype)
             g[index] = up
             return (g,)
 
@@ -698,10 +714,11 @@ def global_average_pool(x, axes, valid_len=None):
         count = 1
         for a in axes:
             count *= x.shape[a]
+        shape = x.shape
 
         def make_backward():
             def bwd(up):
-                return (np.broadcast_to(np.expand_dims(up, axes) / count, x.shape).copy(),)
+                return (np.broadcast_to(np.expand_dims(up, axes) / count, shape).copy(),)
 
             return bwd
 
@@ -750,18 +767,18 @@ def linear(x, weight, bias=None):
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def make_backward():
+        wd, need_x = weight.data, x.requires_grad
+        xd = x.data if weight.requires_grad else None  # only the weight gradient reads it
+        need_b = None if bias is None else bias.requires_grad
+
         def bwd(up):
-            gx = up @ weight.data if x.requires_grad else None
+            gx = up @ wd if need_x else None
             gw = None
-            if weight.requires_grad:
-                up2 = up.reshape(-1, weight.shape[0])
-                x2 = x.data.reshape(-1, weight.shape[1])
-                gw = up2.T @ x2
-            gb = None
-            if bias is not None and bias.requires_grad:
-                gb = up.reshape(-1, weight.shape[0]).sum(axis=0)
-            if bias is None:
+            if xd is not None:
+                gw = up.reshape(-1, wd.shape[0]).T @ xd.reshape(-1, wd.shape[1])
+            if need_b is None:
                 return gx, gw
+            gb = up.reshape(-1, wd.shape[0]).sum(axis=0) if need_b else None
             return gx, gw, gb
 
         return bwd
@@ -802,12 +819,14 @@ def cross_entropy(logits, targets):
     loss = -(targets.data * logp).sum() / n
 
     def make_backward():
+        td, need_l, need_t = targets.data, logits.requires_grad, targets.requires_grad
+
         def bwd(up):
             gl = None
-            if logits.requires_grad:
+            if need_l:
                 p = np.exp(logp)
-                gl = up * (p - targets.data) / n
-            gt = (-up * logp / n) if targets.requires_grad else None
+                gl = up * (p - td) / n
+            gt = (-up * logp / n) if need_t else None
             return gl, gt
 
         return bwd
@@ -836,8 +855,10 @@ def reshape(x, shape):
     """The values of ``x`` in ``shape``, always in C-order memory: a strided
     input is copied even where numpy could return a view."""
     def make_backward():
+        in_shape = x.shape
+
         def bwd(up):
-            return (up.reshape(x.shape),)
+            return (up.reshape(in_shape),)
 
         return bwd
 
@@ -856,8 +877,10 @@ def moveaxis(x, src, dst):
 
 def tensor_sum(x):
     def make_backward():
+        shape = x.shape
+
         def bwd(up):
-            return (np.broadcast_to(up, x.shape).copy(),)
+            return (np.broadcast_to(up, shape).copy(),)
 
         return bwd
 
@@ -866,8 +889,10 @@ def tensor_sum(x):
 
 def tensor_mean(x):
     def make_backward():
+        shape, size = x.shape, x.size
+
         def bwd(up):
-            return (np.broadcast_to(up / x.size, x.shape).copy(),)
+            return (np.broadcast_to(up / size, shape).copy(),)
 
         return bwd
 

@@ -5,9 +5,15 @@ checking), validated finite on creation so that a computation fails at the op
 that made a NaN/Inf. A fast-eval ``Model.forward`` (eval, no tape) checks only its
 logits and re-runs with per-op checks on a failure, to name the op; there a ±inf
 that an eval ReLU or ReLU6 clamps to its limit (0 or 6) no longer raises.
+
+A :class:`GradTape` holds no Tensor but the leaves whose ``.grad`` it writes:
+its nodes route gradients by key, and each backward closure keeps only the
+flags, shapes and arrays it reads, so an activation no backward reads is
+freed during the forward.
 """
 from __future__ import annotations
 
+import itertools
 import threading
 from contextlib import contextmanager
 
@@ -16,6 +22,10 @@ import numpy as np
 from .errors import NumericError, TapeError
 
 FLOAT_DTYPES = (np.float32, np.float64)
+
+# one process-wide source of tape keys: unlike ``id()``, a key is never
+# reused after its Tensor is freed
+_keys = itertools.count()
 
 
 class Tensor:
@@ -26,7 +36,7 @@ class Tensor:
     ``backward`` calls until ``zero_grad``-style resets.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_op", "_key")
 
     def __init__(self, data, requires_grad=False, dtype=None, _op=None):
         arr = np.asarray(data)
@@ -41,6 +51,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._op = _op
+        self._key = None  # set once the Tensor is recorded or enters a tape
 
     @property
     def shape(self):
@@ -64,6 +75,11 @@ class Tensor:
 
 
 class _TapeNode:
+    """One recorded op: its result's key and, per input, ``(key, shape,
+    leaf, gap)``: ``leaf`` is the requires-grad leaf Tensor that receives
+    ``.grad`` (else None) and ``gap`` the op name of an input made off this
+    tape."""
+
     __slots__ = ("op", "inputs", "output", "backward_fn")
 
     def __init__(self, op, inputs, output, backward_fn):
@@ -107,7 +123,7 @@ class GradTape:
 
     def __init__(self):
         self._nodes = []
-        self._output_ids = set()
+        self._output_keys = set()
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -122,54 +138,62 @@ class GradTape:
         return len(self._nodes)
 
     def _record(self, op, inputs, output, backward_fn):
-        self._nodes.append(_TapeNode(op, inputs, output, backward_fn))
-        self._output_ids.add(id(output))
+        entries = []
+        for t in inputs:
+            if t._key is None:
+                t._key = next(_keys)
+            leaf = t if t._op is None and t.requires_grad else None
+            gap = t._op if t._op is not None and t._key not in self._output_keys else None
+            entries.append((t._key, t.shape, leaf, gap))
+        output._key = next(_keys)
+        self._output_keys.add(output._key)
+        self._nodes.append(_TapeNode(op, tuple(entries), output._key, backward_fn))
 
     def backward(self, loss):
         """Accumulate d(loss)/d(leaf) into each reachable leaf's ``.grad``.
 
         Returns a map {leaf Tensor: accumulated gradient array} for every
         parameter (requires_grad leaf) the loss depends on. Raises TapeError
-        if an ancestor op of the loss was executed outside this tape.
+        if an ancestor op of the loss was executed outside this tape. The
+        tape is left as it was, so it can run backward again.
         """
         if loss.size != 1:
             raise TapeError(f"backward needs a scalar loss, got shape {tuple(loss.shape)}")
-        if loss._op is not None and id(loss) not in self._output_ids:
+        if loss._op is not None and loss._key not in self._output_keys:
             raise TapeError("loss was not produced on this tape (tape gap)")
 
-        grad_of = {id(loss): np.ones_like(loss.data)}
-        seen = {id(loss): loss}
+        grad_of = {loss._key: np.ones_like(loss.data)}
+        leaves = {loss._key: loss} if loss._op is None and loss.requires_grad else {}
         for node in reversed(self._nodes):
             # an op result's gradient is complete once its node is reached
             # (later nodes ran first), so it is dropped here; leaves' stay
-            upstream = grad_of.pop(id(node.output), None)
+            upstream = grad_of.pop(node.output, None)
             if upstream is None:
                 continue
             input_grads = node.backward_fn(upstream)
-            for inp, g in zip(node.inputs, input_grads):
+            for (key, shape, leaf, gap), g in zip(node.inputs, input_grads):
                 if g is None:
                     continue
-                if g.shape != inp.shape:
+                if g.shape != shape:
                     raise TapeError(
-                        f"{node.op}: gradient shape {g.shape} does not match input {inp.shape}"
+                        f"{node.op}: gradient shape {g.shape} does not match input {shape}"
                     )
-                tid = id(inp)
-                if tid in grad_of:
-                    grad_of[tid] = grad_of[tid] + g
+                if gap is not None:
+                    raise TapeError(
+                        f"ancestor op '{gap}' was not recorded on this tape (tape gap)"
+                    )
+                if key in grad_of:
+                    grad_of[key] = grad_of[key] + g
                 else:
-                    grad_of[tid] = g
-                    seen[tid] = inp
+                    grad_of[key] = g
+                    if leaf is not None:
+                        leaves[key] = leaf
 
         result = {}
-        for tid, t in seen.items():
-            if t._op is not None and tid not in self._output_ids:
-                raise TapeError(
-                    f"ancestor op '{t._op}' was not recorded on this tape (tape gap)"
-                )
-            if t._op is None and t.requires_grad:
-                g = grad_of[tid]
-                t.grad = g.copy() if t.grad is None else t.grad + g
-                result[t] = t.grad
+        for key, t in leaves.items():
+            g = grad_of[key]
+            t.grad = g.copy() if t.grad is None else t.grad + g
+            result[t] = t.grad
         return result
 
 

@@ -239,6 +239,74 @@ class TestTapeMechanics:
         np.testing.assert_array_equal(x.grad, 1.0)
         assert peak < 6 * 2**20  # 22 MiB when every upstream was kept to the end
 
+    def test_tape_holds_no_activation_that_no_backward_reads(self):
+        """An add's backward reads neither input, so the tape keeps none of a
+        chain's results: 20.0 MiB held when the tape pinned every Tensor."""
+        x = Tensor(np.ones(2**18, np.float32), requires_grad=True)  # 1 MiB
+        c = Tensor(np.ones(2**18, np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                h = x
+                for _ in range(20):
+                    h = ops.add(h, c)
+                loss = ops.tensor_sum(h)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 3 * 2**20
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, 1.0)
+        np.testing.assert_array_equal(c.grad, 20.0)
+
+    def test_dropped_intermediates_route_by_key(self):
+        """The loop drops each intermediate, so CPython hands its id to a
+        later Tensor, here to a leaf made mid-forward: gradients routed by
+        ``id()`` then mix the two, and keyed ones still match finite
+        differences; the tape replays to the same gradients."""
+        rng = np.random.default_rng(9)
+        x, ws = rng.standard_normal(4), rng.uniform(0.5, 1.5, (20, 4))
+
+        def forward(xt, ws, made, ids):
+            h = xt
+            for row in ws:
+                s = ops.add(h, xt)
+                made.append(Tensor(row, requires_grad=xt.requires_grad))
+                h = ops.hadamard(ops.relu(s), made[-1])
+                ids.extend((id(s), id(h)))
+            return ops.tensor_sum(h)
+
+        xt, made, ids = leaf(x), [], []
+        with GradTape() as tape:
+            loss = forward(xt, ws, made, ids)
+        assert {id(t) for t in made} & set(ids)  # a leaf took a dropped result's id
+        tape.backward(loss)
+        want = numeric_grad(lambda a, b: float(forward(Tensor(a), b, [], []).data), [x, ws])
+        got = [xt.grad, np.stack([t.grad for t in made])]
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-7)
+        for t in [xt, *made]:
+            t.grad = None
+        tape.backward(loss)
+        np.testing.assert_array_equal(xt.grad, got[0])
+        np.testing.assert_array_equal(np.stack([t.grad for t in made]), got[1])
+
+    def test_both_tape_gaps_raise_with_dropped_intermediates(self):
+        x = leaf(np.ones(3))
+        with GradTape() as tape:
+            y = ops.hadamard(x, x)
+        loss = ops.tensor_sum(y)  # recorded nowhere
+        del y
+        with pytest.raises(TapeError, match="loss was not produced on this tape"):
+            tape.backward(loss)
+        y = ops.hadamard(x, x)  # recorded nowhere
+        with GradTape() as tape:
+            loss = ops.tensor_sum(ops.relu(y))
+        del y
+        with pytest.raises(TapeError, match="ancestor op 'hadamard' was not recorded"):
+            tape.backward(loss)
+        assert x.grad is None
+
 
 class TestBuiltInChecker:
     def test_grad_check_detects_wrong_gradient(self):

@@ -32,6 +32,7 @@ The cases come from the fixed ``fastpath`` hypothesis profile (see
 import contextlib
 import glob
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,22 @@ def test_conv_refuses_an_empty_batch(spec, route):
     w = Tensor(np.zeros((spec.out_channels, spec.in_channels // spec.groups) + spec.kernel, np.float32))
     with pytest.raises(ShapeError, match="batch is empty"):
         ops.conv(x, w, None, spec)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 5), (2, 3, 0)], ids=["no-samples", "no-frames"])
+@pytest.mark.parametrize("via", ["op", "module"])
+def test_training_batch_norm_refuses_an_empty_batch(shape, via):
+    """Refused before any reduction: the batch mean of no rows warned of an
+    invalid divide, then the NaN variance raised a NumericError."""
+    x = Tensor(np.zeros(shape, np.float32))
+    bn = tc.BatchNorm(3).train()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeError, match="batch is empty"):
+            if via == "op":
+                ops.batch_norm(x, bn.gamma, bn.beta, np.zeros(3), np.ones(3), training=True)
+            else:
+                bn(x)
 
 
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])

@@ -318,6 +318,30 @@ class TestStateDictRoundTrip:
         with pytest.raises(ShapeError):
             model.load_state_dict(state)
 
+    def test_refused_state_writes_nothing(self):
+        """Every entry's shape is checked before the first write, so a
+        refused load leaves no half-loaded model."""
+        model = tc.Sequential(tc.Conv1d(2, 2, 3), tc.BatchNorm(2))
+        model.init_parameters(np.random.default_rng(0))
+        before = model.state_dict()
+        state = {k: v + 1 for k, v in before.items()}
+        state["1.gamma"] = np.ones(5, np.float32)
+        with pytest.raises(ShapeError, match="'1.gamma'"):
+            model.load_state_dict(state)
+        after = model.state_dict()
+        assert list(after) == list(before)
+        for k in before:
+            assert after[k].tobytes() == before[k].tobytes(), k
+
+    def test_loads_into_a_model_built_without_storage(self):
+        c = cfg("[tcn]\nchannels = 16\nstages = 2\n[extractor]\nwidths = 8, 16\n"
+                "[classifier]\nnum_classes = 4\n")
+        state = tc.build_model(c, seed=3).state_dict()
+        model = tc.build_model(c, init=False)
+        model.load_state_dict(state)
+        for k, v in model.state_dict().items():
+            np.testing.assert_array_equal(v, state[k])
+
 
 class TestDescribe:
     def test_describe_mentions_structure(self):
