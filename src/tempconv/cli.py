@@ -196,7 +196,7 @@ def _cmd_infer(args):
     model.eval()
     arr = lwt.load_tensor(args.input)
     if model.has_frontend and arr.ndim == 4:  # a clip of another rank is refused uncropped
-        arr, _ = augment(arr, None, False, tcfg.crop_size, crop=tcfg.crop)
+        arr, _ = augment(arr, None, False, tcfg.crop_size)
     model.check_input(arr.shape)
     probs = model.predict_proba(Tensor(arr.astype(np.float32))).data
     order = np.argsort(-probs, kind="stable")

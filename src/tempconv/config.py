@@ -83,8 +83,7 @@ class ModelConfig:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 80
-    crop: bool = True
-    crop_size: int = 88
+    crop_size: int = 88  # the edge of the square crop of every frame, in training and evaluation
     seed: int = 0
 
     def __post_init__(self):
@@ -94,6 +93,12 @@ class TrainConfig:
             raise ConfigError(f"crop_size must be ≥ 1, got {self.crop_size}")
         if self.seed < 0:
             raise ConfigError(f"train seed must be ≥ 0, got {self.seed}")
+
+
+# Each toy sample adds float32 draws of N(0, noise²): at noise 1e38 some of
+# them overflowed to inf, and gen-data wrote the dataset all the same. At
+# this bound a draw would have to pass 340 σ to overflow.
+MAX_TOY_NOISE = 1e36
 
 
 @dataclass(frozen=True)
@@ -119,8 +124,8 @@ class ToyDatasetSpec:
             )
         if self.seq_len < 3:
             raise ConfigError("toy seq_len must be ≥ 3")
-        if not 0 <= self.noise < math.inf:
-            raise ConfigError("toy noise must be finite and nonnegative")
+        if not 0 <= self.noise <= MAX_TOY_NOISE:
+            raise ConfigError(f"toy noise must lie in 0..{MAX_TOY_NOISE:g}, got {self.noise:g}")
         if min(self.train_size, self.val_size, self.test_size) < 1:
             raise ConfigError("every toy split needs at least one sample")
         if self.seed < 0:

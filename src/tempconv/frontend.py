@@ -29,11 +29,10 @@ from .layers import MAX_STAGES, Conv2d, Conv3d, ConvNorm, Linear, Module, Sequen
 class StemSpec:
     out_channels: int = 32
     in_channels: ClassVar[int] = 1
-    # Stride 1 and symmetric padding in time keep T: causality and
-    # receptive_field rely on the stem preserving temporal length.
+    # Stride 1 and ConvSpec's size-preserving padding, (1, 2, 2), keep T:
+    # causality and receptive_field rely on the stem preserving temporal length.
     kernel: ClassVar[tuple] = (3, 5, 5)
     stride: ClassVar[tuple] = (1, 2, 2)
-    padding: ClassVar[tuple] = (1, 2, 2)
 
     def __post_init__(self):
         if self.out_channels < 1:
@@ -46,7 +45,7 @@ class Stem(ConvNorm):
     def __init__(self, spec=None):
         spec = spec if spec is not None else StemSpec()
         super().__init__(Conv3d(spec.in_channels, spec.out_channels, spec.kernel,
-                                stride=spec.stride, padding=spec.padding, bias=True), relu=True)
+                                stride=spec.stride, bias=True), relu=True)
         self.spec = spec
 
     def _check(self, shape):

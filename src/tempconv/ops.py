@@ -5,7 +5,7 @@ backward rule on the active :class:`~tempconv.tensor.GradTape`, if any.
 Convolution covers 1-D/2-D/3-D by kernel rank, with stride, dilation,
 groups, and either symmetric zero padding or causal left padding (1-D only,
 output length equals input length). :func:`conv` runs each call on one of
-three routes, chosen by shape class alone in :func:`_conv_route`, forward
+four routes, chosen by shape class alone in :func:`_conv_route`, forward
 and backward alike:
 
 - ``POINTWISE`` (groups = 1, k = 1, stride 1, no padding): one GEMM over
@@ -14,16 +14,15 @@ and backward alike:
   tile of whole samples, over a read-only view of the tile's tap windows,
   into one preallocated output; its backward runs per kernel tap on the
   same tiles, over only the positions each tap reads;
-- ``GEMM`` (every other conv, any groups): im2col, then GEMMs over the
-  whole batch in blocks of output rows, in one of two column layouts picked
-  by shape alone (:func:`_frame_columns`). A conv with one input channel
-  and stride 1 on its first axis (the 3-D stem) writes one im2col per
-  padded frame over the other axes' taps, reads each first-axis tap as a
-  shifted view of it and sums one GEMM per such tap. Every other conv
-  gathers channels-last columns, (N·S_out, C/G·taps) per group, from a
-  channels-last padded copy and runs GEMMs per group. Either way the
-  weight's plain reshape is the GEMM operand.
+- ``FRAME`` (one input channel, stride 1 on the first axis, as in the 3-D
+  stem): one im2col per padded frame over the other axes' taps; each
+  first-axis tap reads it as a shifted view, and one GEMM per such tap is
+  summed into the output;
+- ``GEMM`` (every other conv, any groups): channels-last im2col columns,
+  (N·S_out, C/G·taps) per group, gathered from a channels-last padded
+  copy, then GEMMs per group over the whole batch in blocks of output rows.
 
+On ``FRAME`` and ``GEMM`` the weight's plain reshape is the GEMM operand.
 Every route is tested against the reference conv in ``tests/oracles.py``.
 
 Eval-mode batch norm is one multiply-add per element; a ``layers.ConvNorm``
@@ -198,15 +197,12 @@ _GATHER_BYTES = 1 << 20
 
 
 def _gemm_forward(xd, wd, bd, spec, out_sizes):
-    """im2col and GEMMs over the whole batch, on per-frame columns where
-    :func:`_frame_columns` says so. Otherwise the (N·S_out, C·taps) columns
+    """im2col and GEMMs over the whole batch: the (N·S_out, C·taps) columns
     are gathered channels-last from a channels-last padded copy, one strided
     write per kernel tap and block of ``_GATHER_BYTES``, in the (C, taps)
     order of the weight's rows; GEMMs over ``_GEMM_ROWS`` of them at a time,
     the groups as a batch axis, write the channels-last output."""
     dtype = np.result_type(xd, wd)
-    if _frame_columns(spec):
-        return _frame_forward(xd, wd, bd, spec, out_sizes, dtype)
     n, c = xd.shape[:2]
     g, o, taps = spec.groups, spec.out_channels, math.prod(spec.kernel)
     xp = _padded(xd, spec, dtype)
@@ -229,8 +225,6 @@ def _gemm_forward(xd, wd, bd, spec, out_sizes):
 
 
 def _gemm_backward(up, wd, spec, saved, need_x, need_w):
-    if _frame_columns(spec):
-        return _frame_backward(up, wd, spec, saved, need_x, need_w)
     padded_shape, cols = saved
     g, o = spec.groups, spec.out_channels
     upg = np.moveaxis(up, 1, -1).reshape(-1, g, o // g).transpose(1, 0, 2)  # (G, N·S_out, O/G)
@@ -249,12 +243,6 @@ def _gemm_backward(up, wd, spec, saved, need_x, need_w):
     return gx, gw
 
 
-def _frame_columns(spec):
-    """Whether a GEMM-route conv takes per-frame columns: one input channel
-    and stride 1 on the first axis, as in the 3-D stem."""
-    return spec.in_channels == 1 and spec.stride[0] == 1
-
-
 def _frame_taps(spec, cols, out_sizes):
     """The (N, taps, S_out) views of (N, taps, P·R) per-frame columns, R
     output positions to a frame, that each first-axis kernel tap reads."""
@@ -263,13 +251,13 @@ def _frame_taps(spec, cols, out_sizes):
             for i in range(spec.kernel[0])]
 
 
-def _frame_forward(xd, wd, bd, spec, out_sizes, dtype):
+def _frame_forward(xd, wd, bd, spec, out_sizes):
     """C_in = 1, stride 1 on the first axis: an im2col of every padded frame
     over the other axes' taps, written once and read by each first-axis tap
     as a shifted view; per block of ``_GEMM_ROWS`` output rows, one
     (rows, taps) @ (taps, O) batch GEMM per first-axis tap, summed into the
     channels-last output."""
-    n, o = xd.shape[0], spec.out_channels
+    n, o, dtype = xd.shape[0], spec.out_channels, np.result_type(xd, wd)
     xp = _padded(xd, spec, dtype)[..., 0]  # (N, *P)
     frames = (xp.shape[1],) + out_sizes[1:]  # every padded frame, the outputs within one
     cols = np.empty((n, math.prod(spec.kernel[1:])) + frames, dtype)
@@ -411,6 +399,7 @@ def _depthwise_backward(up, wd, spec, xd, need_x, need_w):
 _Route = namedtuple("_Route", "name forward backward")
 GEMM = _Route("gemm", _gemm_forward, _gemm_backward)
 DEPTHWISE = _Route("depthwise", _depthwise_forward, _depthwise_backward)
+FRAME = _Route("frame", _frame_forward, _frame_backward)
 POINTWISE = _Route("pointwise", _pointwise_forward, _pointwise_backward)
 
 
@@ -421,13 +410,18 @@ def _conv_route(spec, in_sizes, out_sizes):
     - pointwise (groups = 1, k = 1, no padding, output as large as the
       input): one GEMM over the batch, whatever the input's layout;
     - depthwise (groups = C_in = C_out > 1): one einsum over tap windows;
-    - every other conv, any groups: im2col + GEMMs over the whole batch.
+    - frame (C_in = 1, stride 1 on the first axis): per-frame im2col, one
+      GEMM per first-axis tap;
+    - every other conv, any groups: channels-last im2col + GEMMs over the
+      whole batch.
     """
     if (spec.groups == 1 and math.prod(spec.kernel) == 1
             and not any(map(sum, spec.pad_pairs())) and out_sizes == in_sizes):
         return POINTWISE
     if spec.groups == spec.in_channels == spec.out_channels > 1:
         return DEPTHWISE
+    if spec.in_channels == 1 and spec.stride[0] == 1:
+        return FRAME
     return GEMM
 
 
@@ -711,19 +705,7 @@ def global_average_pool(x, axes, valid_len=None):
     if any(a < 0 or a >= x.ndim for a in axes):
         raise ShapeError(f"axes {axes} out of range for rank {x.ndim}")
     if valid_len is None:
-        count = 1
-        for a in axes:
-            count *= x.shape[a]
-        shape = x.shape
-
-        def make_backward():
-            def bwd(up):
-                return (np.broadcast_to(np.expand_dims(up, axes) / count, shape).copy(),)
-
-            return bwd
-
-        return apply_op("mean", (x,), x.data.mean(axis=axes), make_backward)
-
+        return _reduce("mean", x, axes)
     if len(axes) != 1:
         raise ShapeError("valid_len masking applies to exactly one axis")
     axis = axes[0]
@@ -875,25 +857,29 @@ def moveaxis(x, src, dst):
     return apply_op("moveaxis", (x,), np.moveaxis(x.data, src, dst), make_backward)
 
 
-def tensor_sum(x):
+def _reduce(op, x, axes=None):
+    """The sum (``op`` "sum") or mean ("mean") of ``x`` over ``axes``, every
+    axis if None; the backward spreads the upstream gradient back over them,
+    divided by their count for a mean."""
+    mean = op == "mean"
+    data = x.data.mean(axis=axes) if mean else x.data.sum(axis=axes)
+
     def make_backward():
         shape = x.shape
+        count = math.prod(shape if axes is None else (shape[a] for a in axes))
 
         def bwd(up):
-            return (np.broadcast_to(up, shape).copy(),)
+            g = up if axes is None else np.expand_dims(up, axes)
+            return (np.broadcast_to(g / count if mean else g, shape).copy(),)
 
         return bwd
 
-    return apply_op("sum", (x,), x.data.sum(), make_backward)
+    return apply_op(op, (x,), data, make_backward)
+
+
+def tensor_sum(x):
+    return _reduce("sum", x)
 
 
 def tensor_mean(x):
-    def make_backward():
-        shape, size = x.shape, x.size
-
-        def bwd(up):
-            return (np.broadcast_to(up / size, shape).copy(),)
-
-        return bwd
-
-    return apply_op("mean", (x,), x.data.mean(), make_backward)
+    return _reduce("mean", x)

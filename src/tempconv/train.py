@@ -1,9 +1,9 @@
 """Training recipe: plain SGD with weight decay, cosine annealing, MixUp,
 crop/flip/variable-length augmentation, and best-checkpoint selection.
 
-The schedule is exact: rate(e) = base_lr * (1 + cos(pi * e / total)) / 2,
+The schedule is exact: rate(e) = BASE_LR * (1 + cos(pi * e / total)) / 2,
 evaluated per epoch. Weight decay is coupled: it enters the update as
-lr * (g + wd * w), so it anneals with the rate.
+lr * (g + WEIGHT_DECAY * w), so it anneals with the rate.
 """
 from __future__ import annotations
 
@@ -22,25 +22,33 @@ from . import ops
 BASE_LR = 0.02
 WEIGHT_DECAY = 0.01
 BATCH_SIZE = 32  # training and evaluation batches
-MIXUP_ALPHA = 0.4
+# lr_schedule holds one rate per epoch and `tempconv schedule` prints a line
+# for each, so an unbounded count runs until the host kills it: 10^6 epochs
+# took 248 MiB and 1.2 s, 10^8 ran out of memory, and 10^26 still ran after
+# 60 s. At this bound `schedule` peaks at 55 MiB, against 34 MiB at the
+# recipe's 80 epochs.
+MAX_EPOCHS = 100_000
 
 
-def cosine_lr(epoch, total_epochs=TrainConfig.epochs, base_lr=BASE_LR):
-    """Annealed rate at integer epoch e in 0..total_epochs."""
-    if total_epochs < 1:
-        raise ConfigError(f"total_epochs must be ≥ 1, got {total_epochs}")
-    if not 0 <= epoch <= total_epochs:
-        raise ConfigError(f"epoch {epoch} outside 0..{total_epochs}")
-    return base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
-
-
-def lr_schedule(total_epochs=TrainConfig.epochs, base_lr=BASE_LR):
+def lr_schedule(total_epochs=TrainConfig.epochs):
+    """The annealed rate of every epoch 0..total_epochs."""
     if total_epochs < 1:  # an empty range would return no rates
         raise ConfigError(f"total_epochs must be ≥ 1, got {total_epochs}")
-    return [cosine_lr(e, total_epochs, base_lr) for e in range(total_epochs + 1)]
+    if total_epochs > MAX_EPOCHS:
+        raise ConfigError(f"total_epochs must be ≤ {MAX_EPOCHS:,}, got {total_epochs}")
+    return [BASE_LR * 0.5 * (1.0 + math.cos(math.pi * e / total_epochs))
+            for e in range(total_epochs + 1)]
 
 
-def sgd_step(params, lr, weight_decay=WEIGHT_DECAY):
+def cosine_lr(epoch, total_epochs=TrainConfig.epochs):
+    """Annealed rate at integer epoch e in 0..total_epochs: that entry of :func:`lr_schedule`."""
+    rates = lr_schedule(total_epochs)
+    if not 0 <= epoch <= total_epochs:
+        raise ConfigError(f"epoch {epoch} outside 0..{total_epochs}")
+    return rates[epoch]
+
+
+def sgd_step(params, lr):
     """In-place descent step over all params that received gradients."""
     for p in params:
         g = p.grad
@@ -48,7 +56,7 @@ def sgd_step(params, lr, weight_decay=WEIGHT_DECAY):
             continue
         if not np.isfinite(g).all():
             raise NumericError("non-finite gradient encountered in sgd_step")
-        p.data = p.data - lr * (g + weight_decay * p.data)
+        p.data = p.data - lr * (g + WEIGHT_DECAY * p.data)
 
 
 def one_hot(labels, num_classes):
@@ -69,7 +77,7 @@ def _augment_batch(videos, rng, train_mode, tcfg):
     out = []
     lens = []
     for clip in videos:
-        a, k = augment(clip, rng, train_mode, tcfg.crop_size, crop=tcfg.crop)
+        a, k = augment(clip, rng, train_mode, tcfg.crop_size)
         out.append(a)
         lens.append(k)
     return np.stack(out), np.asarray(lens, dtype=np.int64)
@@ -111,8 +119,7 @@ def train_loop(model, dataset, tcfg, log_stream=None):
     rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 11]))
     result = TrainResult()
 
-    for epoch in range(tcfg.epochs):
-        lr = cosine_lr(epoch, tcfg.epochs)
+    for epoch, lr in enumerate(lr_schedule(tcfg.epochs)[:-1]):
         model.train()
         perm = rng.permutation(n_train)
         losses = []
@@ -122,7 +129,7 @@ def train_loop(model, dataset, tcfg, log_stream=None):
             x, lens = _augment_batch(videos, rng, True, tcfg)
             y = one_hot(labels, num_classes)
             pair = rng.permutation(len(idx))
-            x, y, _ = mixup(x, x[pair], y, y[pair], MIXUP_ALPHA, rng)
+            x, y, _ = mixup(x, x[pair], y, y[pair], rng)
             lens = np.maximum(lens, lens[pair])  # pool over the union extent
             with located(f"epoch {epoch}, step {step}"):
                 model.zero_grad()

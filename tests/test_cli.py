@@ -135,7 +135,7 @@ class TestExitCodes:
           "--run-dir", "{tmp}/run"], None),
         (["infer", "--input", "{tmp}/missing.lwt", "--seed", "-1"], None),
         (["gradcheck", "--kind", "head", "--seed", "-1"], None),
-        (["train-toy", "--config", TOY_CFG, *TINY, "--set", "train.crop=true",
+        (["train-toy", "--config", TOY_CFG, *TINY,
           "--set", "train.crop_size=-1", "--run-dir", "{tmp}/run"], None),
         (["describe", "--set", "tcn.channels=100000000000000000000"], None),
         (["describe", "--set", "extractor.widths=100000000000000000000"], None),
@@ -158,6 +158,8 @@ class TestExitCodes:
           "--run-dir", "{tmp}/run"], None),
         (["gen-data", "--set", "toy.frame_size=10000000", "--set", "toy.num_classes=2",
           "--out", "{tmp}/toy.npz"], None),
+        (["schedule", "--epochs", "100000000"], None),
+        (["schedule", "--epochs", str(10**26)], None),
     ], ids=["percent-override", "percent-doc", "interpolation-doc", "default-override",
             "default-doc", "tcn-dropout-nan", "tcn-dropout-inf", "extractor-expansion-inf",
             "stages-33", "toy-frame-size-negative", "toy-seed-negative", "train-seed-negative",
@@ -167,7 +169,8 @@ class TestExitCodes:
             "extractor-in-channels-key", "stem-kernel-key", "extractor-stage-widths-key",
             "tcn-channels-list", "extractor-widths-inner-empty", "extractor-widths-trailing-empty",
             "extractor-widths-leading-empty", "tcn-width-unlike-extractor",
-            "toy-train-size-huge", "toy-seq-len-huge", "toy-frame-size-huge"])
+            "toy-train-size-huge", "toy-seq-len-huge", "toy-frame-size-huge",
+            "schedule-epochs-1e8", "schedule-epochs-1e26"])
     def test_bad_config_input(self, argv, doc, tmp_path, capsys):
         """Exit 2 with a ConfigError message: no traceback, no silent no-op."""
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -388,23 +391,27 @@ class TestInfer:
     def test_crop_beyond_the_frame_refused(self, tmp_path, capsys):
         p = tmp_path / "clip.lwt"
         lwt.save_tensor(p, np.zeros((1, 12, 8, 8), dtype=np.float32))
-        assert main(["infer", "--config", TOY_CFG, "--input", str(p), "--set", "train.crop=true",
+        assert main(["infer", "--config", TOY_CFG, "--input", str(p),
                      "--set", "train.crop_size=9"]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("tempconv.ShapeError: crop 9 must lie in 1..8")
 
-    def test_crop_follows_the_train_section(self, tmp_path, capsys):
-        """A crop the document turns on center-crops the clip, as evaluate does."""
-        clip = np.random.default_rng(2).standard_normal((1, 12, 11, 11)).astype(np.float32)
+    @pytest.mark.parametrize("size", [11, 12])
+    def test_crop_follows_the_train_section(self, size, tmp_path, capsys):
+        """The document's crop_size center-crops the clip, as evaluate does:
+        toy.cfg's 8 takes the center 8x8 of a wider clip, which it took
+        whole while the document could switch the crop off."""
+        clip = np.random.default_rng(2).standard_normal((1, 12, size, size)).astype(np.float32)
         whole, cropped = tmp_path / "whole.lwt", tmp_path / "cropped.lwt"
         lwt.save_tensor(whole, clip)
-        lwt.save_tensor(cropped, clip[..., 1:9, 1:9])
+        top = (size - 8) // 2
+        lwt.save_tensor(cropped, clip[..., top:top + 8, top:top + 8])
 
-        def infer(path, *overrides):
-            assert main(["infer", "--config", TOY_CFG, "--input", str(path), "--format", "json",
-                         *overrides]) == EXIT_OK
+        def infer(path):
+            assert main(["infer", "--config", TOY_CFG, "--input", str(path),
+                         "--format", "json"]) == EXIT_OK
             return json.loads(capsys.readouterr().out)
 
-        assert infer(whole, "--set", "train.crop=true") == infer(cropped)
+        assert infer(whole) == infer(cropped)
 
     def test_wrong_channel_count_rejected(self, tmp_path, capsys):
         """The stem owns the input-channel rule; infer reports its error."""
@@ -419,8 +426,7 @@ class TestInfer:
         p = tmp_path / "clip.lwt"
         for shape in [(3, 5), (1, 1, 12, 8, 8), (5,), ()]:
             lwt.save_tensor(p, np.zeros(shape, dtype=np.float32))
-            assert main(["infer", "--config", TOY_CFG, "--input", str(p),
-                         "--set", "train.crop=true"]) == EXIT_VALIDATION
+            assert main(["infer", "--config", TOY_CFG, "--input", str(p)]) == EXIT_VALIDATION
             assert capsys.readouterr().err == (
                 f"tempconv.ShapeError: model expects a sample of rank 4, got rank {len(shape)}\n")
 
@@ -734,16 +740,16 @@ class TestSeedResolution:
 
 
 class TestRemovedRecipeToggles:
-    """[train] holds only epochs, crop, crop_size and seed: the rest of the
+    """[train] holds only epochs, crop_size and seed: the rest of the
     recipe is constant, so its settings are no keys, even at the values
     they always had."""
 
     KEYS = [("flip", "false"), ("variable_length", "false"), ("decoupled_decay", "false"),
             ("base_lr", "0.02"), ("weight_decay", "0.01"), ("batch_size", "32"),
-            ("mixup_alpha", "0.4")]
+            ("mixup_alpha", "0.4"), ("crop", "false"), ("crop", "true")]
 
     def test_train_keys_are_the_run_settings(self):
-        assert list(_KNOWN_KEYS["train"]) == ["epochs", "crop", "crop_size", "seed"]
+        assert list(_KNOWN_KEYS["train"]) == ["epochs", "crop_size", "seed"]
 
     @pytest.mark.parametrize("key,value", KEYS, ids=[k for k, _ in KEYS])
     def test_set_is_refused_as_unknown(self, key, value, tmp_path, capsys):
@@ -812,8 +818,7 @@ class TestTrainToy:
 
     @pytest.mark.parametrize("overrides,error", [
         (["--set", "toy.num_classes=5"], "ConfigError: model has 4 classes, dataset has 5"),
-        (["--set", "train.crop=true", "--set", "train.crop_size=9"],
-         "ShapeError: crop 9 must lie in 1..8"),
+        (["--set", "train.crop_size=9"], "ShapeError: crop 9 must lie in 1..8"),
     ], ids=["class-count", "crop-size"])
     def test_refused_run_leaves_the_run_dir_as_it_was(self, overrides, error, tmp_path, capsys):
         """--run-dir is made up front, but no file in it is made or truncated
@@ -828,6 +833,19 @@ class TestTrainToy:
         assert (old / "history.jsonl").read_text() == '{"epoch": 0}\n'
         assert [p.name for p in old.iterdir()] == ["history.jsonl"]
         assert list(fresh.iterdir()) == []
+
+    @pytest.mark.parametrize("noise", ["1e38", "1e308"])
+    @pytest.mark.parametrize("command", ["gen-data", "train-toy"])
+    def test_overflowing_noise_refused(self, command, noise, tmp_path, capsys):
+        """A noise level whose float32 draws can overflow is refused before
+        any sample is drawn: gen-data wrote non-finite data with exit 0."""
+        out = ["--out", str(tmp_path / "toy.npz")] if command == "gen-data" else \
+            ["--run-dir", str(tmp_path / "run")]
+        assert main([command, "--config", TOY_CFG, "--set", f"toy.noise={noise}", *out]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"tempconv.ConfigError: toy noise must lie in 0..1e+36, got {float(noise):g}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_batch_variance_stops_the_first_step(self, tmp_path, capsys):
         """Noise of 1e30 overflows the float32 batch variance of the first

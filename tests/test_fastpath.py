@@ -1,15 +1,16 @@
 """Every convolution route and the eval batch-norm fold against their oracles.
 
-``ops.conv`` picks one of three compute routes by shape class; the generic
+``ops.conv`` picks one of four compute routes by shape class; the generic
 einsum conv (``oracles.EINSUM``) is the oracle. Each route that accepts a
 drawn convolution (``GEMM`` accepts every one) must match it in the output
 and in both gradients, to float32 tolerance. Every route also takes
 channels-last arrays, inputs and upstream gradients alike, and must then
 match the oracle run on C-order copies; from either input layout, every
-route's output is channels-last. The GEMM route's two column
-layouts each get explicit cases: per-frame columns (one input channel,
-stride 1 on the first axis, as in the stem), and channels-last columns,
-grouped too. The eval extractor and the eval TCN, which keep their
+route's output is channels-last. The ``FRAME`` route (one input channel,
+stride 1 on the first axis, as in the stem) gets explicit cases, each also
+run on ``GEMM``'s channels-last columns, and so do grouped convs. Only
+``_conv_route`` reads a route, and no route calls another's functions.
+The eval extractor and the eval TCN, which keep their
 activations channels-last, must match the same inputs run channels-first.
 The depthwise route tiles the batch by whole samples;
 it must match the oracle for every count of samples per tile, in both
@@ -29,6 +30,7 @@ in training the ReLU must leave its input array as it was.
 The cases come from the fixed ``fastpath`` hypothesis profile (see
 ``conftest.py``), so every run draws the same ones.
 """
+import ast
 import contextlib
 import glob
 import os
@@ -102,6 +104,8 @@ def _routes(spec, in_sizes, out_sizes):
         routes.append(ops.POINTWISE)
     if spec.groups == spec.in_channels == spec.out_channels:
         routes.append(ops.DEPTHWISE)
+    if spec.in_channels == 1 and spec.stride[0] == 1:
+        routes.append(ops.FRAME)
     return routes
 
 
@@ -110,9 +114,9 @@ def _close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5 * scale)
 
 
-# C_in = 1 with stride 1 on the first axis, batch > 1: the GEMM route's
-# per-frame columns, the stem's shape first; then C_in = 1 with stride 2 on
-# the first axis, which takes the channels-last columns
+# C_in = 1 with stride 1 on the first axis, batch > 1: the FRAME route, the
+# stem's shape first, each case also run on GEMM's channels-last columns;
+# then C_in = 1 with stride 2 on the first axis, which takes GEMM alone
 FRAME_CASES = [
     (ops.ConvSpec(1, 4, (3, 5, 5), stride=(1, 2, 2), padding=(1, 2, 2)), (2, 1, 4, 6, 6), True, 0),
     (ops.ConvSpec(1, 3, (2, 3, 2), stride=(1, 2, 1), dilation=(2, 1, 2), padding=(0, 1, 2)),
@@ -232,9 +236,9 @@ def test_routes_take_channels_last_arrays(case):
         for g, r in zip(got, want):
             assert g.shape == r.shape, route.name
             _close(g, r)
-        # output and input gradient are channels-last; the GEMM route's
-        # input gradient is a view of a padded buffer
-        if route is ops.GEMM:
+        # output and input gradient are channels-last; the GEMM and FRAME
+        # routes' input gradient is a view of a padded buffer
+        if route in (ops.GEMM, ops.FRAME):
             assert _is_channels_last(got[0]) and _runs_in_order(np.moveaxis(got[1], 1, -1))
         elif route is not EINSUM:
             assert _is_channels_last(got[0]) and _is_channels_last(got[1]), route.name
@@ -244,7 +248,7 @@ def test_routes_take_channels_last_arrays(case):
     (ops.ConvSpec(4, 6, (1, 1)), ops.POINTWISE),
     (ops.ConvSpec(4, 4, (3, 3), stride=2, groups=4), ops.DEPTHWISE),
     (ops.ConvSpec(4, 6, (3,), dilation=2, causal=True), ops.GEMM),  # channels-last columns
-    (FRAME_CASES[0][0], ops.GEMM),  # per-frame columns
+    (FRAME_CASES[0][0], ops.FRAME),  # per-frame columns
 ], ids=["pointwise", "depthwise", "gemm", "gemm-frames"])
 def test_conv_refuses_an_empty_batch(spec, route):
     sizes = (6,) * spec.rank
@@ -253,6 +257,40 @@ def test_conv_refuses_an_empty_batch(spec, route):
     w = Tensor(np.zeros((spec.out_channels, spec.in_channels // spec.groups) + spec.kernel, np.float32))
     with pytest.raises(ShapeError, match="batch is empty"):
         ops.conv(x, w, None, spec)
+
+
+ROUTES = ("POINTWISE", "DEPTHWISE", "FRAME", "GEMM")
+
+
+def _route_reads(node, scope=()):
+    """The enclosing function of every read of a route constant under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and child.id in ROUTES and isinstance(child.ctx, ast.Load):
+            yield ".".join(scope)
+        inner = scope + (child.name,) if isinstance(child, ast.FunctionDef) else scope
+        yield from _route_reads(child, inner)
+
+
+def test_conv_route_is_the_one_chooser():
+    """Parsed from ops.py: only ``_conv_route`` reads a route constant, and
+    no module function named as a forward or backward calls one of another
+    route; each of them is one route's."""
+    with open(ops.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    assert set(_route_reads(tree)) == {"_conv_route"}
+    owner = {}  # function name -> the name of the route it is registered on
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Route":
+            name, *fns = node.args
+            owner.update({fn.id: name.value for fn in fns})
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name.endswith(("_forward", "_backward"))}
+    crossed = [(name, call.func.id) for name, body in bodies.items() for call in ast.walk(body)
+               if isinstance(call, ast.Call) and getattr(call.func, "id", None) in bodies
+               and owner.get(call.func.id) != owner.get(name)]
+    assert crossed == []
+    assert set(bodies) == set(owner)
+    assert sorted(set(owner.values())) == sorted(r.lower() for r in ROUTES)
 
 
 @pytest.mark.parametrize("shape", [(0, 3, 5), (2, 3, 0)], ids=["no-samples", "no-frames"])
@@ -361,6 +399,8 @@ def _shape_class_route(spec):
         return ops.POINTWISE
     if 1 < spec.groups == spec.in_channels == spec.out_channels:
         return ops.DEPTHWISE
+    if spec.in_channels == 1 and spec.stride[0] == 1:
+        return ops.FRAME
     return ops.GEMM
 
 
@@ -392,9 +432,13 @@ def _routes_taken(path, monkeypatch):
 @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
 def test_shipped_configs_take_shape_class_routes(path, monkeypatch):
     """Every conv takes the route of its shape class, in eval and in a
-    taped training step."""
+    taped training step: the stem takes FRAME, and only the kinds with a
+    full k3 conv take GEMM."""
     calls, _ = _routes_taken(path, monkeypatch)
-    assert {ops.POINTWISE, ops.GEMM, ops.DEPTHWISE} <= {got for _, got in calls}
+    routes = {got for _, got in calls}
+    assert {ops.POINTWISE, ops.DEPTHWISE, ops.FRAME} <= routes
+    kind = tc.load_config_file(path).tcn.block_kind
+    assert (ops.GEMM in routes) == (kind in ("baseline", "fusedmb")), kind
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)

@@ -47,10 +47,12 @@ class TestSchedule:
             assert abs(cosine_lr(epoch) - want) <= 1e-12
 
     def test_schedule_vector(self):
-        sched = lr_schedule(10, base_lr=0.5)
+        sched = lr_schedule(10)
         assert len(sched) == 11
-        assert sched[0] == 0.5 and abs(sched[10]) < 1e-15
+        assert sched[0] == 0.02 and abs(sched[10]) < 1e-15
         assert all(a > b for a, b in zip(sched, sched[1:]))
+        for epoch, rate in enumerate(sched):
+            assert abs(rate - cosine_rate_oracle(0.02, epoch, 10)) <= 1e-12
 
     def test_range_validation(self):
         with pytest.raises(ConfigError):
@@ -59,6 +61,8 @@ class TestSchedule:
             cosine_lr(81, total_epochs=80)
         with pytest.raises(ConfigError):
             cosine_lr(0, total_epochs=0)
+        with pytest.raises(ConfigError, match="total_epochs must be ≤ 100,000, got 100001"):
+            lr_schedule(100_001)
 
 
 class TestSgd:
@@ -69,22 +73,22 @@ class TestSgd:
 
     def test_coupled_decay_formula(self):
         p = self._param([1.0, -2.0], [0.5, 0.25])
-        sgd_step([p], lr=0.1, weight_decay=0.01)
+        sgd_step([p], lr=0.1)
         want = np.array([1.0, -2.0]) - 0.1 * (np.array([0.5, 0.25])
                                               + 0.01 * np.array([1.0, -2.0]))
         np.testing.assert_allclose(p.data, want, rtol=1e-15)
 
     def test_coupled_decay_scales_with_lr(self):
-        """At zero gradient the decay shrinkage is lr * weight_decay * p."""
-        for lr, want in ((0.1, 3.9), (0.001, 3.999)):
+        """At zero gradient the decay shrinkage is lr * 0.01 * p."""
+        for lr, want in ((0.1, 3.996), (0.001, 3.99996)):
             p = self._param([4.0], [0.0])
-            sgd_step([p], lr=lr, weight_decay=0.25)
+            sgd_step([p], lr=lr)
             np.testing.assert_allclose(p.data, [want], rtol=1e-15)
 
     def test_skips_unused_params(self):
         p = self._param([1.0], [1.0])
         q = Tensor(np.array([5.0]), requires_grad=True)  # no grad
-        sgd_step([p, q], lr=0.1, weight_decay=0.0)
+        sgd_step([p, q], lr=0.1)
         np.testing.assert_allclose(q.data, [5.0])
 
     def test_non_finite_gradient_raises(self):
@@ -94,7 +98,8 @@ class TestSgd:
             sgd_step([p], lr=0.1)
 
     def test_quadratic_bowl_converges(self):
-        """Full pipeline sanity: tape + sgd minimize ||x - c||^2 quickly."""
+        """Full pipeline sanity: tape + sgd minimize ||x - c||^2 + 0.005·||x||^2,
+        the loss whose gradient the coupled decay of 0.01 completes, quickly."""
         target = np.array([3.0, -1.0, 0.5])
         x = Tensor(np.zeros(3), requires_grad=True)
         for _ in range(200):
@@ -103,8 +108,8 @@ class TestSgd:
                 d = ops.add(x, Tensor(-target))
                 loss = ops.tensor_sum(ops.hadamard(d, d))
             tape.backward(loss)
-            sgd_step([x], lr=0.1, weight_decay=0.0)
-        np.testing.assert_allclose(x.data, target, atol=1e-8)
+            sgd_step([x], lr=0.1)
+        np.testing.assert_allclose(x.data, target * 2 / 2.01, atol=1e-8)
 
 
 class TestAugment:
@@ -120,6 +125,14 @@ class TestAugment:
         x = np.zeros((1, 3, 8, 8), dtype=np.float32)
         with pytest.raises(ShapeError):
             center_crop(x, 9)
+
+    def test_full_frame_crop_draws_nothing(self):
+        """A crop as wide as the frame takes it whole and leaves the
+        generator's stream as it was, so the flip and length draws keep theirs."""
+        x = np.random.default_rng(1).standard_normal((1, 5, 8, 8)).astype(np.float32)
+        rng, fresh = np.random.default_rng(3), np.random.default_rng(3)
+        np.testing.assert_array_equal(random_crop(x, 8, rng), x)
+        assert rng.bit_generator.state == fresh.bit_generator.state
 
     def test_random_crop_is_a_window(self):
         rng = np.random.default_rng(2)
@@ -185,8 +198,12 @@ class TestMixup:
         b = rng.standard_normal((8, 1, 4, 4, 4)).astype(np.float32)
         ya = one_hot(np.arange(8) % 3, 3)
         yb = one_hot((np.arange(8) + 1) % 3, 3)
-        mx, my, lam = mixup(a, b, ya, yb, alpha=0.4, rng=rng)
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        mx, my, lam = mixup(a, b, ya, yb, rng=rng)
         assert lam.shape == (8,)
+        # one Beta(0.4, 0.4) draw per pair
+        np.testing.assert_array_equal(lam, twin.beta(0.4, 0.4, 8).astype(np.float32))
         assert np.all(lam >= 0) and np.all(lam <= 1)
         np.testing.assert_allclose(my.sum(axis=1), np.ones(8), rtol=1e-6)
         i = 3
@@ -198,7 +215,7 @@ class TestMixup:
         a = np.zeros((16, 2), dtype=np.float32)
         b = np.ones((16, 2), dtype=np.float32)
         y = one_hot(np.zeros(16, dtype=int), 2)
-        _, _, lam = mixup(a, b, y, y, alpha=0.4, rng=rng)
+        _, _, lam = mixup(a, b, y, y, rng=rng)
         assert len(np.unique(np.round(lam, 6))) > 1
 
     def test_beta_mean_is_half(self):
@@ -206,14 +223,8 @@ class TestMixup:
         a = np.zeros((200_000, 1), dtype=np.float64)
         b = a.copy()
         y = np.zeros((200_000, 2), dtype=np.float64)
-        _, _, lam = mixup(a, b, y, y, alpha=0.4, rng=rng)
+        _, _, lam = mixup(a, b, y, y, rng=rng)
         assert abs(float(lam.mean()) - 0.5) < 0.01
-
-    def test_alpha_validation(self):
-        a = np.zeros((2, 2), dtype=np.float32)
-        y = np.zeros((2, 2), dtype=np.float32)
-        with pytest.raises(ConfigError):
-            mixup(a, a, y, y, alpha=0.0, rng=np.random.default_rng(0))
 
 
 class TestToyData:
@@ -298,7 +309,7 @@ class TestLoop:
         model = tc.build_model(cfg, seed=0)
         spec = ToyDatasetSpec(num_classes=4, seq_len=8, frame_size=8,
                               train_size=16, val_size=8, test_size=8)
-        tcfg = TrainConfig(epochs=2, crop=False, crop_size=8, seed=0)
+        tcfg = TrainConfig(epochs=2, crop_size=8, seed=0)
         return model, ToyDataset(spec), tcfg
 
     def test_history_schema_and_log_stream(self):
@@ -315,19 +326,19 @@ class TestLoop:
 
     def test_every_step_mixes(self, monkeypatch):
         """MixUp is part of the one recipe: every step mixes its whole batch,
-        the last, partial one too, at alpha 0.4."""
+        the last, partial one too."""
         model, _, tcfg = self._tiny()
         ds = ToyDataset(ToyDatasetSpec(num_classes=4, seq_len=8, frame_size=8,
                                        train_size=40, val_size=8, test_size=8))
         calls = []
 
-        def counted(a, b, ya, yb, alpha, rng):
-            calls.append((len(a), alpha))
-            return mixup(a, b, ya, yb, alpha, rng)
+        def counted(a, b, ya, yb, rng):
+            calls.append(len(a))
+            return mixup(a, b, ya, yb, rng)
 
         monkeypatch.setattr("tempconv.train.mixup", counted)
         train_loop(model, ds, tcfg)
-        assert calls == [(32, 0.4), (8, 0.4)] * tcfg.epochs
+        assert calls == [32, 8] * tcfg.epochs
 
     def test_best_checkpoint_restored(self):
         model, ds, tcfg = self._tiny()
