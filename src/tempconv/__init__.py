@@ -7,8 +7,7 @@ from .errors import (TempconvError, ShapeError, NumericError, TapeError,
 from .tensor import Tensor, GradTape
 from .ops import ConvSpec
 from .gradcheck import grad_check, GradCheckResult, block_suite
-from .layers import (Module, Conv, Conv1d, Conv2d, Conv3d, BatchNorm, ConvNorm,
-                     Dropout, Linear, Sequential)
+from .layers import Module, Conv, BatchNorm, ConvNorm, Dropout, Linear, Sequential
 from .blocks import BLOCK_KINDS, DEFAULT_EXPANSION, make_block, canonical_kind
 from .frontend import (StemSpec, Stem, ExtractorSpec, ReferenceExtractor,
                        ClassifierHead)
@@ -27,14 +26,13 @@ from .augment import (augment, mixup, random_crop, center_crop,
 from .toydata import ToyDataset
 from . import lwt
 
-__version__ = "0.1.0"
+__version__ = BUILD_VERSION
 
 __all__ = [
     "TempconvError", "ShapeError", "NumericError", "TapeError", "ConfigError",
     "FormatError", "Tensor", "GradTape", "ConvSpec", "grad_check",
-    "GradCheckResult", "block_suite", "Module", "Conv", "Conv1d", "Conv2d",
-    "Conv3d", "BatchNorm", "ConvNorm", "Dropout", "Linear",
-    "Sequential", "BLOCK_KINDS", "DEFAULT_EXPANSION",
+    "GradCheckResult", "block_suite", "Module", "Conv", "BatchNorm", "ConvNorm",
+    "Dropout", "Linear", "Sequential", "BLOCK_KINDS", "DEFAULT_EXPANSION",
     "make_block", "canonical_kind", "StemSpec", "Stem",
     "ExtractorSpec", "ReferenceExtractor", "ClassifierHead", "ModelConfig",
     "TCNConfig", "ClassifierConfig", "TrainConfig", "ToyDatasetSpec",

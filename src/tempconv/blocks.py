@@ -17,8 +17,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError
-from .layers import (Conv, Conv1d, ConvNorm, Dropout, Module, Sequential, eval_tiles, fast_eval,
-                     residual)
+from .layers import Conv, ConvNorm, Dropout, Module, Sequential, eval_tiles, fast_eval, residual
 from .tensor import Tensor
 
 DEFAULT_EXPANSION = {
@@ -77,15 +76,15 @@ class TemporalBlock(Module):
 
 
 def _full(a, b, d, bias=False):
-    return Conv1d(a, b, PLAIN_KERNEL, dilation=d, causal=True, bias=bias)
+    return Conv(ops.ConvSpec(a, b, (PLAIN_KERNEL,), dilation=d, causal=True), bias=bias)
 
 
 def _dw(c, d, k=PLAIN_KERNEL, bias=False):
-    return Conv1d(c, c, k, dilation=d, groups=c, causal=True, bias=bias)
+    return Conv(ops.ConvSpec(c, c, (k,), dilation=d, groups=c, causal=True), bias=bias)
 
 
 def _pw(a, b, bias=False):
-    return Conv1d(a, b, 1, causal=True, bias=bias)
+    return Conv(ops.ConvSpec(a, b, (1,), causal=True), bias=bias)
 
 
 # body units per plain kind, each a conv with its norm: (channels, expanded width, dilation)

@@ -80,6 +80,14 @@ class ModelConfig:
                                   f"output width, widths[-1] = {self.extractor.out_dim}")
 
 
+# lr_schedule holds one rate per epoch and `tempconv schedule` prints a line
+# for each, so an unbounded count runs until the host kills it: 10^6 epochs
+# took 248 MiB and 1.2 s, 10^8 ran out of memory, and 10^26 still ran after
+# 60 s. At this bound `schedule` peaks at 55 MiB, against 34 MiB at the
+# recipe's 80 epochs.
+MAX_EPOCHS = 100_000
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 80
@@ -89,6 +97,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be ≥ 1, got {self.epochs}")
+        if self.epochs > MAX_EPOCHS:
+            raise ConfigError(f"epochs must be ≤ {MAX_EPOCHS:,}, got {self.epochs}")
         if self.crop_size < 1:
             raise ConfigError(f"crop_size must be ≥ 1, got {self.crop_size}")
         if self.seed < 0:

@@ -22,7 +22,7 @@ from typing import ClassVar
 from . import ops
 from .blocks import expanded_width
 from .errors import ConfigError, ShapeError
-from .layers import MAX_STAGES, Conv2d, Conv3d, ConvNorm, Linear, Module, Sequential, eval_tiles
+from .layers import MAX_STAGES, Conv, ConvNorm, Linear, Module, Sequential, eval_tiles
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class Stem(ConvNorm):
 
     def __init__(self, spec=None):
         spec = spec if spec is not None else StemSpec()
-        super().__init__(Conv3d(spec.in_channels, spec.out_channels, spec.kernel,
-                                stride=spec.stride, bias=True), relu=True)
+        super().__init__(Conv(ops.ConvSpec(spec.in_channels, spec.out_channels, spec.kernel,
+                                           stride=spec.stride)), relu=True)
         self.spec = spec
 
     def _check(self, shape):
@@ -95,9 +95,9 @@ class _SpatialBottleneck(Module):
         super().__init__()
         e = expanded_width(cin, expansion)
         self.body = Sequential(
-            ConvNorm(Conv2d(cin, e, 1, bias=False), relu=True),
-            ConvNorm(Conv2d(e, e, 3, stride=2, groups=e, bias=False), relu=True),
-            ConvNorm(Conv2d(e, cout, 1, bias=False)),
+            ConvNorm(Conv(ops.ConvSpec(cin, e, (1, 1)), bias=False), relu=True),
+            ConvNorm(Conv(ops.ConvSpec(e, e, (3, 3), stride=2, groups=e), bias=False), relu=True),
+            ConvNorm(Conv(ops.ConvSpec(e, cout, (1, 1)), bias=False)),
         )
 
     def forward(self, x):

@@ -9,8 +9,13 @@ array is a read-only broadcast of its fill value and takes no memory until
 ``init_parameters`` or ``allocate`` gives it storage, so a module tree can
 be counted (and refused) before any weight exists.
 
-A conv with a norm is one :class:`ConvNorm` unit, which folds the norm into
-the conv in :func:`fast_eval`; ``Sequential`` runs its layers in turn.
+Every conv is ``Conv(ConvSpec(...), bias=...)``: the one
+:class:`~tempconv.ops.ConvSpec` describes it, rank, stride, dilation,
+groups, causal flag and padding alike. A conv with a norm is one
+:class:`ConvNorm` unit, which folds the norm into the conv in
+:func:`fast_eval`; ``Sequential`` runs its layers in turn. ``BatchNorm``
+takes only its width: its eps and momentum are ``ops.BN_EPS`` and
+``ops.BN_MOMENTUM``.
 """
 from __future__ import annotations
 
@@ -21,7 +26,6 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, FormatError, ShapeError
-from .ops import ConvSpec
 from .tensor import Tensor, active_tape
 
 
@@ -199,7 +203,8 @@ def _uniform_fill(rng, tensor, bound):
 
 
 class Conv(Module):
-    """Convolution of rank 1..3 driven by a :class:`ConvSpec`."""
+    """Convolution of rank 1..3 described by one :class:`~tempconv.ops.ConvSpec`,
+    the only conv constructor: the spec's kernel sets the rank."""
 
     def __init__(self, spec, bias=True):
         super().__init__()
@@ -219,38 +224,12 @@ class Conv(Module):
         return ops.conv(x, self.weight, self.bias, self.spec)
 
 
-def Conv1d(in_channels, out_channels, kernel, dilation=1, groups=1,
-           causal=False, padding=None, bias=True):
-    spec = ConvSpec(in_channels, out_channels, (kernel,), dilation=(dilation,),
-                    groups=groups, causal=causal,
-                    padding=None if padding is None else (padding,))
-    return Conv(spec, bias=bias)
-
-
-def Conv2d(in_channels, out_channels, kernel, stride=1, padding=None, groups=1, bias=True):
-    spec = ConvSpec(in_channels, out_channels, _pair(kernel, 2), stride=_pair(stride, 2),
-                    padding=padding if padding is None else _pair(padding, 2), groups=groups)
-    return Conv(spec, bias=bias)
-
-
-def Conv3d(in_channels, out_channels, kernel, stride=1, padding=None, groups=1, bias=True):
-    spec = ConvSpec(in_channels, out_channels, _pair(kernel, 3), stride=_pair(stride, 3),
-                    padding=padding if padding is None else _pair(padding, 3), groups=groups)
-    return Conv(spec, bias=bias)
-
-
-def _pair(v, rank):
-    return (v,) * rank if isinstance(v, int) else tuple(v)
-
-
 class BatchNorm(Module):
     """Batch normalization over channel axis 1 of a batched input."""
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    def __init__(self, channels):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = _declare((channels,), fill=1.0)
         self.beta = _declare((channels,))
         self.register_buffer("running_mean", np.broadcast_to(np.float32(0.0), (channels,)))
@@ -266,8 +245,7 @@ class BatchNorm(Module):
         if self.training and not self.running_mean.flags.writeable:
             self.allocate()  # training updates the declared running statistics in place
         return ops.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                              self.running_var, eps=self.eps,
-                              momentum=self.momentum, training=self.training)
+                              self.running_var, training=self.training)
 
 
 def fast_eval(module):
@@ -337,14 +315,14 @@ class ConvNorm(Module):
 
     def fold(self):
         """The conv's weight ``W·s`` and bias ``(b − μ)·s + β`` Tensors,
-        ``s = γ/√(var + eps)``, made per call from the current parameters and
+        ``s = γ/√(var + BN_EPS)``, made per call from the current parameters and
         running statistics, so nothing is cached; None outside :func:`fast_eval`."""
         bn = self.bn
         if not fast_eval(bn):
             return None
         w = self.conv.weight.data
         scale, shift = ops.batch_norm_affine(bn.gamma.data, bn.beta.data, bn.running_mean,
-                                             bn.running_var, bn.eps, w.dtype)
+                                             bn.running_var, w.dtype)
         if self.conv.bias is not None:
             shift = self.conv.bias.data * scale + shift
         return Tensor(w * scale.reshape((-1,) + (1,) * (w.ndim - 1))), Tensor(shift)

@@ -473,24 +473,33 @@ def _conv_via(route, x, weight, bias, spec, out_sizes):
     return apply_op("conv", inputs, y, make_backward)
 
 
-def batch_norm_affine(gamma, beta, mean, var, eps, dtype):
-    """Eval-mode batch norm as ``x * scale + shift``, per channel, in ``dtype``."""
-    denom = var.astype(dtype) + eps
+# Every batch norm adds BN_EPS to its variance and moves its running
+# statistics by BN_MOMENTUM of the batch's: running = (1 − m)·running + m·batch.
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
+def batch_norm_affine(gamma, beta, mean, var, dtype):
+    """Eval-mode batch norm as ``x * scale + shift``, per channel, in ``dtype``:
+    ``scale = γ/√(var + BN_EPS)``. A non-positive ``var + BN_EPS``, which a
+    loaded checkpoint can hold, is refused."""
+    denom = var.astype(dtype) + BN_EPS
     if np.any(denom <= 0):
         raise NumericError("batch_norm variance estimate is non-positive after eps")
     scale = gamma.astype(dtype) / np.sqrt(denom)
     return scale, beta.astype(dtype) - mean.astype(dtype) * scale
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
-               momentum=0.1, training=False):
-    """Per-channel batch normalization over a batched (N, C, *S) input.
+def batch_norm(x, gamma, beta, running_mean, running_var, training=False):
+    """Per-channel batch normalization over a batched (N, C, *S) input, with
+    ``BN_EPS`` added to every variance.
 
-    Training mode normalizes with batch statistics and updates the running
-    arrays in place (plain ndarrays, not tensors); inference mode is one
-    multiply-add with the running statistics. ``gamma``/``beta`` are the
-    affine parameters. The output is channels-last in training and keeps
-    the input's memory layout in inference.
+    Training mode normalizes with batch statistics and moves the running
+    arrays (plain ndarrays, not tensors) in place by ``BN_MOMENTUM``;
+    inference mode is one multiply-add with the running statistics.
+    ``gamma``/``beta`` are the affine parameters. The output is
+    channels-last in training and keeps the input's memory layout in
+    inference.
     """
     if x.ndim < 2:
         raise ShapeError("batch_norm expects a batched (N, C, ...) input")
@@ -503,18 +512,17 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
     if training:
         if x.shape[0] == 0 or 0 in x.shape[2:]:
             raise ShapeError(f"batch_norm training batch is empty: input {tuple(x.shape)} has no rows")
-        return _batch_norm_training(x, gamma, beta, running_mean, running_var, eps, momentum)
+        return _batch_norm_training(x, gamma, beta, running_mean, running_var)
 
     axes = (0,) + tuple(range(2, x.ndim))
     bshape = (1, c) + (1,) * (x.ndim - 2)
-    scale, shift = batch_norm_affine(gamma.data, beta.data, running_mean, running_var,
-                                     eps, x.dtype)
+    scale, shift = batch_norm_affine(gamma.data, beta.data, running_mean, running_var, x.dtype)
     y = x.data * scale.reshape(bshape)
     y += shift.reshape(bshape)
 
     def make_backward():
         mu = running_mean.astype(x.dtype)
-        inv = 1.0 / np.sqrt(running_var.astype(x.dtype) + eps)
+        inv = 1.0 / np.sqrt(running_var.astype(x.dtype) + BN_EPS)
         xd = x.data if gamma.requires_grad else None  # only the gamma gradient reads it
         need_x, need_b = x.requires_grad, beta.requires_grad
 
@@ -531,7 +539,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
     return apply_op("batch_norm", (x, gamma, beta), y, make_backward)
 
 
-def _batch_norm_training(x, gamma, beta, running_mean, running_var, eps, momentum):
+def _batch_norm_training(x, gamma, beta, running_mean, running_var):
     """Training-mode batch norm on the (rows, C) view of a channels-last
     input (a reshape of any other layout), returned channels-last. It keeps
     the centred input ``xc``, C-order, for the backward, where ``x̂ = xc·inv``;
@@ -554,14 +562,14 @@ def _batch_norm_training(x, gamma, beta, running_mean, running_var, eps, momentu
     var = np.einsum("rc,rc->c", xc, xc) / m
     if not math.isfinite(var.max()):  # an inf would output β; NaN propagates through max
         raise NumericError("batch_norm batch variance is not finite")
-    denom = var + eps
+    denom = var + BN_EPS
     if np.any(denom <= 0):
         raise NumericError("batch_norm variance estimate is non-positive after eps")
     unbias = m / (m - 1) if m > 1 else 1.0
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mu
-    running_var *= 1.0 - momentum
-    running_var += momentum * var * unbias
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mu
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var * unbias
     inv = 1.0 / np.sqrt(denom)
     scale = gamma.data * inv
     yv = xc * scale

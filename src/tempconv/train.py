@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import augment, mixup
-from .config import TrainConfig
+from .config import MAX_EPOCHS, TrainConfig
 from .errors import ConfigError, NumericError, located
 from .tensor import GradTape, Tensor
 from . import ops
@@ -22,12 +22,6 @@ from . import ops
 BASE_LR = 0.02
 WEIGHT_DECAY = 0.01
 BATCH_SIZE = 32  # training and evaluation batches
-# lr_schedule holds one rate per epoch and `tempconv schedule` prints a line
-# for each, so an unbounded count runs until the host kills it: 10^6 epochs
-# took 248 MiB and 1.2 s, 10^8 ran out of memory, and 10^26 still ran after
-# 60 s. At this bound `schedule` peaks at 55 MiB, against 34 MiB at the
-# recipe's 80 epochs.
-MAX_EPOCHS = 100_000
 
 
 def lr_schedule(total_epochs=TrainConfig.epochs):

@@ -847,6 +847,19 @@ class TestTrainToy:
             f"tempconv.ConfigError: toy noise must lie in 0..1e+36, got {float(noise):g}\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_epochs_over_the_bound_refused_at_parse(self, tmp_path, capsys):
+        """``[train] epochs`` over the schedule's bound is refused when the
+        document is parsed: the run used to build the model and make
+        --run-dir first. ``schedule --epochs`` keeps the schedule's refusal."""
+        assert main(["train-toy", "--config", TOY_CFG, "--set", "train.epochs=100001",
+                     "--run-dir", str(tmp_path / "run")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "tempconv.ConfigError: epochs must be ≤ 100,000, got 100001\n")
+        assert list(tmp_path.iterdir()) == []
+        assert main(["schedule", "--epochs", "100001"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "tempconv.ConfigError: total_epochs must be ≤ 100,000, got 100001\n")
+
     def test_overflowing_batch_variance_stops_the_first_step(self, tmp_path, capsys):
         """Noise of 1e30 overflows the float32 batch variance of the first
         training norm: the run stops there with exit 3 and writes no history

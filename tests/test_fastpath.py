@@ -48,7 +48,7 @@ from tempconv.blocks import BLOCK_KINDS, make_block
 from tempconv.errors import NumericError, ShapeError
 from tempconv.frontend import ExtractorSpec, ReferenceExtractor, Stem, StemSpec, _SpatialBottleneck
 from tempconv.gradcheck import grad_check
-from tempconv.layers import BatchNorm, Conv1d, Conv2d, ConvNorm
+from tempconv.layers import BatchNorm, Conv, ConvNorm
 from tempconv.tensor import GradTape, Tensor
 from tempconv.train import one_hot
 
@@ -467,8 +467,8 @@ def _eval_and_train_step(net, x, probe):
 
 
 @pytest.mark.parametrize("conv,shape", [
-    (Conv1d(6, 4, 3, dilation=2, groups=2, causal=True), (2, 6, 9)),  # 1 < groups < C
-    (Conv2d(4, 8, 3, stride=2, groups=4), (2, 4, 7, 7)),  # groups = C_in, two outputs each
+    (Conv(ops.ConvSpec(6, 4, (3,), dilation=2, groups=2, causal=True)), (2, 6, 9)),  # 1 < groups < C
+    (Conv(ops.ConvSpec(4, 8, (3, 3), stride=2, groups=4)), (2, 4, 7, 7)),  # groups = C_in, two outputs each
 ], ids=["grouped", "channel-multiplier"])
 def test_grouped_layers_take_gemm(conv, shape, monkeypatch):
     """Convs between groups = 1 and depthwise, each with a norm, run on GEMM
@@ -782,7 +782,7 @@ def test_eval_batch_norm_gradcheck():
 def _conv_norm_relu_cases(rng):
     """A ConvNorm with a ReLU and a Stem with non-trivial norms, each with an
     input and its unfused layers."""
-    net = ConvNorm(Conv2d(3, 5, 3, stride=2), relu=True)
+    net = ConvNorm(Conv(ops.ConvSpec(3, 5, (3, 3), stride=2)), relu=True)
     stem = Stem(StemSpec(out_channels=4))
     cases = []
     for module, layers, shape in ((net, [net.conv, net.bn, ops.relu], (2, 3, 7, 7)),

@@ -10,7 +10,10 @@ frontend-less model. Weights are pinned by a sha256 over each
 and uninitialized models of every config and for one block of every kind,
 and again by one that leaves the names out (``model_values``,
 ``block_values``): a change that only renames or regroups layers rewrites
-the first and must pass the second unchanged.
+the first and must pass the second unchanged. The eval logits of every
+config's seeded model, with and without the frontend, on a seeded batch of
+two whose second sample is shortened by ``valid_len``, are pinned to
+float32 tolerance (``logits``): within 1e-5 of the largest recorded logit.
 
 The recorded values live in ``golden/outputs.json``. Regenerate them only
 for an intended change of output, and say why in the change log:
@@ -18,7 +21,9 @@ for an intended change of output, and say why in the change log:
     PYTHONPATH=src python tests/test_golden.py --write
 """
 import contextlib
+import dataclasses
 import difflib
+import functools
 import glob
 import hashlib
 import io
@@ -44,6 +49,10 @@ FRONTEND_SECTIONS = ("[stem]", "[extractor]")
 SEQ_MODEL = ["--set", "model.frontend=false", "--set", "tcn.block_kind=starv",
              "--set", "tcn.stages=2", "--set", "tcn.channels=8",
              "--set", "classifier.num_classes=10"]
+# (frames, edge) of the logits section's clips, per config; 24-frame sequences without the frontend
+CLIPS = {"toy.cfg": (12, 8)}
+CLIP, SEQ_FRAMES = (7, 32), 24
+LOGITS_RTOL = 1e-5  # of the largest recorded logit
 
 
 def run_cli(argv):
@@ -112,14 +121,44 @@ def infer_documents():
     return docs
 
 
+@functools.cache
+def seeded(path):
+    """The seed-3 model of the config at ``path``, built once for every test
+    that reads it: its state hashes, with and without names, and the
+    ``{tag: logits}`` of it and of its frontend-less seed-3 twin."""
+    config = tc.load_config_file(path)
+    model = tc.build_model(config, seed=3)
+    hashes = {True: state_hash(model), False: state_hash(model, names=False)}
+    twin = tc.build_model(dataclasses.replace(config, stem=None, extractor=None), seed=3)
+    frames, edge = CLIPS.get(os.path.basename(path), CLIP)
+    logits = {"frontend": eval_logits(model, model.input_shape(frames, edge)),
+              "nofrontend": eval_logits(twin, twin.input_shape(SEQ_FRAMES))}
+    return hashes, logits
+
+
+def eval_logits(model, sample):
+    """Eval logits, as rows of ``%.9g`` text (exact for float32), of a seeded
+    batch of two ``sample``-shaped inputs; the second one's ``valid_len`` is
+    two thirds of its frames."""
+    x = np.random.default_rng(5).standard_normal((2, *sample)).astype(np.float32)
+    frames = sample[1]
+    logits = model.eval()(tc.Tensor(x), valid_len=np.array([frames, frames * 2 // 3]))
+    return [" ".join(f"{v:.9g}" for v in row) for row in logits.data.tolist()]
+
+
 def model_hashes(names=True):
     hashes = {}
     for path in CONFIGS:
         config = tc.load_config_file(path)
         name = os.path.basename(path)
-        hashes[f"{name} seed=3"] = state_hash(tc.build_model(config, seed=3), names)
+        hashes[f"{name} seed=3"] = seeded(path)[0][names]
         hashes[f"{name} init=False"] = state_hash(tc.build_model(config, init=False), names)
     return hashes
+
+
+def logits():
+    return {f"{os.path.basename(path)} {tag}": rows
+            for path in CONFIGS for tag, rows in seeded(path)[1].items()}
 
 
 def block_hashes(names=True):
@@ -168,6 +207,18 @@ def test_block_state_values_unchanged():
     _compare(_load()["block_values"], block_hashes(names=False))
 
 
+def test_seeded_logits_unchanged():
+    want, got = _load()["logits"], logits()
+    assert sorted(got) == sorted(want), "golden keys changed"
+    bad = []
+    for key, rows in want.items():
+        w, g = (np.array([row.split() for row in r], float) for r in (rows, got[key]))
+        err = np.abs(g - w).max() if g.shape == w.shape else np.inf
+        if err > LOGITS_RTOL * np.abs(w).max():
+            bad.append(f"{key}: off by {err:.3g}, largest logit {np.abs(w).max():.3g}")
+    assert not bad, f"{len(bad)} logit set(s) differ:\n" + "\n".join(bad)
+
+
 def test_each_kind_builds_its_own_structure():
     """Two kinds with one raw state are two names for one structure."""
     raw = {kind: state_hash(make_block(kind, 16, 2)) for kind in BLOCK_KINDS}
@@ -181,5 +232,6 @@ if __name__ == "__main__":
     with open(GOLDEN, "w", encoding="utf-8") as f:
         json.dump({"documents": documents(), "models": model_hashes(),
                    "blocks": block_hashes(), "model_values": model_hashes(names=False),
-                   "block_values": block_hashes(names=False)}, f, indent=1, sort_keys=True)
+                   "block_values": block_hashes(names=False), "logits": logits()},
+                  f, indent=1, sort_keys=True)
         f.write("\n")

@@ -321,7 +321,7 @@ class TestStateDictRoundTrip:
     def test_refused_state_writes_nothing(self):
         """Every entry's shape is checked before the first write, so a
         refused load leaves no half-loaded model."""
-        model = tc.Sequential(tc.Conv1d(2, 2, 3), tc.BatchNorm(2))
+        model = tc.Sequential(tc.Conv(tc.ConvSpec(2, 2, (3,))), tc.BatchNorm(2))
         model.init_parameters(np.random.default_rng(0))
         before = model.state_dict()
         state = {k: v + 1 for k, v in before.items()}

@@ -4,7 +4,7 @@ import pytest
 
 from tempconv import Tensor, ops
 from tempconv.errors import NumericError, ShapeError
-from tempconv.layers import BatchNorm, Conv1d, Sequential
+from tempconv.layers import BatchNorm, Conv, Sequential
 
 from oracles import batchnorm_oracle, conv_oracle
 
@@ -116,8 +116,7 @@ class TestBatchNorm:
         x = rng.standard_normal((8, 2, 5))
         rm = np.zeros(2)
         rv = np.ones(2)
-        ops.batch_norm(t(x), t(np.ones(2)), t(np.zeros(2)), rm, rv,
-                       momentum=0.1, training=True)
+        ops.batch_norm(t(x), t(np.ones(2)), t(np.zeros(2)), rm, rv, training=True)
         batch_mean = x.mean(axis=(0, 2))
         m = x.shape[0] * x.shape[2]
         unbiased = x.var(axis=(0, 2)) * m / (m - 1)
@@ -144,7 +143,7 @@ class TestBatchNorm:
         rm0, rv0 = rng.standard_normal(c).astype(dtype), rng.uniform(0.5, 2, c).astype(dtype)
         rm, rv = rm0.copy(), rv0.copy()
         y = ops.batch_norm(t(x, dtype), t(gamma, dtype), t(beta, dtype), rm, rv,
-                           momentum=0.1, training=True).data
+                           training=True).data
         assert y.dtype == dtype and np.moveaxis(y, 1, -1).flags.c_contiguous
         tol = dict(rtol=1e-5, atol=1e-5) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(y, batchnorm_oracle(x, gamma.astype(dtype), beta.astype(dtype)),
@@ -174,7 +173,7 @@ class TestBatchNorm:
         np.testing.assert_array_equal(rv, np.ones(3))
 
     def test_module_refuses_an_input_of_another_width(self):
-        net = Sequential(Conv1d(4, 8, 3), BatchNorm(6))
+        net = Sequential(Conv(ops.ConvSpec(4, 8, (3,))), BatchNorm(6))
         net.init_parameters(np.random.default_rng(0)).eval()
         with pytest.raises(ShapeError, match="does not match 8 channels"):
             net(Tensor(np.zeros((1, 4, 5), np.float32)))
@@ -183,9 +182,8 @@ class TestBatchNorm:
         x = np.arange(12, dtype=np.float64).reshape(2, 2, 3)
         rm = np.array([1.0, 2.0])
         rv = np.array([4.0, 9.0])
-        got = ops.batch_norm(t(x), t(np.ones(2)), t(np.zeros(2)), rm, rv,
-                             eps=0.0, training=False).data
-        want = (x - rm.reshape(1, 2, 1)) / np.sqrt(rv).reshape(1, 2, 1)
+        got = ops.batch_norm(t(x), t(np.ones(2)), t(np.zeros(2)), rm, rv, training=False).data
+        want = (x - rm.reshape(1, 2, 1)) / np.sqrt(rv + ops.BN_EPS).reshape(1, 2, 1)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
